@@ -728,9 +728,7 @@ def _lattice_points_below(lattice, m, nu, bound):
     return sorted(pts)
 
 
-def verify_construction(
-    cg: CompiledGame, bound: int, backend=None
-) -> VerificationReport:
+def verify_construction(cg: CompiledGame, bound: int) -> VerificationReport:
     """Compare the compiled game's outcomes with the recurrence oracle.
 
     Four checks over the region where the scaled staircase pairing stays
@@ -769,7 +767,7 @@ def verify_construction(
                 probes.append((p[0] + m * l[0], p[1] + m * l[1], 1))
     wx = max(p[0] for p in probes)
     wy = max(p[1] for p in probes)
-    grid = Solver(cg.game).solve_window((wx, wy, 1), backend=backend)
+    grid = Solver(cg.game).solve_window((wx, wy, 1))
 
     checks = []
 

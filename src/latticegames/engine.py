@@ -301,7 +301,7 @@ class Solver:
             stack.pop()
         return memo[p]
 
-    def solve_window(self, window, mode: str = "bottom-up", backend=None) -> OutcomeGrid:
+    def solve_window(self, window, mode: str = "bottom-up") -> OutcomeGrid:
         window = as_vec(window, self.game.ruleset.dim)
         if any(c < 0 for c in window):
             raise ValueError("window bounds must be nonnegative")
@@ -309,7 +309,7 @@ class Solver:
             return self._solve_window_topdown(window)
         if mode != "bottom-up":
             raise ValueError(f"unknown solve mode {mode!r}")
-        return self._solve_window_bottomup(window, backend)
+        return self._solve_window_bottomup(window)
 
     def _solve_window_topdown(self, window: Vec) -> OutcomeGrid:
         shape = tuple(w + 1 for w in window)
@@ -322,7 +322,7 @@ class Solver:
                 data[ix] = CODE_P if self.outcome(p) == P else CODE_N
         return OutcomeGrid(window, data)
 
-    def _solve_window_bottomup(self, window: Vec, backend=None) -> OutcomeGrid:
+    def _solve_window_bottomup(self, window: Vec) -> OutcomeGrid:
         moves = self.game.ruleset.moves
         d = self.game.ruleset.dim
         level_cap = dot(self.phi, window)
@@ -344,7 +344,6 @@ class Solver:
             level_cap,
             caps,
             defeated_mask,
-            backend,
         )
         view = region[tuple(slice(0, w + 1) for w in window)]
         return OutcomeGrid(window, np.ascontiguousarray(view))
@@ -359,9 +358,8 @@ def solve_window(
     window,
     mode: str = "bottom-up",
     witness: PointednessWitness | None = None,
-    backend=None,
 ) -> OutcomeGrid:
-    return Solver(game, witness).solve_window(window, mode=mode, backend=backend)
+    return Solver(game, witness).solve_window(window, mode=mode)
 
 
 @dataclass(frozen=True)
@@ -371,15 +369,15 @@ class EquivalenceReport:
     outcomes: tuple[str | None, str | None] | None = None
 
 
-def equivalence_in_window(g1: GameSpec, g2: GameSpec, window, backend=None) -> EquivalenceReport:
+def equivalence_in_window(g1: GameSpec, g2: GameSpec, window) -> EquivalenceReport:
     """Compare P-position sets on a window; defeated counts as not-P.
 
     The first differing position in lexicographic order is reported.
     """
     if g1.ruleset.dim != g2.ruleset.dim:
         raise ValueError("games have different dimensions")
-    a = solve_window(g1, window, backend=backend)
-    b = solve_window(g2, window, backend=backend)
+    a = solve_window(g1, window)
+    b = solve_window(g2, window)
     diff = np.argwhere((a.data == CODE_P) != (b.data == CODE_P))
     if diff.size == 0:
         return EquivalenceReport(True)

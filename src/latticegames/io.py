@@ -38,13 +38,28 @@ def game_to_json(game: GameSpec) -> dict:
     return out
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def game_from_json(obj: dict) -> GameSpec:
-    dim = int(obj["dim"])
-    rs = Ruleset(dim, [tuple(m) for m in obj["moves"]])
-    defeated = None
-    if obj.get("defeated"):
-        defeated = parse_set_expr(obj["defeated"])
-    return GameSpec(rs, defeated)
+    """Build a game from its JSON object; a missing or ill-typed field raises
+    ValueError naming the field."""
+    if not isinstance(obj, dict):
+        raise ValueError("a game file must hold a JSON object")
+    dim = obj.get("dim")
+    if not _is_int(dim) or dim < 1:
+        raise ValueError(f"game field 'dim' must be a positive integer, got {dim!r}")
+    moves = obj.get("moves")
+    if not isinstance(moves, list) or not all(
+        isinstance(m, list) and len(m) == dim and all(_is_int(c) for c in m) for m in moves
+    ):
+        raise ValueError(f"game field 'moves' must be a list of {dim}-integer lists")
+    defeated = obj.get("defeated")
+    if defeated is not None and not isinstance(defeated, str):
+        raise ValueError(f"game field 'defeated' must be a set expression string, got {defeated!r}")
+    rs = Ruleset(dim, [tuple(m) for m in moves])
+    return GameSpec(rs, parse_set_expr(defeated) if defeated else None)
 
 
 def save_game(game: GameSpec, path: str):

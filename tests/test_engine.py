@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticegames.builtin import paper_gamma, paper_gamma_prime
 from latticegames.engine import (
@@ -20,7 +22,7 @@ from latticegames.engine import (
     solve_window,
     tangent_axis_ok,
 )
-from latticegames.kernels import HAVE_NUMBA
+from latticegames import kernels
 from latticegames.lattice import LatticeSet, dot
 from latticegames.recurrence import binom_parity_oracle
 
@@ -144,12 +146,57 @@ def test_topdown_bottomup_agree(gamma_prime_game):
     assert np.array_equal(a.data, b.data)
 
 
-def test_backends_agree(gamma_prime_game):
-    if not HAVE_NUMBA:
-        pytest.skip("numba disabled; single backend")
-    a = solve_window(gamma_prime_game, (20, 20, 1), backend="numba")
-    b = solve_window(gamma_prime_game, (20, 20, 1), backend="numpy")
-    assert np.array_equal(a.data, b.data)
+@st.composite
+def pointed_games(draw):
+    """A window and a random pointed game on it, in 2-D or 3-D.
+
+    Move components range over [-2, 3]; a move is kept only if it pairs
+    positively with a drawn functional, so the ruleset is pointed while
+    negative components stay common.  Defeated sets are empty, finite, an
+    orthant or a union of the two.
+    """
+    d = draw(st.sampled_from((2, 3)))
+    phi = draw(st.tuples(*[st.integers(1, 3)] * d))
+    vec = st.tuples(*[st.integers(-2, 3)] * d)
+    moves = draw(st.lists(vec.filter(lambda m: dot(phi, m) >= 1), min_size=1, max_size=6))
+    window = draw(st.tuples(*[st.integers(0, 7 if d == 2 else 4)] * d))
+    point = st.tuples(*[st.integers(0, w + 1) for w in window])
+    finite = st.lists(point, max_size=6).map(lambda pts: LatticeSet.finite(pts, dim=d))
+    orthant = point.map(LatticeSet.orthant)
+    defeated = draw(
+        st.one_of(
+            st.just(LatticeSet.empty(d)),
+            finite,
+            orthant,
+            st.tuples(finite, orthant).map(lambda ab: LatticeSet.union(*ab)),
+        )
+    )
+    return GameSpec(Ruleset(d, moves), defeated), window
+
+
+@settings(max_examples=150, deadline=None)
+@given(pointed_games())
+def test_sieve_matches_topdown_memo(case):
+    game, window = case
+    sieve = solve_window(game, window)
+    memo = solve_window(game, window, mode="top-down")
+    assert np.array_equal(sieve.data, memo.data)
+    # the whole region of the kernel, on a box that every axis cap bounds,
+    # against the memo; cells above the level cap stay unvisited
+    solver = Solver(game)
+    cap = dot(solver.phi, window)
+    caps = tuple(cap // f for f in solver.phi)
+    region = kernels.solve_region(
+        np.array(game.ruleset.moves), np.array(solver.phi), cap, caps, game.defeated.mask(caps)
+    )
+    for p in np.ndindex(region.shape):
+        if dot(solver.phi, p) > cap:
+            want = kernels.CODE_UNSEEN
+        elif not solver._is_position(p):
+            want = kernels.CODE_DEFEATED
+        else:
+            want = kernels.CODE_P if solver.outcome(p) == "P" else kernels.CODE_N
+        assert region[p] == want, p
 
 
 def test_solving_deterministic(gamma_prime_game):
@@ -245,3 +292,31 @@ def test_kernel_scale_guard():
             np.array([[1, 1, 1]]), np.array([1, 1, 1]), 10**13,
             (10**5, 10**5, 10**3),
         )
+
+
+def test_kernel_memory_guard_raises_before_allocating(monkeypatch):
+    import tracemalloc
+
+    moves, phi, caps = np.array([[1, 0], [0, 1]]), np.array([1, 1]), (2999, 2999)
+    need = kernels.sieve_bytes((3000, 3000), 2, 5998)
+    assert need > 9 * 10**6 * 12  # levels, order, masks and outcomes per cell
+    monkeypatch.setattr(kernels, "MEMORY_BUDGET", need - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="GiB"):
+            kernels.solve_region(moves, phi, 5998, caps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # at exactly the budget the region is solved, within the estimate
+    need = kernels.sieve_bytes((1000, 1000), 2, 1998)
+    monkeypatch.setattr(kernels, "MEMORY_BUDGET", need)
+    tracemalloc.start()
+    try:
+        grid = kernels.solve_region(moves, phi, 1998, (999, 999))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= need
+    assert grid[0, 0] == kernels.CODE_P and grid[1, 0] == kernels.CODE_N

@@ -213,3 +213,26 @@ def test_cli_usage_errors(capsys):
 def test_cli_missing_file(capsys):
     assert main(["axioms", "no-such-file.json"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "obj, field",
+    [
+        ({"dim": 3}, "moves"),
+        ({"moves": [[1, 0, 0]]}, "dim"),
+        ({"dim": "3", "moves": [[1, 0, 0]]}, "dim"),
+        ({"dim": 3, "moves": "[[1, 0, 0]]"}, "moves"),
+        ({"dim": 3, "moves": [[1, 0]]}, "moves"),
+        ({"dim": 3, "moves": [[1, 0, 0.5]]}, "moves"),
+        ({"dim": 3, "moves": [[1, 0, 0]], "defeated": [[0, 0, 0]]}, "defeated"),
+        ([3, [[1, 0, 0]]], "JSON object"),
+    ],
+)
+def test_cli_malformed_game_file(tmp_path, capsys, obj, field):
+    bad = tmp_path / "f.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["solve", str(bad), "--window", "3,3,1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+    with pytest.raises(ValueError, match=field):
+        io.game_from_json(obj)
