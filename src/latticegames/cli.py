@@ -107,15 +107,7 @@ def cmd_compile(args) -> int:
     hint = None
     if args.hint:
         with open(args.hint) as fh:
-            side = json.load(fh)
-        from .compiler import Placement
-
-        hint = Placement(
-            pos={v: tuple(p) for v, p in side["pos"].items()},
-            m=side["m"],
-            staircase=[tuple(p) for p in side["staircase"]],
-            normal=tuple(side["normal"]),
-        )
+            hint = io.placement_from_json(json.load(fh))
     cg = compile_recurrence(
         spec, enc, variant=variant, seed=args.seed, core_only=args.core_only, hint=hint
     )

@@ -14,14 +14,18 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
+
+from . import engine
 from .circuits import NorCircuit, check_variant, extend_circuit, synthesize_nor_circuit
-from .engine import GameSpec, Ruleset, Solver
+from .engine import GameSpec, Infeasible, PointednessWitness, Ruleset, Solver
 from .lattice import (
     Z2,
     IncompleteBoxError,
     LatticeSet,
     Vec,
     as_vec,
+    class_representatives,
     dominates,
     dot,
     enumerate_F,
@@ -143,7 +147,6 @@ def check_conditions(
     I_labels = {label(p) for p in I}
     vertex_labels = {v: label(pos[v]) for v in V}
     gate_label_set = set(vertex_labels.values())
-    all_class_reps = enumerate_F(spec.lattice, pl.m)
     results: dict[str, ConditionResult] = {}
 
     # (a) edge differences and the staircase's outward set share the open
@@ -222,7 +225,7 @@ def check_conditions(
     def lneg(l1):
         return ((-l1[0]) % d_mod, (-l1[1]) % d_mod)
 
-    rep_of = {label(rep): rep for rep in all_class_reps}
+    rep_of = class_representatives(spec.lattice, pl.m)
 
     # (d) no translate of -I lies wholly inside the pairwise-difference
     # lattice except at staircase translates; the pairwise-difference form is
@@ -489,15 +492,22 @@ class CompiledGame:
     enc: Encoding | None
     variant: str
     lines: dict[str, tuple]
+    witness: PointednessWitness | None = None
 
     def moves_by_line(self) -> dict[str, tuple]:
         return dict(self.lines)
 
 
 class EmissionError(ValueError):
-    def __init__(self, message: str, report: ConditionReport | None = None):
+    def __init__(
+        self,
+        message: str,
+        report: ConditionReport | None = None,
+        certificate: Infeasible | None = None,
+    ):
         super().__init__(message)
         self.report = report
+        self.certificate = certificate
 
 
 LINE_WIRES = "wires"
@@ -552,7 +562,9 @@ def emit_ruleset(
 
     core_only restricts to the wire moves and the two slice blocks (the
     published subset); otherwise the control lines for the chosen variant are
-    added, and variant A additionally carries a defeated set.
+    added, and variant A additionally carries a defeated set.  The result
+    carries its pointedness witness; a ruleset that is not pointed raises
+    EmissionError with the Farkas certificate.
     """
     check_variant(variant)
     pl = placement
@@ -563,14 +575,13 @@ def emit_ruleset(
                 f"placement fails conditions {report.failures()}", report
             )
     mL = spec.lattice.scale(pl.m)
-    label = mL.class_label
-    I = pl.staircase
+    labels = mL.class_labels
+    I = np.array(pl.staircase, dtype=np.int64)
     pos = pl.pos
     V = list(circuit.vertices)
-    F = enumerate_F(spec.lattice, pl.m)
-    I_diff_labels = {label(d) for d in _staircase_diffs(I)}
-    pair_diff_labels = {label(vsub(pos[wv], pos[vv])) for vv in V for wv in V}
-    gate_label_set = {label(pos[v]) for v in V}
+    gates = np.array([pos[v] for v in V], dtype=np.int64)
+    F = np.array(enumerate_F(spec.lattice, pl.m), dtype=np.int64)
+    f_minus_i = (F[:, None] - I).reshape(-1, 2)
 
     lines: dict[str, tuple] = {}
     wires = {
@@ -581,26 +592,18 @@ def emit_ruleset(
     }
     lines[LINE_WIRES] = tuple(sorted(wires))
 
-    slice0 = set()
-    for f in F:
-        for i in I:
-            p = vsub(f, i)
-            if label(p) in I_diff_labels:
-                continue
-            if label(p) in pair_diff_labels:
-                continue
-            slice0.add((p[0], p[1], 0))
-    lines[LINE_SLICE0] = tuple(sorted(slice0))
+    # slice 0: f - i unless congruent to a staircase or a gate difference
+    forbidden = np.concatenate([labels(I[:, None] - I), labels(gates[:, None] - gates)])
+    slice0 = f_minus_i[~np.isin(labels(f_minus_i), forbidden)]
+    lines[LINE_SLICE0] = _plane_line(slice0, 0)
 
-    slice1 = set()
+    # slice 1: -m beta + f - i unless some p + i is congruent to a gate
+    slice1 = []
     for b in spec.betas:
-        base = vscale(-pl.m, b)
-        for f in F:
-            for i in I:
-                p = vadd(base, vsub(f, i))
-                if all(label(vadd(p, i2)) not in gate_label_set for i2 in I):
-                    slice1.add((p[0], p[1], 1))
-    lines[LINE_SLICE1] = tuple(sorted(slice1))
+        p = f_minus_i - pl.m * np.array(b, dtype=np.int64)
+        hits = np.isin(labels(p[:, None] + I), labels(gates)).reshape(len(p), len(I))
+        slice1.append(p[~hits.any(axis=1)])
+    lines[LINE_SLICE1] = _plane_line(np.concatenate(slice1), 1)
 
     defeated = None
     if not core_only:
@@ -650,7 +653,18 @@ def emit_ruleset(
     moves = [m for line in lines.values() for m in line]
     game = GameSpec(Ruleset(3, moves), defeated)
     assert set(game.ruleset.moves) == set(moves)
-    return CompiledGame(game, pl, circuit, spec, enc, variant, lines)
+    witness = engine.check_pointedness(game.ruleset)
+    if isinstance(witness, Infeasible):
+        raise EmissionError(
+            "the emitted ruleset is not pointed: no positive functional bounds play",
+            certificate=witness,
+        )
+    return CompiledGame(game, pl, circuit, spec, enc, variant, lines, witness)
+
+
+def _plane_line(points: np.ndarray, z: int) -> tuple:
+    """Sorted distinct moves (x, y, z) from an (n, 2) array of (x, y)."""
+    return tuple((x, y, z) for x, y in np.unique(points, axis=0).tolist())
 
 
 def emit_defeated(
@@ -767,7 +781,7 @@ def verify_construction(cg: CompiledGame, bound: int) -> VerificationReport:
                 probes.append((p[0] + m * l[0], p[1] + m * l[1], 1))
     wx = max(p[0] for p in probes)
     wy = max(p[1] for p in probes)
-    grid = Solver(cg.game).solve_window((wx, wy, 1))
+    grid = Solver(cg.game, cg.witness).solve_window((wx, wy, 1))
 
     checks = []
 

@@ -81,9 +81,14 @@ class PointednessWitness:
         return tuple(int(f * scale) for f in self.phi)
 
     def verify(self, rs: Ruleset) -> bool:
-        if len(self.phi) != rs.dim or any(f <= 0 for f in self.phi):
+        """Exact check on the integer multiple: every phi_k and every
+        phi . move is at least 1."""
+        if len(self.phi) != rs.dim:
             return False
-        return all(sum(f * c for f, c in zip(self.phi, m)) > 0 for m in rs.moves)
+        phi = self.as_integer()
+        if min(phi) < 1:
+            return False
+        return all(sum(f * c for f, c in zip(phi, m)) >= 1 for m in rs.moves)
 
 
 @dataclass(frozen=True)
@@ -113,31 +118,53 @@ class PointednessError(ValueError):
         super().__init__("ruleset admits no positive play-bounding functional")
 
 
+def _constraint_row(rs: Ruleset, i: int):
+    """Row i of pointedness_constraints(rs)."""
+    d = rs.dim
+    if i < d:
+        return tuple(Fraction(int(k == i)) for k in range(d)), Fraction(1)
+    return tuple(Fraction(c) for c in rs.moves[i - d]), Fraction(1)
+
+
 def pointedness_constraints(rs: Ruleset):
     """Rows (coeffs, rhs) encoding phi_k >= 1 and move . phi >= 1."""
-    rows = []
-    for k in range(rs.dim):
-        e = [Fraction(0)] * rs.dim
-        e[k] = Fraction(1)
-        rows.append((tuple(e), Fraction(1)))
-    for m in rs.moves:
-        rows.append((tuple(Fraction(c) for c in m), Fraction(1)))
+    return [_constraint_row(rs, i) for i in range(rs.dim + len(rs.moves))]
+
+
+def pointedness_rows(rs: Ruleset) -> list[int]:
+    """Indices into pointedness_constraints(rs) of rows that imply all others.
+
+    Given the axis rows phi >= 1, the row of a move with no negative
+    component holds, and so does the row of a move that componentwise
+    dominates another move.  What is left are the axis rows and the
+    Pareto-minimal moves with a negative component (Fourier-Motzkin
+    redundancy; Schrijver, Theory of Linear and Integer Programming, 12.2).
+    """
+    d = rs.dim
+    rows = list(range(d))
+    minimal: list[Vec] = []
+    # moves are sorted, and a move precedes every other move dominating it, so
+    # a move above none of the minimal moves found so far is itself minimal
+    for i, m in enumerate(rs.moves):
+        if min(m) >= 0 or any(all(a >= b for a, b in zip(m, q)) for q in minimal):
+            continue
+        minimal.append(m)
+        rows.append(d + i)
     return rows
 
 
-def check_pointedness(rs: Ruleset):
-    """Exact rational feasibility by Fourier-Motzkin elimination.
+def fourier_motzkin(constraints: dict):
+    """Exact rational feasibility of {phi : coeffs . phi >= rhs} by
+    Fourier-Motzkin elimination over constraints = {index: (coeffs, rhs)}.
 
-    Returns a PointednessWitness, or an Infeasible certificate when no
-    strictly positive functional exists.  Every derived row carries the
-    multipliers of the original rows it combines, so infeasibility comes with
-    a checkable Farkas certificate.
+    Returns the lexicographically least feasible phi as a tuple of Fractions,
+    or an Infeasible certificate whose multipliers are keyed by the
+    constraint indices.  Every derived row carries the multipliers of the
+    rows it combines, which is what makes the certificate checkable.
     """
-    base = pointedness_constraints(rs)
-    d = rs.dim
+    d = len(next(iter(constraints.values()))[0])
     rows = [
-        (list(coeffs), rhs, {i: Fraction(1)})
-        for i, (coeffs, rhs) in enumerate(base)
+        (list(coeffs), rhs, {i: Fraction(1)}) for i, (coeffs, rhs) in constraints.items()
     ]
 
     def merge(m1, m2, f1, f2):
@@ -165,13 +192,13 @@ def check_pointedness(rs: Ruleset):
         for coeffs, rhs, mult in nxt:
             if all(c == 0 for c in coeffs):
                 if rhs > 0:
-                    cert = Infeasible(tuple(sorted(mult.items())), rhs)
-                    assert cert.verify(base)
-                    return cert
+                    return Infeasible(tuple(sorted(mult.items())), rhs)
                 continue  # vacuous row
             rows.append((coeffs, rhs, mult))
         snapshots[var] = rows
 
+    # the snapshots are exact projections, so the largest lower bound on each
+    # variable given the earlier ones is its least feasible value
     phi = [Fraction(0)] * d
     for var in range(d):
         lo = None
@@ -181,7 +208,22 @@ def check_pointedness(rs: Ruleset):
                 bound = (rhs - sum(coeffs[j] * phi[j] for j in range(var))) / c
                 lo = bound if lo is None or bound > lo else lo
         phi[var] = lo if lo is not None else Fraction(1)
-    witness = PointednessWitness(tuple(phi))
+    return tuple(phi)
+
+
+def check_pointedness(rs: Ruleset):
+    """Exact rational pointedness check.
+
+    Eliminates only the rows that pointedness_rows keeps.  Returns a
+    PointednessWitness, or an Infeasible certificate, checkable against the
+    full pointedness_constraints(rs), when no strictly positive functional
+    exists.
+    """
+    result = fourier_motzkin({i: _constraint_row(rs, i) for i in pointedness_rows(rs)})
+    if isinstance(result, Infeasible):
+        assert result.verify(pointedness_constraints(rs))
+        return result
+    witness = PointednessWitness(result)
     assert witness.verify(rs)
     return witness
 
@@ -256,8 +298,6 @@ class Solver:
             raise ValueError("witness does not certify this ruleset")
         self.witness = witness
         self.phi = witness.as_integer()
-        assert all(f >= 1 for f in self.phi)
-        assert all(dot(self.phi, m) >= 1 for m in game.ruleset.moves)
         self.memo: dict[Vec, str] = {}
 
     def _is_position(self, p: Vec) -> bool:

@@ -42,22 +42,57 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _vec(dim: int = 2):
+    return (
+        lambda x: isinstance(x, list) and len(x) == dim and all(_is_int(c) for c in x),
+        f"a {dim}-integer list",
+    )
+
+
+def _list_of(kind):
+    ok, what = kind
+    return lambda x: isinstance(x, list) and all(ok(v) for v in x), f"a list, each {what}"
+
+
+def _map_of(kind):
+    ok, what = kind
+    return (
+        lambda x: isinstance(x, dict) and all(ok(v) for v in x.values()),
+        f"an object, each value {what}",
+    )
+
+
+_INT = (_is_int, "an integer")
+_STR = (lambda x: isinstance(x, str), "a string")
+_STRS = _list_of(_STR)
+_VECS = _list_of(_vec())
+_BASIS = (lambda x: _VECS[0](x) and len(x) == 2, "two 2-integer lists")
+_F0_ENTRY = (
+    lambda e: isinstance(e, list) and len(e) == 2 and _vec()[0](e[0]) and isinstance(e[1], str),
+    "a [2-integer list, symbol] pair",
+)
+
+
+def _field(obj, kind: str, name: str, type_, optional: bool = False):
+    """obj[name], checked against type_ = (predicate, description); a
+    missing or ill-typed field raises ValueError naming it."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a {kind} must be a JSON object")
+    value = obj.get(name)
+    if value is None and optional:
+        return None
+    ok, what = type_
+    if not ok(value):
+        raise ValueError(f"{kind} field {name!r} must be {what}, got {value!r}")
+    return value
+
+
 def game_from_json(obj: dict) -> GameSpec:
     """Build a game from its JSON object; a missing or ill-typed field raises
     ValueError naming the field."""
-    if not isinstance(obj, dict):
-        raise ValueError("a game file must hold a JSON object")
-    dim = obj.get("dim")
-    if not _is_int(dim) or dim < 1:
-        raise ValueError(f"game field 'dim' must be a positive integer, got {dim!r}")
-    moves = obj.get("moves")
-    if not isinstance(moves, list) or not all(
-        isinstance(m, list) and len(m) == dim and all(_is_int(c) for c in m) for m in moves
-    ):
-        raise ValueError(f"game field 'moves' must be a list of {dim}-integer lists")
-    defeated = obj.get("defeated")
-    if defeated is not None and not isinstance(defeated, str):
-        raise ValueError(f"game field 'defeated' must be a set expression string, got {defeated!r}")
+    dim = _field(obj, "game", "dim", (lambda x: _is_int(x) and x >= 1, "a positive integer"))
+    moves = _field(obj, "game", "moves", _list_of(_vec(dim)))
+    defeated = _field(obj, "game", "defeated", _STR, optional=True)
     rs = Ruleset(dim, [tuple(m) for m in moves])
     return GameSpec(rs, parse_set_expr(defeated) if defeated else None)
 
@@ -95,22 +130,25 @@ def spec_from_json(obj: dict):
     """Returns (spec, encoding | None, variant | None, ca_embedding | None).
 
     A {"ca": {rule, word, steps}} block is shorthand for the cellular
-    automaton embedding with the standard 0/1 encoding.
+    automaton embedding with the standard 0/1 encoding.  A missing or
+    ill-typed field raises ValueError naming the field.
     """
-    variant = obj.get("variant")
-    if "ca" in obj:
-        ca = obj["ca"]
-        emb = ca_to_recurrence(
-            wolfram_rule_table(int(ca["rule"])), "0", str(ca["word"])
-        )
+    variant = _field(obj, "spec", "variant", _STR, optional=True)
+    ca = _field(obj, "spec", "ca", (lambda x: isinstance(x, dict), "an object"), optional=True)
+    if ca is not None:
+        rule = _field(ca, "ca block", "rule", _INT)
+        word = _field(ca, "ca block", "word", _STR)
+        emb = ca_to_recurrence(wolfram_rule_table(rule), "0", word)
         enc = Encoding({"0": ("N",), "1": ("P",)})
         return emb.spec, enc, variant, emb
-    lattice = Sublattice(tuple(obj["lattice"][0]), tuple(obj["lattice"][1]))
-    module = ModuleIdeal(lattice, [tuple(g) for g in obj["module_generators"]])
-    alphabet = tuple(obj["alphabet"])
-    betas = [tuple(b) for b in obj["betas"]]
+    b1, b2 = _field(obj, "spec", "lattice", _BASIS)
+    lattice = Sublattice(tuple(b1), tuple(b2))
+    gens = _field(obj, "spec", "module_generators", _VECS)
+    module = ModuleIdeal(lattice, [tuple(g) for g in gens])
+    alphabet = tuple(_field(obj, "spec", "alphabet", _STRS))
+    betas = [tuple(b) for b in _field(obj, "spec", "betas", _VECS)]
     rows = list(product(alphabet, repeat=len(betas)))
-    g_values = obj["g"]
+    g_values = _field(obj, "spec", "g", _STRS)
     if len(g_values) != len(rows):
         raise ValueError(
             f"table has {len(g_values)} entries, expected {len(rows)} (row-major "
@@ -123,12 +161,13 @@ def spec_from_json(obj: dict):
         betas=betas,
         alphabet=alphabet,
         table=table,
-        sigma0=obj["sigma0"],
-        f0={tuple(p): s for p, s in obj["f0"]},
+        sigma0=_field(obj, "spec", "sigma0", _STR),
+        f0={tuple(p): sym for p, sym in _field(obj, "spec", "f0", _list_of(_F0_ENTRY))},
     )
+    encoding = _field(obj, "spec", "encoding", _map_of(_STRS), optional=True)
     enc = None
-    if "encoding" in obj:
-        enc = Encoding({sym: tuple(bits) for sym, bits in obj["encoding"].items()})
+    if encoding is not None:
+        enc = Encoding({sym: tuple(bits) for sym, bits in encoding.items()})
     return spec, enc, variant, None
 
 
@@ -152,28 +191,34 @@ def placement_to_json(cg: CompiledGame) -> dict:
     }
 
 
+def placement_from_json(sidecar: dict) -> Placement:
+    """The placement in a sidecar; a missing or ill-typed field raises
+    ValueError naming the field."""
+    pos = _field(sidecar, "placement", "pos", _map_of(_vec()))
+    return Placement(
+        pos={v: tuple(p) for v, p in pos.items()},
+        m=_field(sidecar, "placement", "m", _INT),
+        staircase=[tuple(p) for p in _field(sidecar, "placement", "staircase", _VECS)],
+        normal=tuple(_field(sidecar, "placement", "normal", _vec())),
+    )
+
+
 def compiled_from_files(game: GameSpec, sidecar: dict, spec: RecurrenceSpec, enc: Encoding | None) -> CompiledGame:
     """Rebuild the compiled-game record needed for verification.
 
     Only the output/control vertex positions matter, so the circuit shell
     carries names without gates or wires.
     """
-    pl = Placement(
-        pos={v: tuple(p) for v, p in sidecar["pos"].items()},
-        m=sidecar["m"],
-        staircase=[tuple(p) for p in sidecar["staircase"]],
-        normal=tuple(sidecar["normal"]),
-    )
-    outputs = tuple(sidecar["outputs"])
-    in_prime = sidecar.get("in_prime")
-    in_dprime = sidecar.get("in_dprime")
+    pl = placement_from_json(sidecar)
+    outputs = tuple(_field(sidecar, "placement", "outputs", _STRS))
+    in_prime = _field(sidecar, "placement", "in_prime", _STR, optional=True)
+    in_dprime = _field(sidecar, "placement", "in_dprime", _STR, optional=True)
     vertices = outputs + tuple(v for v in (in_prime, in_dprime) if v is not None)
     shell = NorCircuit(vertices, (), (), outputs, in_prime, in_dprime)
-    lines = {
-        name: tuple(tuple(m) for m in moves)
-        for name, moves in sidecar.get("lines", {}).items()
-    }
-    return CompiledGame(game, pl, shell, spec, enc, sidecar.get("variant", "C"), lines)
+    lines = _field(sidecar, "placement", "lines", _map_of(_list_of(_vec(3))), optional=True) or {}
+    lines = {name: tuple(tuple(m) for m in moves) for name, moves in lines.items()}
+    variant = _field(sidecar, "placement", "variant", _STR, optional=True) or "C"
+    return CompiledGame(game, pl, shell, spec, enc, variant, lines)
 
 
 def save_compiled(cg: CompiledGame, out_path: str) -> str:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -101,6 +103,16 @@ class Sublattice:
         a = (v[0] * self.b2[1] - v[1] * self.b2[0]) % d
         b = (self.b1[0] * v[1] - self.b1[1] * v[0]) % d
         return (a, b)
+
+    def class_labels(self, points) -> np.ndarray:
+        """class_label of each point of an (..., 2) integer array, flattened
+        to one int64 code a * |det| + b per point; codes order like the
+        label pairs."""
+        v = np.asarray(points, dtype=np.int64).reshape(-1, 2)
+        d = abs(self.det)
+        a = (v[:, 0] * self.b2[1] - v[:, 1] * self.b2[0]) % d
+        b = (self.b1[0] * v[:, 1] - self.b1[1] * v[:, 0]) % d
+        return a * d + b
 
     def index(self) -> int:
         """Number of classes of Z^2 / L."""
@@ -600,24 +612,37 @@ def positive_generators(mL: Sublattice) -> list[Vec]:
     return [p for p in pts if not any(q != p and dominates(p, q) for q in pts)]
 
 
-def enumerate_F(L: Sublattice, m: int) -> list[Vec]:
-    """Points of N^2 not dominated by any nonzero element of mL+.
-
-    The result is finite because mL+ has full rank; it contains at least one
-    representative of every class of Z^2 / mL, which is asserted.
-    """
+@lru_cache(maxsize=16)
+def _residues(L: Sublattice, m: int):
+    """F and its label -> representative map for one (L, m); placement
+    search checks many placements at the same scale."""
     if m < 1:
         raise ValueError("m must be a positive integer")
     mL = L.scale(m)
     gens = positive_generators(mL)
     ax, ay = mL.axis_strides()
     # any p with p1 >= ax is dominated by (ax, 0), so F fits in this box
-    pts = [
+    pts = tuple(
         (x, y)
         for x in range(ax)
         for y in range(ay)
         if not any(dominates((x, y), g) for g in gens)
-    ]
-    classes = {mL.class_label(p) for p in pts}
-    assert len(classes) == mL.index(), "F misses a residue class"
-    return pts
+    )
+    rep_of = {mL.class_label(p): p for p in pts}
+    assert len(rep_of) == mL.index(), "F misses a residue class"
+    return pts, MappingProxyType(rep_of)
+
+
+def enumerate_F(L: Sublattice, m: int) -> list[Vec]:
+    """Points of N^2 not dominated by any nonzero element of mL+.
+
+    The result is finite because mL+ has full rank; it contains at least one
+    representative of every class of Z^2 / mL, which is asserted.
+    """
+    return list(_residues(L, m)[0])
+
+
+def class_representatives(L: Sublattice, m: int):
+    """Read-only map from each class label of Z^2 / mL to a point of F in
+    that class; where F holds several, the last in F order."""
+    return _residues(L, m)[1]

@@ -8,6 +8,7 @@ from latticegames.builtin import (
     xor_circuit,
     xor_recurrence,
 )
+from latticegames import engine
 from latticegames.circuits import extend_circuit
 from latticegames.compiler import (
     EmissionError,
@@ -22,10 +23,12 @@ from latticegames.compiler import (
 )
 from latticegames.engine import (
     GameSpec,
+    Infeasible,
     PointednessWitness,
     Ruleset,
     check_pointedness,
     check_tangent_cone,
+    pointedness_constraints,
 )
 from latticegames.lattice import Z2, ModuleIdeal, vsub
 from latticegames.recurrence import Encoding, RecurrenceSpec
@@ -292,6 +295,27 @@ def test_variant_c_requires_background_initials():
     )
     with pytest.raises(ValueError):
         compile_recurrence(spec, swapped_encoding(), variant="C", seed=0)
+
+
+def test_emission_refuses_unpointed_ruleset(monkeypatch):
+    # the xor circuit under variant B yields moves with no positive
+    # play-bounding functional; compile must stop before handing them out
+    emitted = []
+
+    def spy(rs):
+        emitted.append(rs)
+        return check_pointedness(rs)
+
+    monkeypatch.setattr(engine, "check_pointedness", spy)
+    with pytest.raises(EmissionError) as err:
+        compile_recurrence(xor_recurrence(), swapped_encoding(), variant="B", seed=0)
+    cert = err.value.certificate
+    assert isinstance(cert, Infeasible)
+    assert cert.verify(pointedness_constraints(emitted[-1]))
+
+
+def test_compiled_game_carries_its_witness(xor_compiled):
+    assert xor_compiled.witness == check_pointedness(xor_compiled.game.ruleset)
 
 
 def test_variant_b_emits_initial_lines():

@@ -16,14 +16,16 @@ from latticegames.engine import (
     check_pointedness,
     check_tangent_cone,
     equivalence_in_window,
+    fourier_motzkin,
     outcome,
     periodicity_probe,
     pointedness_constraints,
+    pointedness_rows,
     solve_window,
     tangent_axis_ok,
 )
 from latticegames import kernels
-from latticegames.lattice import LatticeSet, dot
+from latticegames.lattice import LatticeSet, dominates, dot
 from latticegames.recurrence import binom_parity_oracle
 
 
@@ -62,11 +64,57 @@ def test_pointedness_trivial():
     assert w.verify(Ruleset(3, [(1, 1, 0)]))
 
 
+def test_solver_checks_a_given_witness():
+    game = GameSpec(Ruleset(2, [(2, -1), (0, 1)]))
+    assert Solver(game, PointednessWitness((Fraction(1), Fraction(1, 2)))).phi == (2, 1)
+    # (2,-1) pairs to 0; a zero weight; the wrong dimension
+    for phi in ((Fraction(1, 2), Fraction(1)), (Fraction(1), Fraction(0)), (Fraction(1),)):
+        with pytest.raises(ValueError):
+            Solver(game, PointednessWitness(phi))
+
+
 def test_pointedness_infeasible_with_certificate():
     rs = Ruleset(3, [(1, 0, 0), (-1, 0, 0)])
     cert = check_pointedness(rs)
     assert isinstance(cert, Infeasible)
     assert cert.verify(pointedness_constraints(rs))
+
+
+@st.composite
+def rulesets(draw):
+    """Random 2-D or 3-D rulesets with move components in [-3, 3]; half of
+    them pair positively with a drawn functional, so they are pointed, and
+    most of the others are not."""
+    d = draw(st.sampled_from((2, 3)))
+    vec = st.tuples(*[st.integers(-3, 3)] * d).filter(any)
+    if draw(st.booleans()):
+        phi = draw(st.tuples(*[st.integers(1, 4)] * d))
+        vec = vec.filter(lambda m: dot(phi, m) >= 1)
+    return Ruleset(d, draw(st.lists(vec, min_size=1, max_size=12)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rulesets())
+def test_pruned_pointedness_matches_full_elimination(rs):
+    d = rs.dim
+    # the kept rows: the axes, then every Pareto-minimal move with a
+    # negative component, found here by comparing all pairs
+    want = list(range(d)) + [
+        d + i
+        for i, m in enumerate(rs.moves)
+        if min(m) < 0 and not any(q != m and dominates(m, q) for q in rs.moves)
+    ]
+    assert pointedness_rows(rs) == want
+    constraints = pointedness_constraints(rs)
+    full = fourier_motzkin(dict(enumerate(constraints)))
+    pruned = check_pointedness(rs)
+    assert isinstance(pruned, Infeasible) == isinstance(full, Infeasible)
+    if isinstance(pruned, Infeasible):
+        assert pruned.verify(constraints) and full.verify(constraints)
+    else:
+        assert pruned.verify(rs) and PointednessWitness(full).verify(rs)
+        # both are the lexicographically least point of the same polyhedron
+        assert pruned.phi == full
 
 
 def test_tangent_cone_gamma_prime():

@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from latticegames import io
-from latticegames.builtin import paper_gamma_prime, swapped_encoding, xor_recurrence
+from latticegames.builtin import paper_gamma, paper_gamma_prime, swapped_encoding, xor_recurrence
 from latticegames.cli import main
 from latticegames.compiler import compile_recurrence
 from latticegames.engine import GameSpec
@@ -236,3 +237,83 @@ def test_cli_malformed_game_file(tmp_path, capsys, obj, field):
     assert err.startswith("error:") and field in err
     with pytest.raises(ValueError, match=field):
         io.game_from_json(obj)
+
+
+XOR_SPEC = json.loads((Path(__file__).parents[1] / "specs" / "xor.json").read_text())
+
+
+def _without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "obj, field",
+    [
+        ({}, "'lattice'"),
+        ({**XOR_SPEC, "lattice": [[1, 0]]}, "'lattice'"),
+        (_without(XOR_SPEC, "module_generators"), "'module_generators'"),
+        ({**XOR_SPEC, "alphabet": "PN"}, "'alphabet'"),
+        (_without(XOR_SPEC, "betas"), "'betas'"),
+        ({**XOR_SPEC, "g": "NPPN"}, "'g'"),
+        (_without(XOR_SPEC, "sigma0"), "'sigma0'"),
+        ({**XOR_SPEC, "f0": [[[0, 0]]]}, "'f0'"),
+        ({**XOR_SPEC, "encoding": {"P": "N", "N": 1}}, "'encoding'"),
+        ({**XOR_SPEC, "variant": 3}, "'variant'"),
+        ({"ca": [110, "1"]}, "'ca'"),
+        ({"ca": {"word": "1"}}, "'rule'"),
+        ({"ca": {"rule": 110, "word": 1}}, "'word'"),
+        ([XOR_SPEC], "JSON object"),
+    ],
+)
+def test_cli_malformed_spec_file(tmp_path, capsys, obj, field):
+    bad = tmp_path / "spec.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["compile", str(bad), "-o", str(tmp_path / "g.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+    with pytest.raises(ValueError, match=field):
+        io.spec_from_json(obj)
+
+
+PAPER_SIDECAR = {
+    "pos": {
+        "in_1_1": [-6, 0],
+        "in_2_1": [0, -6],
+        "v2": [-5, 1],
+        "v3": [1, -5],
+        "v4": [-1, -2],
+        "v5": [-2, -1],
+        "out_1": [0, 0],
+    },
+    "m": 6,
+    "staircase": [[0, 0], [1, 0], [2, 0], [0, 1]],
+    "normal": [3, 4],
+    "outputs": ["out_1"],
+}
+
+
+@pytest.mark.parametrize(
+    "obj, field",
+    [
+        (_without(PAPER_SIDECAR, "pos"), "'pos'"),
+        ({**PAPER_SIDECAR, "pos": {"out_1": [0, 0, 0]}}, "'pos'"),
+        ({**PAPER_SIDECAR, "m": "6"}, "'m'"),
+        (_without(PAPER_SIDECAR, "staircase"), "'staircase'"),
+        ({**PAPER_SIDECAR, "normal": [3]}, "'normal'"),
+        (_without(PAPER_SIDECAR, "outputs"), "'outputs'"),
+        ({**PAPER_SIDECAR, "in_prime": 2}, "'in_prime'"),
+        ({**PAPER_SIDECAR, "lines": {"wires": [[1, 2]]}}, "'lines'"),
+        ({**PAPER_SIDECAR, "variant": ["C"]}, "'variant'"),
+        ([PAPER_SIDECAR], "JSON object"),
+    ],
+)
+def test_cli_malformed_sidecar_file(tmp_path, capsys, obj, field):
+    bad = tmp_path / "side.json"
+    bad.write_text(json.dumps(obj))
+    argv = ["verify", "paper-gamma", "--spec", "specs/xor.json", "--bound", "12"]
+    assert main(argv + ["--placement", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+    spec, enc, _variant, _emb = io.load_spec("specs/xor.json")
+    with pytest.raises(ValueError, match=field):
+        io.compiled_from_files(GameSpec(paper_gamma()), obj, spec, enc)
