@@ -40,6 +40,13 @@ def _parse_vec(text: str, dim: int | None = None) -> tuple:
     return v
 
 
+def _parse_cone(text: str) -> tuple:
+    rays = tuple(_parse_vec(part, 2) for part in text.split(":"))
+    if len(rays) != 2:
+        raise argparse.ArgumentTypeError(f"expected two rays RX,RY:SX,SY, got {text!r}")
+    return rays
+
+
 def _load_game(name_or_path: str) -> GameSpec:
     if name_or_path in builtin.BUILTIN_RULESETS:
         return builtin.paper_game(name_or_path)
@@ -150,7 +157,9 @@ def cmd_probe(args) -> int:
         ]
     for ell in candidates:
         res = periodicity_probe(grid, args.slice, cone, ell)
-        if res.periodic:
+        if res.pairs_checked == 0:
+            print(f"not checked {ell} (no pairs in the window)")
+        elif res.periodic:
             print(f"periodic {ell} ({res.pairs_checked} pairs)")
         else:
             print(f"violation {ell} at {res.witness}: {res.outcomes[0]} vs {res.outcomes[1]}")
@@ -237,8 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe", help="probe a slice for translation periodicity")
     p.add_argument("ruleset")
     p.add_argument("--slice", type=int, default=0)
-    p.add_argument("--cone", type=lambda s: tuple(_parse_vec(part, 2) for part in s.split(":")),
-                   default=((1, 0), (0, 1)), metavar="RX,RY:SX,SY")
+    p.add_argument("--cone", type=_parse_cone, default=((1, 0), (0, 1)), metavar="RX,RY:SX,SY")
     p.add_argument("--window", type=lambda s: _parse_vec(s, 2), required=True, metavar="X,Y")
     p.add_argument("--max-period", type=int, default=6)
     p.add_argument("--l", dest="ell", type=lambda s: _parse_vec(s, 2), metavar="LX,LY",

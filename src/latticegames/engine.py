@@ -13,11 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import sub
 
 import numpy as np
 
 from . import kernels
-from .lattice import LatticeSet, Vec, as_vec, dot, vsub
+from .lattice import LatticeSet, Vec, as_vec, dot
 
 P = "P"
 N = "N"
@@ -306,10 +307,11 @@ class Solver:
         return not (self.game.has_defeated and self.game.defeated.contains(p))
 
     def options(self, p: Vec) -> list[Vec]:
+        defeated = self.game.defeated if self.game.has_defeated else None
         opts = []
         for m in self.game.ruleset.moves:
-            q = vsub(p, m)
-            if all(c >= 0 for c in q) and self._is_position(q):
+            q = tuple(map(sub, p, m))
+            if min(q) >= 0 and not (defeated and defeated._contains(q)):
                 opts.append(q)
         return opts
 
@@ -318,27 +320,27 @@ class Solver:
 
         phi strictly decreases along moves, so the option graph below p is a
         finite DAG; the stack depth is bounded by the number of distinct
-        reachable positions rather than by the recursion limit.
+        reachable positions rather than by the recursion limit.  Every option
+        is evaluated, so the memo holds each position reachable from p.
         """
         p = as_vec(p, self.game.ruleset.dim)
         if not self._is_position(p):
             raise ValueError(f"{p} is not a position of this game")
         memo = self.memo
-        if p in memo:
-            return memo[p]
-        stack = [p]
+        stack = [(p, None)]
         while stack:
-            q = stack[-1]
+            q, opts = stack.pop()
             if q in memo:
-                stack.pop()
                 continue
-            opts = self.options(q)
-            pending = [o for o in opts if o not in memo]
-            if pending:
-                stack.extend(pending)
-                continue
+            if opts is None:
+                opts = self.options(q)
+                pending = [o for o in opts if o not in memo]
+                if pending:
+                    # everything pushed above q resolves before q is next seen
+                    stack.append((q, opts))
+                    stack.extend((o, None) for o in pending)
+                    continue
             memo[q] = N if any(memo[o] == P for o in opts) else P
-            stack.pop()
         return memo[p]
 
     def solve_window(self, window, mode: str = "bottom-up") -> OutcomeGrid:
@@ -354,12 +356,11 @@ class Solver:
     def _solve_window_topdown(self, window: Vec) -> OutcomeGrid:
         shape = tuple(w + 1 for w in window)
         data = np.zeros(shape, dtype=np.uint8)
-        for ix in np.ndindex(shape):
-            p = tuple(int(c) for c in ix)
+        for p in np.ndindex(shape):
             if not self._is_position(p):
-                data[ix] = CODE_DEFEATED
+                data[p] = CODE_DEFEATED
             else:
-                data[ix] = CODE_P if self.outcome(p) == P else CODE_N
+                data[p] = CODE_P if self.outcome(p) == P else CODE_N
         return OutcomeGrid(window, data)
 
     def _solve_window_bottomup(self, window: Vec) -> OutcomeGrid:
@@ -443,7 +444,8 @@ def periodicity_probe(grid: OutcomeGrid, slice_index, cone, ell) -> ProbeResult:
 
     cone is a pair of integer rays spanning a 2-D cone; only pairs p, p-ell
     with both points inside the cone, the window and the position set are
-    compared.  Returns the lexicographically first violating p if any.
+    compared.  Returns the lexicographically first violating p if any, with
+    pairs_checked counting the compared pairs up to and including it.
     """
     ell = as_vec(ell, 2)
     if ell == (0, 0):
@@ -451,28 +453,26 @@ def periodicity_probe(grid: OutcomeGrid, slice_index, cone, ell) -> ProbeResult:
     r, s = (as_vec(v, 2) for v in cone)
     if _cross(r, s) == 0:
         raise ValueError("cone rays must span a 2-dimensional cone")
+    if max(map(abs, r + s)) >= 2**30:  # int64 cross products stay exact for sides < 2**32
+        raise ValueError("cone ray components must be below 2**30 in magnitude")
     if _cross(r, s) < 0:
         r, s = s, r
 
-    def in_cone(p):
-        return _cross(r, p) >= 0 and _cross(p, s) >= 0
-
     plane = grid.plane(slice_index)
-    nx, ny = plane.shape
-    checked = 0
-    for x in range(nx):
-        for y in range(ny):
-            p = (x, y)
-            q = vsub(p, ell)
-            if not (0 <= q[0] < nx and 0 <= q[1] < ny):
-                continue
-            if not (in_cone(p) and in_cone(q)):
-                continue
-            cp, cq = int(plane[p]), int(plane[q])
-            if cp == CODE_DEFEATED or cq == CODE_DEFEATED:
-                continue
-            checked += 1
-            if cp != cq:
-                sym = {CODE_P: P, CODE_N: N}
-                return ProbeResult(False, ell, p, (sym[cp], sym[cq]), checked)
-    return ProbeResult(True, ell, pairs_checked=checked)
+    # p = (x, y) runs over the cells whose q = p - ell is in the window too
+    (x0, x1), (y0, y1) = ((max(0, c), min(n, n + c)) for n, c in zip(plane.shape, ell))
+    if x0 >= x1 or y0 >= y1:
+        return ProbeResult(True, ell)
+    x, y = np.ogrid[x0:x1, y0:y1]
+    cp, cq = plane[x0:x1, y0:y1], plane[x0 - ell[0] : x1 - ell[0], y0 - ell[1] : y1 - ell[1]]
+    valid = (cp != CODE_DEFEATED) & (cq != CODE_DEFEATED)
+    for v in ((x, y), (x - ell[0], y - ell[1])):
+        valid &= (_cross(r, v) >= 0) & (_cross(v, s) >= 0)
+    # C order is the x-then-y order of the lexicographically first witness
+    bad = np.flatnonzero(valid & (cp != cq))
+    if bad.size == 0:
+        return ProbeResult(True, ell, pairs_checked=int(np.count_nonzero(valid)))
+    wx, wy = np.unravel_index(bad[0], valid.shape)
+    outcomes = tuple({CODE_P: P, CODE_N: N}[int(c[wx, wy])] for c in (cp, cq))
+    checked = int(np.count_nonzero(valid.flat[: bad[0] + 1]))
+    return ProbeResult(False, ell, (x0 + int(wx), y0 + int(wy)), outcomes, checked)

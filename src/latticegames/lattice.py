@@ -229,12 +229,13 @@ class LatticeSet:
                 out &= coords[k] >= c
             return out
         if self.kind == "finite":
-            out = np.zeros(coords.shape[1:], dtype=bool)
-            for p in self.payload:
-                cell = np.ones(coords.shape[1:], dtype=bool)
-                for k, c in enumerate(p):
-                    cell &= coords[k] == c
-                out |= cell
+            # coords is the index grid of a box at the origin, so a point's
+            # coordinates are its index once it lies inside the box
+            shape = coords.shape[1:]
+            out = np.zeros(shape, dtype=bool)
+            inside = [p for p in self.payload if all(0 <= c < n for c, n in zip(p, shape))]
+            if inside:
+                out[tuple(np.array(inside, dtype=np.int64).T)] = True
             return out
         if self.kind == "coset":
             return self._coset_mask(coords)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from latticegames.builtin import paper_gamma, paper_gamma_prime
@@ -10,7 +10,9 @@ from latticegames.engine import (
     EquivalenceReport,
     GameSpec,
     Infeasible,
+    OutcomeGrid,
     PointednessWitness,
+    ProbeResult,
     Ruleset,
     Solver,
     check_pointedness,
@@ -330,6 +332,99 @@ def test_probe_slice1_violation(gamma_prime_grid_48):
 def test_probe_zero_rejected(gamma_prime_grid_48):
     with pytest.raises(ValueError):
         periodicity_probe(gamma_prime_grid_48, 1, ((1, 0), (0, 1)), (0, 0))
+
+
+@pytest.mark.parametrize("cone", [((1, 0), (2, 0)), ((2**40, 1), (0, 1))])
+def test_probe_rejects_cones_it_cannot_test(gamma_prime_grid_48, cone):
+    # a degenerate cone, and rays whose cross products could leave int64
+    with pytest.raises(ValueError, match="cone"):
+        periodicity_probe(gamma_prime_grid_48, 1, cone, (0, 6))
+
+
+def _probe_reference(grid, slice_index, cone, ell):
+    """Per-cell reference for periodicity_probe: visit p in x-then-y order
+    and count each compared pair up to the first mismatch."""
+    ell = tuple(ell)
+    r, s = cone
+    cross = lambda a, b: a[0] * b[1] - a[1] * b[0]  # noqa: E731
+    if cross(r, s) < 0:
+        r, s = s, r
+
+    def in_cone(p):
+        return cross(r, p) >= 0 and cross(p, s) >= 0
+
+    plane = grid.plane(slice_index)
+    nx, ny = plane.shape
+    checked = 0
+    for x in range(nx):
+        for y in range(ny):
+            p = (x, y)
+            q = (x - ell[0], y - ell[1])
+            if not (0 <= q[0] < nx and 0 <= q[1] < ny):
+                continue
+            if not (in_cone(p) and in_cone(q)):
+                continue
+            cp, cq = int(plane[p]), int(plane[q])
+            if cp == kernels.CODE_DEFEATED or cq == kernels.CODE_DEFEATED:
+                continue
+            checked += 1
+            if cp != cq:
+                sym = {kernels.CODE_P: "P", kernels.CODE_N: "N"}
+                return ProbeResult(False, ell, p, (sym[cp], sym[cq]), checked)
+    return ProbeResult(True, ell, pairs_checked=checked)
+
+
+@st.composite
+def probe_cases(draw):
+    """A 2-D grid or a 3-D grid with a slice, a cone of either orientation
+    and a nonzero candidate that may be longer than the plane.  Planes are a
+    tiled pattern with some cells redrawn, so both periodic and violating
+    candidates are common; codes are P, N and defeated."""
+    code = st.sampled_from((kernels.CODE_P, kernels.CODE_N) * 2 + (kernels.CODE_DEFEATED,))
+    d = draw(st.sampled_from((2, 3)))
+    shape = draw(st.tuples(*[st.integers(1, 12)] * 2 + [st.integers(1, 3)] * (d - 2)))
+    tile = np.array(draw(st.lists(code, min_size=6, max_size=6)), dtype=np.uint8)
+    px, py = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    ix = np.indices(shape)
+    data = tile[(ix[0] % px) * py + ix[1] % py]
+    for p in draw(st.lists(st.tuples(*[st.integers(0, n - 1) for n in shape]), max_size=4)):
+        data[p] = draw(code)
+    slice_index = draw(st.integers(0, shape[2] - 1)) if d == 3 else None
+    # one ray in the first quadrant keeps most cones on the plane
+    first = draw(st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any))
+    other = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+    assume(first[0] * other[1] != first[1] * other[0])
+    cone = draw(st.permutations((first, other)))
+    step = st.one_of(st.integers(-3, 3), st.integers(-13, 13))
+    ell = draw(st.tuples(step, step).filter(any))
+    grid = OutcomeGrid(tuple(n - 1 for n in shape), data)
+    return grid, slice_index, cone, ell
+
+
+@settings(max_examples=400, deadline=None)
+@given(probe_cases())
+def test_probe_matches_reference_loop(case):
+    assert periodicity_probe(*case) == _probe_reference(*case)
+
+
+def test_topdown_memo_is_closed_under_options():
+    # every option of every reached position is evaluated, so the memo is
+    # exactly the set of positions reachable from the window
+    defeated = LatticeSet.finite([(2, 1, 0), (3, 3, 1), (0, 5, 1), (7, 2, 0), (1, 1, 1)])
+    game = GameSpec(paper_gamma_prime(), defeated)
+    solver = Solver(game)
+    window = (9, 9, 1)
+    solver.solve_window(window, mode="top-down")
+    frontier = [p for p in np.ndindex(*(w + 1 for w in window)) if not defeated.contains(p)]
+    reached = set(frontier)
+    while frontier:
+        p = frontier.pop()
+        for m in game.ruleset.moves:
+            q = tuple(a - b for a, b in zip(p, m))
+            if min(q) >= 0 and not defeated.contains(q) and q not in reached:
+                reached.add(q)
+                frontier.append(q)
+    assert set(solver.memo) == reached
 
 
 def test_kernel_scale_guard():

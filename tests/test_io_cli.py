@@ -146,6 +146,19 @@ def test_cli_probe_single(capsys):
     assert capsys.readouterr().out.startswith("violation (0, 6)")
 
 
+def test_cli_probe_reports_candidates_with_no_pairs(capsys):
+    args = ["probe", "paper-gamma-prime", "--window", "24,24", "--slice", "1", "--cone", "1,0:1,1"]
+    assert main(args + ["--l", "30,30"]) == 0
+    assert capsys.readouterr().out == "not checked (30, 30) (no pairs in the window)\n"
+
+
+@pytest.mark.parametrize("cone", ["1,0", "1,0:1,1:0,1"])
+def test_cli_probe_cone_needs_two_rays(capsys, cone):
+    args = ["probe", "paper-gamma-prime", "--window", "24,24", "--cone", cone, "--l", "6,0"]
+    assert main(args) == 2
+    assert "--cone" in capsys.readouterr().err
+
+
 def test_cli_oracle_consistency(capsys):
     assert main(["oracle", "binom-parity", "--window", "16,16"]) == 0
     a = capsys.readouterr().out

@@ -1,6 +1,9 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticegames.lattice import (
     EVEN_SUM,
@@ -195,6 +198,26 @@ def test_latticeset_mask_matches_contains():
         for x in range(13):
             for y in range(13):
                 assert bool(m[x, y]) == s.contains((x, y))
+
+
+@st.composite
+def finite_sets_and_boxes(draw):
+    """A box at the origin and a finite set, possibly empty, whose points may
+    lie outside the box on either side."""
+    d = draw(st.sampled_from((2, 3)))
+    box = draw(st.tuples(*[st.integers(0, 5)] * d))
+    point = st.tuples(*[st.integers(-3, b + 3) for b in box])
+    return LatticeSet.finite(draw(st.lists(point, max_size=12)), dim=d), box
+
+
+@settings(max_examples=200, deadline=None)
+@given(finite_sets_and_boxes())
+def test_finite_mask_matches_contains(case):
+    s, box = case
+    m = s.mask(box)
+    assert m.shape == tuple(b + 1 for b in box) and m.dtype == bool
+    for p in np.ndindex(m.shape):
+        assert bool(m[p]) == s.contains(p), p
 
 
 def test_latticeset_embed_slice():
