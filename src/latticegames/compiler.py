@@ -114,10 +114,6 @@ class ConditionReport:
         return f"ConditionReport(ok={self.ok()}" + (f", failing={bad})" if bad else ")")
 
 
-def _staircase_diffs(I) -> set[Vec]:
-    return {vsub(a, b) for a in I for b in I}
-
-
 def check_conditions(
     placement: Placement,
     circuit: NorCircuit,
@@ -137,16 +133,30 @@ def check_conditions(
             raise ValueError(f"placement gives no position for vertex {v}")
     mL = spec.lattice.scale(pl.m)
     label = mL.class_label
+    # labels are additive mod the lattice index, so every difference label
+    # below is arithmetic on the labels of single points
+    d_mod = mL.index()
+
+    def ladd(l1, l2):
+        return ((l1[0] + l2[0]) % d_mod, (l1[1] + l2[1]) % d_mod)
+
+    def lsub(l1, l2):
+        return ((l1[0] - l2[0]) % d_mod, (l1[1] - l2[1]) % d_mod)
+
     nu = pl.normal
     I = pl.staircase
     pos = pl.pos
     V = list(circuit.vertices)
     E = list(circuit.edges)
     edge_delta = {e: vsub(pos[e[1]], pos[e[0]]) for e in E}
-    I_diff_labels = {label(d) for d in _staircase_diffs(I)}
-    I_labels = {label(p) for p in I}
+    I_label_of = {p: label(p) for p in I}
+    I_labels = set(I_label_of.values())
+    stair_diff_label = {vsub(p, q): lsub(I_label_of[p], I_label_of[q]) for p in I for q in I}
+    I_diff_labels = set(stair_diff_label.values())
     vertex_labels = {v: label(pos[v]) for v in V}
     gate_label_set = set(vertex_labels.values())
+    # (v, w) -> label of pos[w] - pos[v]; an edge (t, h) reads its own entry
+    diff_label = {(v, w): lsub(vertex_labels[w], vertex_labels[v]) for v in V for w in V}
     results: dict[str, ConditionResult] = {}
 
     # (a) edge differences and the staircase's outward set share the open
@@ -158,12 +168,11 @@ def check_conditions(
             break
     if witness is None:
         bound = max(dot(nu, i) for i in I)
-        stairs = _staircase_diffs(I)
         for i in I:
             for qx in range(bound // nu[0] + 1):
                 for qy in range(bound // nu[1] + 1):
                     p = vsub((qx, qy), i)
-                    if dot(nu, p) <= 0 and p not in stairs:
+                    if dot(nu, p) <= 0 and p not in stair_diff_label:
                         witness = ("outward-point", p)
                         break
                 if witness:
@@ -191,19 +200,18 @@ def check_conditions(
     flat_inputs = {x for block in circuit.inputs for x in block}
     witness = None
     preds = {w: set(circuit.predecessors(w)) for w in V}
+    at: dict[Vec, list[str]] = {}
+    for v in V:
+        at.setdefault(pos[v], []).append(v)
     for w in V:
         if w in flat_inputs:
             continue
-        deltas_seen = set()
+        reachable = {diff_label[v, w] for v in V}
         for e in E:
             d = edge_delta[e]
-            dl = label(d)
-            if (dl, d) in deltas_seen:
+            if diff_label[e] not in reachable:
                 continue
-            deltas_seen.add((dl, d))
-            if not any(label(vsub(pos[w], pos[v])) == dl for v in V):
-                continue
-            exact = [v for v in V if vsub(pos[w], pos[v]) == d]
+            exact = at.get(vsub(pos[w], d), [])
             if not exact:
                 witness = ("no-exact-realisation", w, e, d)
                 break
@@ -215,26 +223,16 @@ def check_conditions(
             break
     results["c"] = ConditionResult("fail" if witness else "pass", witness)
 
-    # labels are additive mod the lattice index, which turns the two
-    # translate conditions into finite set intersections in label space
-    d_mod = mL.index()
-
-    def ladd(l1, l2):
-        return ((l1[0] + l2[0]) % d_mod, (l1[1] + l2[1]) % d_mod)
-
-    def lneg(l1):
-        return ((-l1[0]) % d_mod, (-l1[1]) % d_mod)
-
     rep_of = class_representatives(spec.lattice, pl.m)
 
     # (d) no translate of -I lies wholly inside the pairwise-difference
     # lattice except at staircase translates; the pairwise-difference form is
     # what the slice-0 induction consumes, and the stronger variant that also
     # admits staircase differences is violated by perfectly good placements
-    pair_diff_labels = {label(vsub(pos[w], pos[v])) for v in V for w in V}
+    pair_diff_labels = set(diff_label.values())
     candidates = None
     for i in I:
-        shifted = {ladd(c, label(i)) for c in pair_diff_labels}
+        shifted = {ladd(c, I_label_of[i]) for c in pair_diff_labels}
         candidates = shifted if candidates is None else candidates & shifted
     bad = candidates - I_labels
     witness = rep_of[min(bad)] if bad else None
@@ -247,11 +245,11 @@ def check_conditions(
     if all(choices):
         hits_cache = {}
         for combo in product(*choices):
-            shape = frozenset(label(s) for s in combo)
+            shape = frozenset(stair_diff_label[s] for s in combo)
             anchors = None
             for sl in shape:
                 if sl not in hits_cache:
-                    hits_cache[sl] = {ladd(g, lneg(sl)) for g in gate_label_set}
+                    hits_cache[sl] = {lsub(g, sl) for g in gate_label_set}
                 anchors = hits_cache[sl] if anchors is None else anchors & hits_cache[sl]
                 if not anchors:
                     break
@@ -263,7 +261,7 @@ def check_conditions(
     # (f) no wire move is congruent to a staircase difference
     witness = None
     for e in E:
-        if label(edge_delta[e]) in I_diff_labels:
+        if diff_label[e] in I_diff_labels:
             witness = (e, edge_delta[e])
             break
     results["f"] = ConditionResult("fail" if witness else "pass", witness)
@@ -279,7 +277,7 @@ def check_conditions(
             for v in V:
                 if v == x:
                     continue
-                if label(vsub(pos[v], pos[x])) in I_labels:
+                if diff_label[x, v] in I_labels:
                     witness = ("staircase-overlap", v, x)
                     break
             if witness:
@@ -292,13 +290,13 @@ def check_conditions(
                 # difference must be protected like the edge ones
                 feed_heads.append(circuit.in_prime)
             for h in feed_heads:
-                d0 = vsub(pos[h], pos[ind])
-                if label(d0) in I_diff_labels:
-                    witness = ("staircase-clash", h, d0)
+                l0 = diff_label[ind, h]
+                if l0 in I_diff_labels:
+                    witness = ("staircase-clash", h, vsub(pos[h], pos[ind]))
                     break
                 for v2 in V:
                     for w2 in V:
-                        if label(vsub(pos[w2], pos[v2])) != label(d0):
+                        if diff_label[v2, w2] != l0:
                             continue
                         if (
                             vertex_labels[v2] == vertex_labels[ind]
@@ -536,17 +534,19 @@ def _minimal_with_growing_box(lat_set, order, box: int):
 
 
 def beta_intersection_generators(spec: RecurrenceSpec) -> list[Vec]:
-    """Module generators of the intersection of all shifted copies beta+L+."""
-    basis = (spec.lattice.b1, spec.lattice.b2)
-    parts = [
-        LatticeSet.inter(
-            LatticeSet.orthant(b), LatticeSet.coset(b, basis, 1)
+    """Module generators of the intersection of all shifted copies beta+L+, once per spec."""
+    if spec._beta_generators is None:
+        basis = (spec.lattice.b1, spec.lattice.b2)
+        parts = [
+            LatticeSet.inter(LatticeSet.orthant(b), LatticeSet.coset(b, basis, 1))
+            for b in spec.betas
+        ]
+        spec._beta_generators = tuple(
+            _minimal_with_growing_box(
+                LatticeSet.inter(*parts), spec.lattice, _module_generators_box(spec)
+            )
         )
-        for b in spec.betas
-    ]
-    return _minimal_with_growing_box(
-        LatticeSet.inter(*parts), spec.lattice, _module_generators_box(spec)
-    )
+    return list(spec._beta_generators)
 
 
 def emit_ruleset(

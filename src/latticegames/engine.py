@@ -302,9 +302,10 @@ class Solver:
         self.memo: dict[Vec, str] = {}
 
     def _is_position(self, p: Vec) -> bool:
+        """p must already be a tuple of ints of the game's dimension."""
         if any(c < 0 for c in p):
             return False
-        return not (self.game.has_defeated and self.game.defeated.contains(p))
+        return not (self.game.has_defeated and self.game.defeated._contains(p))
 
     def options(self, p: Vec) -> list[Vec]:
         defeated = self.game.defeated if self.game.has_defeated else None
@@ -324,9 +325,11 @@ class Solver:
         is evaluated, so the memo holds each position reachable from p.
         """
         p = as_vec(p, self.game.ruleset.dim)
+        memo = self.memo
+        if p in memo:  # only positions are ever memoised
+            return memo[p]
         if not self._is_position(p):
             raise ValueError(f"{p} is not a position of this game")
-        memo = self.memo
         stack = [(p, None)]
         while stack:
             q, opts = stack.pop()

@@ -29,6 +29,7 @@ class RecurrenceSpec:
         self.table = dict(table)
         self.f0 = {as_vec(p, 2): s for p, s in dict(f0).items()}
         self._memo: dict[Vec, str] = {}
+        self._beta_generators: tuple[Vec, ...] | None = None
         self._validate()
         self.halfspace_normal = _positive_normal(self.betas)
 

@@ -1,7 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from latticegames.builtin import paper_gamma, paper_gamma_prime
 from latticegames.engine import GameSpec, Solver
+
+# one profile for every run: property tests draw the same examples each time,
+# so a failure repeats from run to run
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

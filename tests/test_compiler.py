@@ -318,6 +318,27 @@ def test_compiled_game_carries_its_witness(xor_compiled):
     assert xor_compiled.witness == check_pointedness(xor_compiled.game.ruleset)
 
 
+def test_beta_generators_computed_once_per_spec(monkeypatch):
+    from latticegames import compiler
+
+    calls = []
+    enumerate_minimal = compiler._minimal_with_growing_box
+
+    def spy(*args):
+        calls.append(args)
+        return enumerate_minimal(*args)
+
+    monkeypatch.setattr(compiler, "_minimal_with_growing_box", spy)
+    spec = xor_recurrence()
+    first = compiler.beta_intersection_generators(spec)
+    first.append((99, 99))  # the caller owns the list it gets
+    second = compiler.beta_intersection_generators(spec)
+    assert len(calls) == 1
+    assert second == first[:-1] and second is not first
+    assert compiler.beta_intersection_generators(xor_recurrence()) == second
+    assert len(calls) == 2  # another spec object computes its own
+
+
 def test_variant_b_emits_initial_lines():
     from latticegames.recurrence import ca_to_recurrence, wolfram_rule_table
 
@@ -344,3 +365,273 @@ def test_variant_b_emits_initial_lines():
         if enc.encode(cg.spec.f0[g])[0] == "N":
             expected.add((out[0] - ind[0] + m * g[0], out[1] - ind[1] + m * g[1], 0))
     assert set(cg.lines["initial"]) == expected
+
+
+def _reference_check_conditions(placement, circuit, spec, variant="C"):
+    """check_conditions in its direct form, kept as the reference: every
+    difference is relabelled with class_label instead of being derived from
+    the labels of single points."""
+    from itertools import product
+
+    from latticegames.circuits import check_variant
+    from latticegames.compiler import ConditionReport, ConditionResult
+    from latticegames.lattice import class_representatives, dominates, dot, vscale
+
+    def _staircase_diffs(I):
+        return {vsub(a, b) for a in I for b in I}
+
+    check_variant(variant)
+    pl = placement
+    for v in circuit.vertices:
+        if v not in pl.pos:
+            raise ValueError(f"placement gives no position for vertex {v}")
+    mL = spec.lattice.scale(pl.m)
+    label = mL.class_label
+    nu = pl.normal
+    I = pl.staircase
+    pos = pl.pos
+    V = list(circuit.vertices)
+    E = list(circuit.edges)
+    edge_delta = {e: vsub(pos[e[1]], pos[e[0]]) for e in E}
+    I_diff_labels = {label(d) for d in _staircase_diffs(I)}
+    I_labels = {label(p) for p in I}
+    vertex_labels = {v: label(pos[v]) for v in V}
+    gate_label_set = set(vertex_labels.values())
+    results = {}
+
+    witness = None
+    for e in E:
+        if dot(nu, edge_delta[e]) <= 0:
+            witness = ("edge", e, edge_delta[e])
+            break
+    if witness is None:
+        bound = max(dot(nu, i) for i in I)
+        stairs = _staircase_diffs(I)
+        for i in I:
+            for qx in range(bound // nu[0] + 1):
+                for qy in range(bound // nu[1] + 1):
+                    p = vsub((qx, qy), i)
+                    if dot(nu, p) <= 0 and p not in stairs:
+                        witness = ("outward-point", p)
+                        break
+                if witness:
+                    break
+            if witness:
+                break
+    results["a"] = ConditionResult("fail" if witness else "pass", witness)
+
+    witness = None
+    for i, block in enumerate(circuit.inputs):
+        for j, name in enumerate(block):
+            want = vsub(pos[circuit.outputs[j]], vscale(pl.m, spec.betas[i]))
+            if pos[name] != want:
+                witness = (i + 1, j + 1, pos[name], want)
+                break
+        if witness:
+            break
+    results["b"] = ConditionResult("fail" if witness else "pass", witness)
+
+    flat_inputs = {x for block in circuit.inputs for x in block}
+    witness = None
+    preds = {w: set(circuit.predecessors(w)) for w in V}
+    for w in V:
+        if w in flat_inputs:
+            continue
+        deltas_seen = set()
+        for e in E:
+            d = edge_delta[e]
+            dl = label(d)
+            if (dl, d) in deltas_seen:
+                continue
+            deltas_seen.add((dl, d))
+            if not any(label(vsub(pos[w], pos[v])) == dl for v in V):
+                continue
+            exact = [v for v in V if vsub(pos[w], pos[v]) == d]
+            if not exact:
+                witness = ("no-exact-realisation", w, e, d)
+                break
+            bad = [v for v in exact if v not in preds[w]]
+            if bad:
+                witness = ("non-edge-realisation", w, e, d, bad[0])
+                break
+        if witness:
+            break
+    results["c"] = ConditionResult("fail" if witness else "pass", witness)
+
+    d_mod = mL.index()
+
+    def ladd(l1, l2):
+        return ((l1[0] + l2[0]) % d_mod, (l1[1] + l2[1]) % d_mod)
+
+    def lneg(l1):
+        return ((-l1[0]) % d_mod, (-l1[1]) % d_mod)
+
+    rep_of = class_representatives(spec.lattice, pl.m)
+
+    pair_diff_labels = {label(vsub(pos[w], pos[v])) for v in V for w in V}
+    candidates = None
+    for i in I:
+        shifted = {ladd(c, label(i)) for c in pair_diff_labels}
+        candidates = shifted if candidates is None else candidates & shifted
+    bad = candidates - I_labels
+    witness = rep_of[min(bad)] if bad else None
+    results["d"] = ConditionResult("fail" if witness else "pass", witness)
+
+    witness = None
+    choices = [[vsub(p, q) for q in I if q != p] for p in I]
+    if all(choices):
+        hits_cache = {}
+        for combo in product(*choices):
+            shape = frozenset(label(s) for s in combo)
+            anchors = None
+            for sl in shape:
+                if sl not in hits_cache:
+                    hits_cache[sl] = {ladd(g, lneg(sl)) for g in gate_label_set}
+                anchors = hits_cache[sl] if anchors is None else anchors & hits_cache[sl]
+                if not anchors:
+                    break
+            if anchors:
+                witness = (rep_of[min(anchors)], set(combo))
+                break
+    results["e"] = ConditionResult("fail" if witness else "pass", witness)
+
+    witness = None
+    for e in E:
+        if label(edge_delta[e]) in I_diff_labels:
+            witness = (e, edge_delta[e])
+            break
+    results["f"] = ConditionResult("fail" if witness else "pass", witness)
+
+    specials = [x for x in (circuit.in_prime, circuit.in_dprime) if x is not None]
+    if not specials:
+        results["g"] = ConditionResult("vacuous", note="no control vertices")
+    else:
+        witness = None
+        for x in specials:
+            for v in V:
+                if v == x:
+                    continue
+                if label(vsub(pos[v], pos[x])) in I_labels:
+                    witness = ("staircase-overlap", v, x)
+                    break
+            if witness:
+                break
+        if witness is None and circuit.in_dprime is not None:
+            ind = circuit.in_dprime
+            feed_heads = [h for t, h in E if t == ind]
+            if circuit.in_prime is not None and circuit.in_prime not in feed_heads:
+                feed_heads.append(circuit.in_prime)
+            for h in feed_heads:
+                d0 = vsub(pos[h], pos[ind])
+                if label(d0) in I_diff_labels:
+                    witness = ("staircase-clash", h, d0)
+                    break
+                for v2 in V:
+                    for w2 in V:
+                        if label(vsub(pos[w2], pos[v2])) != label(d0):
+                            continue
+                        if (
+                            vertex_labels[v2] == vertex_labels[ind]
+                            and vertex_labels[w2] == vertex_labels[h]
+                        ):
+                            continue
+                        witness = ("difference-clash", h, (v2, w2))
+                        break
+                    if witness:
+                        break
+                if witness:
+                    break
+        results["g"] = ConditionResult("fail" if witness else "pass", witness)
+
+    witness = None
+    for x in specials:
+        if pos[x][0] < 0 or pos[x][1] < 0:
+            witness = ("control-off-board", x, pos[x])
+            break
+    if witness is None:
+        for name in flat_inputs:
+            if pos[name][0] >= 0 and pos[name][1] >= 0:
+                witness = ("input-on-board", name, pos[name])
+                break
+    results["h"] = ConditionResult("fail" if witness else "pass", witness)
+
+    witness = None
+    outs = circuit.outputs
+    for j in range(len(outs)):
+        for j2 in range(j + 1, len(outs)):
+            a, b = pos[outs[j]], pos[outs[j2]]
+            if not (a[0] < b[0] and a[1] > b[1]):
+                witness = ("output-order", outs[j], outs[j2])
+                break
+        if witness:
+            break
+    if witness is None:
+        for t, h in E:
+            if h in outs:
+                for o in outs:
+                    if dominates(pos[t], pos[o]):
+                        witness = ("feeder-dominates", t, o)
+                        break
+            if witness:
+                break
+    results["i"] = ConditionResult("fail" if witness else "pass", witness)
+
+    return ConditionReport(results)
+
+
+def _searched_placements(monkeypatch):
+    """Every placement the seeded searches try, with its circuit, spec and
+    variant: xor under variant C, rules 90 and 110 under variants A and B."""
+    from latticegames import compiler
+    from latticegames.circuits import synthesize_nor_circuit
+    from latticegames.recurrence import (
+        ca_to_recurrence,
+        encoded_table,
+        prune_unused_arguments,
+        wolfram_rule_table,
+    )
+
+    tried = []
+    checker = compiler.check_conditions
+
+    def record(placement, circuit, spec, variant="C"):
+        tried.append((placement, circuit, spec, variant))
+        return checker(placement, circuit, spec, variant)
+
+    ca_enc = Encoding({"0": ("N",), "1": ("P",)})
+    cases = [(xor_recurrence(), swapped_encoding(), "C")]
+    for rule in (90, 110):
+        spec = ca_to_recurrence(wolfram_rule_table(rule), "0", "1").spec
+        cases += [(spec, ca_enc, "A"), (spec, ca_enc, "B")]
+    with monkeypatch.context() as patch:
+        patch.setattr(compiler, "check_conditions", record)
+        for spec, enc, variant in cases:
+            spec, _ = prune_unused_arguments(spec)
+            circuit = extend_circuit(synthesize_nor_circuit(encoded_table(spec, enc)), variant)
+            for seed in (0, 1):
+                search_placement(circuit, spec, variant, seed=seed)
+    return tried
+
+
+def test_conditions_match_reference(monkeypatch):
+    import random
+
+    tried = _searched_placements(monkeypatch)
+    rng = random.Random(0)
+    drawn = list(tried)
+    for _ in range(300):
+        pl, circuit, spec, variant = rng.choice(tried)
+        pos = dict(pl.pos)
+        for v in rng.sample(sorted(pos), rng.randint(1, 3)):
+            pos[v] = (pos[v][0] + rng.randint(-3, 3), pos[v][1] + rng.randint(-3, 3))
+        m = pl.m if rng.random() < 0.7 else rng.randint(1, pl.m)
+        drawn.append((Placement(pos, m, pl.staircase, pl.normal), circuit, spec, variant))
+    seen = {}
+    for case in drawn:
+        want = _reference_check_conditions(*case).results
+        assert check_conditions(*case).results == want, case[0]
+        for key, r in want.items():
+            seen.setdefault(key, set()).add(r.status)
+    # every clause both passes and fails somewhere, so witness paths are compared
+    for key in "abcdefghi":
+        assert {"pass", "fail"} <= seen[key], (key, seen[key])

@@ -95,7 +95,7 @@ def rulesets(draw):
     return Ruleset(d, draw(st.lists(vec, min_size=1, max_size=12)))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(rulesets())
 def test_pruned_pointedness_matches_full_elimination(rs):
     d = rs.dim
@@ -160,6 +160,11 @@ def test_outcome_rejects_nonpositions(gamma_prime_game):
     g = GameSpec(gamma_prime_game.ruleset, defeated)
     with pytest.raises(ValueError):
         outcome(g, (1, 1, 0))
+    # still refused once the memo holds the positions around it
+    s = Solver(g)
+    s.solve_window((3, 3, 1), mode="top-down")
+    with pytest.raises(ValueError):
+        s.outcome((1, 1, 0))
 
 
 STAIRCASE = {(0, 0), (1, 0), (2, 0), (0, 1)}
@@ -224,7 +229,7 @@ def pointed_games(draw):
     return GameSpec(Ruleset(d, moves), defeated), window
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(pointed_games())
 def test_sieve_matches_topdown_memo(case):
     game, window = case
@@ -401,7 +406,7 @@ def probe_cases(draw):
     return grid, slice_index, cone, ell
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(probe_cases())
 def test_probe_matches_reference_loop(case):
     assert periodicity_probe(*case) == _probe_reference(*case)

@@ -126,6 +126,32 @@ def test_enumerate_F_covers_all_classes_random():
             assert len({mL.class_label(p) for p in pts}) == mL.index()
 
 
+@st.composite
+def sublattices(draw):
+    """Full-rank sublattices of Z^2 with bases of either orientation, so the
+    determinant takes both signs."""
+    coord = st.integers(-12, 12)
+    b1, b2 = draw(
+        st.tuples(st.tuples(coord, coord), st.tuples(coord, coord)).filter(
+            lambda b: b[0][0] * b[1][1] - b[0][1] * b[1][0] != 0
+        )
+    )
+    return Sublattice(b1, b2) if draw(st.booleans()) else Sublattice(b2, b1)
+
+
+big_points = st.tuples(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
+
+
+@settings(max_examples=300)
+@given(sublattices(), st.integers(1, 7), big_points, big_points)
+def test_class_label_is_additive(L, m, a, b):
+    # the placement conditions label differences by this identity
+    mL = L.scale(m)
+    d = mL.index()
+    la, lb = mL.class_label(a), mL.class_label(b)
+    assert mL.class_label((a[0] - b[0], a[1] - b[1])) == ((la[0] - lb[0]) % d, (la[1] - lb[1]) % d)
+
+
 def test_latticeset_coset_membership():
     # I + 6Z^2 with the staircase I
     I = [(0, 0), (1, 0), (2, 0), (0, 1)]
@@ -210,7 +236,7 @@ def finite_sets_and_boxes(draw):
     return LatticeSet.finite(draw(st.lists(point, max_size=12)), dim=d), box
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(finite_sets_and_boxes())
 def test_finite_mask_matches_contains(case):
     s, box = case
