@@ -492,9 +492,6 @@ class CompiledGame:
     lines: dict[str, tuple]
     witness: PointednessWitness | None = None
 
-    def moves_by_line(self) -> dict[str, tuple]:
-        return dict(self.lines)
-
 
 class EmissionError(ValueError):
     def __init__(
@@ -710,6 +707,13 @@ class CheckOutcome:
     checked: int
     failure: object = None
 
+    @property
+    def status(self) -> str:
+        """'ok', 'FAIL', or 'not checked' when the check compared no point."""
+        if self.failure is not None:
+            return "FAIL"
+        return "ok" if self.checked else "not checked"
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -725,21 +729,11 @@ class VerificationReport:
     def summary(self) -> str:
         out = []
         for c in self.checks:
-            line = f"{c.name}: {'ok' if c.ok else 'FAIL'} ({c.checked} points)"
-            if not c.ok:
+            line = f"{c.name}: {c.status} ({c.checked} points)"
+            if c.failure is not None:
                 line += f"  first failure: {c.failure}"
             out.append(line)
         return "\n".join(out)
-
-
-def _lattice_points_below(lattice, m, nu, bound):
-    """Points of L+ whose scaled pairing with nu stays within the bound."""
-    pts = []
-    for x in range(bound // (m * nu[0]) + 1):
-        for y in range(bound // (m * nu[1]) + 1):
-            if m * dot(nu, (x, y)) <= bound and lattice.contains((x, y)):
-                pts.append((x, y))
-    return sorted(pts)
 
 
 def verify_construction(cg: CompiledGame, bound: int) -> VerificationReport:
@@ -748,112 +742,83 @@ def verify_construction(cg: CompiledGame, bound: int) -> VerificationReport:
     Four checks over the region where the scaled staircase pairing stays
     within the bound: the slice-0 lattice law, the encoded recurrence values
     at the output gates, and the characterisations of the two control
-    vertices.  Defeated output cells read as N bits.
+    vertices.  Each check is one row of a table (name, the key each point
+    reports on failure, its probe cells, the expected P per cell), read from
+    one solved window.  Defeated cells are skipped, except at the output
+    gates, where they read as N bits.  A check counts the points it compared
+    up to and including its first failure; one that compared none is not
+    checked, and the report is then not ok.
     """
+    if bound < 0:
+        raise ValueError(f"bound must be nonnegative, got {bound}")
     spec = cg.spec
     pl = cg.placement
-    nu = pl.normal
+    nu = np.array(pl.normal, dtype=np.int64)
     m = pl.m
-    mL = spec.lattice.scale(m)
-    label = mL.class_label
-    I_labels = {label(p) for p in pl.staircase}
-    ells = _lattice_points_below(spec.lattice, m, nu, bound)
-    mod_ells = [l for l in ells if spec.module.contains(l)]
 
-    probes: list[Vec] = []
-    slice0_pts = [
-        (x, y)
-        for x in range(bound // nu[0] + 1)
-        for y in range(bound // nu[1] + 1)
-        if dot(nu, (x, y)) <= bound
-    ]
-    probes += [(x, y, 0) for x, y in slice0_pts]
-    out_pos = [pl.pos[o] for o in cg.circuit.outputs]
-    for l in mod_ells:
-        for op in out_pos:
-            probes.append((op[0] + m * l[0], op[1] + m * l[1], 1))
-    specials = {}
-    for name_attr, tag in ((cg.circuit.in_prime, "in-prime"), (cg.circuit.in_dprime, "in-double-prime")):
-        if name_attr is not None:
-            specials[tag] = pl.pos[name_attr]
-            for l in ells:
-                p = specials[tag]
-                probes.append((p[0] + m * l[0], p[1] + m * l[1], 1))
-    wx = max(p[0] for p in probes)
-    wy = max(p[1] for p in probes)
+    def below(scale):
+        # points q of N^2 with scale * <nu, q> <= bound, in lexicographic order
+        shape = (bound // (scale * nu[0]) + 1, bound // (scale * nu[1]) + 1)
+        q = np.indices(shape).reshape(2, -1).T
+        return q[scale * (q @ nu) <= bound]
+
+    def lift(points, z):
+        return np.concatenate([points, np.full(points.shape[:-1] + (1,), z)], axis=-1)
+
+    slice0 = below(1)
+    ells = below(m)
+    ells = ells[spec.lattice.class_labels(ells) == 0]
+    ell_list = [tuple(l) for l in ells.tolist()]
+    mL = spec.lattice.scale(m)
+    on_stair = np.isin(mL.class_labels(slice0), mL.class_labels(pl.staircase))
+
+    def control_cells(v):
+        return lift(np.array(pl.pos[v], dtype=np.int64) + m * ells[:, None], 1)
+
+    # rows (name, failure keys, probe cells (n, k, 3), expected P (n, k), word);
+    # a word row reports bit tuples and reads defeated cells as N
+    cells0 = lift(slice0, 0)
+    table = [("slice0-lattice-law", cells0, cells0[:, None], on_stair[:, None], False)]
+    if cg.enc is not None:
+        mod_list = [l for l in ell_list if spec.module.contains(l)]
+        mod_ells = np.array(mod_list, dtype=np.int64).reshape(-1, 2)
+        out_pos = np.array([pl.pos[o] for o in cg.circuit.outputs], dtype=np.int64)
+        words = [cg.enc.encode(eval_recurrence(spec, l)) for l in mod_list]
+        expect = np.array(words, dtype="U1").reshape(len(words), len(out_pos)) == "P"
+        table.append(("output-encoding", mod_ells, lift(out_pos + m * mod_ells[:, None], 1),
+                      expect, True))
+    if cg.circuit.in_prime is not None:
+        expect = [
+            # in variant B the initial-condition moves hand generator positions
+            # the P-option (pos(in''),1), so the stored value wins instead
+            not (cg.variant == "B" and spec.module.is_generator(l))
+            and any(not spec.module.contains(vsub(l, b)) for b in spec.betas)
+            for l in ell_list
+        ]
+        table.append(("in-prime-characterisation", ells, control_cells(cg.circuit.in_prime),
+                      np.array(expect, dtype=bool)[:, None], False))
+    if cg.circuit.in_dprime is not None:
+        table.append(("in-double-prime-characterisation", ells,
+                      control_cells(cg.circuit.in_dprime), ~ells.any(axis=1)[:, None], False))
+
+    probes = np.concatenate([row[2].reshape(-1, 3) for row in table])
+    wx, wy, _ = probes.max(axis=0).tolist()
     grid = Solver(cg.game, cg.witness).solve_window((wx, wy, 1))
 
     checks = []
-
-    count = 0
-    failure = None
-    for x, y in slice0_pts:
-        code = grid.code_at((x, y, 0))
-        if code == 3:  # defeated cells carry no outcome
-            continue
-        count += 1
-        expect_p = label((x, y)) in I_labels
-        if (code == 1) != expect_p:
-            failure = ((x, y, 0), "P" if expect_p else "N", grid.outcome_at((x, y, 0)))
-            break
-    checks.append(CheckOutcome("slice0-lattice-law", failure is None, count, failure))
-
-    if cg.enc is not None:
-        count = 0
+    for name, keys, cells, expect, word in table:
+        codes = grid.data[cells[..., 0], cells[..., 1], cells[..., 2]]
+        got = codes == engine.CODE_P
+        live = np.ones(len(codes), bool) if word else (codes != engine.CODE_DEFEATED).all(axis=1)
+        bad = np.flatnonzero(live & (got != expect).any(axis=1))
+        upto = bad[0] + 1 if len(bad) else len(live)
+        checked = int(np.count_nonzero(live[:upto]))
         failure = None
-        for l in mod_ells:
-            want = cg.enc.encode(eval_recurrence(spec, l))
-            got = []
-            for op in out_pos:
-                p = (op[0] + m * l[0], op[1] + m * l[1], 1)
-                o = grid.outcome_at(p)
-                got.append("N" if o is None else o)
-            count += 1
-            if tuple(got) != want:
-                failure = (l, want, tuple(got))
-                break
-        checks.append(CheckOutcome("output-encoding", failure is None, count, failure))
-
-    if "in-prime" in specials:
-        count = 0
-        failure = None
-        ip = specials["in-prime"]
-        for l in ells:
-            p = (ip[0] + m * l[0], ip[1] + m * l[1], 1)
-            o = grid.outcome_at(p)
-            if o is None:
-                continue
-            count += 1
-            expect_p = any(
-                not spec.module.contains(vsub(l, b)) for b in spec.betas
-            )
-            if cg.variant == "B" and spec.module.is_generator(l):
-                # the initial-condition moves hand these positions the
-                # P-option (pos(in''),1), so the stored value wins instead
-                expect_p = False
-            if (o == "P") != expect_p:
-                failure = (l, "P" if expect_p else "N", o)
-                break
-        checks.append(CheckOutcome("in-prime-characterisation", failure is None, count, failure))
-
-    if "in-double-prime" in specials:
-        count = 0
-        failure = None
-        ind = specials["in-double-prime"]
-        for l in ells:
-            p = (ind[0] + m * l[0], ind[1] + m * l[1], 1)
-            o = grid.outcome_at(p)
-            if o is None:
-                continue
-            count += 1
-            expect_p = l == (0, 0)
-            if (o == "P") != expect_p:
-                failure = (l, "P" if expect_p else "N", o)
-                break
-        checks.append(
-            CheckOutcome("in-double-prime-characterisation", failure is None, count, failure)
-        )
-
+        if len(bad):
+            i = bad[0]
+            want, seen = (tuple("P" if b else "N" for b in row) for row in (expect[i], got[i]))
+            failure = (as_vec(keys[i]),) + ((want, seen) if word else (want[0], seen[0]))
+        checks.append(CheckOutcome(name, failure is None and checked > 0, checked, failure))
     return VerificationReport(tuple(checks))
 
 

@@ -272,9 +272,6 @@ class OutcomeGrid:
             return N
         return None
 
-    def p_positions(self) -> list[Vec]:
-        return [tuple(int(c) for c in ix) for ix in np.argwhere(self.data == CODE_P)]
-
     def plane(self, slice_index: int | None = None) -> np.ndarray:
         """2-D slice at a fixed last coordinate (the grid itself in 2-D)."""
         if len(self.window) == 2:

@@ -32,9 +32,6 @@ def vsub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def vneg(a: Vec) -> Vec:
-    return tuple(-x for x in a)
-
 def vscale(c: int, a: Vec) -> Vec:
     return tuple(c * x for x in a)
 
@@ -117,15 +114,6 @@ class Sublattice:
     def index(self) -> int:
         """Number of classes of Z^2 / L."""
         return abs(self.det)
-
-    def positive_elements(self, bound: int):
-        """All nonzero elements of L+ = L cap N^2 within [0, bound]^2."""
-        out = []
-        for x in range(bound + 1):
-            for y in range(bound + 1):
-                if (x or y) and self.contains((x, y)):
-                    out.append((x, y))
-        return out
 
     def axis_strides(self) -> tuple[int, int]:
         """Smallest a, b > 0 with (a,0) and (0,b) in L."""
@@ -543,18 +531,6 @@ class ModuleIdeal:
 
     def is_generator(self, p) -> bool:
         return as_vec(p, 2) in self.generators
-
-    def as_set(self) -> LatticeSet:
-        parts = [
-            LatticeSet.inter(
-                LatticeSet.orthant(g),
-                LatticeSet.coset(g, (self.ambient.b1, self.ambient.b2), 1),
-            )
-            for g in self.generators
-        ]
-        if not parts:
-            return LatticeSet.empty(2)
-        return LatticeSet.union(*parts)
 
     def __repr__(self):
         return f"ModuleIdeal({self.ambient!r}, {list(self.generators)})"

@@ -332,9 +332,6 @@ class CAEmbedding:
         t = (p[0] + p[1]) // 2 - self.offset
         return x, t
 
-    def in_domain(self, x: int, t: int) -> bool:
-        return t >= 0 and abs(x) <= t + self.offset
-
 
 def ca_to_recurrence(rule_table: dict, quiescent: str, word: str) -> CAEmbedding:
     """Embed a radius-1 CA as a recurrence.

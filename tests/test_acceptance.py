@@ -125,7 +125,7 @@ def test_criterion_6_universality(rule, steps):
             p = (op[0] + m * l[0], op[1] + m * l[1], 1)
             cells.append((x, t, p))
             mx, my = max(mx, p[0]), max(my, p[1])
-    grid = Solver(cg.game).solve_window((mx, my, 1))
+    grid = Solver(cg.game, cg.witness).solve_window((mx, my, 1))
     for x, t, p in cells:
         o = grid.outcome_at(p)
         assert enc.decode(("N" if o is None else o,)) == sim(x, t), (x, t)

@@ -205,21 +205,23 @@ def test_verify_builtin_gamma():
     assert rep.ok, rep.summary()
 
 
-def test_verify_detects_corruption():
+def _corrupted_gamma():
     from latticegames.compiler import CompiledGame
 
-    spec = xor_recurrence()
     weakened = Ruleset(3, [m for m in paper_gamma().moves if m != (1, 1, 0)])
-    cg = CompiledGame(
+    return CompiledGame(
         game=GameSpec(weakened),
         placement=paper_placement(),
         circuit=xor_circuit(),
-        spec=spec,
+        spec=xor_recurrence(),
         enc=Encoding({"P": ("P",), "N": ("N",)}),
         variant="C",
         lines={},
     )
-    rep = verify_construction(cg, bound=60)
+
+
+def test_verify_detects_corruption():
+    rep = verify_construction(_corrupted_gamma(), bound=60)
     assert not rep.ok
     assert not rep["output-encoding"].ok
 
@@ -635,3 +637,190 @@ def test_conditions_match_reference(monkeypatch):
     # every clause both passes and fails somewhere, so witness paths are compared
     for key in "abcdefghi":
         assert {"pass", "fail"} <= seen[key], (key, seen[key])
+
+
+def _reference_verify_construction(cg, bound):
+    """verify_construction as four per-point loops, kept as the reference."""
+    from latticegames.compiler import CheckOutcome, VerificationReport
+    from latticegames.engine import Solver
+    from latticegames.lattice import dot
+    from latticegames.recurrence import eval_recurrence
+
+    def _lattice_points_below(lattice, m, nu, bound):
+        pts = []
+        for x in range(bound // (m * nu[0]) + 1):
+            for y in range(bound // (m * nu[1]) + 1):
+                if m * dot(nu, (x, y)) <= bound and lattice.contains((x, y)):
+                    pts.append((x, y))
+        return sorted(pts)
+
+    spec = cg.spec
+    pl = cg.placement
+    nu = pl.normal
+    m = pl.m
+    mL = spec.lattice.scale(m)
+    label = mL.class_label
+    I_labels = {label(p) for p in pl.staircase}
+    ells = _lattice_points_below(spec.lattice, m, nu, bound)
+    mod_ells = [l for l in ells if spec.module.contains(l)]
+
+    probes = []
+    slice0_pts = [
+        (x, y)
+        for x in range(bound // nu[0] + 1)
+        for y in range(bound // nu[1] + 1)
+        if dot(nu, (x, y)) <= bound
+    ]
+    probes += [(x, y, 0) for x, y in slice0_pts]
+    out_pos = [pl.pos[o] for o in cg.circuit.outputs]
+    for l in mod_ells:
+        for op in out_pos:
+            probes.append((op[0] + m * l[0], op[1] + m * l[1], 1))
+    specials = {}
+    for name_attr, tag in ((cg.circuit.in_prime, "in-prime"), (cg.circuit.in_dprime, "in-double-prime")):
+        if name_attr is not None:
+            specials[tag] = pl.pos[name_attr]
+            for l in ells:
+                p = specials[tag]
+                probes.append((p[0] + m * l[0], p[1] + m * l[1], 1))
+    wx = max(p[0] for p in probes)
+    wy = max(p[1] for p in probes)
+    grid = Solver(cg.game, cg.witness).solve_window((wx, wy, 1))
+
+    checks = []
+
+    count = 0
+    failure = None
+    for x, y in slice0_pts:
+        code = grid.code_at((x, y, 0))
+        if code == 3:  # defeated cells carry no outcome
+            continue
+        count += 1
+        expect_p = label((x, y)) in I_labels
+        if (code == 1) != expect_p:
+            failure = ((x, y, 0), "P" if expect_p else "N", grid.outcome_at((x, y, 0)))
+            break
+    checks.append(CheckOutcome("slice0-lattice-law", failure is None, count, failure))
+
+    if cg.enc is not None:
+        count = 0
+        failure = None
+        for l in mod_ells:
+            want = cg.enc.encode(eval_recurrence(spec, l))
+            got = []
+            for op in out_pos:
+                p = (op[0] + m * l[0], op[1] + m * l[1], 1)
+                o = grid.outcome_at(p)
+                got.append("N" if o is None else o)
+            count += 1
+            if tuple(got) != want:
+                failure = (l, want, tuple(got))
+                break
+        checks.append(CheckOutcome("output-encoding", failure is None, count, failure))
+
+    if "in-prime" in specials:
+        count = 0
+        failure = None
+        ip = specials["in-prime"]
+        for l in ells:
+            p = (ip[0] + m * l[0], ip[1] + m * l[1], 1)
+            o = grid.outcome_at(p)
+            if o is None:
+                continue
+            count += 1
+            expect_p = any(
+                not spec.module.contains(vsub(l, b)) for b in spec.betas
+            )
+            if cg.variant == "B" and spec.module.is_generator(l):
+                expect_p = False
+            if (o == "P") != expect_p:
+                failure = (l, "P" if expect_p else "N", o)
+                break
+        checks.append(CheckOutcome("in-prime-characterisation", failure is None, count, failure))
+
+    if "in-double-prime" in specials:
+        count = 0
+        failure = None
+        ind = specials["in-double-prime"]
+        for l in ells:
+            p = (ind[0] + m * l[0], ind[1] + m * l[1], 1)
+            o = grid.outcome_at(p)
+            if o is None:
+                continue
+            count += 1
+            expect_p = l == (0, 0)
+            if (o == "P") != expect_p:
+                failure = (l, "P" if expect_p else "N", o)
+                break
+        checks.append(
+            CheckOutcome("in-double-prime-characterisation", failure is None, count, failure)
+        )
+
+    return VerificationReport(tuple(checks))
+
+
+def _verify_cases():
+    """(game, bound) pairs: compiled games in variants A, B and C, the corrupted
+    published game, and compiled games with 1-3 moves removed at random; a
+    subset of a pointed ruleset keeps its witness, so these still solve."""
+    import dataclasses
+    import random
+
+    from latticegames.recurrence import ca_to_recurrence, wolfram_rule_table
+
+    ca_enc = Encoding({"0": ("N",), "1": ("P",)})
+    ca = {r: ca_to_recurrence(wolfram_rule_table(r), "0", "1").spec for r in (90, 110)}
+    compiled = [(compile_recurrence(xor_recurrence(), swapped_encoding(), "C", seed=s), 6)
+                for s in range(3)]
+    compiled += [(compile_recurrence(ca[110], ca_enc, "B", seed=s), 4) for s in range(4)]
+    rule90 = compile_recurrence(ca[90], ca_enc, "B", seed=0)
+    compiled += [(rule90, 4), (rule90, 8)]
+    compiled += [(compile_recurrence(ca[90], ca_enc, "A", seed=0), 6)]
+    cases = [(cg, k * cg.placement.m) for cg, k in compiled]
+    cases.append((_corrupted_gamma(), 60))
+    rng = random.Random(0)
+    for _ in range(16):
+        cg, k = rng.choice(compiled)
+        # draw a line first, so the short control lines lose moves too
+        dropped = set()
+        for _ in range(rng.randint(1, 3)):
+            dropped.add(rng.choice(cg.lines[rng.choice(sorted(cg.lines))]))
+        moves = [mv for mv in cg.game.ruleset.moves if mv not in dropped]
+        game = GameSpec(Ruleset(3, moves), cg.game.defeated)
+        cases.append((dataclasses.replace(cg, game=game), k * cg.placement.m))
+    return cases
+
+
+def test_verify_matches_reference():
+    seen = {}
+    for cg, bound in _verify_cases():
+        want = _reference_verify_construction(cg, bound)
+        got = verify_construction(cg, bound)
+        assert got == want, (cg.variant, bound, got.summary(), want.summary())
+        for c in want.checks:
+            assert c.checked > 0, (c, bound)
+            seen.setdefault(c.name, set()).add(c.ok)
+    # every check both passes and fails somewhere, so first failures are compared
+    assert len(seen) == 4
+    for name, oks in seen.items():
+        assert oks == {True, False}, name
+
+
+def test_verify_flags_unchecked_checks():
+    # rule 90, variant A at 4m: the defeated set covers every slice-0 cell and
+    # every in' cell in the window, so those two checks compare no point
+    from latticegames.recurrence import ca_to_recurrence, wolfram_rule_table
+
+    spec = ca_to_recurrence(wolfram_rule_table(90), "0", "1").spec
+    cg = compile_recurrence(spec, Encoding({"0": ("N",), "1": ("P",)}), "A", seed=0)
+    rep = verify_construction(cg, 4 * cg.placement.m)
+    unchecked = [c.name for c in rep.checks if c.status == "not checked"]
+    assert unchecked == ["slice0-lattice-law", "in-prime-characterisation"]
+    assert all(c.failure is None and c.checked == 0 for c in rep.checks if c.name in unchecked)
+    assert not rep.ok
+    assert "slice0-lattice-law: not checked (0 points)" in rep.summary().splitlines()
+
+
+def test_verify_rejects_negative_bound(xor_compiled):
+    with pytest.raises(ValueError, match="bound"):
+        verify_construction(xor_compiled, -5)

@@ -185,6 +185,28 @@ def test_cli_compile_verify(tmp_path, capsys):
     assert "slice0-lattice-law: ok" in capsys.readouterr().out
 
 
+
+def test_cli_verify_negative_bound(tmp_path, capsys):
+    out = tmp_path / "xor.game.json"
+    assert main(["compile", "specs/xor.json", "--seed", "0", "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(out), "--spec", "specs/xor.json", "--bound", "-5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bound" in err
+
+
+def test_cli_verify_fails_unchecked_checks(tmp_path, capsys):
+    # rule 90 in variant A at 4m: two checks compare no point, which is no pass
+    out = tmp_path / "rule90.game.json"
+    argv = ["compile", "specs/rule90.json", "--variant", "A", "--seed", "0", "-o", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    m = json.loads((tmp_path / "rule90.game.json.placement.json").read_text())["m"]
+    assert main(["verify", str(out), "--spec", "specs/rule90.json", "--bound", str(4 * m)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "slice0-lattice-law: not checked (0 points)" in lines
+    assert "in-prime-characterisation: not checked (0 points)" in lines
+
 def test_cli_compile_hint(tmp_path, capsys):
     # a hint that already passes is used as-is: paper placement, core only
     hint = tmp_path / "hint.json"
