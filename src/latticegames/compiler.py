@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -66,9 +66,6 @@ class Placement:
         self.normal = as_vec(normal, 2)
         if self.normal[0] <= 0 or self.normal[1] <= 0:
             raise ValueError("the halfspace normal must pair positively with both axes")
-
-    def position(self, v: str) -> Vec:
-        return self.pos[v]
 
     def __repr__(self):
         return (
@@ -125,6 +122,8 @@ def check_conditions(
     Lattice-translation-invariant clauses are reduced to residue classes of
     m*lattice; the staircase clauses are finite enumerations.  Clauses about
     the control vertices are vacuous when the circuit does not carry them.
+    Each condition is a function that returns its first witness, or None
+    when the condition holds.
     """
     check_variant(variant)
     pl = placement
@@ -154,230 +153,159 @@ def check_conditions(
     stair_diff_label = {vsub(p, q): lsub(I_label_of[p], I_label_of[q]) for p in I for q in I}
     I_diff_labels = set(stair_diff_label.values())
     vertex_labels = {v: label(pos[v]) for v in V}
-    gate_label_set = set(vertex_labels.values())
     # (v, w) -> label of pos[w] - pos[v]; an edge (t, h) reads its own entry
     diff_label = {(v, w): lsub(vertex_labels[w], vertex_labels[v]) for v in V for w in V}
-    results: dict[str, ConditionResult] = {}
-
-    # (a) edge differences and the staircase's outward set share the open
-    # halfspace with normal nu
-    witness = None
-    for e in E:
-        if dot(nu, edge_delta[e]) <= 0:
-            witness = ("edge", e, edge_delta[e])
-            break
-    if witness is None:
-        bound = max(dot(nu, i) for i in I)
-        for i in I:
-            for qx in range(bound // nu[0] + 1):
-                for qy in range(bound // nu[1] + 1):
-                    p = vsub((qx, qy), i)
-                    if dot(nu, p) <= 0 and p not in stair_diff_label:
-                        witness = ("outward-point", p)
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-    results["a"] = ConditionResult("fail" if witness else "pass", witness)
-
-    # (b) inputs sit one scaled shift before their output
-    witness = None
-    for i, block in enumerate(circuit.inputs):
-        for j, name in enumerate(block):
-            want = vsub(pos[circuit.outputs[j]], vscale(pl.m, spec.betas[i]))
-            if pos[name] != want:
-                witness = (i + 1, j + 1, pos[name], want)
-                break
-        if witness:
-            break
-    results["b"] = ConditionResult("fail" if witness else "pass", witness)
-
-    # (c) wire moves connect gates only along actual edges: whenever the
-    # difference from v to a non-input w matches an edge difference mod mL,
-    # some vertex realises that difference exactly, and every vertex that
-    # does is an in-neighbour of w
-    flat_inputs = {x for block in circuit.inputs for x in block}
-    witness = None
-    preds = {w: set(circuit.predecessors(w)) for w in V}
-    at: dict[Vec, list[str]] = {}
-    for v in V:
-        at.setdefault(pos[v], []).append(v)
-    for w in V:
-        if w in flat_inputs:
-            continue
-        reachable = {diff_label[v, w] for v in V}
-        for e in E:
-            d = edge_delta[e]
-            if diff_label[e] not in reachable:
-                continue
-            exact = at.get(vsub(pos[w], d), [])
-            if not exact:
-                witness = ("no-exact-realisation", w, e, d)
-                break
-            bad = [v for v in exact if v not in preds[w]]
-            if bad:
-                witness = ("non-edge-realisation", w, e, d, bad[0])
-                break
-        if witness:
-            break
-    results["c"] = ConditionResult("fail" if witness else "pass", witness)
-
     rep_of = class_representatives(spec.lattice, pl.m)
+    flat_inputs = {x for block in circuit.inputs for x in block}
+    specials = [x for x in (circuit.in_prime, circuit.in_dprime) if x is not None]
 
-    # (d) no translate of -I lies wholly inside the pairwise-difference
-    # lattice except at staircase translates; the pairwise-difference form is
-    # what the slice-0 induction consumes, and the stronger variant that also
-    # admits staircase differences is violated by perfectly good placements
-    pair_diff_labels = set(diff_label.values())
-    candidates = None
-    for i in I:
-        shifted = {ladd(c, I_label_of[i]) for c in pair_diff_labels}
-        candidates = shifted if candidates is None else candidates & shifted
-    bad = candidates - I_labels
-    witness = rep_of[min(bad)] if bad else None
-    results["d"] = ConditionResult("fail" if witness else "pass", witness)
+    def halfspace():
+        # (a) edge differences and the staircase's outward set share the open
+        # halfspace with normal nu
+        for e in E:
+            if dot(nu, edge_delta[e]) <= 0:
+                return ("edge", e, edge_delta[e])
+        bound = max(dot(nu, i) for i in I)
+        for i, qx, qy in product(I, range(bound // nu[0] + 1), range(bound // nu[1] + 1)):
+            p = vsub((qx, qy), i)
+            if dot(nu, p) <= 0 and p not in stair_diff_label:
+                return ("outward-point", p)
+        return None
 
-    # (e) no translate of any displacement set {p - h(p)} lands inside the
-    # gate lattice; |I|^(|I|) enumeration over residue classes
-    witness = None
-    choices = [[vsub(p, q) for q in I if q != p] for p in I]
-    if all(choices):
+    def input_shifts():
+        # (b) inputs sit one scaled shift before their output
+        for i, block in enumerate(circuit.inputs):
+            for j, name in enumerate(block):
+                want = vsub(pos[circuit.outputs[j]], vscale(pl.m, spec.betas[i]))
+                if pos[name] != want:
+                    return (i + 1, j + 1, pos[name], want)
+        return None
+
+    def wire_realisations():
+        # (c) wire moves connect gates only along actual edges: whenever the
+        # difference from v to a non-input w matches an edge difference mod mL,
+        # some vertex realises that difference exactly, and every vertex that
+        # does is an in-neighbour of w
+        at: dict[Vec, list[str]] = {}
+        for v in V:
+            at.setdefault(pos[v], []).append(v)
+        for w in V:
+            if w in flat_inputs:
+                continue
+            preds = set(circuit.predecessors(w))
+            reachable = {diff_label[v, w] for v in V}
+            for e in E:
+                if diff_label[e] not in reachable:
+                    continue
+                d = edge_delta[e]
+                exact = at.get(vsub(pos[w], d), [])
+                if not exact:
+                    return ("no-exact-realisation", w, e, d)
+                bad = [v for v in exact if v not in preds]
+                if bad:
+                    return ("non-edge-realisation", w, e, d, bad[0])
+        return None
+
+    def staircase_translates():
+        # (d) no translate of -I lies wholly inside the pairwise-difference
+        # lattice except at staircase translates; the pairwise-difference form
+        # is what the slice-0 induction consumes, and the stronger variant that
+        # also admits staircase differences is violated by perfectly good
+        # placements
+        pair_diff_labels = set(diff_label.values())
+        candidates = set.intersection(
+            *({ladd(c, I_label_of[i]) for c in pair_diff_labels} for i in I)
+        )
+        bad = candidates - I_labels
+        return rep_of[min(bad)] if bad else None
+
+    def displacement_sets():
+        # (e) no translate of any displacement set {p - h(p)} lands inside the
+        # gate lattice; |I|^(|I|) enumeration over residue classes
+        choices = [[vsub(p, q) for q in I if q != p] for p in I]
+        if not all(choices):
+            return None
+        gate_label_set = set(vertex_labels.values())
         hits_cache = {}
         for combo in product(*choices):
-            shape = frozenset(stair_diff_label[s] for s in combo)
             anchors = None
-            for sl in shape:
+            for sl in frozenset(stair_diff_label[s] for s in combo):
                 if sl not in hits_cache:
                     hits_cache[sl] = {lsub(g, sl) for g in gate_label_set}
                 anchors = hits_cache[sl] if anchors is None else anchors & hits_cache[sl]
                 if not anchors:
                     break
             if anchors:
-                witness = (rep_of[min(anchors)], set(combo))
-                break
-    results["e"] = ConditionResult("fail" if witness else "pass", witness)
+                return (rep_of[min(anchors)], set(combo))
+        return None
 
-    # (f) no wire move is congruent to a staircase difference
-    witness = None
-    for e in E:
-        if diff_label[e] in I_diff_labels:
-            witness = (e, edge_delta[e])
-            break
-    results["f"] = ConditionResult("fail" if witness else "pass", witness)
+    def wire_stair_clashes():
+        # (f) no wire move is congruent to a staircase difference
+        for e in E:
+            if diff_label[e] in I_diff_labels:
+                return (e, edge_delta[e])
+        return None
 
-    # (g) the control vertices own their staircase neighbourhoods, and the
-    # input-feed differences from in'' clash with no other difference
-    specials = [x for x in (circuit.in_prime, circuit.in_dprime) if x is not None]
-    if not specials:
-        results["g"] = ConditionResult("vacuous", note="no control vertices")
-    else:
-        witness = None
+    def control_neighbourhoods():
+        # (g) the control vertices own their staircase neighbourhoods, and the
+        # input-feed differences from in'' clash with no other difference
         for x in specials:
             for v in V:
-                if v == x:
-                    continue
-                if diff_label[x, v] in I_labels:
-                    witness = ("staircase-overlap", v, x)
-                    break
-            if witness:
-                break
-        if witness is None and circuit.in_dprime is not None:
-            ind = circuit.in_dprime
-            feed_heads = [h for t, h in E if t == ind]
-            if circuit.in_prime is not None and circuit.in_prime not in feed_heads:
-                # the initial-condition moves also target in', so its
-                # difference must be protected like the edge ones
-                feed_heads.append(circuit.in_prime)
-            for h in feed_heads:
-                l0 = diff_label[ind, h]
-                if l0 in I_diff_labels:
-                    witness = ("staircase-clash", h, vsub(pos[h], pos[ind]))
-                    break
-                for v2 in V:
-                    for w2 in V:
-                        if diff_label[v2, w2] != l0:
-                            continue
-                        if (
-                            vertex_labels[v2] == vertex_labels[ind]
-                            and vertex_labels[w2] == vertex_labels[h]
-                        ):
-                            continue
-                        witness = ("difference-clash", h, (v2, w2))
-                        break
-                    if witness:
-                        break
-                if witness:
-                    break
-        results["g"] = ConditionResult("fail" if witness else "pass", witness)
+                if v != x and diff_label[x, v] in I_labels:
+                    return ("staircase-overlap", v, x)
+        ind = circuit.in_dprime
+        if ind is None:
+            return None
+        feed_heads = [h for t, h in E if t == ind]
+        if circuit.in_prime is not None and circuit.in_prime not in feed_heads:
+            # the initial-condition moves also target in', so its
+            # difference must be protected like the edge ones
+            feed_heads.append(circuit.in_prime)
+        for h in feed_heads:
+            l0 = diff_label[ind, h]
+            if l0 in I_diff_labels:
+                return ("staircase-clash", h, vsub(pos[h], pos[ind]))
+            for (v2, w2), l in diff_label.items():
+                if l == l0 and not (
+                    vertex_labels[v2] == vertex_labels[ind]
+                    and vertex_labels[w2] == vertex_labels[h]
+                ):
+                    return ("difference-clash", h, (v2, w2))
+        return None
 
-    # (h) control vertices on the board, input gates off it
-    witness = None
-    for x in specials:
-        if pos[x][0] < 0 or pos[x][1] < 0:
-            witness = ("control-off-board", x, pos[x])
-            break
-    if witness is None:
+    def board_sides():
+        # (h) control vertices on the board, input gates off it
+        for x in specials:
+            if pos[x][0] < 0 or pos[x][1] < 0:
+                return ("control-off-board", x, pos[x])
         for name in flat_inputs:
             if pos[name][0] >= 0 and pos[name][1] >= 0:
-                witness = ("input-on-board", name, pos[name])
-                break
-    results["h"] = ConditionResult("fail" if witness else "pass", witness)
+                return ("input-on-board", name, pos[name])
+        return None
 
-    # (i) outputs strictly staggered, and no output dominates a feeder
-    witness = None
-    outs = circuit.outputs
-    for j in range(len(outs)):
-        for j2 in range(j + 1, len(outs)):
-            a, b = pos[outs[j]], pos[outs[j2]]
+    def output_order():
+        # (i) outputs strictly staggered, and no output dominates a feeder
+        outs = circuit.outputs
+        for o1, o2 in combinations(outs, 2):
+            a, b = pos[o1], pos[o2]
             if not (a[0] < b[0] and a[1] > b[1]):
-                witness = ("output-order", outs[j], outs[j2])
-                break
-        if witness:
-            break
-    if witness is None:
-        for t, h in E:
-            if h in outs:
-                for o in outs:
-                    if dominates(pos[t], pos[o]):
-                        witness = ("feeder-dominates", t, o)
-                        break
-            if witness:
-                break
-    results["i"] = ConditionResult("fail" if witness else "pass", witness)
+                return ("output-order", o1, o2)
+        for (t, h), o in product(E, outs):
+            if h in outs and dominates(pos[t], pos[o]):
+                return ("feeder-dominates", t, o)
+        return None
 
+    conditions = (halfspace, input_shifts, wire_realisations, staircase_translates,
+                  displacement_sets, wire_stair_clashes, control_neighbourhoods,
+                  board_sides, output_order)
+    results: dict[str, ConditionResult] = {}
+    for key, condition in zip("abcdefghi", conditions):
+        if key == "g" and not specials:
+            results[key] = ConditionResult("vacuous", note="no control vertices")
+            continue
+        witness = condition()
+        results[key] = ConditionResult("pass" if witness is None else "fail", witness)
     return ConditionReport(results)
-
-
-def wire_classes_collision_free(placement: Placement, circuit: NorCircuit, spec) -> bool:
-    """Strengthened wire separation: position differences of distinct vertex
-    pairs are never congruent mod mL, except for the unavoidable coincidences
-    through each input sitting one scaled shift before its output."""
-    mL = spec.lattice.scale(placement.m)
-    label = mL.class_label
-    cls = {v: label(placement.pos[v]) for v in circuit.vertices}
-    forced = {}
-    for j, o in enumerate(circuit.outputs):
-        forced[o] = j
-        for block in circuit.inputs:
-            forced[block[j]] = j
-    by_class = {}
-    for v, c in cls.items():
-        by_class.setdefault(c, set()).add(v)
-    for group in by_class.values():
-        if len(group) > 1 and len({forced.get(v, v) for v in group}) > 1:
-            return False  # unforced vertices share a residue class
-    classes = sorted(by_class)
-    seen = {}
-    for a in classes:
-        for b in classes:
-            if a == b:
-                continue
-            d = ((b[0] - a[0]) % mL.index(), (b[1] - a[1]) % mL.index())
-            if d in seen and seen[d] != (a, b):
-                return False
-            seen[d] = (a, b)
-    return True
 
 
 class PlacementSearchError(RuntimeError):
@@ -553,24 +481,22 @@ def emit_ruleset(
     variant: str = "C",
     core_only: bool = False,
     enc: Encoding | None = None,
-    check: bool = True,
 ) -> CompiledGame:
-    """Emit the labelled move lines for a checked placement.
+    """Emit the labelled move lines for a placement.
 
-    core_only restricts to the wire moves and the two slice blocks (the
-    published subset); otherwise the control lines for the chosen variant are
-    added, and variant A additionally carries a defeated set.  The result
-    carries its pointedness witness; a ruleset that is not pointed raises
-    EmissionError with the Farkas certificate.
+    The placement is checked first; one that fails a condition raises
+    EmissionError with the condition report.  core_only restricts to the wire
+    moves and the two slice blocks (the published subset); otherwise the
+    control lines for the chosen variant are added, and variant A
+    additionally carries a defeated set.  The result carries its pointedness
+    witness; a ruleset that is not pointed raises EmissionError with the
+    Farkas certificate.
     """
     check_variant(variant)
     pl = placement
-    if check:
-        report = check_conditions(pl, circuit, spec, variant)
-        if not report.ok():
-            raise EmissionError(
-                f"placement fails conditions {report.failures()}", report
-            )
+    report = check_conditions(pl, circuit, spec, variant)
+    if not report.ok():
+        raise EmissionError(f"placement fails conditions {report.failures()}", report)
     mL = spec.lattice.scale(pl.m)
     labels = mL.class_labels
     I = np.array(pl.staircase, dtype=np.int64)

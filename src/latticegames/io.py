@@ -14,7 +14,7 @@ from itertools import product
 from .circuits import NorCircuit
 from .compiler import CompiledGame, Placement
 from .engine import GameSpec, Ruleset
-from .lattice import LatticeSet, ModuleIdeal, Sublattice, parse_set_expr
+from .lattice import INT64, LatticeSet, ModuleIdeal, Sublattice, parse_set_expr
 from .recurrence import (
     CAEmbedding,
     Encoding,
@@ -39,13 +39,13 @@ def game_to_json(game: GameSpec) -> dict:
 
 
 def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+    return isinstance(x, int) and not isinstance(x, bool) and x in INT64
 
 
 def _vec(dim: int = 2):
     return (
         lambda x: isinstance(x, list) and len(x) == dim and all(_is_int(c) for c in x),
-        f"a {dim}-integer list",
+        f"a list of {dim} int64 integers",
     )
 
 
@@ -62,14 +62,14 @@ def _map_of(kind):
     )
 
 
-_INT = (_is_int, "an integer")
+_INT = (_is_int, "an int64 integer")
 _STR = (lambda x: isinstance(x, str), "a string")
 _STRS = _list_of(_STR)
 _VECS = _list_of(_vec())
-_BASIS = (lambda x: _VECS[0](x) and len(x) == 2, "two 2-integer lists")
+_BASIS = (lambda x: _VECS[0](x) and len(x) == 2, "two lists of 2 int64 integers")
 _F0_ENTRY = (
     lambda e: isinstance(e, list) and len(e) == 2 and _vec()[0](e[0]) and isinstance(e[1], str),
-    "a [2-integer list, symbol] pair",
+    "a [list of 2 int64 integers, symbol] pair",
 )
 
 

@@ -19,6 +19,9 @@ import numpy as np
 
 Vec = tuple[int, ...]
 
+# integers that input files may carry: windows, masks and moves are int64 arrays
+INT64 = range(-(2**63), 2**63)
+
 
 def vadd(a: Vec, b: Vec) -> Vec:
     if len(a) != len(b):
@@ -448,7 +451,10 @@ class _ExprParser:
             self.pos += 1
         if self.pos == start or not self.text[start:self.pos].lstrip("+-"):
             raise ExprError(f"expected an integer at offset {start}")
-        return int(self.text[start:self.pos])
+        value = int(self.text[start:self.pos])
+        if value not in INT64:
+            raise ExprError(f"integer at offset {start} does not fit in int64")
+        return value
 
     def parse_vec(self) -> Vec:
         self.expect("(")

@@ -127,20 +127,16 @@ def binom_parity_oracle(i: int, j: int) -> str:
 
 def used_arguments(spec: RecurrenceSpec) -> set[int]:
     """Indices of arguments the table actually depends on."""
-    used = set()
-    r = spec.num_args
-    for i in range(r):
-        for row in product(spec.alphabet, repeat=r):
-            for sym in spec.alphabet:
-                if sym == row[i]:
-                    continue
-                other = row[:i] + (sym,) + row[i + 1 :]
-                if spec.table[row] != spec.table[other]:
-                    used.add(i)
-                    break
-            if i in used:
-                break
-    return used
+    return {i for i in range(spec.num_args) if _depends_on(spec, spec.table.__getitem__, i)}
+
+
+def _depends_on(spec: RecurrenceSpec, value, arg: int) -> bool:
+    """Whether value(row) changes when only argument arg of some table row changes."""
+    for row in product(spec.alphabet, repeat=spec.num_args):
+        for sym in spec.alphabet:
+            if sym != row[arg] and value(row) != value(row[:arg] + (sym,) + row[arg + 1 :]):
+                return True
+    return False
 
 
 def prune_unused_arguments(spec: RecurrenceSpec) -> tuple[RecurrenceSpec, list[int]]:
@@ -218,35 +214,19 @@ def validate_encoding(spec: RecurrenceSpec, enc: Encoding) -> EncodingReport:
     if enc.encode(spec.sigma0) != ("N",) * enc.s:
         failures.append("sigma0-encoding: enc(sigma0) must be the all-N tuple")
 
-    def encoded(row):
-        return enc.encode(spec.table[row])
-
     for bit, coord, tag in ((0, 0, "first"), (enc.s - 1, 1, "last")):
-        anchored = False
-        for i, beta in enumerate(spec.betas):
-            if beta[coord] > 0:
-                continue
-            if _bit_depends_on(spec, encoded, bit, i):
-                anchored = True
-                break
-        if not anchored:
+        def bit_of(row):
+            return enc.encode(spec.table[row])[bit]
+
+        if not any(
+            beta[coord] <= 0 and _depends_on(spec, bit_of, i)
+            for i, beta in enumerate(spec.betas)
+        ):
             failures.append(
                 f"{tag}-bit-dependency: output bit {bit+1} depends on no argument "
                 f"whose shift has nonpositive coordinate {coord+1}"
             )
     return EncodingReport(not failures, tuple(failures))
-
-
-def _bit_depends_on(spec, encoded, bit, arg) -> bool:
-    r = spec.num_args
-    for row in product(spec.alphabet, repeat=r):
-        for sym in spec.alphabet:
-            if sym == row[arg]:
-                continue
-            other = row[:arg] + (sym,) + row[arg + 1 :]
-            if encoded(row)[bit] != encoded(other)[bit]:
-                return True
-    return False
 
 
 def encoded_table(spec: RecurrenceSpec, enc: Encoding) -> dict:

@@ -131,17 +131,6 @@ def test_search_placement_xor(xor_spec):
     assert pl.pos == pl2.pos and pl.m == pl2.m
 
 
-def test_strengthened_wire_separation(xor_spec):
-    from latticegames.compiler import wire_classes_collision_free
-
-    # the published placement satisfies the as-printed wire condition even
-    # though two gates share a residue class, so the strengthened
-    # distinct-difference form rejects it
-    assert not wire_classes_collision_free(paper_placement(), xor_circuit(), xor_spec)
-    rep = check_conditions(paper_placement(), xor_circuit(), xor_spec, "C")
-    assert rep["c"].status == "pass"
-
-
 def test_search_hint_mode(xor_spec):
     # a passing placement given as hint comes back unchanged
     pl = search_placement(xor_circuit(), xor_spec, "C", seed=3, hint=paper_placement())
@@ -583,7 +572,8 @@ def _reference_check_conditions(placement, circuit, spec, variant="C"):
 
 def _searched_placements(monkeypatch):
     """Every placement the seeded searches try, with its circuit, spec and
-    variant: xor under variant C, rules 90 and 110 under variants A and B."""
+    variant: xor under variant C, rules 90 and 110 under variants A and B,
+    and the first tries for xor with two output bits."""
     from latticegames import compiler
     from latticegames.circuits import synthesize_nor_circuit
     from latticegames.recurrence import (
@@ -612,6 +602,12 @@ def _searched_placements(monkeypatch):
             circuit = extend_circuit(synthesize_nor_circuit(encoded_table(spec, enc)), variant)
             for seed in (0, 1):
                 search_placement(circuit, spec, variant, seed=seed)
+        # two outputs, so (i) compares their order; this search takes
+        # thousands of tries, so only the first few are kept
+        wide = Encoding({sym: bits * 2 for sym, bits in swapped_encoding().table.items()})
+        circuit = extend_circuit(synthesize_nor_circuit(encoded_table(xor_recurrence(), wide)), "C")
+        with pytest.raises(PlacementSearchError):
+            search_placement(circuit, xor_recurrence(), "C", max_tries=20)
     return tried
 
 
@@ -619,24 +615,46 @@ def test_conditions_match_reference(monkeypatch):
     import random
 
     tried = _searched_placements(monkeypatch)
+    # the unextended xor circuit carries no control vertices, so (g) is
+    # vacuous and (h) checks the input gates alone
+    pl = paper_placement()
+    plain = (pl, xor_circuit(), xor_recurrence(), "C")
+    # the paper's inputs sit a full m off the board, beyond the perturbations,
+    # and no draw changes the staircase, which (a)'s outward points depend on
+    on_board = Placement({**pl.pos, "v0": (0, 1)}, pl.m, pl.staircase, pl.normal)
+    narrow = Placement(pl.pos, pl.m, [(0, 0), (0, 1)], pl.normal)
     rng = random.Random(0)
-    drawn = list(tried)
-    for _ in range(300):
-        pl, circuit, spec, variant = rng.choice(tried)
+    drawn = list(tried) + [plain, (on_board,) + plain[1:], (narrow,) + plain[1:]]
+    two_outputs = next(case for case in tried if len(case[1].outputs) == 2)
+    for base in [None] * 300 + [plain] * 60 + [two_outputs] * 40:
+        pl, circuit, spec, variant = base or rng.choice(tried)
         pos = dict(pl.pos)
         for v in rng.sample(sorted(pos), rng.randint(1, 3)):
             pos[v] = (pos[v][0] + rng.randint(-3, 3), pos[v][1] + rng.randint(-3, 3))
         m = pl.m if rng.random() < 0.7 else rng.randint(1, pl.m)
         drawn.append((Placement(pos, m, pl.staircase, pl.normal), circuit, spec, variant))
     seen = {}
+    tags = set()
     for case in drawn:
         want = _reference_check_conditions(*case).results
         assert check_conditions(*case).results == want, case[0]
         for key, r in want.items():
-            seen.setdefault(key, set()).add(r.status)
-    # every clause both passes and fails somewhere, so witness paths are compared
-    for key in "abcdefghi":
-        assert {"pass", "fail"} <= seen[key], (key, seen[key])
+            seen.setdefault((key, case[1].in_prime is None), set()).add(r.status)
+            if r.status == "fail" and isinstance(r.witness[0], str):
+                tags.add(r.witness[0])
+    # every clause both passes and fails somewhere, with and without control
+    # vertices, so witness paths are compared
+    for key in "abcdefhi":
+        for plain_circuit in (False, True):
+            assert {"pass", "fail"} <= seen[key, plain_circuit], (key, plain_circuit)
+    assert seen["g", False] == {"pass", "fail"}
+    assert seen["g", True] == {"vacuous"}
+    # and every kind of tagged witness is compared
+    assert tags == {
+        "edge", "outward-point", "no-exact-realisation", "non-edge-realisation",
+        "staircase-overlap", "staircase-clash", "difference-clash",
+        "control-off-board", "input-on-board", "output-order", "feeder-dominates",
+    }
 
 
 def _reference_verify_construction(cg, bound):

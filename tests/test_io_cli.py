@@ -262,6 +262,15 @@ def test_cli_missing_file(capsys):
         ({"dim": 3, "moves": [[1, 0, 0.5]]}, "moves"),
         ({"dim": 3, "moves": [[1, 0, 0]], "defeated": [[0, 0, 0]]}, "defeated"),
         ([3, [[1, 0, 0]]], "JSON object"),
+        ({"dim": 3, "moves": [[1, 0, 0], [0, 10**23, 0]]}, "moves"),
+        (
+            {
+                "dim": 3,
+                "moves": [[1, 0, 0]],
+                "defeated": "coset((0,0);(100000000000000000000000,0);(0,3);1)",
+            },
+            "int64",
+        ),
     ],
 )
 def test_cli_malformed_game_file(tmp_path, capsys, obj, field):
