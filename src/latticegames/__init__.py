@@ -26,7 +26,7 @@ from .engine import (
     periodicity_probe,
     solve_window,
 )
-from .lattice import LatticeSet, ModuleIdeal, Sublattice, enumerate_F, minimal_elements, parse_set_expr
+from .lattice import LatticeSet, ModuleIdeal, Sublattice, enumerate_F, parse_set_expr
 from .recurrence import (
     CAEmbedding,
     Encoding,

@@ -20,8 +20,6 @@ from . import engine
 from .circuits import NorCircuit, check_variant, extend_circuit, synthesize_nor_circuit
 from .engine import GameSpec, Infeasible, PointednessWitness, Ruleset, Solver
 from .lattice import (
-    Z2,
-    IncompleteBoxError,
     LatticeSet,
     Vec,
     as_vec,
@@ -29,7 +27,7 @@ from .lattice import (
     dominates,
     dot,
     enumerate_F,
-    minimal_elements,
+    pareto_minimal,
     positive_generators,
     vadd,
     vscale,
@@ -156,7 +154,8 @@ def check_conditions(
     # (v, w) -> label of pos[w] - pos[v]; an edge (t, h) reads its own entry
     diff_label = {(v, w): lsub(vertex_labels[w], vertex_labels[v]) for v in V for w in V}
     rep_of = class_representatives(spec.lattice, pl.m)
-    flat_inputs = {x for block in circuit.inputs for x in block}
+    # in circuit order, so that (h) names the same input under every hash seed
+    flat_inputs = [x for block in circuit.inputs for x in block]
     specials = [x for x in (circuit.in_prime, circuit.in_dprime) if x is not None]
 
     def halfspace():
@@ -442,36 +441,17 @@ LINE_TANGENT = "tangent"
 LINE_INITIAL = "initial"
 
 
-def _module_generators_box(spec: RecurrenceSpec) -> int:
-    coords = [abs(c) for b in spec.betas for c in b]
-    coords += [abs(c) for g in spec.module.generators for c in g]
-    ax, ay = spec.lattice.axis_strides()
-    return 2 * max(coords + [1]) + ax + ay + 2
-
-
-def _minimal_with_growing_box(lat_set, order, box: int):
-    while box <= 512:
-        try:
-            return minimal_elements(lat_set, order, box)
-        except IncompleteBoxError:
-            box *= 2
-    raise IncompleteBoxError("generator enumeration box grew beyond the desk scale")
-
-
 def beta_intersection_generators(spec: RecurrenceSpec) -> list[Vec]:
-    """Module generators of the intersection of all shifted copies beta+L+, once per spec."""
-    if spec._beta_generators is None:
-        basis = (spec.lattice.b1, spec.lattice.b2)
-        parts = [
-            LatticeSet.inter(LatticeSet.orthant(b), LatticeSet.coset(b, basis, 1))
-            for b in spec.betas
-        ]
-        spec._beta_generators = tuple(
-            _minimal_with_growing_box(
-                LatticeSet.inter(*parts), spec.lattice, _module_generators_box(spec)
-            )
-        )
-    return list(spec._beta_generators)
+    """Module generators of the intersection of all shifted copies beta+L+.
+
+    Every beta lies in L, so beta + L+ = L meet (beta + N^2), and the
+    intersection is L meet (b + N^2) for the componentwise maximum b of the
+    shifts.  Its L+-minimal points are b + f for the points f of F (those
+    dominating no nonzero element of L+) with b + f in L.
+    """
+    b = tuple(max(c) for c in zip(*spec.betas))
+    points = (vadd(b, f) for f in enumerate_F(spec.lattice, 1))
+    return sorted(p for p in points if spec.lattice.contains(p))
 
 
 def emit_ruleset(
@@ -602,14 +582,14 @@ def emit_defeated(
     1 additionally frees the output cones of the generators whose encoded
     initial bit is P.
     """
-
-    class _NonGenerators:
-        def contains(self, p):
-            return spec.module.contains(p) and not spec.module.is_generator(p)
-
-    # componentwise (full Z^2) order: the cover is a union of plain orthants
-    nongens = _minimal_with_growing_box(
-        _NonGenerators(), Z2, _module_generators_box(spec)
+    # a non-generator g + l of M (l nonzero in L+) dominates g + q for a
+    # minimal nonzero q of L+, and g + q is itself a non-generator, so the
+    # componentwise cover is the Pareto minimum of these points: a union of
+    # plain orthants
+    nongens = pareto_minimal(
+        vadd(g, q)
+        for g in spec.module.generators
+        for q in positive_generators(spec.lattice)
     )
     covered = LatticeSet.union(
         *[LatticeSet.orthant(vscale(placement.m, g)) for g in nongens]

@@ -18,7 +18,7 @@ from operator import sub
 import numpy as np
 
 from . import kernels
-from .lattice import LatticeSet, Vec, as_vec, dot
+from .lattice import LatticeSet, Vec, as_vec, dot, pareto_minimal
 
 P = "P"
 N = "N"
@@ -142,16 +142,9 @@ def pointedness_rows(rs: Ruleset) -> list[int]:
     redundancy; Schrijver, Theory of Linear and Integer Programming, 12.2).
     """
     d = rs.dim
-    rows = list(range(d))
-    minimal: list[Vec] = []
-    # moves are sorted, and a move precedes every other move dominating it, so
-    # a move above none of the minimal moves found so far is itself minimal
-    for i, m in enumerate(rs.moves):
-        if min(m) >= 0 or any(all(a >= b for a, b in zip(m, q)) for q in minimal):
-            continue
-        minimal.append(m)
-        rows.append(d + i)
-    return rows
+    row_of = {m: d + i for i, m in enumerate(rs.moves)}
+    minimal = pareto_minimal(m for m in rs.moves if min(m) < 0)
+    return list(range(d)) + [row_of[m] for m in minimal]
 
 
 def fourier_motzkin(constraints: dict):

@@ -2,7 +2,7 @@
 
 Vectors are plain tuples of Python ints, so arithmetic is exact at any
 magnitude.  Sublattices of Z^2 are given by a basis matrix; membership is
-decided by solving the 2x2 system over the rationals.  LatticeSet is a small
+decided by Cramer's rule modulo the determinant.  LatticeSet is a small
 closed algebra of position sets (translated orthants, lattice cosets, finite
 sets, and boolean combinations) with exact pointwise membership plus a
 vectorised evaluator over dense windows.
@@ -11,7 +11,6 @@ vectorised evaluator over dense windows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -84,14 +83,10 @@ class Sublattice:
         return Sublattice(vscale(m, self.b1), vscale(m, self.b2))
 
     def contains(self, v) -> bool:
-        """v in L iff the coordinates of v in the basis are integers.
-
-        Solved by Cramer's rule: x = (v x b2)/det, y = (b1 x v)/det.
+        """v in L iff the coordinates of v in the basis are integers, that is
+        iff both Cramer numerators vanish mod det: iff v has the label of 0.
         """
-        v = as_vec(v, 2)
-        num_x = v[0] * self.b2[1] - v[1] * self.b2[0]
-        num_y = self.b1[0] * v[1] - self.b1[1] * v[0]
-        return num_x % self.det == 0 and num_y % self.det == 0
+        return self.class_label(v) == (0, 0)
 
     def class_label(self, v) -> tuple[int, int]:
         """Injective label of the class of v in Z^2 / L.
@@ -130,50 +125,6 @@ Z2 = Sublattice((1, 0), (0, 1))
 EVEN_SUM = Sublattice((1, 1), (1, -1))
 
 
-def _solve_integer_combination(cols: list[Vec], rhs: Vec):
-    """Exact solve of sum_k a_k * cols[k] = rhs over the integers.
-
-    Returns the coefficient tuple, or None if there is no integer solution.
-    Gaussian elimination over Fractions; fine at the handful-of-columns scale
-    used here.
-    """
-    d = len(rhs)
-    r = len(cols)
-    mat = [[Fraction(cols[k][i]) for k in range(r)] + [Fraction(rhs[i])] for i in range(d)]
-    pivots = []
-    row = 0
-    for col in range(r):
-        piv = next((i for i in range(row, d) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[row], mat[piv] = mat[piv], mat[row]
-        pv = mat[row][col]
-        mat[row] = [x / pv for x in mat[row]]
-        for i in range(d):
-            if i != row and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[row])]
-        pivots.append(col)
-        row += 1
-        if row == d:
-            break
-    # rows below the pivot rows must be consistent
-    for i in range(row, d):
-        if mat[i][r] != 0:
-            return None
-    coeffs = [Fraction(0)] * r
-    for i, col in enumerate(pivots):
-        coeffs[col] = mat[i][r]
-    # free columns stay 0; verify integrality and the full equation
-    if any(c.denominator != 1 for c in coeffs):
-        return None
-    ints = tuple(int(c) for c in coeffs)
-    for i in range(d):
-        if sum(ints[k] * cols[k][i] for k in range(r)) != rhs[i]:
-            return None
-    return ints
-
-
 # LatticeSet expression nodes.  kind is one of:
 #   'orthant'  payload = corner vector v, denotes v + N^d
 #   'coset'    payload = (v, basis tuple, m), denotes v + m * (Z basis)
@@ -196,9 +147,8 @@ class LatticeSet:
         if self.kind == "finite":
             return p in self.payload
         if self.kind == "coset":
-            v, basis, m = self.payload
-            cols = [vscale(m, b) for b in basis]
-            return _solve_integer_combination(cols, vsub(p, v)) is not None
+            reduce = self._coset_reducer()
+            return reduce(p) == reduce(self.payload[0])
         if self.kind == "union":
             return any(c._contains(p) for c in self.children)
         if self.kind == "inter":
@@ -245,52 +195,67 @@ class LatticeSet:
         raise ValueError(f"unknown node kind {self.kind!r}")
 
     def _coset_mask(self, coords) -> np.ndarray:
-        v, basis, m = self.payload
-        cols = [vscale(m, b) for b in basis]
-        rhs = [coords[k] - v[k] for k in range(self.dim)]
-        if len(cols) == 2:
-            # pick two coordinate rows with invertible 2x2 minor, solve by
-            # Cramer, check integrality, then check the remaining rows
-            rows = None
-            for i in range(self.dim):
-                for j in range(i + 1, self.dim):
-                    det = cols[0][i] * cols[1][j] - cols[0][j] * cols[1][i]
-                    if det != 0:
-                        rows = (i, j, det)
-                        break
-                if rows:
-                    break
-            if rows is None:
-                # rank deficient: fall back to pointwise evaluation
-                return self._pointwise_mask(coords)
-            i, j, det = rows
-            num_a = rhs[i] * cols[1][j] - rhs[j] * cols[1][i]
-            num_b = cols[0][i] * rhs[j] - cols[0][j] * rhs[i]
-            ok = (num_a % det == 0) & (num_b % det == 0)
-            a = num_a // det
-            b = num_b // det
-            for k in range(self.dim):
-                if k in (i, j):
-                    continue
-                ok &= a * cols[0][k] + b * cols[1][k] == rhs[k]
-            return ok
-        if len(cols) == 1:
-            col = cols[0]
-            k0 = next(k for k in range(self.dim) if col[k] != 0)
-            ok = rhs[k0] % col[k0] == 0
-            a = rhs[k0] // col[k0]
-            for k in range(self.dim):
-                if k != k0:
-                    ok &= a * col[k] == rhs[k]
-            return ok
-        return self._pointwise_mask(coords)
+        # coords is the index grid of a box at the origin.  A point x lies in
+        # v + lattice iff x_0 e_0 and v - (x_1 e_1 + ... ) share a class, so
+        # both sides are labelled by canonical representatives, reduced in
+        # exact integers, and compared by one broadcast: no product has to
+        # fit in int64, and the reductions grow with the axis lengths, not
+        # with the cells.  The right side is folded in axis by axis, one
+        # reduction per distinct (class, step) pair.
+        reduce = self._coset_reducer()
+        index: dict[Vec, int] = {}  # class representative -> label
 
-    def _pointwise_mask(self, coords) -> np.ndarray:
-        shape = coords.shape[1:]
-        out = np.zeros(shape, dtype=bool)
-        for idx in np.ndindex(shape):
-            out[idx] = self._contains(tuple(int(coords[k][idx]) for k in range(self.dim)))
-        return out
+        def label(p: Vec) -> int:
+            return index.setdefault(reduce(p), len(index))
+
+        def shift(p: Vec, k: int, x: int) -> Vec:
+            return p[:k] + (p[k] + x,) + p[k + 1:]
+
+        n0, *rest = coords.shape[1:]
+        origin = (0,) * self.dim
+        left = np.array([label(shift(origin, 0, x)) for x in range(n0)], dtype=np.int64)
+        right = np.array(label(self.payload[0]), dtype=np.int64)
+        for k, n in enumerate(rest, start=1):
+            reps = list(index)
+            pairs, inverse = np.unique(
+                (right[..., None] * n + np.arange(n)).ravel(), return_inverse=True
+            )
+            ids = [label(shift(reps[c // n], k, -(c % n))) for c in pairs.tolist()]
+            right = np.array(ids, dtype=np.int64)[inverse].reshape(right.shape + (n,))
+        return left.reshape((n0,) + (1,) * len(rest)) == right
+
+    def _coset_reducer(self):
+        """Map from a point to the canonical representative of its class
+        modulo the coset's lattice m * Z<basis>.
+
+        The basis is brought to echelon form by the Euclidean algorithm on
+        integer rows, so zero, parallel and surplus vectors are absorbed
+        exactly at any magnitude.  Each pivot coordinate of a point is then
+        replaced by its floor remainder modulo the pivot, column by column;
+        later rows are zero on earlier pivot columns, so the result is the
+        same for every point of a class.
+        """
+        _, basis, m = self.payload
+        rows = [vscale(m, b) for b in basis]
+        echelon = []
+        for k in range(self.dim):
+            hits = [r for r in rows if r[k]]
+            if not hits:
+                continue
+            rows = [r for r in rows if not r[k]]
+            pivot = hits[0]
+            for r in hits[1:]:
+                while r[k]:
+                    pivot, r = r, vsub(pivot, vscale(pivot[k] // r[k], r))
+                rows.append(r)
+            echelon.append((k, pivot))
+
+        def reduce(p: Vec) -> Vec:
+            for k, row in echelon:
+                p = vsub(p, vscale(p[k] // row[k], row))
+            return p
+
+        return reduce
 
     # constructors -------------------------------------------------------
 
@@ -542,41 +507,15 @@ class ModuleIdeal:
         return f"ModuleIdeal({self.ambient!r}, {list(self.generators)})"
 
 
-class IncompleteBoxError(ValueError):
-    """The bounding box could not certify the minimal-generator enumeration."""
-
-
-def minimal_elements(points_or_module, order: Sublattice, box: int) -> list[Vec]:
-    """Minimal elements of an upward-closed set under the L+ order.
-
-    The set may be a LatticeSet or any object with a contains() method.  Only
-    the window [0, box]^2 is examined; if a minimal element lands on the
-    window boundary the enumeration cannot be certified complete and an
-    IncompleteBoxError is raised rather than silently truncating.
-    """
-    member = points_or_module.contains
-
-    def leq(a, b):
-        d = vsub(b, a)
-        return is_nonneg(d) and order.contains(d)
-
-    # componentwise dominators of p precede p in this scan order, so a point
-    # not dominated by any minimal found so far is itself minimal
-    minimals: list[Vec] = []
-    for x in range(box + 1):
-        for y in range(box + 1):
-            p = (x, y)
-            if not member(p):
-                continue
-            if any(leq(q, p) for q in minimals if q != p):
-                continue
-            minimals.append(p)
-    for p in minimals:
-        if p[0] == box or p[1] == box:
-            raise IncompleteBoxError(
-                f"minimal element {p} lies on the boundary of [0,{box}]^2; enlarge the box"
-            )
-    return sorted(minimals)
+def pareto_minimal(points) -> list[Vec]:
+    """The distinct componentwise-minimal points of a finite set, sorted."""
+    minimal: list[Vec] = []
+    # a point precedes every other point dominating it in sorted order, so a
+    # point above none of the minimal points found so far is itself minimal
+    for p in sorted(set(points)):
+        if not any(dominates(p, q) for q in minimal):
+            minimal.append(p)
+    return minimal
 
 
 def positive_generators(mL: Sublattice) -> list[Vec]:
@@ -586,13 +525,12 @@ def positive_generators(mL: Sublattice) -> list[Vec]:
     them, so the minimal ones live in [0, ax] x [0, ay].
     """
     ax, ay = mL.axis_strides()
-    pts = [
+    return pareto_minimal(
         (x, y)
         for x in range(ax + 1)
         for y in range(ay + 1)
         if (x or y) and mL.contains((x, y))
-    ]
-    return [p for p in pts if not any(q != p and dominates(p, q) for q in pts)]
+    )
 
 
 @lru_cache(maxsize=16)
@@ -617,7 +555,7 @@ def _residues(L: Sublattice, m: int):
 
 
 def enumerate_F(L: Sublattice, m: int) -> list[Vec]:
-    """Points of N^2 not dominated by any nonzero element of mL+.
+    """Points of N^2 that dominate no nonzero element of mL+.
 
     The result is finite because mL+ has full rank; it contains at least one
     representative of every class of Z^2 / mL, which is asserted.

@@ -29,7 +29,6 @@ class RecurrenceSpec:
         self.table = dict(table)
         self.f0 = {as_vec(p, 2): s for p, s in dict(f0).items()}
         self._memo: dict[Vec, str] = {}
-        self._beta_generators: tuple[Vec, ...] | None = None
         self._validate()
         self.halfspace_normal = _positive_normal(self.betas)
 
@@ -77,7 +76,6 @@ def _positive_normal(betas) -> Vec:
     bounds the recurrence: each shift drops nu . l by at least 1 and
     nu . l >= 0 on N^2, so evaluation terminates.
     """
-    best = None
     for total in range(2, 130):
         for a in range(1, total):
             b = total - a

@@ -1,4 +1,13 @@
+import os
+import subprocess
+import sys
+from itertools import product
+from pathlib import Path
+
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from latticegames.builtin import (
     paper_gamma,
@@ -14,6 +23,7 @@ from latticegames.compiler import (
     EmissionError,
     Placement,
     PlacementSearchError,
+    beta_intersection_generators,
     check_conditions,
     compile_recurrence,
     emit_defeated,
@@ -30,7 +40,7 @@ from latticegames.engine import (
     check_tangent_cone,
     pointedness_constraints,
 )
-from latticegames.lattice import Z2, ModuleIdeal, vsub
+from latticegames.lattice import Z2, LatticeSet, ModuleIdeal, Sublattice, positive_generators, vsub
 from latticegames.recurrence import Encoding, RecurrenceSpec
 
 
@@ -60,6 +70,25 @@ def test_condition_b_fails_on_moved_input(xor_spec):
     rep = check_conditions(moved, xor_circuit(), xor_spec, "C")
     assert rep["b"].status == "fail"
     assert rep["b"].witness[:2] == (1, 1)
+
+
+def test_input_on_board_witness_ignores_hash_seed():
+    # with both inputs on the board, (h) must name the first input in circuit
+    # order whatever the order of str hashes
+    code = (
+        "from latticegames.builtin import paper_placement, xor_circuit, xor_recurrence\n"
+        "from latticegames.compiler import Placement, check_conditions\n"
+        "pl = paper_placement()\n"
+        "pos = {**pl.pos, 'v0': (0, 1), 'v1': (1, 0)}\n"
+        "moved = Placement(pos, pl.m, pl.staircase, pl.normal)\n"
+        "print(check_conditions(moved, xor_circuit(), xor_recurrence(), 'C')['h'].witness)\n"
+    )
+    path = os.pathsep.join([str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")])
+    for seed in ("0", "4"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "('input-on-board', 'v0', (0, 1))", seed
 
 
 def test_conditions_fail_at_m_one(xor_spec):
@@ -309,25 +338,123 @@ def test_compiled_game_carries_its_witness(xor_compiled):
     assert xor_compiled.witness == check_pointedness(xor_compiled.game.ruleset)
 
 
-def test_beta_generators_computed_once_per_spec(monkeypatch):
-    from latticegames import compiler
+def _reference_minimal_elements(member, order, box):
+    """Minimal points of {p in N^2 : member(p)} under the order of the
+    sublattice `order`, by a pointwise scan of [0, box]^2; the box doubles
+    while a minimal point lies on its boundary."""
 
-    calls = []
-    enumerate_minimal = compiler._minimal_with_growing_box
+    def leq(a, b):
+        d = vsub(b, a)
+        return min(d) >= 0 and order.contains(d)
 
-    def spy(*args):
-        calls.append(args)
-        return enumerate_minimal(*args)
+    while box <= 512:
+        # componentwise dominators of p precede p in this scan order, so a
+        # point not above any minimal found so far is itself minimal
+        minimals = []
+        for p in product(range(box + 1), repeat=2):
+            if member(p) and not any(leq(q, p) for q in minimals):
+                minimals.append(p)
+        if all(max(p) < box for p in minimals):
+            return sorted(minimals)
+        box *= 2
+    raise AssertionError("the reference box grew beyond 512")
 
-    monkeypatch.setattr(compiler, "_minimal_with_growing_box", spy)
-    spec = xor_recurrence()
-    first = compiler.beta_intersection_generators(spec)
-    first.append((99, 99))  # the caller owns the list it gets
-    second = compiler.beta_intersection_generators(spec)
-    assert len(calls) == 1
-    assert second == first[:-1] and second is not first
-    assert compiler.beta_intersection_generators(xor_recurrence()) == second
-    assert len(calls) == 2  # another spec object computes its own
+
+@st.composite
+def module_specs(draw):
+    """A sublattice with basis entries in [-3, 3], two or three shifts in it
+    that anchor both board axes (a single shift cannot anchor both and keep
+    a positive normal), one to four module generators, and the identity
+    encoding of the P/N alphabet."""
+    coord = st.integers(-3, 3)
+    b1, b2 = draw(
+        st.tuples(st.tuples(coord, coord), st.tuples(coord, coord)).filter(
+            lambda b: b[0][0] * b[1][1] - b[0][1] * b[1][0] != 0
+        )
+    )
+    L = Sublattice(b1, b2)
+    near = [p for p in product(range(-6, 7), repeat=2) if p != (0, 0) and L.contains(p)]
+    # anchors (-p, q) and (r, -s) share a positive normal iff p s < q r; a
+    # third shift in N^2 keeps any positive normal
+    anchors = [
+        (a, c)
+        for a in near
+        if a[0] <= 0 < a[1]
+        for c in near
+        if c[1] <= 0 < c[0] and a[0] * c[1] < a[1] * c[0]
+    ]
+    assume(anchors)
+    betas = {
+        *draw(st.sampled_from(anchors)),
+        *draw(st.lists(st.sampled_from([p for p in near if min(p) >= 0]), max_size=1)),
+    }
+    plus = [p for p in product(range(7), repeat=2) if L.contains(p)]
+    drawn = draw(st.lists(st.sampled_from(plus), min_size=1, max_size=4, unique=True))
+
+    def above(g, h):
+        d = vsub(g, h)
+        return g != h and min(d) >= 0 and L.contains(d)
+
+    # keep an antichain in the L+ order
+    gens = [g for g in drawn if not any(above(g, h) for h in drawn)]
+    spec = RecurrenceSpec(
+        lattice=L,
+        module=ModuleIdeal(L, gens),
+        betas=sorted(betas),
+        alphabet=("P", "N"),
+        table={args: "P" for args in product("PN", repeat=len(betas))},
+        sigma0="P",
+        f0={g: draw(st.sampled_from("PN")) for g in gens},
+    )
+    return spec, Encoding({"P": ("P",), "N": ("N",)})
+
+
+def _ca_case(rule):
+    from latticegames.recurrence import ca_to_recurrence, wolfram_rule_table
+
+    spec = ca_to_recurrence(wolfram_rule_table(rule), "0", "1").spec
+    return spec, Encoding({"0": ("N",), "1": ("P",)})
+
+
+@settings(max_examples=80)
+@given(module_specs())
+@example((xor_recurrence(), swapped_encoding()))
+@example((simple_spec(), swapped_encoding()))
+@example(_ca_case(90))
+@example(_ca_case(110))
+@example(_ca_case(30))
+def test_module_generators_match_reference(case):
+    spec, enc = case
+    L, M = spec.lattice, spec.module
+    coords = [abs(c) for v in spec.betas + M.generators for c in v]
+    box = 2 * max(coords) + sum(L.axis_strides()) + 2
+
+    def in_betas(p):
+        return all(min(vsub(p, b)) >= 0 and L.contains(vsub(p, b)) for b in spec.betas)
+
+    def non_generator(p):
+        return M.contains(p) and not M.is_generator(p)
+
+    b_prime = _reference_minimal_elements(in_betas, L, box)
+    assert beta_intersection_generators(spec) == b_prime
+    positive = _reference_minimal_elements(lambda p: p != (0, 0) and L.contains(p), Z2, box)
+    assert positive_generators(L) == positive
+    # slice 0 of the defeated set: N^2 minus the orthants over the cover
+    cover = _reference_minimal_elements(non_generator, Z2, box)
+    want = LatticeSet.diff(
+        LatticeSet.orthant((0, 0)), LatticeSet.union(*[LatticeSet.orthant(g) for g in cover])
+    )
+    defeated = emit_defeated(unit_placement(), spec, enc, one_output_circuit())
+    assert defeated.children[0].to_expr() == want.embed_slice(0).to_expr()
+    # the generators regenerate their sets on a window: the in' generators in
+    # the L+ order, the cover as the componentwise up-closure of the
+    # non-generators
+    for p in product(range(13), repeat=2):
+        regenerated = any(min(vsub(p, g)) >= 0 and L.contains(vsub(p, g)) for g in b_prime)
+        assert regenerated == in_betas(p), p
+    nongens = np.array([[non_generator((x, y)) for y in range(13)] for x in range(13)])
+    up = np.logical_or.accumulate(np.logical_or.accumulate(nongens, axis=0), axis=1)
+    assert np.array_equal(defeated.mask((12, 12, 0))[..., 0], ~up)
 
 
 def test_variant_b_emits_initial_lines():
@@ -540,7 +667,7 @@ def _reference_check_conditions(placement, circuit, spec, variant="C"):
             witness = ("control-off-board", x, pos[x])
             break
     if witness is None:
-        for name in flat_inputs:
+        for name in [x for block in circuit.inputs for x in block]:
             if pos[name][0] >= 0 and pos[name][1] >= 0:
                 witness = ("input-on-board", name, pos[name])
                 break

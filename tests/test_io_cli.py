@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from latticegames import io
@@ -281,6 +282,23 @@ def test_cli_malformed_game_file(tmp_path, capsys, obj, field):
     assert err.startswith("error:") and field in err
     with pytest.raises(ValueError, match=field):
         io.game_from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "defeated, cells",
+    [
+        ("coset((0,0);(4611686018427387904,0);(0,3);1)", [[0, 0], [0, 3]]),
+        ("coset((0,0);(0,0);1)", [[0, 0]]),
+    ],
+    ids=["int64-basis", "zero-vector"],
+)
+def test_cli_solve_coset_defeated(tmp_path, capsys, defeated, cells):
+    # the dense mask of any coset the parser accepts agrees with membership
+    game = tmp_path / "g.json"
+    game.write_text(json.dumps({"dim": 2, "moves": [[1, 0], [0, 1]], "defeated": defeated}))
+    assert main(["solve", str(game), "--window", "4,4"]) == 0
+    capsys.readouterr()
+    assert np.argwhere(io.load_game(str(game)).defeated.mask((4, 4))).tolist() == cells
 
 
 XOR_SPEC = json.loads((Path(__file__).parents[1] / "specs" / "xor.json").read_text())

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from latticegames.lattice import (
     EVEN_SUM,
     Z2,
-    IncompleteBoxError,
+    INT64,
     LatticeSet,
     ModuleIdeal,
     Sublattice,
     enumerate_F,
-    minimal_elements,
     parse_set_expr,
+    vscale,
 )
 
 
@@ -45,52 +45,6 @@ def test_lattice_rejects_singular_basis():
 def test_lattice_dimension_mismatch():
     with pytest.raises(ValueError):
         Z2.contains((1, 2, 3))
-
-
-def brute_minimals(member, order, box):
-    pts = [(x, y) for x in range(box + 1) for y in range(box + 1) if member((x, y))]
-
-    def leq(a, b):
-        d = (b[0] - a[0], b[1] - a[1])
-        return d[0] >= 0 and d[1] >= 0 and order.contains(d)
-
-    return sorted(p for p in pts if not any(q != p and leq(q, p) for q in pts))
-
-
-def test_minimal_elements_beta_intersection():
-    # intersection of (1,0)+N^2 and (0,1)+N^2 is generated by (1,1)
-    s = LatticeSet.inter(LatticeSet.orthant((1, 0)), LatticeSet.orthant((0, 1)))
-    got = minimal_elements(s, Z2, box=4)
-    assert got == brute_minimals(s.contains, Z2, 4) == [(1, 1)]
-
-
-def test_minimal_elements_unit_generators():
-    s = LatticeSet.diff(LatticeSet.orthant((0, 0)), LatticeSet.finite([(0, 0)]))
-    assert minimal_elements(s, Z2, box=4) == [(0, 1), (1, 0)]
-
-
-def test_minimal_elements_single_generator():
-    s = LatticeSet.orthant((0, 0))
-    assert minimal_elements(s, Z2, box=3) == [(0, 0)]
-
-
-def test_minimal_elements_boundary_failure():
-    s = LatticeSet.orthant((3, 3))
-    with pytest.raises(IncompleteBoxError):
-        minimal_elements(s, Z2, box=3)
-
-
-def test_minimal_elements_regenerates_module():
-    # the cones over the output generators must recover the set on a window
-    rng = random.Random(7)
-    for _ in range(20):
-        corners = [(rng.randrange(0, 5), rng.randrange(0, 5)) for _ in range(3)]
-        s = LatticeSet.union(*[LatticeSet.orthant(c) for c in corners])
-        gens = minimal_elements(s, Z2, box=12)
-        for x in range(10):
-            for y in range(10):
-                regenerated = any(x >= g[0] and y >= g[1] for g in gens)
-                assert regenerated == s.contains((x, y))
 
 
 def test_enumerate_F_identity_lattice():
@@ -244,6 +198,45 @@ def test_finite_mask_matches_contains(case):
     assert m.shape == tuple(b + 1 for b in box) and m.dtype == bool
     for p in np.ndindex(m.shape):
         assert bool(m[p]) == s.contains(p), p
+
+
+@st.composite
+def cosets_and_boxes(draw):
+    """A box at the origin and a coset the parser accepts: basis vectors may
+    be zero, parallel or more than the dimension, and entries may lie
+    anywhere in int64."""
+    d = draw(st.sampled_from((2, 3)))
+    entry = st.one_of(st.integers(-3, 3), st.integers(INT64.start, INT64.stop - 1))
+    vec = st.tuples(*[entry] * d)
+    basis = draw(st.lists(vec, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        basis.append((0,) * d)
+    if draw(st.booleans()):
+        basis.append(vscale(draw(st.integers(-3, 3)), draw(st.sampled_from(basis))))
+    box = draw(st.tuples(*[st.integers(0, 5)] * d))
+    v = draw(st.one_of(st.tuples(*[st.integers(-3, b + 3) for b in box]), vec))
+    m = draw(st.sampled_from((1, 2, 3, INT64.stop - 1)))
+    return parse_set_expr(LatticeSet.coset(v, basis, m).to_expr()), box
+
+
+@settings(max_examples=200)
+@given(cosets_and_boxes())
+def test_coset_mask_matches_contains(case):
+    s, box = case
+    m = s.mask(box)
+    assert m.shape == tuple(b + 1 for b in box) and m.dtype == bool
+    for p in np.ndindex(m.shape):
+        assert bool(m[p]) == s.contains(p), p
+
+
+def test_coset_contains_dependent_vectors():
+    # 1 = 3 - 2: parallel vectors span their gcd, not just one of them
+    s = parse_set_expr("coset((0,0);(2,0);(3,0);1)")
+    assert all(s.contains((x, 0)) for x in range(-4, 5))
+    assert not s.contains((0, 1))
+    three = parse_set_expr("coset((1,1);(2,1);(4,2);(0,3);2)")
+    assert three.contains((1, 7)) and three.contains((5, 3))
+    assert not three.contains((1, 4)) and not three.contains((2, 1))
 
 
 def test_latticeset_embed_slice():
