@@ -14,6 +14,7 @@ from latticegames.lattice import (
     Sublattice,
     enumerate_F,
     parse_set_expr,
+    pareto_minimal,
     vscale,
 )
 
@@ -45,6 +46,40 @@ def test_lattice_rejects_singular_basis():
 def test_lattice_dimension_mismatch():
     with pytest.raises(ValueError):
         Z2.contains((1, 2, 3))
+
+
+def brute_minimals(member, order, box):
+    pts = [(x, y) for x in range(box + 1) for y in range(box + 1) if member((x, y))]
+
+    def leq(a, b):
+        d = (b[0] - a[0], b[1] - a[1])
+        return d[0] >= 0 and d[1] >= 0 and order.contains(d)
+
+    return sorted(p for p in pts if not any(q != p and leq(q, p) for q in pts))
+
+
+def test_minimal_elements_beta_intersection():
+    from latticegames.builtin import xor_recurrence
+    from latticegames.compiler import beta_intersection_generators
+
+    # intersection of (1,0)+N^2 and (0,1)+N^2 is generated by (1,1)
+    s = LatticeSet.inter(LatticeSet.orthant((1, 0)), LatticeSet.orthant((0, 1)))
+    got = beta_intersection_generators(xor_recurrence())
+    assert got == brute_minimals(s.contains, Z2, 4) == [(1, 1)]
+
+
+def test_minimal_elements_regenerates_module():
+    # the cones over the minimal corners must recover the set on a window
+    rng = random.Random(7)
+    for _ in range(20):
+        corners = [(rng.randrange(0, 5), rng.randrange(0, 5)) for _ in range(3)]
+        s = LatticeSet.union(*[LatticeSet.orthant(c) for c in corners])
+        gens = pareto_minimal(corners)
+        assert gens == brute_minimals(s.contains, Z2, 12)
+        for x in range(10):
+            for y in range(10):
+                regenerated = any(x >= g[0] and y >= g[1] for g in gens)
+                assert regenerated == s.contains((x, y))
 
 
 def test_enumerate_F_identity_lattice():
