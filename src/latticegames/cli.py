@@ -16,6 +16,7 @@ from .compiler import compile_recurrence, verify_construction
 from .engine import (
     GameSpec,
     Infeasible,
+    OutcomeGrid,
     Solver,
     check_pointedness,
     check_tangent_cone,
@@ -24,7 +25,7 @@ from .engine import (
     solve_window,
 )
 from .kernels import CODE_N, CODE_P
-from .recurrence import binom_parity_oracle, eval_recurrence
+from .recurrence import binom_parity_oracle, eval_recurrence, prune_unused_arguments
 from .render import render_grid
 
 import numpy as np
@@ -104,9 +105,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    with open(args.spec) as fh:
-        obj = json.load(fh)
-    spec, enc, variant, _emb = io.spec_from_json(obj)
+    spec, enc, variant, _emb = io.load_spec(args.spec)
     if enc is None:
         print("spec file carries no encoding table", file=sys.stderr)
         return 1
@@ -125,13 +124,10 @@ def cmd_compile(args) -> int:
 
 def cmd_verify(args) -> int:
     game = _load_game(args.ruleset)
-    with open(args.spec) as fh:
-        spec, enc, _variant, _emb = io.spec_from_json(json.load(fh))
+    spec, enc, _variant, _emb = io.load_spec(args.spec)
     sidecar_path = args.placement or args.ruleset + ".placement.json"
     with open(sidecar_path) as fh:
         sidecar = json.load(fh)
-    from .recurrence import prune_unused_arguments
-
     pruned, _ = prune_unused_arguments(spec)
     cg = io.compiled_from_files(game, sidecar, pruned, enc)
     report = verify_construction(cg, args.bound)
@@ -188,8 +184,6 @@ def cmd_oracle(args) -> int:
     for i in range(nx + 1):
         for j in range(ny + 1):
             codes[i, j] = CODE_P if value(i, j) == "P" else CODE_N
-    from .engine import OutcomeGrid
-
     data = render_grid(OutcomeGrid((nx, ny), codes), None, "text", None)
     _emit(data, args.output)
     return 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .lattice import (
     enumerate_F,
     pareto_minimal,
     positive_generators,
+    unique_rows,
     vadd,
     vscale,
     vsub,
@@ -487,13 +488,8 @@ def emit_ruleset(
     f_minus_i = (F[:, None] - I).reshape(-1, 2)
 
     lines: dict[str, tuple] = {}
-    wires = {
-        (d[0], d[1], 0)
-        for (t, h) in circuit.edges
-        if t != circuit.in_dprime
-        for d in (vsub(pos[h], pos[t]),)
-    }
-    lines[LINE_WIRES] = tuple(sorted(wires))
+    wires = [vsub(pos[h], pos[t]) for t, h in circuit.edges if t != circuit.in_dprime]
+    lines[LINE_WIRES] = _plane_line(wires, 0)
 
     # slice 0: f - i unless congruent to a staircase or a gate difference
     forbidden = np.concatenate([labels(I[:, None] - I), labels(gates[:, None] - gates)])
@@ -515,47 +511,32 @@ def emit_ruleset(
                 "full emission needs the extended circuit; run extend_circuit first"
             )
         ip = pos[circuit.in_prime]
-        b_prime = beta_intersection_generators(spec)
-        lines[LINE_IN_PRIME] = tuple(
-            sorted(
-                (ip[0] + pl.m * g[0], ip[1] + pl.m * g[1], 1) for g in b_prime
-            )
-        )
-        lines[LINE_TANGENT] = ((0, 0, 2),)
+        b_prime = np.array(beta_intersection_generators(spec), dtype=np.int64)
+        lines[LINE_IN_PRIME] = _plane_line(np.add(ip, pl.m * b_prime), 1)
+        lines[LINE_TANGENT] = _plane_line([(0, 0)], 2)
         if variant == "B":
             if circuit.in_dprime is None:
                 raise EmissionError("variant B needs the in'' vertex in the circuit")
             if enc is None:
                 raise EmissionError("variant B emission needs the symbol encoding")
             ind = pos[circuit.in_dprime]
-            b_dprime = positive_generators(spec.lattice)
-            lines[LINE_IN_DPRIME] = tuple(
-                sorted(
-                    (ind[0] + pl.m * g[0], ind[1] + pl.m * g[1], 1) for g in b_dprime
-                )
-            )
-            initial = set()
-            feeders = set()
-            for t, h in circuit.edges:
-                if h in circuit.outputs and t != circuit.in_dprime:
-                    feeders.add(t)
+            b_dprime = np.array(positive_generators(spec.lattice), dtype=np.int64)
+            lines[LINE_IN_DPRIME] = _plane_line(np.add(ind, pl.m * b_dprime), 1)
+            # at each module generator g, from in'' to every feeder of an
+            # output and to every output whose encoded initial bit is N
+            feeders = [t for t, h in circuit.edges if h in circuit.outputs and t != circuit.in_dprime]
+            initial = []
             for g in spec.module.generators:
-                for t in feeders:
-                    d = vadd(vsub(pos[t], ind), vscale(pl.m, g))
-                    initial.add((d[0], d[1], 0))
-                for j, o in enumerate(circuit.outputs):
-                    if enc.encode(spec.f0[g])[j] == "N":
-                        d = vadd(vsub(pos[o], ind), vscale(pl.m, g))
-                        initial.add((d[0], d[1], 0))
-            lines[LINE_INITIAL] = tuple(sorted(initial))
+                bits = enc.encode(spec.f0[g])
+                n_outputs = [o for o, bit in zip(circuit.outputs, bits) if bit == "N"]
+                initial += [vadd(vsub(pos[t], ind), vscale(pl.m, g)) for t in feeders + n_outputs]
+            lines[LINE_INITIAL] = _plane_line(initial, 0)
         if variant == "A":
             if enc is None:
                 raise EmissionError("variant A emission needs the symbol encoding")
             defeated = emit_defeated(pl, spec, enc, circuit)
 
-    moves = [m for line in lines.values() for m in line]
-    game = GameSpec(Ruleset(3, moves), defeated)
-    assert set(game.ruleset.moves) == set(moves)
+    game = GameSpec(Ruleset(3, list(chain.from_iterable(lines.values()))), defeated)
     witness = engine.check_pointedness(game.ruleset)
     if isinstance(witness, Infeasible):
         raise EmissionError(
@@ -565,9 +546,9 @@ def emit_ruleset(
     return CompiledGame(game, pl, circuit, spec, enc, variant, lines, witness)
 
 
-def _plane_line(points: np.ndarray, z: int) -> tuple:
-    """Sorted distinct moves (x, y, z) from an (n, 2) array of (x, y)."""
-    return tuple((x, y, z) for x, y in np.unique(points, axis=0).tolist())
+def _plane_line(points, z: int) -> tuple:
+    """Sorted distinct moves (x, y, z) from (n, 2) integer points (x, y)."""
+    return tuple((x, y, z) for x, y in unique_rows(np.reshape(points, (-1, 2))).tolist())
 
 
 def emit_defeated(
@@ -586,14 +567,12 @@ def emit_defeated(
     # minimal nonzero q of L+, and g + q is itself a non-generator, so the
     # componentwise cover is the Pareto minimum of these points: a union of
     # plain orthants
-    nongens = pareto_minimal(
-        vadd(g, q)
-        for g in spec.module.generators
-        for q in positive_generators(spec.lattice)
+    positive = positive_generators(spec.lattice)
+    points = np.array(
+        [vadd(g, q) for g in spec.module.generators for q in positive], dtype=np.int64
     )
-    covered = LatticeSet.union(
-        *[LatticeSet.orthant(vscale(placement.m, g)) for g in nongens]
-    )
+    nongens = placement.m * points[pareto_minimal(points)]
+    covered = LatticeSet.union(*[LatticeSet.orthant(g) for g in nongens.tolist()])
     slice0 = LatticeSet.diff(LatticeSet.orthant((0, 0)), covered)
     removals = []
     for g in spec.module.generators:

@@ -18,7 +18,7 @@ from operator import sub
 import numpy as np
 
 from . import kernels
-from .lattice import LatticeSet, Vec, as_vec, dot, pareto_minimal
+from .lattice import LatticeSet, Vec, as_vec, dot, pareto_minimal, unique_rows
 
 P = "P"
 N = "N"
@@ -29,21 +29,32 @@ CODE_DEFEATED = kernels.CODE_DEFEATED
 
 
 class Ruleset:
-    """A finite set of move vectors; order-insensitive, duplicates removed."""
+    """A finite set of nonzero move vectors, held once as ``array``: a
+    read-only int64 (M, dim) array of distinct rows in lexicographic order.
+    ``moves`` is the same set as a tuple of tuples of Python ints.  A move
+    that is not a nonzero dim-vector of int64 integers raises ValueError
+    naming it."""
 
     def __init__(self, dim: int, moves):
         self.dim = int(dim)
-        canon = sorted({as_vec(m, self.dim) for m in moves})
-        if any(all(c == 0 for c in m) for m in canon):
-            raise ValueError("the zero vector cannot be a move")
-        self.moves = tuple(canon)
+        # Python ints, so that a value outside int64 is refused, not wrapped
+        moves = moves.tolist() if isinstance(moves, np.ndarray) else list(moves)
+        try:
+            arr = np.array(moves, dtype=np.int64)
+        except (OverflowError, TypeError, ValueError):
+            arr = None
+        if arr is not None and arr.shape == (0,):
+            arr = arr.reshape(0, self.dim)
+        if arr is None or arr.ndim != 2 or arr.shape[1] != self.dim:
+            raise ValueError(_bad_move(moves, self.dim))
+        if not arr.any(axis=1).all():
+            raise ValueError(f"the zero vector {(0,) * self.dim} cannot be a move")
+        self.array = unique_rows(arr)
+        self.array.flags.writeable = False
+        self.moves = tuple(zip(*self.array.T.tolist()))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Ruleset)
-            and self.dim == other.dim
-            and self.moves == other.moves
-        )
+        return isinstance(other, Ruleset) and (self.dim, self.moves) == (other.dim, other.moves)
 
     def __hash__(self):
         return hash((self.dim, self.moves))
@@ -53,6 +64,17 @@ class Ruleset:
 
     def __repr__(self):
         return f"Ruleset(dim={self.dim}, {len(self.moves)} moves)"
+
+
+def _bad_move(moves, dim: int) -> str:
+    """Names the first move that is not a dim-vector of int64 integers."""
+    for m in moves:
+        try:
+            if np.array(m, dtype=np.int64).shape != (dim,):
+                return f"move {m!r} is not a {dim}-dimensional vector"
+        except (OverflowError, TypeError, ValueError):
+            return f"move {m!r} is not a vector of int64 integers"
+    return f"moves must be {dim}-dimensional integer vectors"
 
 
 class GameSpec:
@@ -141,10 +163,11 @@ def pointedness_rows(rs: Ruleset) -> list[int]:
     Pareto-minimal moves with a negative component (Fourier-Motzkin
     redundancy; Schrijver, Theory of Linear and Integer Programming, 12.2).
     """
-    d = rs.dim
-    row_of = {m: d + i for i, m in enumerate(rs.moves)}
-    minimal = pareto_minimal(m for m in rs.moves if min(m) < 0)
-    return list(range(d)) + [row_of[m] for m in minimal]
+    a = rs.array
+    negative = np.flatnonzero((a < 0).any(axis=1))
+    # a is sorted, so the minimal rows come back in row order
+    minimal = negative[pareto_minimal(a[negative])]
+    return list(range(rs.dim)) + (rs.dim + minimal).tolist()
 
 
 def fourier_motzkin(constraints: dict):
@@ -255,15 +278,14 @@ class OutcomeGrid:
     data: np.ndarray
 
     def code_at(self, p) -> int:
-        return int(self.data[as_vec(p, len(self.window))])
+        p = as_vec(p, len(self.window))
+        if not all(0 <= c <= w for c, w in zip(p, self.window)):
+            raise ValueError(f"{p} lies outside the window {self.window}")
+        return int(self.data[p])
 
     def outcome_at(self, p) -> str | None:
-        code = self.code_at(p)
-        if code == CODE_P:
-            return P
-        if code == CODE_N:
-            return N
-        return None
+        """P or N, or None at a defeated point."""
+        return {CODE_P: P, CODE_N: N}.get(self.code_at(p))
 
     def plane(self, slice_index: int | None = None) -> np.ndarray:
         """2-D slice at a fixed last coordinate (the grid itself in 2-D)."""
@@ -285,7 +307,7 @@ class Solver:
             witness = check_pointedness(game.ruleset)
             if isinstance(witness, Infeasible):
                 raise PointednessError(witness)
-        if not witness.verify(game.ruleset):
+        elif not witness.verify(game.ruleset):
             raise ValueError("witness does not certify this ruleset")
         self.witness = witness
         self.phi = witness.as_integer()
@@ -357,28 +379,15 @@ class Solver:
         return OutcomeGrid(window, data)
 
     def _solve_window_bottomup(self, window: Vec) -> OutcomeGrid:
-        moves = self.game.ruleset.moves
-        d = self.game.ruleset.dim
+        rs = self.game.ruleset
         level_cap = dot(self.phi, window)
-        caps = []
-        for k in range(d):
-            if any(m[k] < 0 for m in moves):
-                # moves can grow this coordinate; phi . p <= level_cap bounds it
-                caps.append(level_cap // self.phi[k])
-            else:
-                caps.append(window[k])
-        caps = tuple(caps)
-        if self.game.has_defeated:
-            defeated_mask = self.game.defeated.mask(caps)
-        else:
-            defeated_mask = None
-        region = kernels.solve_region(
-            np.array(moves, dtype=np.int64),
-            np.array(self.phi, dtype=np.int64),
-            level_cap,
-            caps,
-            defeated_mask,
-        )
+        # a move with a negative component can grow that coordinate, which
+        # phi . p <= level_cap then bounds
+        grows = (rs.array < 0).any(axis=0).tolist()
+        caps = tuple(level_cap // f if g else w for f, g, w in zip(self.phi, grows, window))
+        defeated_mask = self.game.defeated.mask(caps) if self.game.has_defeated else None
+        phi = np.array(self.phi, dtype=np.int64)
+        region = kernels.solve_region(rs.array, phi, level_cap, caps, defeated_mask)
         view = region[tuple(slice(0, w + 1) for w in window)]
         return OutcomeGrid(window, np.ascontiguousarray(view))
 

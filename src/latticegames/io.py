@@ -31,7 +31,7 @@ def dumps(obj) -> str:
 def game_to_json(game: GameSpec) -> dict:
     out = {
         "dim": game.ruleset.dim,
-        "moves": [list(m) for m in game.ruleset.moves],
+        "moves": game.ruleset.array.tolist(),
     }
     if game.has_defeated:
         out["defeated"] = game.defeated.to_expr()
@@ -93,7 +93,7 @@ def game_from_json(obj: dict) -> GameSpec:
     dim = _field(obj, "game", "dim", (lambda x: _is_int(x) and x >= 1, "a positive integer"))
     moves = _field(obj, "game", "moves", _list_of(_vec(dim)))
     defeated = _field(obj, "game", "defeated", _STR, optional=True)
-    rs = Ruleset(dim, [tuple(m) for m in moves])
+    rs = Ruleset(dim, moves)
     return GameSpec(rs, parse_set_expr(defeated) if defeated else None)
 
 

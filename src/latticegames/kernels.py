@@ -58,7 +58,8 @@ def sieve_bytes(shape, n_moves: int, max_level: int) -> int:
 def solve_region(moves, phi, level_cap, axis_caps, defeated_mask=None):
     """Solve every cell p with 0 <= p <= axis_caps and phi . p <= level_cap.
 
-    moves: (n, d) int array; phi: length-d positive int array with
+    moves: (n, d) int64 array in any row order, such as the read-only
+    Ruleset.array (it is only read); phi: length-d positive int array with
     phi . move >= 1 for every move.  Returns the uint8 outcome array of shape
     axis_caps + 1; cells outside the level cap stay CODE_UNSEEN.
     """

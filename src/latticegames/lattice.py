@@ -507,15 +507,31 @@ class ModuleIdeal:
         return f"ModuleIdeal({self.ambient!r}, {list(self.generators)})"
 
 
-def pareto_minimal(points) -> list[Vec]:
-    """The distinct componentwise-minimal points of a finite set, sorted."""
-    minimal: list[Vec] = []
-    # a point precedes every other point dominating it in sorted order, so a
-    # point above none of the minimal points found so far is itself minimal
-    for p in sorted(set(points)):
-        if not any(dominates(p, q) for q in minimal):
-            minimal.append(p)
-    return minimal
+def unique_rows(points) -> np.ndarray:
+    """np.unique(points, axis=0) for an (n, d) integer array, by one lexsort
+    and one compare of adjacent rows: the distinct rows in lexicographic
+    order, as a new int64 array."""
+    a = np.asarray(points, dtype=np.int64)
+    a = a[np.lexsort(a.T[::-1])]
+    distinct = np.ones(len(a), dtype=bool)
+    distinct[1:] = (a[1:] != a[:-1]).any(axis=1)
+    return a[distinct]
+
+
+def pareto_minimal(points) -> np.ndarray:
+    """Indices of the distinct componentwise-minimal rows of an (n, d)
+    integer array, one per distinct row, in lexicographic order of the rows."""
+    pts = np.asarray(points, dtype=np.int64)
+    # the lexicographically least remaining row is minimal, since a row
+    # componentwise below it would sort before it; dropping every row at or
+    # above it leaves the rows above none of the minimal rows found so far
+    rest = np.lexsort(pts.T[::-1]) if len(pts) else np.arange(0)
+    minimal = []
+    while rest.size:
+        least = rest[0]
+        minimal.append(least)
+        rest = rest[(pts[rest] < pts[least]).any(axis=1)]
+    return np.array(minimal, dtype=np.intp)
 
 
 def positive_generators(mL: Sublattice) -> list[Vec]:
@@ -525,12 +541,11 @@ def positive_generators(mL: Sublattice) -> list[Vec]:
     them, so the minimal ones live in [0, ax] x [0, ay].
     """
     ax, ay = mL.axis_strides()
-    return pareto_minimal(
-        (x, y)
-        for x in range(ax + 1)
-        for y in range(ay + 1)
-        if (x or y) and mL.contains((x, y))
+    pts = np.array(
+        [(x, y) for x in range(ax + 1) for y in range(ay + 1) if (x or y) and mL.contains((x, y))],
+        dtype=np.int64,
     )
+    return [tuple(p) for p in pts[pareto_minimal(pts)].tolist()]
 
 
 @lru_cache(maxsize=16)

@@ -135,6 +135,41 @@ def test_emission_deterministic(xor_spec):
     assert a.game.ruleset == b.game.ruleset
 
 
+# sha256 of repr(lines), repr(ruleset.moves) and repr(witness.phi) of two
+# compiled games; the repr of a numpy scalar differs from that of an int, so
+# these also pin the types of the emitted moves
+PINNED_EMISSIONS = {
+    "rule 110 B": (
+        "f83fb2df95c6676f9b914a6c8062d2cab0da6c0d388c4da1e7f11476ce847ee0",
+        "de90e20f401889b5ef90be8aadaca04eaf0bc5341df20ea1a2cbd9c031cc9eb4",
+        "be7a30a9d422271020a6e73a96350cd48f04c971287be215cbff553a5d2a90de",
+    ),
+    "xor C": (
+        "69c23e10ddeec9697b64d4a1c110140a0b8eeb6bbb1773a61a23f987b94635d0",
+        "e3f5b3df13590abac8b771e3b66588d530550d8e72af6141a1d3b2af4b1f36e0",
+        "9bd079317331dd9634bbf96fd0ee70f1a4380a86837ee388fa612a3d86871690",
+    ),
+}
+
+
+def test_emitted_output_is_pinned(xor_compiled):
+    import hashlib
+
+    from latticegames.recurrence import ca_to_recurrence, wolfram_rule_table
+
+    rule110 = ca_to_recurrence(wolfram_rule_table(110), "0", "1").spec
+    compiled = {
+        "rule 110 B": compile_recurrence(rule110, Encoding({"0": ("N",), "1": ("P",)}), "B", seed=0),
+        "xor C": xor_compiled,
+    }
+    for name, cg in compiled.items():
+        got = tuple(
+            hashlib.sha256(repr(x).encode()).hexdigest()
+            for x in (cg.lines, cg.game.ruleset.moves, cg.witness.phi)
+        )
+        assert got == PINNED_EMISSIONS[name], name
+
+
 def test_emission_refuses_failing_placement(xor_spec):
     pl = paper_placement()
     tiny = Placement(pl.pos, 1, pl.staircase, pl.normal)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -35,8 +36,35 @@ def test_ruleset_canonicalisation():
     a = Ruleset(3, [(1, 0, 0), (0, 1, 0), (1, 0, 0)])
     b = Ruleset(3, [(0, 1, 0), (1, 0, 0)])
     assert a == b and len(a) == 2
+    assert a.moves == ((0, 1, 0), (1, 0, 0))
+    assert all(type(c) is int for m in a.moves for c in m)
+    # array input and tuple input give the same, equally hashed ruleset
+    c = Ruleset(3, np.array([(1, 0, 0), (0, 1, 0)], dtype=np.int64))
+    assert c == a and hash(c) == hash(a) and c.moves == a.moves
+    assert c.array.dtype == np.int64 and c.array.tolist() == [[0, 1, 0], [1, 0, 0]]
+    assert not c.array.flags.writeable
     with pytest.raises(ValueError):
-        Ruleset(2, [(0, 0)])
+        c.array[0, 0] = 5
+    # a refused move is named in the message
+    for dim, moves, named in (
+        (2, [(0, 0)], "(0, 0)"),
+        (2, [(0, 1), (0, 0)], "(0, 0)"),
+        (2, [(2**70, 1), (0, 1)], str(2**70)),
+        (2, [(0, 1), (-(2**63) - 1, 1)], str(-(2**63) - 1)),
+        (2, np.array([(0, 1), (2**63, 1)], dtype=np.uint64), str(2**63)),
+        (2, [(0, 1), (1, 2, 3)], "(1, 2, 3)"),
+        (3, [(1, 0, 0), (1, 2)], "(1, 2)"),
+        (3, [(1, 2), (3, 4)], "(1, 2)"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            Ruleset(dim, moves)
+    assert Ruleset(2, [(2**63 - 1, -(2**63))]).moves == ((2**63 - 1, -(2**63)),)
+    # no moves: every position is P
+    empty = Ruleset(3, [])
+    assert empty.array.shape == (0, 3) and empty.moves == ()
+    assert isinstance(check_pointedness(empty), PointednessWitness)
+    grid = solve_window(GameSpec(empty), (2, 2, 1))
+    assert (grid.data == kernels.CODE_P).all()
 
 
 def test_builtin_sizes():
@@ -193,6 +221,16 @@ def test_solve_window_empty(gamma_prime_solver):
     grid = gamma_prime_solver.solve_window((0, 0, 0))
     assert grid.data.shape == (1, 1, 1)
     assert grid.outcome_at((0, 0, 0)) == "P"
+
+
+def test_outcome_outside_the_window_is_refused(gamma_prime_game):
+    grid = solve_window(gamma_prime_game, (5, 5, 1))
+    assert grid.outcome_at((5, 0, 0)) == "N"
+    for p in ((-1, 0, 0), (6, 0, 0), (0, 0, 2), (0, -3, 1)):
+        with pytest.raises(ValueError, match="outside the window"):
+            grid.outcome_at(p)
+        with pytest.raises(ValueError, match="outside the window"):
+            grid.code_at(p)
 
 
 def test_topdown_bottomup_agree(gamma_prime_game):

@@ -74,7 +74,7 @@ def test_minimal_elements_regenerates_module():
     for _ in range(20):
         corners = [(rng.randrange(0, 5), rng.randrange(0, 5)) for _ in range(3)]
         s = LatticeSet.union(*[LatticeSet.orthant(c) for c in corners])
-        gens = pareto_minimal(corners)
+        gens = [corners[i] for i in pareto_minimal(corners)]
         assert gens == brute_minimals(s.contains, Z2, 12)
         for x in range(10):
             for y in range(10):
