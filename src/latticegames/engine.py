@@ -111,6 +111,13 @@ class PointednessWitness:
         phi = self.as_integer()
         if min(phi) < 1:
             return False
+        if not len(rs):
+            return True
+        # dim * max|phi| * max|m_k| bounds every |phi . move|; under 2**63
+        # the int64 products are exact, else the check runs on Python ints
+        reach = max(int(rs.array.max()), -int(rs.array.min()))
+        if rs.dim * max(phi) * reach < 2**63:
+            return bool((rs.array @ np.array(phi, dtype=np.int64) >= 1).all())
         return all(sum(f * c for f, c in zip(phi, m)) >= 1 for m in rs.moves)
 
 

@@ -7,10 +7,16 @@ itself is reached.  Outcome codes: 0 unvisited, 1 P, 2 N, 3 defeated.
 
 Cells of one level are independent of each other, so the sieve resolves a
 whole level at once: a cell not yet marked as having a P option is P (or
-defeated), every other cell is N.  The new P cells of the level then mark
-every cell that can move to them, p + move for each move, in one vectorised
-scatter.  P cells are sparse, so the work is about P cells x moves rather
-than cells x moves, and a level costs a handful of numpy calls.
+defeated), every other cell is N.  The new P cells then mark every cell that
+can move to them, p + move for each move, in one vectorised scatter, so the
+work is about P cells x moves rather than cells x moves.
+
+Nothing box-sized is sorted.  Along the longest axis a, a cell's level is
+R + phi_a i_a, with R the partial level of the other axes; in a table of the
+other axes' cells sorted by (R mod phi_a, R), level L is the slice of L's
+residue class with L - phi_a (shape_a - 1) <= R <= L.  The outcome array is
+padded by the move components that point out of the box, so a scatter needs
+no bounds test.
 """
 
 from __future__ import annotations
@@ -28,31 +34,26 @@ MEMORY_BUDGET = 4 * 2**30
 SCATTER_PAIRS = 2**20
 
 
-def _level_dtype(max_level: int):
-    # small unsigned levels let the stable argsort use a radix sort
-    return np.min_scalar_type(max_level)
+def _padding(shape, moves):
+    """The moves with |m_k| < shape_k, which alone can join two cells of the
+    box, and the padding they need below and above each axis."""
+    moves = moves[(np.abs(moves) < shape).all(axis=1)]
+    return moves, -moves.min(axis=0, initial=0), moves.max(axis=0, initial=0)
 
 
-def sieve_bytes(shape, n_moves: int, max_level: int) -> int:
-    """Upper bound on the bytes solve_region allocates for a box of this shape.
-
-    The box holds the level of each cell (twice while the sorted copy is
-    made), its sort permutation (the region order is a prefix of it), a
-    region mask and the outcome array, which doubles as the "has a P option"
-    mark.  The level runs take two int64 entries per distinct level.  A
-    scatter batch of up to SCATTER_PAIRS pairs holds target indices, the
-    selected ones, and two masks; the sorted moves, their steps, offsets and
-    bounds take a few int64 entries per move and axis.
-    """
-    cells = 1
-    for s in shape:
-        cells *= int(s)
-    per_cell = 2 * _level_dtype(max_level).itemsize + 8 + 1 + 1
-    runs = min(cells, max_level + 1) * 16
-    n_moves = max(n_moves, 1)
-    batch = max(SCATTER_PAIRS, n_moves) * (8 + 8 + 1 + 1)
-    per_move = 8 * (4 * len(shape) + 4)
-    return cells * per_cell + runs + batch + n_moves * per_move
+def sieve_bytes(shape, moves, level_cap: int, defeated: bool = False) -> int:
+    """Upper bound on the bytes solve_region allocates for a box of this shape:
+    the padded outcome array and defeated mask, the table of the other axes,
+    the bounds of at most min(cells, level_cap + 1) levels (int64 arrays and
+    Python lists), one scatter batch of target indices, and the moves."""
+    shape = tuple(int(s) for s in shape)
+    moves, below, above = _padding(shape, np.asarray(moves, dtype=np.int64).reshape(-1, len(shape)))
+    cells = padded = 1
+    for s, b, a in zip(shape, below.tolist(), above.tolist()):
+        cells, padded = cells * s, padded * (s + b + a)
+    n_moves = max(len(moves), 1)
+    return (padded * (1 + defeated) + cells // max(shape) * 96 + min(cells, level_cap + 1) * 256
+            + max(SCATTER_PAIRS, n_moves) * 8 + n_moves * 8 * (3 * len(shape) + 6))
 
 
 def solve_region(moves, phi, level_cap, axis_caps, defeated_mask=None):
@@ -65,8 +66,12 @@ def solve_region(moves, phi, level_cap, axis_caps, defeated_mask=None):
     """
     level_cap = int(level_cap)
     shape = tuple(int(c) + 1 for c in axis_caps)
-    max_level = max(sum(int(f) * (s - 1) for f, s in zip(phi, shape)), level_cap)
-    need = sieve_bytes(shape, len(moves), max_level)
+    d = len(shape)
+    phi = np.asarray(phi, dtype=np.int64)
+    moves = np.asarray(moves, dtype=np.int64).reshape(-1, d)
+    # a move longer than the box or than the level cap joins no two cells
+    moves, below, above = _padding(shape, moves[moves @ phi <= level_cap])
+    need = sieve_bytes(shape, moves, level_cap, defeated_mask is not None)
     if need > MEMORY_BUDGET or level_cap > 2**40:
         raise ValueError(
             f"solve region of shape {shape} (level cap {level_cap}) needs about "
@@ -74,67 +79,61 @@ def solve_region(moves, phi, level_cap, axis_caps, defeated_mask=None):
             "this kernel is sized for"
         )
 
-    phi = np.asarray(phi, dtype=np.int64)
-    d = phi.size
-    moves = np.asarray(moves, dtype=np.int64).reshape(-1, d)
-    dt = _level_dtype(max_level)
-    levels = np.zeros(shape, dtype=dt)
-    for k in range(d):
-        axis_shape = [1] * d
-        axis_shape[k] = shape[k]
-        levels += (phi[k] * np.arange(shape[k], dtype=np.int64)).astype(dt).reshape(axis_shape)
-    flat_levels = levels.reshape(-1)
-    # (level, flat index) lexicographic; the region is a prefix of the box
-    order = np.argsort(flat_levels, kind="stable")
-    order = order[: np.count_nonzero(flat_levels <= level_cap)]
-    lv = flat_levels[order]
-    del levels, flat_levels
-    starts = np.concatenate(([0], np.flatnonzero(lv[1:] != lv[:-1]) + 1, [lv.size]))
-    run_levels = lv[starts[:-1]].astype(np.int64)
-    del lv
-
-    strides = np.empty(d, dtype=np.int64)
-    acc = 1
-    for k in range(d - 1, -1, -1):
-        strides[k] = acc
-        acc *= shape[k]
     # moves by increasing phi-step: those that stay under the cap form a prefix
     steps = moves @ phi
     by_step = np.argsort(steps, kind="stable")
     moves, steps = moves[by_step], steps[by_step]
+    padded = np.array(shape) + below + above
+    strides = np.ones(d, dtype=np.int64)
+    strides[:-1] = np.cumprod(padded[:0:-1])[::-1]
     offsets = moves @ strides
-    # p + move lies in the box iff lo[k] <= p[k] <= hi[k] on every axis; the
-    # test is made only on axes where some move can leave the box
-    lo = np.ascontiguousarray(np.maximum(-moves, 0).T)
-    hi = np.ascontiguousarray(np.array(shape)[:, None] - 1 - moves.T)
-    lo_axes = [k for k in range(d) if (moves[:, k] < 0).any()]
-    hi_axes = [k for k in range(d) if (moves[:, k] > 0).any()]
-
-    out = np.zeros(acc, dtype=np.uint8)  # CODE_N here before a cell's level means "has a P option"
+    inner = tuple(slice(b, b + s) for b, s in zip(below.tolist(), shape))
+    out = np.zeros(padded, dtype=np.uint8)  # CODE_N here before a cell's level means "has a P option"
+    flat = out.reshape(-1)
     defeated = None
     if defeated_mask is not None:
-        defeated = np.asarray(defeated_mask, dtype=bool).reshape(-1)
+        defeated = np.zeros(padded, dtype=bool)
+        defeated[inner] = defeated_mask
+        defeated = defeated.reshape(-1)
 
-    for i, level in enumerate(run_levels):
-        f = order[starts[i] : starts[i + 1]]
-        res = out[f]
-        res[res == CODE_UNSEEN] = CODE_P
+    # the other axes' cells: partial level R, and the flat index at i_a = 0
+    a = int(np.argmax(shape))
+    fa, sa = int(phi[a]), shape[a]
+    part, base = np.zeros(1, dtype=np.int64), np.array([below @ strides])
+    for k in set(range(d)) - {a}:
+        i = np.arange(shape[k], dtype=np.int64)
+        part, base = (part[:, None] + phi[k] * i).ravel(), (base[:, None] + strides[k] * i).ravel()
+        keep = part <= level_cap
+        part, base = part[keep], base[keep]
+    # with R = r + phi_a q, level r + phi_a Q holds the cells with
+    # Q - sa < q <= Q, at flat index base + (Q - q) stride_a
+    q, r = np.divmod(part, fa)
+    span = level_cap // fa + 1
+    by_key = np.argsort(r * span + q)
+    key, start = (r * span + q)[by_key], base[by_key] - q[by_key] * strides[a]
+
+    # a class's occupied levels are the union of its runs q .. q + sa - 1
+    ur, uq = np.divmod(key[np.flatnonzero(np.diff(key, prepend=-1))], span)
+    end = np.minimum(uq + sa - 1, (level_cap - ur) // fa)
+    new = np.flatnonzero(np.r_[True, (ur[1:] != ur[:-1]) | (uq[1:] > end[:-1] + 1)])
+    count = end[np.r_[new[1:] - 1, uq.size - 1]] - uq[new] + 1
+    runs = np.repeat(uq[new] - np.cumsum(count) + count, count)
+    levels = np.sort(np.repeat(ur[new], count) + fa * (np.arange(count.sum()) + runs))
+    big_q, r = np.divmod(levels, fa)
+    lo = np.searchsorted(key, r * span + np.maximum(big_q - sa + 1, 0))
+    hi = np.searchsorted(key, r * span + big_q, side="right")
+    n_live = np.searchsorted(steps, level_cap - levels, side="right")
+
+    for b0, b1, shift, nl in zip(lo.tolist(), hi.tolist(), (big_q * strides[a]).tolist(), n_live.tolist()):
+        f = start[b0:b1] + shift
+        res = np.maximum(flat[f], CODE_P)  # unmarked cells are P, marked ones N
         if defeated is not None:
             res[defeated[f]] = CODE_DEFEATED
-        out[f] = res
-        n_live = int(np.searchsorted(steps, level_cap - level, side="right"))
-        if n_live == 0:
+        flat[f] = res
+        if nl == 0:
             continue
         p = f[res == CODE_P]
-        rows = max(1, SCATTER_PAIRS // n_live)
-        for a in range(0, p.size, rows):
-            pc = p[a : a + rows]
-            coords = np.unravel_index(pc, shape)
-            inside = np.ones((pc.size, n_live), dtype=bool)
-            for k in lo_axes:
-                inside &= coords[k][:, None] >= lo[k, :n_live]
-            for k in hi_axes:
-                inside &= coords[k][:, None] <= hi[k, :n_live]
-            targets = pc[:, None] + offsets[:n_live]
-            out[targets[inside]] = CODE_N
-    return out.reshape(shape)
+        rows = max(1, SCATTER_PAIRS // nl)
+        for i in range(0, p.size, rows):
+            flat[(p[i : i + rows, None] + offsets[:nl]).ravel()] = CODE_N
+    return out[inner]

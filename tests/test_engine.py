@@ -103,6 +103,21 @@ def test_solver_checks_a_given_witness():
             Solver(game, PointednessWitness(phi))
 
 
+def test_witness_fails_on_exactly_one_move():
+    witness = PointednessWitness((Fraction(1), Fraction(3)))
+    moves = [(1, 0), (0, 1), (5, -1), (4, -1), (-2, 1)]
+    assert witness.verify(Ruleset(2, moves))
+    # (3, -1) alone pairs to 0
+    assert not witness.verify(Ruleset(2, moves + [(3, -1)]))
+
+
+def test_witness_check_stays_exact_beyond_int64():
+    witness = PointednessWitness((Fraction(2**62), Fraction(1)))
+    # 2**62 * 4 wraps to 0 in int64, and 2**62 * -4 + 1 wraps to 1
+    assert witness.verify(Ruleset(2, [(4, 0), (0, 1)]))
+    assert not witness.verify(Ruleset(2, [(-4, 1), (0, 1)]))
+
+
 def test_pointedness_infeasible_with_certificate():
     rs = Ruleset(3, [(1, 0, 0), (-1, 0, 0)])
     cert = check_pointedness(rs)
@@ -241,18 +256,20 @@ def test_topdown_bottomup_agree(gamma_prime_game):
 
 @st.composite
 def pointed_games(draw):
-    """A window and a random pointed game on it, in 2-D or 3-D.
+    """A window and a random pointed game on it, in 1-D, 2-D or 3-D.
 
-    Move components range over [-2, 3]; a move is kept only if it pairs
-    positively with a drawn functional, so the ruleset is pointed while
-    negative components stay common.  Defeated sets are empty, finite, an
-    orthant or a union of the two.
+    Move components range over [-(w + 3), w + 3] for the largest window
+    bound w, so some moves reach past every box the sieve solves; a move is
+    kept only if it pairs positively with a drawn functional, so the ruleset
+    is pointed while negative components stay common.  Defeated sets are
+    empty, finite, an orthant or a union of the two.
     """
-    d = draw(st.sampled_from((2, 3)))
+    d = draw(st.sampled_from((1, 2, 3)))
     phi = draw(st.tuples(*[st.integers(1, 3)] * d))
-    vec = st.tuples(*[st.integers(-2, 3)] * d)
+    window = draw(st.tuples(*[st.integers(0, {1: 12, 2: 7, 3: 4}[d])] * d))
+    reach = max(window) + 3
+    vec = st.tuples(*[st.integers(-reach, reach)] * d)
     moves = draw(st.lists(vec.filter(lambda m: dot(phi, m) >= 1), min_size=1, max_size=6))
-    window = draw(st.tuples(*[st.integers(0, 7 if d == 2 else 4)] * d))
     point = st.tuples(*[st.integers(0, w + 1) for w in window])
     finite = st.lists(point, max_size=6).map(lambda pts: LatticeSet.finite(pts, dim=d))
     orthant = point.map(LatticeSet.orthant)
@@ -267,21 +284,9 @@ def pointed_games(draw):
     return GameSpec(Ruleset(d, moves), defeated), window
 
 
-@settings(max_examples=150)
-@given(pointed_games())
-def test_sieve_matches_topdown_memo(case):
-    game, window = case
-    sieve = solve_window(game, window)
-    memo = solve_window(game, window, mode="top-down")
-    assert np.array_equal(sieve.data, memo.data)
-    # the whole region of the kernel, on a box that every axis cap bounds,
-    # against the memo; cells above the level cap stay unvisited
-    solver = Solver(game)
-    cap = dot(solver.phi, window)
-    caps = tuple(cap // f for f in solver.phi)
-    region = kernels.solve_region(
-        np.array(game.ruleset.moves), np.array(solver.phi), cap, caps, game.defeated.mask(caps)
-    )
+def _region_matches_memo(solver, cap, region):
+    """Every cell of a kernel region against the memo; cells above the level
+    cap stay unvisited."""
     for p in np.ndindex(region.shape):
         if dot(solver.phi, p) > cap:
             want = kernels.CODE_UNSEEN
@@ -290,6 +295,61 @@ def test_sieve_matches_topdown_memo(case):
         else:
             want = kernels.CODE_P if solver.outcome(p) == "P" else kernels.CODE_N
         assert region[p] == want, p
+
+
+@settings(max_examples=150)
+@given(pointed_games())
+def test_sieve_matches_topdown_memo(case):
+    game, window = case
+    sieve = solve_window(game, window)
+    memo = solve_window(game, window, mode="top-down")
+    assert np.array_equal(sieve.data, memo.data)
+    # the whole region of the kernel, on a box that every axis cap bounds
+    solver = Solver(game)
+    cap = dot(solver.phi, window)
+    caps = tuple(cap // f for f in solver.phi)
+    region = kernels.solve_region(
+        np.array(game.ruleset.moves), np.array(solver.phi), cap, caps, game.defeated.mask(caps)
+    )
+    _region_matches_memo(solver, cap, region)
+
+
+@settings(max_examples=60)
+@given(pointed_games())
+def test_kernel_matches_memo_without_unit_weights(case):
+    # k * phi orders the same region, but no axis has weight 1 and the
+    # level classes modulo the longest axis's weight are never trivial
+    game, window = case
+    solver = Solver(game)
+    cap = dot(solver.phi, window)
+    caps = tuple(cap // f for f in solver.phi)
+    for k in (2, 3):
+        region = kernels.solve_region(
+            game.ruleset.array, k * np.array(solver.phi), k * cap, caps, game.defeated.mask(caps)
+        )
+        _region_matches_memo(solver, cap, region)
+
+
+@pytest.mark.parametrize("phi", [(1, 10**6), (10**6, 1)])
+def test_kernel_skips_empty_levels(phi):
+    import time
+    import tracemalloc
+
+    game = GameSpec(Ruleset(2, [(1, 0), (0, 1), (1, 1), (2, 1)]))
+    solver = Solver(game, PointednessWitness(tuple(Fraction(f) for f in phi)))
+    cap = dot(phi, (3, 3))  # about 3 * 10**6 levels, 16 of them occupied
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        region = kernels.solve_region(game.ruleset.array, np.array(phi), cap, (3, 3))
+        elapsed = time.perf_counter() - t0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5 and peak < 2**20
+    memo = solver.solve_window((3, 3), mode="top-down")
+    assert np.array_equal(region, memo.data)
+    assert np.array_equal(solver.solve_window((3, 3)).data, memo.data)
 
 
 def test_solving_deterministic(gamma_prime_game):
@@ -484,8 +544,8 @@ def test_kernel_memory_guard_raises_before_allocating(monkeypatch):
     import tracemalloc
 
     moves, phi, caps = np.array([[1, 0], [0, 1]]), np.array([1, 1]), (2999, 2999)
-    need = kernels.sieve_bytes((3000, 3000), 2, 5998)
-    assert need > 9 * 10**6 * 12  # levels, order, masks and outcomes per cell
+    need = kernels.sieve_bytes((3000, 3000), moves, 5998)
+    assert need >= 3001 * 3001  # at least the outcome byte of each padded cell
     monkeypatch.setattr(kernels, "MEMORY_BUDGET", need - 1)
     tracemalloc.start()
     try:
@@ -496,7 +556,7 @@ def test_kernel_memory_guard_raises_before_allocating(monkeypatch):
         tracemalloc.stop()
     assert peak < 2**20
     # at exactly the budget the region is solved, within the estimate
-    need = kernels.sieve_bytes((1000, 1000), 2, 1998)
+    need = kernels.sieve_bytes((1000, 1000), moves, 1998)
     monkeypatch.setattr(kernels, "MEMORY_BUDGET", need)
     tracemalloc.start()
     try:
