@@ -22,9 +22,7 @@ from .engine import (
     check_pointedness,
     check_tangent_cone,
     equivalence_in_window,
-    outcome,
     periodicity_probe,
-    solve_window,
 )
 from .lattice import LatticeSet, ModuleIdeal, Sublattice, enumerate_F, parse_set_expr
 from .recurrence import (

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import product
 
 from . import builtin, io
 from .compiler import compile_recurrence, verify_construction
@@ -22,7 +23,6 @@ from .engine import (
     check_tangent_cone,
     equivalence_in_window,
     periodicity_probe,
-    solve_window,
 )
 from .kernels import CODE_N, CODE_P
 from .recurrence import binom_parity_oracle, eval_recurrence, prune_unused_arguments
@@ -46,6 +46,12 @@ def _parse_cone(text: str) -> tuple:
     if len(rays) != 2:
         raise argparse.ArgumentTypeError(f"expected two rays RX,RY:SX,SY, got {text!r}")
     return rays
+
+
+def _parse_period(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def _load_game(name_or_path: str) -> GameSpec:
@@ -86,22 +92,13 @@ def cmd_axioms(args) -> int:
     return 1 if failed else 0
 
 
-def _solve_cmd(args, default_format: str) -> int:
+def cmd_solve(args) -> int:
     game = _load_game(args.ruleset)
-    grid = solve_window(game, args.window)
+    grid = Solver(game).solve_window(args.window)
     slice_index = args.slice if len(args.window) == 3 else None
-    fmt = args.format or default_format
-    data = render_grid(grid, slice_index, fmt, args.highlight)
+    data = render_grid(grid, slice_index, args.format, args.highlight)
     _emit(data, args.output)
     return 0
-
-
-def cmd_solve(args) -> int:
-    return _solve_cmd(args, "text")
-
-
-def cmd_render(args) -> int:
-    return _solve_cmd(args, "pbm")
 
 
 def cmd_compile(args) -> int:
@@ -138,19 +135,12 @@ def cmd_verify(args) -> int:
 def cmd_probe(args) -> int:
     game = _load_game(args.ruleset)
     window = args.window + (game.ruleset.dim - 2) * (args.slice,)
-    grid = solve_window(game, window)
+    grid = Solver(game).solve_window(window)
     cone = args.cone
-    candidates = []
-    if args.ell is not None:
-        candidates.append(args.ell)
-    else:
-        r = args.max_period
-        candidates = [
-            (a, b)
-            for a in range(-r, r + 1)
-            for b in range(-r, r + 1)
-            if (a, b) != (0, 0)
-        ]
+    r = args.max_period
+    candidates = [args.ell] if args.ell is not None else [
+        ell for ell in product(range(-r, r + 1), repeat=2) if ell != (0, 0)
+    ]
     for ell in candidates:
         res = periodicity_probe(grid, args.slice, cone, ell)
         if res.pairs_checked == 0:
@@ -207,19 +197,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ruleset", help="ruleset file or builtin name")
     p.set_defaults(fn=cmd_axioms)
 
-    for name, fn, help_text in (
-        ("solve", cmd_solve, "solve a window and print it (text by default)"),
-        ("render", cmd_render, "solve a window and render an image (pbm by default)"),
+    for name, fmt, help_text in (
+        ("solve", "text", "solve a window and print it (text by default)"),
+        ("render", "pbm", "solve a window and render an image (pbm by default)"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("ruleset")
         p.add_argument("--window", type=_parse_vec, required=True, metavar="X,Y[,Z]")
         p.add_argument("--slice", type=int, default=0, help="fixed last coordinate for 3-D grids")
-        p.add_argument("--format", choices=("text", "pbm", "svg"))
+        p.add_argument("--format", choices=("text", "pbm", "svg"), default=fmt)
         p.add_argument("--highlight", type=int, metavar="M",
                        help="restrict to positions with both coordinates multiples of M")
         p.add_argument("-o", "--output")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("compile", help="compile a recurrence spec into a ruleset")
     p.add_argument("spec")
@@ -242,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slice", type=int, default=0)
     p.add_argument("--cone", type=_parse_cone, default=((1, 0), (0, 1)), metavar="RX,RY:SX,SY")
     p.add_argument("--window", type=lambda s: _parse_vec(s, 2), required=True, metavar="X,Y")
-    p.add_argument("--max-period", type=int, default=6)
+    p.add_argument("--max-period", type=_parse_period, default=6)
     p.add_argument("--l", dest="ell", type=lambda s: _parse_vec(s, 2), metavar="LX,LY",
                    help="probe a single candidate period")
     p.set_defaults(fn=cmd_probe)

@@ -16,7 +16,7 @@ from itertools import chain, combinations, product
 
 import numpy as np
 
-from . import engine
+from . import engine, kernels
 from .circuits import NorCircuit, check_variant, extend_circuit, synthesize_nor_circuit
 from .engine import GameSpec, Infeasible, PointednessWitness, Ruleset, Solver
 from .lattice import (
@@ -632,12 +632,19 @@ def verify_construction(cg: CompiledGame, bound: int) -> VerificationReport:
     one solved window.  Defeated cells are skipped, except at the output
     gates, where they read as N bits.  A check counts the points it compared
     up to and including its first failure; one that compared none is not
-    checked, and the report is then not ok.
+    checked, and the report is then not ok.  A bound whose tables would
+    exceed kernels.MEMORY_BUDGET raises ValueError before they are built.
     """
     if bound < 0:
         raise ValueError(f"bound must be nonnegative, got {bound}")
     spec = cg.spec
     pl = cg.placement
+    # the probe tables take 33-36 bytes per cell of the slice-0 box under
+    # tracemalloc (rules 90 and 110 in variants A and B, xor in variant C)
+    need = (bound // pl.normal[0] + 1) * (bound // pl.normal[1] + 1) * 40
+    if need > kernels.MEMORY_BUDGET:
+        raise ValueError(f"bound {bound} needs about {need / 2**30:.1f} GiB of probe tables, "
+                         f"over the {kernels.MEMORY_BUDGET / 2**30:.0f} GiB budget")
     nu = np.array(pl.normal, dtype=np.int64)
     m = pl.m
 
@@ -728,12 +735,6 @@ def compile_recurrence(
                 f"all be the background symbol; offending generators: {bad}"
             )
     pruned, _kept = prune_unused_arguments(spec)
-    if pruned is not spec:
-        enc_report = validate_encoding(pruned, enc)
-        if not enc_report.ok:
-            raise ValueError(
-                f"encoding rejected after pruning: {'; '.join(enc_report.failures)}"
-            )
     circuit = synthesize_nor_circuit(encoded_table(pruned, enc))
     circuit = extend_circuit(circuit, variant)
     placement = search_placement(circuit, pruned, variant, seed, hint=hint)

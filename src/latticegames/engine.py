@@ -279,7 +279,8 @@ def check_tangent_cone(rs: Ruleset) -> list[TangentAxisReport]:
 
 @dataclass
 class OutcomeGrid:
-    """Dense outcomes over the box [0, window[0]] x ... x [0, window[-1]]."""
+    """Dense outcomes over the box [0, window[0]] x ... x [0, window[-1]];
+    data may be a view into a larger solved region."""
 
     window: Vec
     data: np.ndarray
@@ -392,24 +393,14 @@ class Solver:
         # phi . p <= level_cap then bounds
         grows = (rs.array < 0).any(axis=0).tolist()
         caps = tuple(level_cap // f if g else w for f, g, w in zip(self.phi, grows, window))
-        defeated_mask = self.game.defeated.mask(caps) if self.game.has_defeated else None
         phi = np.array(self.phi, dtype=np.int64)
+        defeated = self.game.defeated if self.game.has_defeated else None
+        # the guard counts the mask's boxes, so a refusal comes before them
+        boxes = defeated.mask_boxes() if defeated else 0
+        kernels.check_budget(tuple(c + 1 for c in caps), rs.array, phi, level_cap, boxes)
+        defeated_mask = defeated.mask(caps) if defeated else None
         region = kernels.solve_region(rs.array, phi, level_cap, caps, defeated_mask)
-        view = region[tuple(slice(0, w + 1) for w in window)]
-        return OutcomeGrid(window, np.ascontiguousarray(view))
-
-
-def outcome(game: GameSpec, p, witness: PointednessWitness | None = None) -> str:
-    return Solver(game, witness).outcome(p)
-
-
-def solve_window(
-    game: GameSpec,
-    window,
-    mode: str = "bottom-up",
-    witness: PointednessWitness | None = None,
-) -> OutcomeGrid:
-    return Solver(game, witness).solve_window(window, mode=mode)
+        return OutcomeGrid(window, region[tuple(slice(0, w + 1) for w in window)])
 
 
 @dataclass(frozen=True)
@@ -426,8 +417,8 @@ def equivalence_in_window(g1: GameSpec, g2: GameSpec, window) -> EquivalenceRepo
     """
     if g1.ruleset.dim != g2.ruleset.dim:
         raise ValueError("games have different dimensions")
-    a = solve_window(g1, window)
-    b = solve_window(g2, window)
+    a = Solver(g1).solve_window(window)
+    b = Solver(g2).solve_window(window)
     diff = np.argwhere((a.data == CODE_P) != (b.data == CODE_P))
     if diff.size == 0:
         return EquivalenceReport(True)

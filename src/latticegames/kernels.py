@@ -28,7 +28,7 @@ CODE_P = 1
 CODE_N = 2
 CODE_DEFEATED = 3
 
-# the largest allocation the sieve may make, in bytes (see sieve_bytes)
+# the largest allocation a solve may make, in bytes (see sieve_bytes)
 MEMORY_BUDGET = 4 * 2**30
 # a scatter covers at most this many (P cell, move) pairs at once
 SCATTER_PAIRS = 2**20
@@ -41,19 +41,38 @@ def _padding(shape, moves):
     return moves, -moves.min(axis=0, initial=0), moves.max(axis=0, initial=0)
 
 
-def sieve_bytes(shape, moves, level_cap: int, defeated: bool = False) -> int:
-    """Upper bound on the bytes solve_region allocates for a box of this shape:
-    the padded outcome array and defeated mask, the table of the other axes,
-    the bounds of at most min(cells, level_cap + 1) levels (int64 arrays and
-    Python lists), one scatter batch of target indices, and the moves."""
+def sieve_bytes(shape, moves, level_cap: int, mask_boxes: int = 0) -> int:
+    """Upper bound on the bytes a solve of a box of this shape allocates:
+    the padded outcome array; with mask_boxes > 0, its padded defeated copy
+    and the boolean boxes LatticeSet.mask holds at once; the table of the
+    other axes, which also bounds a coset mask's labels; the bounds of at
+    most min(cells, level_cap + 1) levels; one scatter batch; the moves."""
     shape = tuple(int(s) for s in shape)
     moves, below, above = _padding(shape, np.asarray(moves, dtype=np.int64).reshape(-1, len(shape)))
     cells = padded = 1
     for s, b, a in zip(shape, below.tolist(), above.tolist()):
         cells, padded = cells * s, padded * (s + b + a)
     n_moves = max(len(moves), 1)
-    return (padded * (1 + defeated) + cells // max(shape) * 96 + min(cells, level_cap + 1) * 256
-            + max(SCATTER_PAIRS, n_moves) * 8 + n_moves * 8 * (3 * len(shape) + 6))
+    return (padded * (1 + (mask_boxes > 0)) + cells * mask_boxes + cells // max(shape) * 96
+            + min(cells, level_cap + 1) * 256 + max(SCATTER_PAIRS, n_moves) * 8
+            + n_moves * 8 * (3 * len(shape) + 6))
+
+
+def check_budget(shape, moves, phi, level_cap: int, mask_boxes: int = 0):
+    """Raise ValueError, before anything box-sized exists, if the box's
+    sieve_bytes exceed MEMORY_BUDGET or its level cap exceeds 2**40; else
+    return the moves that join two cells under the cap, and their padding."""
+    moves = np.asarray(moves, dtype=np.int64).reshape(-1, len(shape))
+    # a move longer than the box or than the level cap joins no two cells
+    moves, below, above = _padding(shape, moves[moves @ phi <= level_cap])
+    need = sieve_bytes(shape, moves, level_cap, mask_boxes)
+    if need > MEMORY_BUDGET or level_cap > 2**40:
+        raise ValueError(
+            f"solve region of shape {shape} (level cap {level_cap}) needs about "
+            f"{need / 2**30:.1f} GiB, over the {MEMORY_BUDGET / 2**30:.0f} GiB "
+            "this kernel is sized for"
+        )
+    return moves, below, above
 
 
 def solve_region(moves, phi, level_cap, axis_caps, defeated_mask=None):
@@ -62,22 +81,14 @@ def solve_region(moves, phi, level_cap, axis_caps, defeated_mask=None):
     moves: (n, d) int64 array in any row order, such as the read-only
     Ruleset.array (it is only read); phi: length-d positive int array with
     phi . move >= 1 for every move.  Returns the uint8 outcome array of shape
-    axis_caps + 1; cells outside the level cap stay CODE_UNSEEN.
+    axis_caps + 1, a view into a padded array; cells outside the level cap
+    stay CODE_UNSEEN.
     """
     level_cap = int(level_cap)
     shape = tuple(int(c) + 1 for c in axis_caps)
     d = len(shape)
     phi = np.asarray(phi, dtype=np.int64)
-    moves = np.asarray(moves, dtype=np.int64).reshape(-1, d)
-    # a move longer than the box or than the level cap joins no two cells
-    moves, below, above = _padding(shape, moves[moves @ phi <= level_cap])
-    need = sieve_bytes(shape, moves, level_cap, defeated_mask is not None)
-    if need > MEMORY_BUDGET or level_cap > 2**40:
-        raise ValueError(
-            f"solve region of shape {shape} (level cap {level_cap}) needs about "
-            f"{need / 2**30:.1f} GiB, over the {MEMORY_BUDGET / 2**30:.0f} GiB "
-            "this kernel is sized for"
-        )
+    moves, below, above = check_budget(shape, moves, phi, level_cap, int(defeated_mask is not None))
 
     # moves by increasing phi-step: those that stay under the cap form a prefix
     steps = moves @ phi

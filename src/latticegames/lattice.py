@@ -158,50 +158,52 @@ class LatticeSet:
         raise ValueError(f"unknown node kind {self.kind!r}")
 
     def mask(self, box: Vec) -> np.ndarray:
-        """Dense boolean membership over [0, box[0]] x ... x [0, box[-1]]."""
+        """Dense boolean membership over [0, box[0]] x ... x [0, box[-1]],
+        built from the box's shape alone: at most mask_boxes() boolean arrays
+        of that shape are alive at once, and no coordinate grid is built."""
         box = as_vec(box, self.dim)
-        coords = np.indices(tuple(b + 1 for b in box), dtype=np.int64)
-        return self._mask(coords)
+        return self._mask(tuple(b + 1 for b in box))
 
-    def _mask(self, coords) -> np.ndarray:
+    def mask_boxes(self) -> int:
+        """Depth of the expression plus one, which bounds the box-shaped
+        arrays mask() holds at once: each operator keeps its running result
+        beside the boxes of the child it evaluates."""
+        return 1 + max((c.mask_boxes() for c in self.children), default=0)
+
+    def _mask(self, shape) -> np.ndarray:
         if self.kind == "orthant":
-            out = np.ones(coords.shape[1:], dtype=bool)
-            for k, c in enumerate(self.payload):
-                out &= coords[k] >= c
+            out = np.zeros(shape, dtype=bool)
+            out[tuple(slice(max(c, 0), None) for c in self.payload)] = True
             return out
         if self.kind == "finite":
-            # coords is the index grid of a box at the origin, so a point's
-            # coordinates are its index once it lies inside the box
-            shape = coords.shape[1:]
+            # the box is at the origin, so a point's coordinates are its
+            # index once it lies inside the box
             out = np.zeros(shape, dtype=bool)
             inside = [p for p in self.payload if all(0 <= c < n for c, n in zip(p, shape))]
             if inside:
                 out[tuple(np.array(inside, dtype=np.int64).T)] = True
             return out
         if self.kind == "coset":
-            return self._coset_mask(coords)
-        if self.kind == "union":
-            out = self.children[0]._mask(coords)
-            for c in self.children[1:]:
-                out |= c._mask(coords)
-            return out
-        if self.kind == "inter":
-            out = self.children[0]._mask(coords)
-            for c in self.children[1:]:
-                out &= c._mask(coords)
-            return out
-        if self.kind == "diff":
-            return self.children[0]._mask(coords) & ~self.children[1]._mask(coords)
-        raise ValueError(f"unknown node kind {self.kind!r}")
+            return self._coset_mask(shape)
+        if self.kind not in ("union", "inter", "diff"):
+            raise ValueError(f"unknown node kind {self.kind!r}")
+        out = self.children[0]._mask(shape)
+        for c in self.children[1:]:
+            if self.kind == "union":
+                out |= c._mask(shape)
+            elif self.kind == "inter":
+                out &= c._mask(shape)
+            else:
+                out[c._mask(shape)] = False
+        return out
 
-    def _coset_mask(self, coords) -> np.ndarray:
-        # coords is the index grid of a box at the origin.  A point x lies in
-        # v + lattice iff x_0 e_0 and v - (x_1 e_1 + ... ) share a class, so
-        # both sides are labelled by canonical representatives, reduced in
-        # exact integers, and compared by one broadcast: no product has to
-        # fit in int64, and the reductions grow with the axis lengths, not
-        # with the cells.  The right side is folded in axis by axis, one
-        # reduction per distinct (class, step) pair.
+    def _coset_mask(self, shape) -> np.ndarray:
+        # With the box at the origin and a its longest axis, x lies in
+        # v + lattice iff x_a e_a and v - (the sum of x_k e_k, k != a) share a
+        # class.  Both sides are labelled by canonical representatives, reduced
+        # in exact integers, and compared by one broadcast: no product has to
+        # fit in int64, and the right side, folded in axis by axis with one
+        # reduction per distinct (class, step) pair, has cells / shape[a] labels.
         reduce = self._coset_reducer()
         index: dict[Vec, int] = {}  # class representative -> label
 
@@ -211,18 +213,19 @@ class LatticeSet:
         def shift(p: Vec, k: int, x: int) -> Vec:
             return p[:k] + (p[k] + x,) + p[k + 1:]
 
-        n0, *rest = coords.shape[1:]
+        a = int(np.argmax(shape))
+        rest = [k for k in range(self.dim) if k != a]
         origin = (0,) * self.dim
-        left = np.array([label(shift(origin, 0, x)) for x in range(n0)], dtype=np.int64)
+        left = np.array([label(shift(origin, a, x)) for x in range(shape[a])], dtype=np.int64)
         right = np.array(label(self.payload[0]), dtype=np.int64)
-        for k, n in enumerate(rest, start=1):
-            reps = list(index)
+        for k in rest:
+            n, reps = shape[k], list(index)
             pairs, inverse = np.unique(
                 (right[..., None] * n + np.arange(n)).ravel(), return_inverse=True
             )
             ids = [label(shift(reps[c // n], k, -(c % n))) for c in pairs.tolist()]
             right = np.array(ids, dtype=np.int64)[inverse].reshape(right.shape + (n,))
-        return left.reshape((n0,) + (1,) * len(rest)) == right
+        return np.expand_dims(right, a) == np.expand_dims(left, rest)
 
     def _coset_reducer(self):
         """Map from a point to the canonical representative of its class
@@ -304,7 +307,7 @@ class LatticeSet:
             raise ValueError("dimension mismatch in diff")
         return LatticeSet("diff", a.dim, children=(a, b))
 
-    def embed_slice(self, k: int, dim3: int = 3) -> "LatticeSet":
+    def embed_slice(self, k: int) -> "LatticeSet":
         """Lift a 2-D set S to S x {k} inside Z^3.
 
         Atoms are lifted so every node agrees with S on the plane z = k, then

@@ -1,3 +1,7 @@
+import tracemalloc
+from contextlib import contextmanager
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import settings
 
@@ -29,3 +33,21 @@ def gamma_prime_solver(gamma_prime_game):
 def gamma_prime_grid_48(gamma_prime_solver):
     # shared by the slice-law, probe and render tests
     return gamma_prime_solver.solve_window((48, 48, 1))
+
+
+@contextmanager
+def _traced_peak():
+    """Traces allocations in the body; the yielded record's bytes holds the
+    traced peak once the body ends, also when it raises."""
+    peak = SimpleNamespace(bytes=0)
+    tracemalloc.start()
+    try:
+        yield peak
+    finally:
+        peak.bytes = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def traced_peak():
+    return _traced_peak

@@ -35,7 +35,6 @@ from latticegames.engine import (
     check_tangent_cone,
     equivalence_in_window,
     periodicity_probe,
-    solve_window,
 )
 from latticegames.recurrence import (
     Encoding,
@@ -172,8 +171,8 @@ def test_criterion_9_property_suites(gamma_prime_game):
         assert grid.outcome_at(p) == want, p
 
     # top-down and bottom-up solvers agree bit for bit
-    td = solve_window(gamma_prime_game, (14, 14, 1), mode="top-down")
-    bu = solve_window(gamma_prime_game, (14, 14, 1), mode="bottom-up")
+    td = Solver(gamma_prime_game).solve_window((14, 14, 1), mode="top-down")
+    bu = Solver(gamma_prime_game).solve_window((14, 14, 1), mode="bottom-up")
     assert np.array_equal(td.data, bu.data)
 
     # synthesis/evaluation round trip, exhaustive over inputs for k <= 6

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from latticegames.builtin import paper_gamma, paper_gamma_prime
+from latticegames.compiler import compile_recurrence
 from latticegames.engine import (
     EquivalenceReport,
     GameSpec,
@@ -20,16 +21,19 @@ from latticegames.engine import (
     check_tangent_cone,
     equivalence_in_window,
     fourier_motzkin,
-    outcome,
     periodicity_probe,
     pointedness_constraints,
     pointedness_rows,
-    solve_window,
     tangent_axis_ok,
 )
 from latticegames import kernels
 from latticegames.lattice import LatticeSet, dominates, dot
-from latticegames.recurrence import binom_parity_oracle
+from latticegames.recurrence import (
+    Encoding,
+    binom_parity_oracle,
+    ca_to_recurrence,
+    wolfram_rule_table,
+)
 
 
 def test_ruleset_canonicalisation():
@@ -63,7 +67,7 @@ def test_ruleset_canonicalisation():
     empty = Ruleset(3, [])
     assert empty.array.shape == (0, 3) and empty.moves == ()
     assert isinstance(check_pointedness(empty), PointednessWitness)
-    grid = solve_window(GameSpec(empty), (2, 2, 1))
+    grid = Solver(GameSpec(empty)).solve_window((2, 2, 1))
     assert (grid.data == kernels.CODE_P).all()
 
 
@@ -202,7 +206,7 @@ def test_outcome_rejects_nonpositions(gamma_prime_game):
     defeated = LatticeSet.finite([(1, 1, 0)])
     g = GameSpec(gamma_prime_game.ruleset, defeated)
     with pytest.raises(ValueError):
-        outcome(g, (1, 1, 0))
+        Solver(g).outcome((1, 1, 0))
     # still refused once the memo holds the positions around it
     s = Solver(g)
     s.solve_window((3, 3, 1), mode="top-down")
@@ -239,7 +243,7 @@ def test_solve_window_empty(gamma_prime_solver):
 
 
 def test_outcome_outside_the_window_is_refused(gamma_prime_game):
-    grid = solve_window(gamma_prime_game, (5, 5, 1))
+    grid = Solver(gamma_prime_game).solve_window((5, 5, 1))
     assert grid.outcome_at((5, 0, 0)) == "N"
     for p in ((-1, 0, 0), (6, 0, 0), (0, 0, 2), (0, -3, 1)):
         with pytest.raises(ValueError, match="outside the window"):
@@ -249,8 +253,8 @@ def test_outcome_outside_the_window_is_refused(gamma_prime_game):
 
 
 def test_topdown_bottomup_agree(gamma_prime_game):
-    a = solve_window(gamma_prime_game, (12, 12, 1), mode="top-down")
-    b = solve_window(gamma_prime_game, (12, 12, 1), mode="bottom-up")
+    a = Solver(gamma_prime_game).solve_window((12, 12, 1), mode="top-down")
+    b = Solver(gamma_prime_game).solve_window((12, 12, 1), mode="bottom-up")
     assert np.array_equal(a.data, b.data)
 
 
@@ -301,8 +305,8 @@ def _region_matches_memo(solver, cap, region):
 @given(pointed_games())
 def test_sieve_matches_topdown_memo(case):
     game, window = case
-    sieve = solve_window(game, window)
-    memo = solve_window(game, window, mode="top-down")
+    sieve = Solver(game).solve_window(window)
+    memo = Solver(game).solve_window(window, mode="top-down")
     assert np.array_equal(sieve.data, memo.data)
     # the whole region of the kernel, on a box that every axis cap bounds
     solver = Solver(game)
@@ -331,30 +335,58 @@ def test_kernel_matches_memo_without_unit_weights(case):
 
 
 @pytest.mark.parametrize("phi", [(1, 10**6), (10**6, 1)])
-def test_kernel_skips_empty_levels(phi):
+def test_kernel_skips_empty_levels(phi, traced_peak):
     import time
-    import tracemalloc
 
     game = GameSpec(Ruleset(2, [(1, 0), (0, 1), (1, 1), (2, 1)]))
     solver = Solver(game, PointednessWitness(tuple(Fraction(f) for f in phi)))
     cap = dot(phi, (3, 3))  # about 3 * 10**6 levels, 16 of them occupied
-    tracemalloc.start()
-    try:
+    with traced_peak() as peak:
         t0 = time.perf_counter()
         region = kernels.solve_region(game.ruleset.array, np.array(phi), cap, (3, 3))
         elapsed = time.perf_counter() - t0
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert elapsed < 0.5 and peak < 2**20
+    assert elapsed < 0.5 and peak.bytes < 2**20
     memo = solver.solve_window((3, 3), mode="top-down")
     assert np.array_equal(region, memo.data)
     assert np.array_equal(solver.solve_window((3, 3)).data, memo.data)
 
 
+def _holed_gamma_prime():
+    rng = np.random.default_rng(0)
+    points = rng.integers(0, [601, 601, 2], size=(500, 3)).tolist()
+    return Solver(GameSpec(paper_gamma_prime(), LatticeSet.finite(points))), (600, 600, 1)
+
+
+def _rule90_variant_a():
+    spec = ca_to_recurrence(wolfram_rule_table(90), "0", "1").spec
+    cg = compile_recurrence(spec, Encoding({"0": ("N",), "1": ("P",)}), variant="A", seed=0)
+    return Solver(cg.game, cg.witness), (256, 256, 1)
+
+
+@pytest.mark.parametrize("case", [_holed_gamma_prime, _rule90_variant_a])
+def test_solve_with_defeated_set_stays_within_the_guard(case, monkeypatch, traced_peak):
+    # the guard counts the defeated mask's boxes before the mask is built
+    solver, window = case()
+    estimates = []
+
+    def spy(*args, sieve_bytes=kernels.sieve_bytes):
+        estimates.append(sieve_bytes(*args))
+        return estimates[-1]
+
+    monkeypatch.setattr(kernels, "sieve_bytes", spy)
+    with traced_peak() as peak:
+        solver.solve_window(window)
+    need = max(estimates)
+    assert peak.bytes <= need
+    monkeypatch.setattr(kernels, "MEMORY_BUDGET", need - 1)
+    with traced_peak() as peak, pytest.raises(ValueError, match="GiB"):
+        solver.solve_window(window)
+    assert peak.bytes < 2**20
+
+
 def test_solving_deterministic(gamma_prime_game):
-    a = solve_window(gamma_prime_game, (15, 15, 1))
-    b = solve_window(gamma_prime_game, (15, 15, 1))
+    a = Solver(gamma_prime_game).solve_window((15, 15, 1))
+    b = Solver(gamma_prime_game).solve_window((15, 15, 1))
     assert np.array_equal(a.data, b.data)
     s1, s2 = Solver(gamma_prime_game), Solver(gamma_prime_game)
     s1.outcome((10, 10, 1))
@@ -384,7 +416,7 @@ def test_move_strictly_decreases_phi(gamma_prime_solver):
 def test_pointedness_gate():
     rs = Ruleset(2, [(1, -1), (-1, 1)])
     with pytest.raises(Exception):
-        solve_window(GameSpec(rs), (4, 4))
+        Solver(GameSpec(rs)).solve_window((4, 4))
 
 
 def test_equivalence_gamma_vs_gamma_prime_small(gamma_game, gamma_prime_game):
@@ -405,8 +437,8 @@ def test_equivalence_detects_difference(gamma_prime_game):
     assert not rep.equal
     assert rep.first_difference is not None
     # lexicographically first witness: re-derive it independently
-    a = solve_window(gamma_prime_game, (12, 12, 1))
-    b = solve_window(weakened, (12, 12, 1))
+    a = Solver(gamma_prime_game).solve_window((12, 12, 1))
+    b = Solver(weakened).solve_window((12, 12, 1))
     firsts = sorted(
         p
         for p in np.ndindex(13, 13, 2)
@@ -540,29 +572,18 @@ def test_kernel_scale_guard():
         )
 
 
-def test_kernel_memory_guard_raises_before_allocating(monkeypatch):
-    import tracemalloc
-
+def test_kernel_memory_guard_raises_before_allocating(monkeypatch, traced_peak):
     moves, phi, caps = np.array([[1, 0], [0, 1]]), np.array([1, 1]), (2999, 2999)
     need = kernels.sieve_bytes((3000, 3000), moves, 5998)
     assert need >= 3001 * 3001  # at least the outcome byte of each padded cell
     monkeypatch.setattr(kernels, "MEMORY_BUDGET", need - 1)
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match="GiB"):
-            kernels.solve_region(moves, phi, 5998, caps)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    with traced_peak() as peak, pytest.raises(ValueError, match="GiB"):
+        kernels.solve_region(moves, phi, 5998, caps)
+    assert peak.bytes < 2**20
     # at exactly the budget the region is solved, within the estimate
     need = kernels.sieve_bytes((1000, 1000), moves, 1998)
     monkeypatch.setattr(kernels, "MEMORY_BUDGET", need)
-    tracemalloc.start()
-    try:
+    with traced_peak() as peak:
         grid = kernels.solve_region(moves, phi, 1998, (999, 999))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= need
+    assert peak.bytes <= need
     assert grid[0, 0] == kernels.CODE_P and grid[1, 0] == kernels.CODE_N

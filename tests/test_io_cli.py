@@ -187,11 +187,12 @@ def test_cli_compile_verify(tmp_path, capsys):
 
 
 
-def test_cli_verify_negative_bound(tmp_path, capsys):
+@pytest.mark.parametrize("bound", ["-5", "10000000"])
+def test_cli_verify_negative_bound(tmp_path, capsys, bound):
     out = tmp_path / "xor.game.json"
     assert main(["compile", "specs/xor.json", "--seed", "0", "-o", str(out)]) == 0
     capsys.readouterr()
-    assert main(["verify", str(out), "--spec", "specs/xor.json", "--bound", "-5"]) == 1
+    assert main(["verify", str(out), "--spec", "specs/xor.json", "--bound", bound]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "bound" in err
 
@@ -245,6 +246,8 @@ def test_cli_usage_errors(capsys):
     assert main(["solve", "paper-gamma-prime", "--bogus-flag"]) == 2
     assert main([]) == 2
     capsys.readouterr()
+    assert main(["probe", "paper-gamma-prime", "--window", "8,8", "--max-period", "0"]) == 2
+    assert "--max-period" in capsys.readouterr().err
 
 
 def test_cli_missing_file(capsys):

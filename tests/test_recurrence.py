@@ -100,6 +100,24 @@ def test_validate_encoding_constant_fails_dependency():
     assert any("dependency" in f for f in rep.failures)
 
 
+def test_pruning_keeps_the_encoding_report():
+    # compile_recurrence validates the encoding once, on the unpruned spec
+    cases = [(xor_recurrence(), swapped_encoding())]
+    for rule in range(0, 256, 2):
+        spec = ca_to_recurrence(wolfram_rule_table(rule), "0", "1").spec
+        # 0 -> N is the construction's encoding; 0 -> P fails sigma0-encoding
+        cases += [(spec, Encoding({"0": (a,), "1": (b,)})) for a, b in ("NP", "PN")]
+    compared = 0
+    for spec, enc in cases:
+        try:
+            pruned, _ = prune_unused_arguments(spec)
+        except ValueError:
+            continue
+        assert validate_encoding(pruned, enc) == validate_encoding(spec, enc)
+        compared += 1
+    assert compared > 200
+
+
 def test_encoding_roundtrip():
     enc = swapped_encoding()
     for sym in ("P", "N"):
