@@ -10,9 +10,12 @@ the encoded recurrence values.
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, combinations, product
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -81,22 +84,41 @@ class ConditionResult:
 
 
 class ConditionReport:
+    """The placement conditions by key, each decided on first request.
+
+    A value is a ConditionResult, or a function that decides the condition:
+    it returns the first witness, or None when the condition holds.  ok()
+    decides conditions in the order given and stops at the first failure;
+    results, item access, failures(), summary() and repr decide every
+    condition left and read the full report in key order.
+    """
+
     def __init__(self, results: dict):
-        self.results = dict(results)
+        self._results = dict(results)
+
+    def _decide(self, key: str) -> ConditionResult:
+        r = self._results[key]
+        if callable(r):
+            witness = r()
+            r = self._results[key] = ConditionResult("pass" if witness is None else "fail", witness)
+        return r
+
+    @property
+    def results(self) -> dict[str, ConditionResult]:
+        return {key: self._decide(key) for key in sorted(self._results)}
 
     def __getitem__(self, key: str) -> ConditionResult:
         return self.results[key]
 
     def ok(self) -> bool:
-        return all(r.status != "fail" for r in self.results.values())
+        return all(self._decide(key).status != "fail" for key in self._results)
 
     def failures(self) -> list[str]:
         return [k for k, r in self.results.items() if r.status == "fail"]
 
     def summary(self) -> str:
         lines = []
-        for key in sorted(self.results):
-            r = self.results[key]
+        for key, r in self.results.items():
             line = f"({key}) {r.status}"
             if r.status == "fail" and r.witness is not None:
                 line += f"  witness: {r.witness}"
@@ -116,13 +138,18 @@ def check_conditions(
     spec: RecurrenceSpec,
     variant: str = "C",
 ) -> ConditionReport:
-    """Decide the nine placement conditions exactly.
+    """Decide the nine placement conditions exactly, on demand.
 
     Lattice-translation-invariant clauses are reduced to residue classes of
     m*lattice; the staircase clauses are finite enumerations.  Clauses about
     the control vertices are vacuous when the circuit does not carry them.
     Each condition is a function that returns its first witness, or None
-    when the condition holds.
+    when the condition holds.  The gate and difference labels are built
+    here; the report runs the conditions only when asked.  ok() stops at
+    the first failing condition, trying (c) first, then the checks on
+    positions alone, then those that read the staircase tables, which are
+    built once, by the first condition that needs them.  Reading the
+    results decides every condition, so other callers see the full report.
     """
     check_variant(variant)
     pl = placement
@@ -147,17 +174,40 @@ def check_conditions(
     V = list(circuit.vertices)
     E = list(circuit.edges)
     edge_delta = {e: vsub(pos[e[1]], pos[e[0]]) for e in E}
-    I_label_of = {p: label(p) for p in I}
-    I_labels = set(I_label_of.values())
-    stair_diff_label = {vsub(p, q): lsub(I_label_of[p], I_label_of[q]) for p in I for q in I}
-    I_diff_labels = set(stair_diff_label.values())
     vertex_labels = {v: label(pos[v]) for v in V}
     # (v, w) -> label of pos[w] - pos[v]; an edge (t, h) reads its own entry
     diff_label = {(v, w): lsub(vertex_labels[w], vertex_labels[v]) for v in V for w in V}
-    rep_of = class_representatives(spec.lattice, pl.m)
     # in circuit order, so that (h) names the same input under every hash seed
     flat_inputs = [x for block in circuit.inputs for x in block]
     specials = [x for x in (circuit.in_prime, circuit.in_dprime) if x is not None]
+
+    @cache
+    def stair():
+        # the tables of the staircase alone, which no gate position changes
+        label_of = {p: label(p) for p in I}
+        diff_label_of = {vsub(p, q): lsub(label_of[p], label_of[q]) for p in I for q in I}
+        # (a): the first point of the staircase's outward set outside the
+        # open halfspace
+        outward = None
+        bound = max(dot(nu, i) for i in I)
+        for i, qx, qy in product(I, range(bound // nu[0] + 1), range(bound // nu[1] + 1)):
+            p = vsub((qx, qy), i)
+            if dot(nu, p) <= 0 and p not in diff_label_of:
+                outward = ("outward-point", p)
+                break
+        # (e): the label set of each displacement set {p - h(p)}, with the
+        # first choice of h that gives it
+        shapes: dict[frozenset, tuple] = {}
+        for combo in product(*([vsub(p, q) for q in I if q != p] for p in I)):
+            shapes.setdefault(frozenset(diff_label_of[s] for s in combo), combo)
+        return SimpleNamespace(
+            label_of=label_of,
+            labels=set(label_of.values()),
+            diff_labels=set(diff_label_of.values()),
+            rep_of=class_representatives(spec.lattice, pl.m),
+            outward=outward,
+            shapes=shapes,
+        )
 
     def halfspace():
         # (a) edge differences and the staircase's outward set share the open
@@ -165,12 +215,7 @@ def check_conditions(
         for e in E:
             if dot(nu, edge_delta[e]) <= 0:
                 return ("edge", e, edge_delta[e])
-        bound = max(dot(nu, i) for i in I)
-        for i, qx, qy in product(I, range(bound // nu[0] + 1), range(bound // nu[1] + 1)):
-            p = vsub((qx, qy), i)
-            if dot(nu, p) <= 0 and p not in stair_diff_label:
-                return ("outward-point", p)
-        return None
+        return stair().outward
 
     def input_shifts():
         # (b) inputs sit one scaled shift before their output
@@ -212,46 +257,48 @@ def check_conditions(
         # is what the slice-0 induction consumes, and the stronger variant that
         # also admits staircase differences is violated by perfectly good
         # placements
+        st = stair()
         pair_diff_labels = set(diff_label.values())
         candidates = set.intersection(
-            *({ladd(c, I_label_of[i]) for c in pair_diff_labels} for i in I)
+            *({ladd(c, st.label_of[i]) for c in pair_diff_labels} for i in I)
         )
-        bad = candidates - I_labels
-        return rep_of[min(bad)] if bad else None
+        bad = candidates - st.labels
+        return st.rep_of[min(bad)] if bad else None
 
     def displacement_sets():
         # (e) no translate of any displacement set {p - h(p)} lands inside the
-        # gate lattice; |I|^(|I|) enumeration over residue classes
-        choices = [[vsub(p, q) for q in I if q != p] for p in I]
-        if not all(choices):
-            return None
+        # gate lattice; the |I|^(|I|) choices of h are enumerated once, in the
+        # staircase tables, and read here once per distinct label set
+        st = stair()
         gate_label_set = set(vertex_labels.values())
         hits_cache = {}
-        for combo in product(*choices):
+        for shape, combo in st.shapes.items():
             anchors = None
-            for sl in frozenset(stair_diff_label[s] for s in combo):
+            for sl in shape:
                 if sl not in hits_cache:
                     hits_cache[sl] = {lsub(g, sl) for g in gate_label_set}
                 anchors = hits_cache[sl] if anchors is None else anchors & hits_cache[sl]
                 if not anchors:
                     break
             if anchors:
-                return (rep_of[min(anchors)], set(combo))
+                return (st.rep_of[min(anchors)], set(combo))
         return None
 
     def wire_stair_clashes():
         # (f) no wire move is congruent to a staircase difference
+        st = stair()
         for e in E:
-            if diff_label[e] in I_diff_labels:
+            if diff_label[e] in st.diff_labels:
                 return (e, edge_delta[e])
         return None
 
     def control_neighbourhoods():
         # (g) the control vertices own their staircase neighbourhoods, and the
         # input-feed differences from in'' clash with no other difference
+        st = stair()
         for x in specials:
             for v in V:
-                if v != x and diff_label[x, v] in I_labels:
+                if v != x and diff_label[x, v] in st.labels:
                     return ("staircase-overlap", v, x)
         ind = circuit.in_dprime
         if ind is None:
@@ -263,7 +310,7 @@ def check_conditions(
             feed_heads.append(circuit.in_prime)
         for h in feed_heads:
             l0 = diff_label[ind, h]
-            if l0 in I_diff_labels:
+            if l0 in st.diff_labels:
                 return ("staircase-clash", h, vsub(pos[h], pos[ind]))
             for (v2, w2), l in diff_label.items():
                 if l == l0 and not (
@@ -295,17 +342,21 @@ def check_conditions(
                 return ("feeder-dominates", t, o)
         return None
 
-    conditions = (halfspace, input_shifts, wire_realisations, staircase_translates,
-                  displacement_sets, wire_stair_clashes, control_neighbourhoods,
-                  board_sides, output_order)
-    results: dict[str, ConditionResult] = {}
-    for key, condition in zip("abcdefghi", conditions):
-        if key == "g" and not specials:
-            results[key] = ConditionResult("vacuous", note="no control vertices")
-            continue
-        witness = condition()
-        results[key] = ConditionResult("pass" if witness is None else "fail", witness)
-    return ConditionReport(results)
+    vacuous = ConditionResult("vacuous", note="no control vertices")
+    # the order ok() decides them in: (c) rejects most drawn placements,
+    # then come the checks on positions alone, then those that read the
+    # staircase tables, the likeliest to fail first
+    return ConditionReport({
+        "c": wire_realisations,
+        "b": input_shifts,
+        "h": board_sides,
+        "i": output_order,
+        "e": displacement_sets,
+        "g": control_neighbourhoods if specials else vacuous,
+        "f": wire_stair_clashes,
+        "d": staircase_translates,
+        "a": halfspace,
+    })
 
 
 class PlacementSearchError(RuntimeError):
@@ -328,8 +379,9 @@ def search_placement(
     longest path to the outputs (so every edge strictly ascends the
     halfspace), anti-diagonal jitter separates residue classes, and inputs
     are forced one scaled shift below their output.  The scale m grows
-    slowly while seeded jitter is retried; failures are reproducible and the
-    last condition report is attached to the error.
+    slowly while seeded jitter is retried.  A trial stops at its first
+    failing condition (see check_conditions); failures are reproducible,
+    and the last trial's full condition report is attached to the error.
     """
     check_variant(variant)
     if not circuit.vertices or not circuit.outputs:
@@ -381,6 +433,9 @@ def search_placement(
         p = vadd(base, vscale(spread, w))
         return p if p[0] >= 0 and p[1] >= 0 else base
 
+    # every trial shares the staircase and the normal, so they are checked
+    # once, here, and each trial copies this frame
+    frame = Placement({}, m0, I, nu)
     rng = random.Random(seed)
     report = None
     for trial in range(max_tries):
@@ -399,7 +454,8 @@ def search_placement(
         for i, block in enumerate(circuit.inputs):
             for j, name in enumerate(block):
                 pos[name] = vsub(pos[circuit.outputs[j]], vscale(m, spec.betas[i]))
-        placement = Placement(pos, m, I, nu)
+        placement = copy.copy(frame)
+        placement.pos, placement.m = pos, m
         report = check_conditions(placement, circuit, spec, variant)
         if report.ok():
             return placement
@@ -639,9 +695,10 @@ def verify_construction(cg: CompiledGame, bound: int) -> VerificationReport:
         raise ValueError(f"bound must be nonnegative, got {bound}")
     spec = cg.spec
     pl = cg.placement
-    # the probe tables take 33-36 bytes per cell of the slice-0 box under
-    # tracemalloc (rules 90 and 110 in variants A and B, xor in variant C)
-    need = (bound // pl.normal[0] + 1) * (bound // pl.normal[1] + 1) * 40
+    # the probe tables peak at 24.5-24.8 bytes per cell of the slice-0 box
+    # under tracemalloc (rule 110 in variant B, rule 90 in variants A and B,
+    # 8m to 128m), the slice-0 points and their lifted cells; 26 leaves a margin
+    need = (bound // pl.normal[0] + 1) * (bound // pl.normal[1] + 1) * 26
     if need > kernels.MEMORY_BUDGET:
         raise ValueError(f"bound {bound} needs about {need / 2**30:.1f} GiB of probe tables, "
                          f"over the {kernels.MEMORY_BUDGET / 2**30:.0f} GiB budget")
@@ -649,10 +706,13 @@ def verify_construction(cg: CompiledGame, bound: int) -> VerificationReport:
     m = pl.m
 
     def below(scale):
-        # points q of N^2 with scale * <nu, q> <= bound, in lexicographic order
-        shape = (bound // (scale * nu[0]) + 1, bound // (scale * nu[1]) + 1)
-        q = np.indices(shape).reshape(2, -1).T
-        return q[scale * (q @ nu) <= bound]
+        # points q of N^2 with scale * <nu, q> <= bound, in lexicographic
+        # order, row by row: row x holds y = 0 .. (bound // scale - nu0 x) // nu1
+        top = bound // scale
+        xs = np.arange(top // nu[0] + 1)
+        counts = (top - nu[0] * xs) // nu[1] + 1
+        ys = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        return np.stack([np.repeat(xs, counts), ys], axis=1)
 
     def lift(points, z):
         return np.concatenate([points, np.full(points.shape[:-1] + (1,), z)], axis=-1)
@@ -693,8 +753,9 @@ def verify_construction(cg: CompiledGame, bound: int) -> VerificationReport:
         table.append(("in-double-prime-characterisation", ells,
                       control_cells(cg.circuit.in_dprime), ~ells.any(axis=1)[:, None], False))
 
-    probes = np.concatenate([row[2].reshape(-1, 3) for row in table])
-    wx, wy, _ = probes.max(axis=0).tolist()
+    # the window reaches the largest probe cell of any row
+    wx, wy, _ = np.max([row[2].reshape(-1, 3).max(axis=0, initial=0) for row in table],
+                       axis=0).tolist()
     grid = Solver(cg.game, cg.witness).solve_window((wx, wy, 1))
 
     checks = []

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from functools import partial
 from itertools import product
 from pathlib import Path
 
@@ -732,51 +733,111 @@ def _reference_check_conditions(placement, circuit, spec, variant="C"):
     return ConditionReport(results)
 
 
-def _searched_placements(monkeypatch):
-    """Every placement the seeded searches try, with its circuit, spec and
-    variant: xor under variant C, rules 90 and 110 under variants A and B,
-    and the first tries for xor with two output bits."""
-    from latticegames import compiler
+def _search_circuit(spec, enc, variant):
     from latticegames.circuits import synthesize_nor_circuit
-    from latticegames.recurrence import (
-        ca_to_recurrence,
-        encoded_table,
-        prune_unused_arguments,
-        wolfram_rule_table,
-    )
+    from latticegames.recurrence import encoded_table, prune_unused_arguments
 
-    tried = []
+    spec, _ = prune_unused_arguments(spec)
+    return extend_circuit(synthesize_nor_circuit(encoded_table(spec, enc)), variant), spec
+
+
+def _ca_spec(rule):
+    from latticegames.recurrence import ca_to_recurrence, wolfram_rule_table
+
+    return ca_to_recurrence(wolfram_rule_table(rule), "0", "1").spec
+
+
+CA_ENC = Encoding({"0": ("N",), "1": ("P",)})
+
+
+def _recorded_searches(searches):
+    """Run each search() while recording every check_conditions call; returns
+    one (trials, outcome) pair per search, where trials are the checked
+    (placement, circuit, spec, variant) in order and outcome is the returned
+    placement or the PlacementSearchError raised."""
+    from latticegames import compiler
+
+    trials, outcomes = [], []
     checker = compiler.check_conditions
 
-    def record(placement, circuit, spec, variant="C"):
-        tried.append((placement, circuit, spec, variant))
-        return checker(placement, circuit, spec, variant)
+    def record(*case):
+        trials[-1].append(case)
+        return checker(*case)
 
-    ca_enc = Encoding({"0": ("N",), "1": ("P",)})
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(compiler, "check_conditions", record)
+        for search in searches:
+            trials.append([])
+            try:
+                outcomes.append(search())
+            except PlacementSearchError as err:
+                outcomes.append(err)
+    return list(zip(trials, outcomes))
+
+
+@pytest.fixture(scope="module")
+def searches():
+    """Every seeded search and the placements it tries: xor under variant C,
+    rules 90 and 110 under variants A and B, each at seeds 0 and 1, and xor
+    with two output bits, whose search takes thousands of tries, so only
+    its first 20 are made; (i) compares the two outputs' order there."""
     cases = [(xor_recurrence(), swapped_encoding(), "C")]
     for rule in (90, 110):
-        spec = ca_to_recurrence(wolfram_rule_table(rule), "0", "1").spec
-        cases += [(spec, ca_enc, "A"), (spec, ca_enc, "B")]
-    with monkeypatch.context() as patch:
-        patch.setattr(compiler, "check_conditions", record)
-        for spec, enc, variant in cases:
-            spec, _ = prune_unused_arguments(spec)
-            circuit = extend_circuit(synthesize_nor_circuit(encoded_table(spec, enc)), variant)
-            for seed in (0, 1):
-                search_placement(circuit, spec, variant, seed=seed)
-        # two outputs, so (i) compares their order; this search takes
-        # thousands of tries, so only the first few are kept
-        wide = Encoding({sym: bits * 2 for sym, bits in swapped_encoding().table.items()})
-        circuit = extend_circuit(synthesize_nor_circuit(encoded_table(xor_recurrence(), wide)), "C")
-        with pytest.raises(PlacementSearchError):
-            search_placement(circuit, xor_recurrence(), "C", max_tries=20)
-    return tried
+        cases += [(_ca_spec(rule), CA_ENC, "A"), (_ca_spec(rule), CA_ENC, "B")]
+    runs = []
+    for spec, enc, variant in cases:
+        circuit, pruned = _search_circuit(spec, enc, variant)
+        for seed in (0, 1):
+            runs.append(partial(search_placement, circuit, pruned, variant, seed=seed))
+    wide = Encoding({sym: bits * 2 for sym, bits in swapped_encoding().table.items()})
+    circuit, spec = _search_circuit(xor_recurrence(), wide, "C")
+    runs.append(partial(search_placement, circuit, spec, "C", max_tries=20))
+    return _recorded_searches(runs)
 
 
-def test_conditions_match_reference(monkeypatch):
+def test_search_accepts_only_passing_trials(searches):
+    # the search stops each trial at its first failing condition; the
+    # reference decides all nine, and must reject every trial the search
+    # rejected and accept the placement it returned
+    for trials, outcome in searches:
+        *rejected, last = trials
+        for case in rejected:
+            assert not _reference_check_conditions(*case).ok(), case[0]
+        if isinstance(outcome, PlacementSearchError):
+            assert len(trials) == 20
+            assert not _reference_check_conditions(*last).ok(), last[0]
+        else:
+            assert last[0] is outcome
+            assert _reference_check_conditions(*last).ok(), last[0]
+    assert isinstance(searches[-1][1], PlacementSearchError)
+
+
+def test_search_error_carries_full_report(searches):
+    # the error reports every failing condition of the last trial, not only
+    # the one that stopped it
+    trials, err = searches[-1]
+    want = _reference_check_conditions(*trials[-1]).results
+    assert err.report.results == want
+    failing = [k for k, r in want.items() if r.status == "fail"]
+    assert len(failing) > 1
+    assert f"last failures: {failing}" in str(err)
+
+
+def test_search_trial_count_rule110_b():
+    # the draws and the m schedule are those of the benchmark's ca-verify
+    # compiles: placement seeds 0-3 make 194 trials between them
+    circuit, spec = _search_circuit(_ca_spec(110), CA_ENC, "B")
+    runs = _recorded_searches(
+        [partial(search_placement, circuit, spec, "B", seed=seed) for seed in range(4)]
+    )
+    assert all(isinstance(outcome, Placement) for _, outcome in runs)
+    assert sum(len(trials) for trials, _ in runs) == 194
+
+
+def test_conditions_match_reference(searches):
     import random
 
-    tried = _searched_placements(monkeypatch)
+    tried = [case for trials, _ in searches for case in trials]
     # the unextended xor circuit carries no control vertices, so (g) is
     # vacuous and (h) checks the input gates alone
     pl = paper_placement()
@@ -797,9 +858,14 @@ def test_conditions_match_reference(monkeypatch):
         drawn.append((Placement(pos, m, pl.staircase, pl.normal), circuit, spec, variant))
     seen = {}
     tags = set()
-    for case in drawn:
+    for n, case in enumerate(drawn):
         want = _reference_check_conditions(*case).results
-        assert check_conditions(*case).results == want, case[0]
+        report = check_conditions(*case)
+        # ok() may stop at the first failure; the results read afterwards
+        # are still the full report
+        if n % 2:
+            assert report.ok() == all(r.status != "fail" for r in want.values()), case[0]
+        assert report.results == want, case[0]
         for key, r in want.items():
             seen.setdefault((key, case[1].in_prime is None), set()).add(r.status)
             if r.status == "fail" and isinstance(r.witness[0], str):
@@ -999,6 +1065,33 @@ def test_verify_flags_unchecked_checks():
     assert all(c.failure is None and c.checked == 0 for c in rep.checks if c.name in unchecked)
     assert not rep.ok
     assert "slice0-lattice-law: not checked (0 points)" in rep.summary().splitlines()
+
+
+def test_verify_guard_covers_probe_tables(monkeypatch, traced_peak):
+    # with the solve stubbed out, verify's own tables peak under its
+    # up-front estimate, so a budget of that peak is refused before they
+    # are built
+    from types import SimpleNamespace
+
+    from latticegames import compiler, kernels
+
+    class Unsolved:
+        def __init__(self, game, witness):
+            pass
+
+        def solve_window(self, window):
+            shape = (window[0] + 1, window[1] + 1, 2)
+            return SimpleNamespace(data=np.broadcast_to(np.uint8(engine.CODE_N), shape))
+
+    cg = compile_recurrence(_ca_spec(110), CA_ENC, "B", seed=0)
+    bound = 32 * cg.placement.m
+    monkeypatch.setattr(compiler, "Solver", Unsolved)
+    with traced_peak() as peak:
+        verify_construction(cg, bound)
+    monkeypatch.setattr(kernels, "MEMORY_BUDGET", peak.bytes)
+    with traced_peak() as refused, pytest.raises(ValueError, match="probe tables"):
+        verify_construction(cg, bound)
+    assert refused.bytes < 2**20
 
 
 def test_verify_rejects_negative_bound(xor_compiled):
