@@ -13,7 +13,7 @@ from __future__ import annotations
 import copy
 import random
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from itertools import chain, combinations, product
 from types import SimpleNamespace
 
@@ -141,15 +141,16 @@ def check_conditions(
     """Decide the nine placement conditions exactly, on demand.
 
     Lattice-translation-invariant clauses are reduced to residue classes of
-    m*lattice; the staircase clauses are finite enumerations.  Clauses about
-    the control vertices are vacuous when the circuit does not carry them.
-    Each condition is a function that returns its first witness, or None
-    when the condition holds.  The gate and difference labels are built
-    here; the report runs the conditions only when asked.  ok() stops at
-    the first failing condition, trying (c) first, then the checks on
-    positions alone, then those that read the staircase tables, which are
-    built once, by the first condition that needs them.  Reading the
-    results decides every condition, so other callers see the full report.
+    m*lattice, read from class_labels arrays: one code per gate position and
+    one per pairwise gate difference.  The staircase clauses are finite
+    enumerations.  Clauses about the control vertices are vacuous when the
+    circuit does not carry them.  Each condition is a function that returns
+    its first witness, or None when the condition holds; the report runs
+    them only when asked.  ok() stops at the first failing condition, trying
+    (c) first, then the checks on positions alone, then those that read the
+    staircase tables, which are built once, by the first condition that
+    needs them.  Reading the results decides every condition, so other
+    callers see the full report.
     """
     check_variant(variant)
     pl = placement
@@ -157,26 +158,22 @@ def check_conditions(
         if v not in pl.pos:
             raise ValueError(f"placement gives no position for vertex {v}")
     mL = spec.lattice.scale(pl.m)
-    label = mL.class_label
-    # labels are additive mod the lattice index, so every difference label
-    # below is arithmetic on the labels of single points
-    d_mod = mL.index()
-
-    def ladd(l1, l2):
-        return ((l1[0] + l2[0]) % d_mod, (l1[1] + l2[1]) % d_mod)
-
-    def lsub(l1, l2):
-        return ((l1[0] - l2[0]) % d_mod, (l1[1] - l2[1]) % d_mod)
-
     nu = pl.normal
     I = pl.staircase
     pos = pl.pos
     V = list(circuit.vertices)
     E = list(circuit.edges)
-    edge_delta = {e: vsub(pos[e[1]], pos[e[0]]) for e in E}
-    vertex_labels = {v: label(pos[v]) for v in V}
-    # (v, w) -> label of pos[w] - pos[v]; an edge (t, h) reads its own entry
-    diff_label = {(v, w): lsub(vertex_labels[w], vertex_labels[v]) for v in V for w in V}
+    ix = {v: k for k, v in enumerate(V)}
+    # labelled first, so that a position outside int64 raises ValueError
+    gate_labels = mL.class_labels([pos[v] for v in V])
+    gates = np.array([pos[v] for v in V], dtype=np.int64).reshape(-1, 2)
+    # deltas[k, j] = pos[V[j]] - pos[V[k]], and diff holds its labels; an
+    # edge (t, h) reads its own entries
+    deltas = gates[None] - gates[:, None]
+    diff = mL.class_labels(deltas).reshape(len(V), len(V))
+    tail, head = np.array([(ix[t], ix[h]) for t, h in E], dtype=np.intp).reshape(-1, 2).T
+    edge_delta = [tuple(d) for d in deltas[tail, head].tolist()]
+    edge_labels = diff[tail, head]
     # in circuit order, so that (h) names the same input under every hash seed
     flat_inputs = [x for block in circuit.inputs for x in block]
     specials = [x for x in (circuit.in_prime, circuit.in_dprime) if x is not None]
@@ -184,37 +181,34 @@ def check_conditions(
     @cache
     def stair():
         # the tables of the staircase alone, which no gate position changes
-        label_of = {p: label(p) for p in I}
-        diff_label_of = {vsub(p, q): lsub(label_of[p], label_of[q]) for p in I for q in I}
+        points = np.array(I, dtype=np.int64)
+        disp = points[:, None] - points  # disp[p, q] = I[p] - I[q]
+        rep_of = class_representatives(spec.lattice, pl.m)
         # (a): the first point of the staircase's outward set outside the
         # open halfspace
         outward = None
+        stair_diffs = {vsub(p, q) for p in I for q in I}
         bound = max(dot(nu, i) for i in I)
         for i, qx, qy in product(I, range(bound // nu[0] + 1), range(bound // nu[1] + 1)):
             p = vsub((qx, qy), i)
-            if dot(nu, p) <= 0 and p not in diff_label_of:
+            if dot(nu, p) <= 0 and p not in stair_diffs:
                 outward = ("outward-point", p)
                 break
-        # (e): the label set of each displacement set {p - h(p)}, with the
-        # first choice of h that gives it
-        shapes: dict[frozenset, tuple] = {}
-        for combo in product(*([vsub(p, q) for q in I if q != p] for p in I)):
-            shapes.setdefault(frozenset(diff_label_of[s] for s in combo), combo)
         return SimpleNamespace(
-            label_of=label_of,
-            labels=set(label_of.values()),
-            diff_labels=set(diff_label_of.values()),
-            rep_of=class_representatives(spec.lattice, pl.m),
+            points=points,
+            disp=disp,
+            labels=mL.class_labels(points),
+            diff_labels=mL.class_labels(disp),
+            rep=lambda code: rep_of[divmod(int(code), mL.index())],
             outward=outward,
-            shapes=shapes,
         )
 
     def halfspace():
         # (a) edge differences and the staircase's outward set share the open
         # halfspace with normal nu
-        for e in E:
-            if dot(nu, edge_delta[e]) <= 0:
-                return ("edge", e, edge_delta[e])
+        for e, d in zip(E, edge_delta):
+            if dot(nu, d) <= 0:
+                return ("edge", e, d)
         return stair().outward
 
     def input_shifts():
@@ -234,19 +228,18 @@ def check_conditions(
         at: dict[Vec, list[str]] = {}
         for v in V:
             at.setdefault(pos[v], []).append(v)
-        for w in V:
+        edges = list(zip(E, edge_delta, edge_labels.tolist()))
+        # column j holds the labels of the differences from every vertex to V[j]
+        for w, reachable in zip(V, map(set, diff.T.tolist())):
             if w in flat_inputs:
                 continue
-            preds = set(circuit.predecessors(w))
-            reachable = {diff_label[v, w] for v in V}
-            for e in E:
-                if diff_label[e] not in reachable:
+            for e, d, l in edges:
+                if l not in reachable:
                     continue
-                d = edge_delta[e]
                 exact = at.get(vsub(pos[w], d), [])
                 if not exact:
                     return ("no-exact-realisation", w, e, d)
-                bad = [v for v in exact if v not in preds]
+                bad = [v for v in exact if (v, w) not in E]
                 if bad:
                     return ("non-edge-realisation", w, e, d, bad[0])
         return None
@@ -258,48 +251,45 @@ def check_conditions(
         # also admits staircase differences is violated by perfectly good
         # placements
         st = stair()
-        pair_diff_labels = set(diff_label.values())
-        candidates = set.intersection(
-            *({ladd(c, st.label_of[i]) for c in pair_diff_labels} for i in I)
-        )
-        bad = candidates - st.labels
-        return st.rep_of[min(bad)] if bad else None
+        shifted = mL.class_labels(deltas.reshape(-1, 1, 2) + st.points).reshape(-1, len(I))
+        candidates = reduce(np.intersect1d, shifted.T, shifted[:, 0])
+        bad = candidates[~np.isin(candidates, st.labels)]
+        return st.rep(bad[0]) if len(bad) else None
 
     def displacement_sets():
-        # (e) no translate of any displacement set {p - h(p)} lands inside the
-        # gate lattice; the |I|^(|I|) choices of h are enumerated once, in the
-        # staircase tables, and read here once per distinct label set
+        # (e) no translate of any displacement set {p - h(p)}, h(p) != p in I,
+        # lands inside the gate lattice.  An anchor a that some h lands on is
+        # a gate label minus the label of I[0] - h(I[0]), and it admits
+        # h(p) = q when a + label(p - q) is a gate label.  The witness is the
+        # first h in product order, which is the least over the anchors of
+        # their first admitted q per p, with the least anchor admitting it.
         st = stair()
-        gate_label_set = set(vertex_labels.values())
-        hits_cache = {}
-        for shape, combo in st.shapes.items():
-            anchors = None
-            for sl in shape:
-                if sl not in hits_cache:
-                    hits_cache[sl] = {lsub(g, sl) for g in gate_label_set}
-                anchors = hits_cache[sl] if anchors is None else anchors & hits_cache[sl]
-                if not anchors:
-                    break
-            if anchors:
-                return (st.rep_of[min(anchors)], set(combo))
-        return None
+        anchors = (gates[:, None] - st.disp[0, 1:]).reshape(-1, 1, 1, 2)
+        admits = np.isin(mL.class_labels(anchors + st.disp), gate_labels)
+        admits = admits.reshape(len(anchors), len(I), len(I)) & ~np.eye(len(I), dtype=bool)
+        lands = admits.any(axis=2).all(axis=1)
+        if not lands.any():
+            return None
+        first = admits[lands].argmax(axis=2)
+        h = first[np.lexsort(first.T[::-1])[0]]
+        admitting = admits[:, np.arange(len(I)), h].all(axis=1)
+        anchor = mL.class_labels(anchors[admitting]).min()
+        return (st.rep(anchor), {vsub(p, I[q]) for p, q in zip(I, h.tolist())})
 
     def wire_stair_clashes():
         # (f) no wire move is congruent to a staircase difference
-        st = stair()
-        for e in E:
-            if diff_label[e] in st.diff_labels:
-                return (e, edge_delta[e])
-        return None
+        clash = np.flatnonzero(np.isin(edge_labels, stair().diff_labels))
+        return (E[clash[0]], edge_delta[clash[0]]) if len(clash) else None
 
     def control_neighbourhoods():
         # (g) the control vertices own their staircase neighbourhoods, and the
         # input-feed differences from in'' clash with no other difference
         st = stair()
         for x in specials:
-            for v in V:
-                if v != x and diff_label[x, v] in st.labels:
-                    return ("staircase-overlap", v, x)
+            overlap = np.isin(diff[ix[x]], st.labels)
+            overlap[ix[x]] = False
+            if overlap.any():
+                return ("staircase-overlap", V[overlap.argmax()], x)
         ind = circuit.in_dprime
         if ind is None:
             return None
@@ -309,15 +299,16 @@ def check_conditions(
             # difference must be protected like the edge ones
             feed_heads.append(circuit.in_prime)
         for h in feed_heads:
-            l0 = diff_label[ind, h]
+            l0 = diff[ix[ind], ix[h]]
             if l0 in st.diff_labels:
                 return ("staircase-clash", h, vsub(pos[h], pos[ind]))
-            for (v2, w2), l in diff_label.items():
-                if l == l0 and not (
-                    vertex_labels[v2] == vertex_labels[ind]
-                    and vertex_labels[w2] == vertex_labels[h]
-                ):
-                    return ("difference-clash", h, (v2, w2))
+            # every (v2, w2) with that label, but for the pairs in the
+            # classes of (in'', h)
+            clash = (diff == l0) & ~np.outer(gate_labels == gate_labels[ix[ind]],
+                                             gate_labels == gate_labels[ix[h]])
+            if clash.any():
+                k, j = np.unravel_index(clash.argmax(), clash.shape)
+                return ("difference-clash", h, (V[k], V[j]))
         return None
 
     def board_sides():
@@ -689,7 +680,8 @@ def verify_construction(cg: CompiledGame, bound: int) -> VerificationReport:
     gates, where they read as N bits.  A check counts the points it compared
     up to and including its first failure; one that compared none is not
     checked, and the report is then not ok.  A bound whose tables would
-    exceed kernels.MEMORY_BUDGET raises ValueError before they are built.
+    exceed kernels.MEMORY_BUDGET, or an output or control vertex off the
+    board, raises ValueError before anything is built.
     """
     if bound < 0:
         raise ValueError(f"bound must be nonnegative, got {bound}")
@@ -702,6 +694,11 @@ def verify_construction(cg: CompiledGame, bound: int) -> VerificationReport:
     if need > kernels.MEMORY_BUDGET:
         raise ValueError(f"bound {bound} needs about {need / 2**30:.1f} GiB of probe tables, "
                          f"over the {kernels.MEMORY_BUDGET / 2**30:.0f} GiB budget")
+    # the probe cells pos[v] + m * l, l >= 0, must lie in the solved window
+    for v in (*cg.circuit.outputs, cg.circuit.in_prime, cg.circuit.in_dprime):
+        if v is not None and min(pl.pos[v]) < 0:
+            raise ValueError(f"vertex {v!r} at {pl.pos[v]} lies off the board; "
+                             "verify reads outputs and controls on it")
     nu = np.array(pl.normal, dtype=np.int64)
     m = pl.m
 

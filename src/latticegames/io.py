@@ -214,6 +214,9 @@ def compiled_from_files(game: GameSpec, sidecar: dict, spec: RecurrenceSpec, enc
     in_prime = _field(sidecar, "placement", "in_prime", _STR, optional=True)
     in_dprime = _field(sidecar, "placement", "in_dprime", _STR, optional=True)
     vertices = outputs + tuple(v for v in (in_prime, in_dprime) if v is not None)
+    for v in vertices:
+        if v not in pl.pos:
+            raise ValueError(f"placement field 'pos' gives no position for vertex {v!r}")
     shell = NorCircuit(vertices, (), (), outputs, in_prime, in_dprime)
     lines = _field(sidecar, "placement", "lines", _map_of(_list_of(_vec(3))), optional=True) or {}
     lines = {name: tuple(tuple(m) for m in moves) for name, moves in lines.items()}

@@ -102,9 +102,19 @@ class Sublattice:
     def class_labels(self, points) -> np.ndarray:
         """class_label of each point of an (..., 2) integer array, flattened
         to one int64 code a * |det| + b per point; codes order like the
-        label pairs."""
-        v = np.asarray(points, dtype=np.int64).reshape(-1, 2)
+        label pairs.  Where a point or a code would leave int64 the call
+        raises ValueError instead of wrapping."""
+        try:
+            v = np.asarray(points, dtype=np.int64).reshape(-1, 2)
+        except OverflowError:
+            raise ValueError("class_labels takes points with int64 coordinates") from None
         d = abs(self.det)
+        # each adj(B) . v term stays within 2 * reach * entry, and a code
+        # below d^2; the entries themselves must fit int64 too
+        reach = max(-int(v.min(initial=0)), int(v.max(initial=0)))
+        entry = max(abs(c) for c in self.b1 + self.b2)
+        if d * d >= 2**63 or 2 * max(reach, 1) * entry >= 2**63:
+            raise ValueError(f"class labels of {self} at coordinates up to {reach} leave int64")
         a = (v[:, 0] * self.b2[1] - v[:, 1] * self.b2[0]) % d
         b = (self.b1[0] * v[:, 1] - self.b1[1] * v[:, 0]) % d
         return a * d + b

@@ -747,6 +747,14 @@ def _ca_spec(rule):
     return ca_to_recurrence(wolfram_rule_table(rule), "0", "1").spec
 
 
+def _xor_spec(betas):
+    """xor over Z^2 with the given shifts, the module N^2 and the background
+    symbol at the origin, so variant C applies."""
+    xor = xor_recurrence()
+    return RecurrenceSpec(Z2, ModuleIdeal(Z2, [(0, 0)]), betas, xor.alphabet, xor.table,
+                          xor.sigma0, {(0, 0): xor.sigma0})
+
+
 CA_ENC = Encoding({"0": ("N",), "1": ("P",)})
 
 
@@ -846,15 +854,24 @@ def test_conditions_match_reference(searches):
     # and no draw changes the staircase, which (a)'s outward points depend on
     on_board = Placement({**pl.pos, "v0": (0, 1)}, pl.m, pl.staircase, pl.normal)
     narrow = Placement(pl.pos, pl.m, [(0, 0), (0, 1)], pl.normal)
+    # shifts (1, 0) and (-1, 1) give the normal (1, 2) and a staircase of 6
+    # points, where the reference enumerates 5^6 choice functions for (e);
+    # at the searched m (e) passes, and small m make it fail at varied anchors
+    circuit, spec = _search_circuit(_xor_spec([(1, 0), (-1, 1)]), swapped_encoding(), "C")
+    six = (search_placement(circuit, spec, "C"), circuit, spec, "C")
+    assert len(six[0].staircase) == 6
     rng = random.Random(0)
-    drawn = list(tried) + [plain, (on_board,) + plain[1:], (narrow,) + plain[1:]]
+    drawn = list(tried) + [plain, (on_board,) + plain[1:], (narrow,) + plain[1:], six]
     two_outputs = next(case for case in tried if len(case[1].outputs) == 2)
-    for base in [None] * 300 + [plain] * 60 + [two_outputs] * 40:
+    for base in [None] * 300 + [plain] * 60 + [two_outputs] * 40 + [six] * 16:
         pl, circuit, spec, variant = base or rng.choice(tried)
         pos = dict(pl.pos)
         for v in rng.sample(sorted(pos), rng.randint(1, 3)):
             pos[v] = (pos[v][0] + rng.randint(-3, 3), pos[v][1] + rng.randint(-3, 3))
-        m = pl.m if rng.random() < 0.7 else rng.randint(1, pl.m)
+        if base is six:
+            m = rng.randint(1, 8)
+        else:
+            m = pl.m if rng.random() < 0.7 else rng.randint(1, pl.m)
         drawn.append((Placement(pos, m, pl.staircase, pl.normal), circuit, spec, variant))
     seen = {}
     tags = set()
@@ -883,6 +900,24 @@ def test_conditions_match_reference(searches):
         "staircase-overlap", "staircase-clash", "difference-clash",
         "control-off-board", "input-on-board", "output-order", "feeder-dominates",
     }
+
+
+def test_wide_staircase_compiles_in_time():
+    # shifts (2, -1) and (-1, 1) give the normal (2, 3) and a staircase of 12
+    # points: 11^12 choice functions for (e), which is decided per anchor
+    import signal
+
+    def overdue(signum, frame):
+        raise TimeoutError("compiling took over 5 s")
+
+    previous = signal.signal(signal.SIGALRM, overdue)
+    signal.alarm(5)
+    try:
+        cg = compile_recurrence(_xor_spec([(2, -1), (-1, 1)]), swapped_encoding(), "C")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(cg.placement.staircase) == 12
 
 
 def _reference_verify_construction(cg, bound):
@@ -1097,3 +1132,17 @@ def test_verify_guard_covers_probe_tables(monkeypatch, traced_peak):
 def test_verify_rejects_negative_bound(xor_compiled):
     with pytest.raises(ValueError, match="bound"):
         verify_construction(xor_compiled, -5)
+
+
+@pytest.mark.parametrize("vertex", ["in'", "out_1"])
+@pytest.mark.parametrize("at", [(-3, 2), (-100, -100)])
+def test_verify_rejects_off_board_vertices(xor_compiled, vertex, at):
+    # a negative coordinate would index the solved window from its far end
+    import copy
+    import re
+
+    cg = copy.copy(xor_compiled)
+    cg.placement = Placement({**cg.placement.pos, vertex: at}, cg.placement.m,
+                             cg.placement.staircase, cg.placement.normal)
+    with pytest.raises(ValueError, match=re.escape(f"vertex {vertex!r} at {at}")):
+        verify_construction(cg, 4 * cg.placement.m)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -370,6 +373,8 @@ PAPER_SIDECAR = {
         ({**PAPER_SIDECAR, "lines": {"wires": [[1, 2]]}}, "'lines'"),
         ({**PAPER_SIDECAR, "variant": ["C"]}, "'variant'"),
         ([PAPER_SIDECAR], "JSON object"),
+        ({**PAPER_SIDECAR, "outputs": ["out_9"]}, "'pos' gives no position for vertex 'out_9'"),
+        ({**PAPER_SIDECAR, "in_dprime": "ghost"}, "'pos' gives no position for vertex 'ghost'"),
     ],
 )
 def test_cli_malformed_sidecar_file(tmp_path, capsys, obj, field):
@@ -382,3 +387,23 @@ def test_cli_malformed_sidecar_file(tmp_path, capsys, obj, field):
     spec, enc, _variant, _emb = io.load_spec("specs/xor.json")
     with pytest.raises(ValueError, match=field):
         io.compiled_from_files(GameSpec(paper_gamma()), obj, spec, enc)
+
+
+def test_cli_verify_refuses_off_board_output(tmp_path, capsys):
+    side = tmp_path / "side.json"
+    side.write_text(json.dumps({**PAPER_SIDECAR, "pos": {**PAPER_SIDECAR["pos"], "out_1": [-100, -100]}}))
+    argv = ["verify", "paper-gamma", "--spec", "specs/xor.json", "--bound", "12"]
+    assert main(argv + ["--placement", str(side)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "vertex 'out_1' at (-100, -100)" in err
+
+
+def test_python_m_runs_the_cli():
+    # exit codes pass through: 0 on success, 2 on a usage error
+    path = os.pathsep.join([str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    for argv, code in ((["axioms", "paper-gamma"], 0), ([], 2)):
+        run = subprocess.run([sys.executable, "-m", "latticegames", *argv], env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == code, run.stderr
+    assert run.stderr.startswith("usage: latticegames")

@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latticegames.lattice import (
@@ -134,11 +134,54 @@ big_points = st.tuples(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
 @settings(max_examples=300)
 @given(sublattices(), st.integers(1, 7), big_points, big_points)
 def test_class_label_is_additive(L, m, a, b):
-    # the placement conditions label differences by this identity
+    # labels are additive: a homomorphism from Z^2 into (Z / |det|)^2
     mL = L.scale(m)
     d = mL.index()
     la, lb = mL.class_label(a), mL.class_label(b)
     assert mL.class_label((a[0] - b[0], a[1] - b[1])) == ((la[0] - lb[0]) % d, (la[1] - lb[1]) % d)
+
+
+@st.composite
+def wide_sublattices(draw):
+    """Full-rank sublattices of Z^2 whose entries and determinants reach
+    past what int64 codes can hold."""
+    entry = st.one_of(st.integers(-12, 12), st.integers(-2**40, 2**40), st.integers(-2**64, 2**64))
+    b1, b2 = draw(
+        st.tuples(st.tuples(entry, entry), st.tuples(entry, entry)).filter(
+            lambda b: b[0][0] * b[1][1] - b[0][1] * b[1][0] != 0
+        )
+    )
+    return Sublattice(b1, b2)
+
+
+@settings(max_examples=100)
+@given(
+    wide_sublattices(),
+    st.lists(st.tuples(*[st.one_of(st.integers(-10**6, 10**6), st.integers(-2**64, 2**64))] * 2),
+             min_size=1, max_size=4),
+)
+@example(EVEN_SUM.scale(2**20), [(3, 5)])
+@example(EVEN_SUM.scale(2**10), [(3, 5), (-(2**63), 2**63 - 1)])
+@example(Sublattice((2**70, 1), (2**70 - 1, 1)), [(0, 0)])
+def test_class_labels_are_exact_or_refused(L, points):
+    d = L.index()
+    try:
+        codes = L.class_labels(points)
+    except ValueError:
+        # refused only where a point or a code leaves int64
+        reach = max(abs(c) for p in points for c in p)
+        entry = max(abs(c) for c in L.b1 + L.b2)
+        assert reach >= 2**63 or d * d >= 2**63 or 2 * max(reach, 1) * entry >= 2**63
+        return
+    assert codes.tolist() == [a * d + b for a, b in map(L.class_label, points)]
+
+
+def test_class_labels_refuse_wrapping_codes():
+    # |det| = 2^41, so the codes a * |det| + b would wrap int64
+    with pytest.raises(ValueError, match="leave int64"):
+        EVEN_SUM.scale(2**20).class_labels([(3, 5)])
+    with pytest.raises(ValueError, match="int64 coordinates"):
+        Z2.class_labels([(2**63, 0)])
 
 
 def test_latticeset_coset_membership():
