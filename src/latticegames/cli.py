@@ -82,7 +82,8 @@ def cmd_axioms(args) -> int:
     else:
         phi = result.as_integer()
         print(f"pointedness: witness {phi}")
-        print(f"  min move pairing: {min(sum(a*b for a, b in zip(phi, m)) for m in rs.moves)}")
+        if rs.moves:
+            print(f"  min move pairing: {min(sum(a*b for a, b in zip(phi, m)) for m in rs.moves)}")
     for rep in check_tangent_cone(rs):
         status = "pass" if rep.passed else "fail"
         extra = f" witness {rep.witness}" if rep.witness else ""
@@ -95,8 +96,7 @@ def cmd_axioms(args) -> int:
 def cmd_solve(args) -> int:
     game = _load_game(args.ruleset)
     grid = Solver(game).solve_window(args.window)
-    slice_index = args.slice if len(args.window) == 3 else None
-    data = render_grid(grid, slice_index, args.format, args.highlight)
+    data = render_grid(grid, args.slice, args.format, args.highlight)
     _emit(data, args.output)
     return 0
 

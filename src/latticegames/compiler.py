@@ -23,14 +23,15 @@ from . import engine, kernels
 from .circuits import NorCircuit, check_variant, extend_circuit, synthesize_nor_circuit
 from .engine import GameSpec, Infeasible, PointednessWitness, Ruleset, Solver
 from .lattice import (
+    F_array,
     LatticeSet,
     Vec,
     as_vec,
-    class_representatives,
     dominates,
     dot,
     enumerate_F,
     pareto_minimal,
+    points_under,
     positive_generators,
     unique_rows,
     vadd,
@@ -183,25 +184,25 @@ def check_conditions(
         # the tables of the staircase alone, which no gate position changes
         points = np.array(I, dtype=np.int64)
         disp = points[:, None] - points  # disp[p, q] = I[p] - I[q]
-        rep_of = class_representatives(spec.lattice, pl.m)
         # (a): the first point of the staircase's outward set outside the
-        # open halfspace
-        outward = None
+        # open halfspace, the points q - i with <nu, q> <= <nu, i>
         stair_diffs = {vsub(p, q) for p in I for q in I}
-        bound = max(dot(nu, i) for i in I)
-        for i, qx, qy in product(I, range(bound // nu[0] + 1), range(bound // nu[1] + 1)):
-            p = vsub((qx, qy), i)
-            if dot(nu, p) <= 0 and p not in stair_diffs:
-                outward = ("outward-point", p)
-                break
+        q = _under_line(nu, max(dot(nu, i) for i in I))
+        outward = next((("outward-point", p) for i in I
+                        for p in map(tuple, (q[q @ nu <= dot(nu, i)] - i).tolist())
+                        if p not in stair_diffs), None)
         return SimpleNamespace(
             points=points,
             disp=disp,
             labels=mL.class_labels(points),
             diff_labels=mL.class_labels(disp),
-            rep=lambda code: rep_of[divmod(int(code), mL.index())],
             outward=outward,
         )
+
+    def rep(code):
+        # a witness class is named by its last point of F
+        F = F_array(spec.lattice, pl.m)
+        return tuple(F[np.flatnonzero(mL.class_labels(F) == code)[-1]].tolist())
 
     def halfspace():
         # (a) edge differences and the staircase's outward set share the open
@@ -254,7 +255,7 @@ def check_conditions(
         shifted = mL.class_labels(deltas.reshape(-1, 1, 2) + st.points).reshape(-1, len(I))
         candidates = reduce(np.intersect1d, shifted.T, shifted[:, 0])
         bad = candidates[~np.isin(candidates, st.labels)]
-        return st.rep(bad[0]) if len(bad) else None
+        return rep(bad[0]) if len(bad) else None
 
     def displacement_sets():
         # (e) no translate of any displacement set {p - h(p)}, h(p) != p in I,
@@ -274,7 +275,7 @@ def check_conditions(
         h = first[np.lexsort(first.T[::-1])[0]]
         admitting = admits[:, np.arange(len(I)), h].all(axis=1)
         anchor = mL.class_labels(anchors[admitting]).min()
-        return (st.rep(anchor), {vsub(p, I[q]) for p, q in zip(I, h.tolist())})
+        return (rep(anchor), {vsub(p, I[q]) for p, q in zip(I, h.tolist())})
 
     def wire_stair_clashes():
         # (f) no wire move is congruent to a staircase difference
@@ -531,7 +532,7 @@ def emit_ruleset(
     pos = pl.pos
     V = list(circuit.vertices)
     gates = np.array([pos[v] for v in V], dtype=np.int64)
-    F = np.array(enumerate_F(spec.lattice, pl.m), dtype=np.int64)
+    F = F_array(spec.lattice, pl.m)
     f_minus_i = (F[:, None] - I).reshape(-1, 2)
 
     lines: dict[str, tuple] = {}
@@ -591,6 +592,11 @@ def emit_ruleset(
             certificate=witness,
         )
     return CompiledGame(game, pl, circuit, spec, enc, variant, lines, witness)
+
+
+def _under_line(nu, top: int) -> np.ndarray:
+    """The points q of N^2 with <nu, q> <= top, in lexicographic order."""
+    return points_under((top - nu[0] * np.arange(top // nu[0] + 1)) // nu[1] + 1)
 
 
 def _plane_line(points, z: int) -> tuple:
@@ -699,23 +705,14 @@ def verify_construction(cg: CompiledGame, bound: int) -> VerificationReport:
         if v is not None and min(pl.pos[v]) < 0:
             raise ValueError(f"vertex {v!r} at {pl.pos[v]} lies off the board; "
                              "verify reads outputs and controls on it")
-    nu = np.array(pl.normal, dtype=np.int64)
     m = pl.m
-
-    def below(scale):
-        # points q of N^2 with scale * <nu, q> <= bound, in lexicographic
-        # order, row by row: row x holds y = 0 .. (bound // scale - nu0 x) // nu1
-        top = bound // scale
-        xs = np.arange(top // nu[0] + 1)
-        counts = (top - nu[0] * xs) // nu[1] + 1
-        ys = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        return np.stack([np.repeat(xs, counts), ys], axis=1)
 
     def lift(points, z):
         return np.concatenate([points, np.full(points.shape[:-1] + (1,), z)], axis=-1)
 
-    slice0 = below(1)
-    ells = below(m)
+    slice0 = _under_line(pl.normal, bound)
+    # the l with m <nu, l> <= bound
+    ells = _under_line(pl.normal, bound // m)
     ells = ells[spec.lattice.class_labels(ells) == 0]
     ell_list = [tuple(l) for l in ells.tolist()]
     mL = spec.lattice.scale(m)

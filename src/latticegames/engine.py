@@ -299,10 +299,12 @@ class OutcomeGrid:
         """2-D slice at a fixed last coordinate (the grid itself in 2-D)."""
         if len(self.window) == 2:
             if slice_index not in (None, 0):
-                raise ValueError("a 2-D grid has no slices")
+                raise ValueError(f"a 2-D grid has no slices; got slice {slice_index}")
             return self.data
         if slice_index is None:
             raise ValueError("slice index required for a 3-D grid")
+        if not 0 <= slice_index <= self.window[-1]:
+            raise ValueError(f"slice {slice_index} lies outside [0, {self.window[-1]}]")
         return self.data[:, :, slice_index]
 
 
@@ -395,11 +397,7 @@ class Solver:
         caps = tuple(level_cap // f if g else w for f, g, w in zip(self.phi, grows, window))
         phi = np.array(self.phi, dtype=np.int64)
         defeated = self.game.defeated if self.game.has_defeated else None
-        # the guard counts the mask's boxes, so a refusal comes before them
-        boxes = defeated.mask_boxes() if defeated else 0
-        kernels.check_budget(tuple(c + 1 for c in caps), rs.array, phi, level_cap, boxes)
-        defeated_mask = defeated.mask(caps) if defeated else None
-        region = kernels.solve_region(rs.array, phi, level_cap, caps, defeated_mask)
+        region = kernels.solve_region(rs.array, phi, level_cap, caps, defeated)
         return OutcomeGrid(window, region[tuple(slice(0, w + 1) for w in window)])
 
 

@@ -162,13 +162,22 @@ def spec_from_json(obj: dict):
         alphabet=alphabet,
         table=table,
         sigma0=_field(obj, "spec", "sigma0", _STR),
-        f0={tuple(p): sym for p, sym in _field(obj, "spec", "f0", _list_of(_F0_ENTRY))},
+        f0=_initial_values(_field(obj, "spec", "f0", _list_of(_F0_ENTRY))),
     )
     encoding = _field(obj, "spec", "encoding", _map_of(_STRS), optional=True)
     enc = None
     if encoding is not None:
         enc = Encoding({sym: tuple(bits) for sym, bits in encoding.items()})
     return spec, enc, variant, None
+
+
+def _initial_values(entries) -> dict:
+    f0 = {}
+    for p, sym in entries:
+        if tuple(p) in f0:
+            raise ValueError(f"spec field 'f0' gives generator {tuple(p)} more than one value")
+        f0[tuple(p)] = sym
+    return f0
 
 
 def load_spec(path: str):

@@ -75,20 +75,23 @@ def check_budget(shape, moves, phi, level_cap: int, mask_boxes: int = 0):
     return moves, below, above
 
 
-def solve_region(moves, phi, level_cap, axis_caps, defeated_mask=None):
+def solve_region(moves, phi, level_cap, axis_caps, defeated=None):
     """Solve every cell p with 0 <= p <= axis_caps and phi . p <= level_cap.
 
     moves: (n, d) int64 array in any row order, such as the read-only
     Ruleset.array (it is only read); phi: length-d positive int array with
-    phi . move >= 1 for every move.  Returns the uint8 outcome array of shape
-    axis_caps + 1, a view into a padded array; cells outside the level cap
-    stay CODE_UNSEEN.
+    phi . move >= 1 for every move; defeated: a LatticeSet or None.  The box
+    is checked against the memory budget once, counting the defeated set's
+    mask boxes, before anything box-sized is built.  Returns the uint8
+    outcome array of shape axis_caps + 1, a view into a padded array; cells
+    outside the level cap stay CODE_UNSEEN.
     """
     level_cap = int(level_cap)
     shape = tuple(int(c) + 1 for c in axis_caps)
     d = len(shape)
     phi = np.asarray(phi, dtype=np.int64)
-    moves, below, above = check_budget(shape, moves, phi, level_cap, int(defeated_mask is not None))
+    boxes = defeated.mask_boxes() if defeated is not None else 0
+    moves, below, above = check_budget(shape, moves, phi, level_cap, boxes)
 
     # moves by increasing phi-step: those that stay under the cap form a prefix
     steps = moves @ phi
@@ -101,11 +104,12 @@ def solve_region(moves, phi, level_cap, axis_caps, defeated_mask=None):
     inner = tuple(slice(b, b + s) for b, s in zip(below.tolist(), shape))
     out = np.zeros(padded, dtype=np.uint8)  # CODE_N here before a cell's level means "has a P option"
     flat = out.reshape(-1)
-    defeated = None
-    if defeated_mask is not None:
-        defeated = np.zeros(padded, dtype=bool)
-        defeated[inner] = defeated_mask
-        defeated = defeated.reshape(-1)
+    is_defeated = None
+    if defeated is not None:
+        is_defeated = np.zeros(padded, dtype=bool)
+        # the unpadded mask lives only until it is copied in
+        is_defeated[inner] = defeated.mask(axis_caps)
+        is_defeated = is_defeated.reshape(-1)
 
     # the other axes' cells: partial level R, and the flat index at i_a = 0
     a = int(np.argmax(shape))
@@ -138,8 +142,8 @@ def solve_region(moves, phi, level_cap, axis_caps, defeated_mask=None):
     for b0, b1, shift, nl in zip(lo.tolist(), hi.tolist(), (big_q * strides[a]).tolist(), n_live.tolist()):
         f = start[b0:b1] + shift
         res = np.maximum(flat[f], CODE_P)  # unmarked cells are P, marked ones N
-        if defeated is not None:
-            res[defeated[f]] = CODE_DEFEATED
+        if is_defeated is not None:
+            res[is_defeated[f]] = CODE_DEFEATED
         flat[f] = res
         if nl == 0:
             continue

@@ -5,14 +5,17 @@ magnitude.  Sublattices of Z^2 are given by a basis matrix; membership is
 decided by Cramer's rule modulo the determinant.  LatticeSet is a small
 closed algebra of position sets (translated orthants, lattice cosets, finite
 sets, and boolean combinations) with exact pointwise membership plus a
-vectorised evaluator over dense windows.
+vectorised evaluator over dense windows.  One Euclidean echelon routine
+serves both: it reduces coset points, and it gives a sublattice the column
+form from which F, the minimal points of mL+ and the axis strides of a scale
+follow in closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from types import MappingProxyType
+from itertools import accumulate
+from math import gcd
 
 import numpy as np
 
@@ -44,10 +47,6 @@ def dot(a, b) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
-def is_nonneg(a: Vec) -> bool:
-    return all(x >= 0 for x in a)
-
-
 def dominates(a: Vec, b: Vec) -> bool:
     """Componentwise a >= b."""
     return all(x >= y for x, y in zip(a, b))
@@ -58,6 +57,26 @@ def as_vec(x, dim=None) -> Vec:
     if dim is not None and len(v) != dim:
         raise ValueError(f"expected {dim}-dimensional vector, got {v}")
     return v
+
+
+def echelon(rows: list[Vec], dim: int) -> list[tuple[int, Vec]]:
+    """Echelon form of the integer span of rows: (axis, pivot row) pairs in
+    axis order, each pivot positive on its axis and every later row zero on
+    it.  The Euclidean algorithm on integer rows absorbs zero, parallel and
+    surplus vectors exactly at any magnitude."""
+    pivots = []
+    for k in range(dim):
+        hits = [r for r in rows if r[k]]
+        if not hits:
+            continue
+        rows = [r for r in rows if not r[k]]
+        pivot = hits[0]
+        for r in hits[1:]:
+            while r[k]:
+                pivot, r = r, vsub(pivot, vscale(pivot[k] // r[k], r))
+            rows.append(r)
+        pivots.append((k, pivot if pivot[k] > 0 else vscale(-1, pivot)))
+    return pivots
 
 
 class Sublattice:
@@ -75,9 +94,6 @@ class Sublattice:
 
     def __eq__(self, other):
         return isinstance(other, Sublattice) and (self.b1, self.b2) == (other.b1, other.b2)
-
-    def __hash__(self):
-        return hash((self.b1, self.b2))
 
     def scale(self, m: int) -> "Sublattice":
         return Sublattice(vscale(m, self.b1), vscale(m, self.b2))
@@ -124,11 +140,20 @@ class Sublattice:
         return abs(self.det)
 
     def axis_strides(self) -> tuple[int, int]:
-        """Smallest a, b > 0 with (a,0) and (0,b) in L."""
-        d = abs(self.det)
-        a = next(k for k in range(1, d + 1) if self.contains((k, 0)))
-        b = next(k for k in range(1, d + 1) if self.contains((0, k)))
-        return a, b
+        """Smallest a, b > 0 with (a,0) and (0,b) in L.  With echelon rows
+        (g, s) and (0, ay), column x = g k holds the points at k s mod ay,
+        which is first 0 at k = ay / gcd(s, ay)."""
+        (_, (g, s)), (_, (_, ay)) = echelon([self.b1, self.b2], 2)
+        return g * ay // gcd(s, ay), ay
+
+    def column_heights(self) -> list[int]:
+        """Height of the lowest nonzero point of L+ in each column x = 0 .. ax.
+        With echelon rows (g, s) and (0, ay), column x holds points of L
+        exactly when g divides x, the least at x / g * s mod ay.  A column
+        with none reads ay, the height at x = 0, so it never lowers a running minimum."""
+        (_, (g, s)), (_, (_, ay)) = echelon([self.b1, self.b2], 2)
+        ax, _ = self.axis_strides()
+        return [x // g * s % ay if x and not x % g else ay for x in range(ax + 1)]
 
 
 Z2 = Sublattice((1, 0), (0, 1))
@@ -239,32 +264,15 @@ class LatticeSet:
 
     def _coset_reducer(self):
         """Map from a point to the canonical representative of its class
-        modulo the coset's lattice m * Z<basis>.
-
-        The basis is brought to echelon form by the Euclidean algorithm on
-        integer rows, so zero, parallel and surplus vectors are absorbed
-        exactly at any magnitude.  Each pivot coordinate of a point is then
-        replaced by its floor remainder modulo the pivot, column by column;
-        later rows are zero on earlier pivot columns, so the result is the
-        same for every point of a class.
-        """
+        modulo the coset's lattice m * Z<basis>: each pivot coordinate of the
+        point, in echelon order, is replaced by its floor remainder modulo
+        the pivot.  Later rows are zero on earlier pivot axes, so the result
+        is the same for every point of a class."""
         _, basis, m = self.payload
-        rows = [vscale(m, b) for b in basis]
-        echelon = []
-        for k in range(self.dim):
-            hits = [r for r in rows if r[k]]
-            if not hits:
-                continue
-            rows = [r for r in rows if not r[k]]
-            pivot = hits[0]
-            for r in hits[1:]:
-                while r[k]:
-                    pivot, r = r, vsub(pivot, vscale(pivot[k] // r[k], r))
-                rows.append(r)
-            echelon.append((k, pivot))
+        rows = echelon([vscale(m, b) for b in basis], self.dim)
 
         def reduce(p: Vec) -> Vec:
-            for k, row in echelon:
+            for k, row in rows:
                 p = vsub(p, vscale(p[k] // row[k], row))
             return p
 
@@ -497,7 +505,7 @@ class ModuleIdeal:
         self.ambient = ambient
         gens = sorted({as_vec(g, 2) for g in generators})
         for g in gens:
-            if not is_nonneg(g) or not ambient.contains(g):
+            if min(g) < 0 or not ambient.contains(g):
                 raise ValueError(f"generator {g} is not in L+")
         for g in gens:
             for h in gens:
@@ -507,7 +515,7 @@ class ModuleIdeal:
 
     def _leq(self, a: Vec, b: Vec) -> bool:
         d = vsub(b, a)
-        return is_nonneg(d) and self.ambient.contains(d)
+        return min(d) >= 0 and self.ambient.contains(d)
 
     def contains(self, p) -> bool:
         p = as_vec(p, 2)
@@ -548,50 +556,44 @@ def pareto_minimal(points) -> np.ndarray:
 
 
 def positive_generators(mL: Sublattice) -> list[Vec]:
-    """Minimal nonzero elements of mL+ in the componentwise order.
-
-    Any nonzero element beyond (ax, 0) or (0, ay) is dominated by one of
-    them, so the minimal ones live in [0, ax] x [0, ay].
-    """
-    ax, ay = mL.axis_strides()
-    pts = np.array(
-        [(x, y) for x in range(ax + 1) for y in range(ay + 1) if (x or y) and mL.contains((x, y))],
-        dtype=np.int64,
-    )
-    return [tuple(p) for p in pts[pareto_minimal(pts)].tolist()]
+    """Minimal nonzero elements of mL+ in the componentwise order, from
+    (0, ay) to (ax, 0): the column minima strictly below every column
+    minimum to their left.  Any other point of a column dominates its
+    minimum, and any point beyond (ax, 0) dominates that."""
+    heights = mL.column_heights()
+    lows = [heights[0] + 1, *accumulate(heights, min)]  # lows[x]: least height left of x
+    return [(x, y) for x, (y, low) in enumerate(zip(heights, lows)) if y < low]
 
 
-@lru_cache(maxsize=16)
-def _residues(L: Sublattice, m: int):
-    """F and its label -> representative map for one (L, m); placement
-    search checks many placements at the same scale."""
+def points_under(tops) -> np.ndarray:
+    """The points (x, y) of N^2 with y < tops[x], in lexicographic order, as
+    an (n, 2) int64 array."""
+    tops = np.asarray(tops, dtype=np.int64)
+    ys = np.arange(tops.sum()) - np.repeat(np.cumsum(tops) - tops, tops)
+    return np.stack([np.repeat(np.arange(len(tops)), tops), ys], axis=1)
+
+
+def F_array(L: Sublattice, m: int) -> np.ndarray:
+    """Points of N^2 that dominate no nonzero element of mL+, as an (n, 2)
+    int64 array in lexicographic order: column x < ax holds the points under
+    the lowest nonzero point of mL+ in columns 0 .. x.  They represent every
+    class of Z^2 / mL, which is asserted."""
     if m < 1:
         raise ValueError("m must be a positive integer")
     mL = L.scale(m)
-    gens = positive_generators(mL)
-    ax, ay = mL.axis_strides()
-    # any p with p1 >= ax is dominated by (ax, 0), so F fits in this box
-    pts = tuple(
-        (x, y)
-        for x in range(ax)
-        for y in range(ay)
-        if not any(dominates((x, y), g) for g in gens)
-    )
-    rep_of = {mL.class_label(p): p for p in pts}
-    assert len(rep_of) == mL.index(), "F misses a residue class"
-    return pts, MappingProxyType(rep_of)
+    F = points_under(np.minimum.accumulate(mL.column_heights()[:-1]))
+    codes = np.sort(mL.class_labels(F))
+    assert np.count_nonzero(np.diff(codes)) + 1 == mL.index(), "F misses a residue class"
+    return F
 
 
 def enumerate_F(L: Sublattice, m: int) -> list[Vec]:
-    """Points of N^2 that dominate no nonzero element of mL+.
-
-    The result is finite because mL+ has full rank; it contains at least one
-    representative of every class of Z^2 / mL, which is asserted.
-    """
-    return list(_residues(L, m)[0])
+    """F_array(L, m) as a list of tuples."""
+    return list(map(tuple, F_array(L, m).tolist()))
 
 
-def class_representatives(L: Sublattice, m: int):
-    """Read-only map from each class label of Z^2 / mL to a point of F in
-    that class; where F holds several, the last in F order."""
-    return _residues(L, m)[1]
+def class_representatives(L: Sublattice, m: int) -> dict[tuple[int, int], Vec]:
+    """Map from each class label of Z^2 / mL to a point of F in that class;
+    where F holds several, the last in F order."""
+    mL = L.scale(m)
+    return {mL.class_label(p): p for p in enumerate_F(L, m)}

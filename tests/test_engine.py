@@ -313,7 +313,7 @@ def test_sieve_matches_topdown_memo(case):
     cap = dot(solver.phi, window)
     caps = tuple(cap // f for f in solver.phi)
     region = kernels.solve_region(
-        np.array(game.ruleset.moves), np.array(solver.phi), cap, caps, game.defeated.mask(caps)
+        np.array(game.ruleset.moves), np.array(solver.phi), cap, caps, game.defeated
     )
     _region_matches_memo(solver, cap, region)
 
@@ -329,7 +329,7 @@ def test_kernel_matches_memo_without_unit_weights(case):
     caps = tuple(cap // f for f in solver.phi)
     for k in (2, 3):
         region = kernels.solve_region(
-            game.ruleset.array, k * np.array(solver.phi), k * cap, caps, game.defeated.mask(caps)
+            game.ruleset.array, k * np.array(solver.phi), k * cap, caps, game.defeated
         )
         _region_matches_memo(solver, cap, region)
 
@@ -382,6 +382,24 @@ def test_solve_with_defeated_set_stays_within_the_guard(case, monkeypatch, trace
     with traced_peak() as peak, pytest.raises(ValueError, match="GiB"):
         solver.solve_window(window)
     assert peak.bytes < 2**20
+
+
+def _plain_gamma_prime():
+    return Solver(GameSpec(paper_gamma_prime())), (48, 48, 1)
+
+
+@pytest.mark.parametrize("case", [_holed_gamma_prime, _plain_gamma_prime])
+def test_solve_window_checks_the_budget_once(case, monkeypatch):
+    solver, window = case()
+    calls = []
+
+    def spy(*args, check_budget=kernels.check_budget):
+        calls.append(args)
+        return check_budget(*args)
+
+    monkeypatch.setattr(kernels, "check_budget", spy)
+    solver.solve_window(window)
+    assert len(calls) == 1
 
 
 def test_solving_deterministic(gamma_prime_game):

@@ -258,28 +258,28 @@ def test_cli_missing_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "obj, field",
-    [
-        ({"dim": 3}, "moves"),
-        ({"moves": [[1, 0, 0]]}, "dim"),
-        ({"dim": "3", "moves": [[1, 0, 0]]}, "dim"),
-        ({"dim": 3, "moves": "[[1, 0, 0]]"}, "moves"),
-        ({"dim": 3, "moves": [[1, 0]]}, "moves"),
-        ({"dim": 3, "moves": [[1, 0, 0.5]]}, "moves"),
-        ({"dim": 3, "moves": [[1, 0, 0]], "defeated": [[0, 0, 0]]}, "defeated"),
-        ([3, [[1, 0, 0]]], "JSON object"),
-        ({"dim": 3, "moves": [[1, 0, 0], [0, 10**23, 0]]}, "moves"),
-        (
-            {
-                "dim": 3,
-                "moves": [[1, 0, 0]],
-                "defeated": "coset((0,0);(100000000000000000000000,0);(0,3);1)",
-            },
-            "int64",
-        ),
-    ],
-)
+MALFORMED_GAMES = [
+    ({"dim": 3}, "moves"),
+    ({"moves": [[1, 0, 0]]}, "dim"),
+    ({"dim": "3", "moves": [[1, 0, 0]]}, "dim"),
+    ({"dim": 3, "moves": "[[1, 0, 0]]"}, "moves"),
+    ({"dim": 3, "moves": [[1, 0]]}, "moves"),
+    ({"dim": 3, "moves": [[1, 0, 0.5]]}, "moves"),
+    ({"dim": 3, "moves": [[1, 0, 0]], "defeated": [[0, 0, 0]]}, "defeated"),
+    ([3, [[1, 0, 0]]], "JSON object"),
+    ({"dim": 3, "moves": [[1, 0, 0], [0, 10**23, 0]]}, "moves"),
+    (
+        {
+            "dim": 3,
+            "moves": [[1, 0, 0]],
+            "defeated": "coset((0,0);(100000000000000000000000,0);(0,3);1)",
+        },
+        "int64",
+    ),
+]
+
+
+@pytest.mark.parametrize("obj, field", MALFORMED_GAMES)
 def test_cli_malformed_game_file(tmp_path, capsys, obj, field):
     bad = tmp_path / "f.json"
     bad.write_text(json.dumps(obj))
@@ -314,25 +314,26 @@ def _without(obj, key):
     return {k: v for k, v in obj.items() if k != key}
 
 
-@pytest.mark.parametrize(
-    "obj, field",
-    [
-        ({}, "'lattice'"),
-        ({**XOR_SPEC, "lattice": [[1, 0]]}, "'lattice'"),
-        (_without(XOR_SPEC, "module_generators"), "'module_generators'"),
-        ({**XOR_SPEC, "alphabet": "PN"}, "'alphabet'"),
-        (_without(XOR_SPEC, "betas"), "'betas'"),
-        ({**XOR_SPEC, "g": "NPPN"}, "'g'"),
-        (_without(XOR_SPEC, "sigma0"), "'sigma0'"),
-        ({**XOR_SPEC, "f0": [[[0, 0]]]}, "'f0'"),
-        ({**XOR_SPEC, "encoding": {"P": "N", "N": 1}}, "'encoding'"),
-        ({**XOR_SPEC, "variant": 3}, "'variant'"),
-        ({"ca": [110, "1"]}, "'ca'"),
-        ({"ca": {"word": "1"}}, "'rule'"),
-        ({"ca": {"rule": 110, "word": 1}}, "'word'"),
-        ([XOR_SPEC], "JSON object"),
-    ],
-)
+MALFORMED_SPECS = [
+    ({}, "'lattice'"),
+    ({**XOR_SPEC, "lattice": [[1, 0]]}, "'lattice'"),
+    (_without(XOR_SPEC, "module_generators"), "'module_generators'"),
+    ({**XOR_SPEC, "alphabet": "PN"}, "'alphabet'"),
+    (_without(XOR_SPEC, "betas"), "'betas'"),
+    ({**XOR_SPEC, "g": "NPPN"}, "'g'"),
+    (_without(XOR_SPEC, "sigma0"), "'sigma0'"),
+    ({**XOR_SPEC, "f0": [[[0, 0]]]}, "'f0'"),
+    ({**XOR_SPEC, "encoding": {"P": "N", "N": 1}}, "'encoding'"),
+    ({**XOR_SPEC, "variant": 3}, "'variant'"),
+    ({"ca": [110, "1"]}, "'ca'"),
+    ({"ca": {"word": "1"}}, "'rule'"),
+    ({"ca": {"rule": 110, "word": 1}}, "'word'"),
+    ([XOR_SPEC], "JSON object"),
+    ({**XOR_SPEC, "f0": [[[0, 0], "P"], [[0, 0], "N"]]}, "'f0' gives generator"),
+]
+
+
+@pytest.mark.parametrize("obj, field", MALFORMED_SPECS)
 def test_cli_malformed_spec_file(tmp_path, capsys, obj, field):
     bad = tmp_path / "spec.json"
     bad.write_text(json.dumps(obj))
@@ -360,33 +361,82 @@ PAPER_SIDECAR = {
 }
 
 
-@pytest.mark.parametrize(
-    "obj, field",
-    [
-        (_without(PAPER_SIDECAR, "pos"), "'pos'"),
-        ({**PAPER_SIDECAR, "pos": {"out_1": [0, 0, 0]}}, "'pos'"),
-        ({**PAPER_SIDECAR, "m": "6"}, "'m'"),
-        (_without(PAPER_SIDECAR, "staircase"), "'staircase'"),
-        ({**PAPER_SIDECAR, "normal": [3]}, "'normal'"),
-        (_without(PAPER_SIDECAR, "outputs"), "'outputs'"),
-        ({**PAPER_SIDECAR, "in_prime": 2}, "'in_prime'"),
-        ({**PAPER_SIDECAR, "lines": {"wires": [[1, 2]]}}, "'lines'"),
-        ({**PAPER_SIDECAR, "variant": ["C"]}, "'variant'"),
-        ([PAPER_SIDECAR], "JSON object"),
-        ({**PAPER_SIDECAR, "outputs": ["out_9"]}, "'pos' gives no position for vertex 'out_9'"),
-        ({**PAPER_SIDECAR, "in_dprime": "ghost"}, "'pos' gives no position for vertex 'ghost'"),
-    ],
-)
+MALFORMED_SIDECARS = [
+    (_without(PAPER_SIDECAR, "pos"), "'pos'"),
+    ({**PAPER_SIDECAR, "pos": {"out_1": [0, 0, 0]}}, "'pos'"),
+    ({**PAPER_SIDECAR, "m": "6"}, "'m'"),
+    (_without(PAPER_SIDECAR, "staircase"), "'staircase'"),
+    ({**PAPER_SIDECAR, "normal": [3]}, "'normal'"),
+    (_without(PAPER_SIDECAR, "outputs"), "'outputs'"),
+    ({**PAPER_SIDECAR, "in_prime": 2}, "'in_prime'"),
+    ({**PAPER_SIDECAR, "lines": {"wires": [[1, 2]]}}, "'lines'"),
+    ({**PAPER_SIDECAR, "variant": ["C"]}, "'variant'"),
+    ([PAPER_SIDECAR], "JSON object"),
+    ({**PAPER_SIDECAR, "outputs": ["out_9"]}, "'pos' gives no position for vertex 'out_9'"),
+    ({**PAPER_SIDECAR, "in_dprime": "ghost"}, "'pos' gives no position for vertex 'ghost'"),
+]
+VERIFY_XOR = ["verify", "paper-gamma", "--spec", "specs/xor.json", "--bound", "12"]
+
+
+@pytest.mark.parametrize("obj, field", MALFORMED_SIDECARS)
 def test_cli_malformed_sidecar_file(tmp_path, capsys, obj, field):
     bad = tmp_path / "side.json"
     bad.write_text(json.dumps(obj))
-    argv = ["verify", "paper-gamma", "--spec", "specs/xor.json", "--bound", "12"]
-    assert main(argv + ["--placement", str(bad)]) == 1
+    assert main(VERIFY_XOR + ["--placement", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and field in err
     spec, enc, _variant, _emb = io.load_spec("specs/xor.json")
     with pytest.raises(ValueError, match=field):
         io.compiled_from_files(GameSpec(paper_gamma()), obj, spec, enc)
+
+
+# (argv, contents of the file that "{file}" names, what the message says);
+# "{out}" names a file the command may write
+CLI_FAILURES = [
+    (["solve", "paper-gamma-prime", "--window", "3,3,1", "--slice", "5"], None, "slice 5"),
+    (["render", "paper-gamma-prime", "--window", "2,2,1", "--slice", "-2", "--format", "text"],
+     None, "slice -2"),
+    (["solve", "{file}", "--window", "2,2", "--slice", "3"], {"dim": 2, "moves": [[1, 0], [0, 1]]},
+     "slice 3"),
+    (["compile", "{file}", "-o", "{out}"], {**XOR_SPEC, "f0": [[[0, 0], "P"], [[0, 0], "N"]]},
+     "'f0' gives generator (0, 0) more than one value"),
+    (["axioms", "no-such-file.json"], None, "no-such-file.json"),
+    (["fly-to-the-moon"], None, "invalid choice"),
+    (["solve", "paper-gamma-prime", "--window", "3,3,1", "--bogus-flag"], None, "--bogus-flag"),
+    ([], None, "required"),
+    (["probe", "paper-gamma-prime", "--window", "8,8", "--max-period", "0"], None, "--max-period"),
+    *((["solve", "{file}", "--window", "3,3,1"], obj, field) for obj, field in MALFORMED_GAMES),
+    *((["compile", "{file}", "-o", "{out}"], obj, field) for obj, field in MALFORMED_SPECS),
+    *((VERIFY_XOR + ["--placement", "{file}"], obj, field) for obj, field in MALFORMED_SIDECARS),
+]
+
+
+@pytest.mark.parametrize("argv, obj, says", CLI_FAILURES)
+def test_cli_refuses_malformed_invocations(tmp_path, capsys, argv, obj, says):
+    # exit 1 or 2 with a one-line message, never a traceback: the CLI's own
+    # messages read "error: ...", argparse's read "<prog>: error: ..."
+    names = {"file": str(tmp_path / "in.json"), "out": str(tmp_path / "out.json")}
+    if obj is not None:
+        Path(names["file"]).write_text(json.dumps(obj))
+    assert main([a.format(**names) for a in argv]) in (1, 2)
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    message = err.splitlines()[-1]
+    argparse_message = message.startswith("latticegames") and ": error:" in message
+    assert message.startswith("error:") or argparse_message
+    assert says in message
+
+
+def test_cli_axioms_on_a_game_without_moves(tmp_path, capsys):
+    game = tmp_path / "g.json"
+    game.write_text(json.dumps({"dim": 2, "moves": []}))
+    assert main(["axioms", str(game)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == [
+        "pointedness: witness (1, 1)",
+        "tangent-cone surrogate (advisory), axis 0: fail",
+        "tangent-cone surrogate (advisory), axis 1: fail",
+    ]
 
 
 def test_cli_verify_refuses_off_board_output(tmp_path, capsys):

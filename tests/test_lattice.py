@@ -12,9 +12,11 @@ from latticegames.lattice import (
     LatticeSet,
     ModuleIdeal,
     Sublattice,
+    class_representatives,
     enumerate_F,
     parse_set_expr,
     pareto_minimal,
+    positive_generators,
     vscale,
 )
 
@@ -113,6 +115,62 @@ def test_enumerate_F_covers_all_classes_random():
             pts = enumerate_F(L, m)
             # exhaustive coset enumeration via class labels
             assert len({mL.class_label(p) for p in pts}) == mL.index()
+
+
+# The residue tables by scans of the [0, ax] x [0, ay] box, kept as the
+# references for their closed forms; membership over the box is read from
+# one class_labels call, so a large box stays cheap.
+def _reference_axis_strides(L):
+    d = abs(L.det)
+    a = next(k for k in range(1, d + 1) if L.contains((k, 0)))
+    b = next(k for k in range(1, d + 1) if L.contains((0, k)))
+    return a, b
+
+
+def _box(nx, ny):
+    """The points of [0, nx) x [0, ny) in lexicographic order."""
+    xs, ys = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    return np.stack([xs.ravel(), ys.ravel()], axis=1)
+
+
+def _reference_positive_generators(mL):
+    ax, ay = _reference_axis_strides(mL)
+    box = _box(ax + 1, ay + 1)
+    pts = box[(mL.class_labels(box) == 0) & box.any(axis=1)]
+    return [tuple(p) for p in pts[pareto_minimal(pts)].tolist()]
+
+
+def _reference_residues(L, m):
+    """F and the map from each class label to its last point of F."""
+    mL = L.scale(m)
+    gens = _reference_positive_generators(mL)
+    ax, ay = _reference_axis_strides(mL)
+    box = _box(ax, ay)
+    free = np.ones(len(box), dtype=bool)
+    for g in gens:
+        free &= ~(box >= g).all(axis=1)
+    pts = [tuple(p) for p in box[free].tolist()]
+    rep_of = {mL.class_label(p): p for p in pts}
+    assert len(rep_of) == mL.index(), "F misses a residue class"
+    return pts, rep_of
+
+
+@settings(max_examples=150)
+@given(
+    st.tuples(*[st.integers(-8, 8)] * 4).filter(lambda b: b[0] * b[3] != b[1] * b[2]),
+    st.integers(1, 6),
+)
+@example((1, 1, 1, -1), 1)
+@example((0, -3, -2, 5), 2)  # a negative pivot on each axis
+@example((2, 2, 0, 4), 3)  # gcd(s, ay) = 6, so ax = 12, not 72
+def test_residue_tables_match_the_box_scans(basis, m):
+    L = Sublattice(basis[:2], basis[2:])
+    mL = L.scale(m)
+    assert mL.axis_strides() == _reference_axis_strides(mL)
+    assert positive_generators(mL) == _reference_positive_generators(mL)
+    F, rep_of = _reference_residues(L, m)
+    assert enumerate_F(L, m) == F
+    assert class_representatives(L, m) == rep_of
 
 
 @st.composite
