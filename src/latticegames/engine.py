@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from operator import sub
 
 import numpy as np
 
@@ -322,6 +321,7 @@ class Solver:
         self.witness = witness
         self.phi = witness.as_integer()
         self.memo: dict[Vec, str] = {}
+        self._columns = None  # per-axis move components and their maxima
 
     def _is_position(self, p: Vec) -> bool:
         """p must already be a tuple of ints of the game's dimension."""
@@ -329,13 +329,30 @@ class Solver:
             return False
         return not (self.game.has_defeated and self.game.defeated._contains(p))
 
-    def options(self, p: Vec) -> list[Vec]:
-        defeated = self.game.defeated if self.game.has_defeated else None
-        opts = []
-        for m in self.game.ruleset.moves:
-            q = tuple(map(sub, p, m))
-            if min(q) >= 0 and not (defeated and defeated._contains(q)):
-                opts.append(q)
+    def options(self, p) -> list[Vec]:
+        """The legal options of the position p, in move order; p must be a
+        position of the game."""
+        p = as_vec(p, self.game.ruleset.dim)
+        if not self._is_position(p):
+            raise ValueError(f"{p} is not a position of this game")
+        return self._options(p)
+
+    def _options(self, p: Vec) -> list[Vec]:
+        """options(p) without its checks.  The memo holds only positions, so
+        only an option missing from it is tested against the defeated set."""
+        if self._columns is None:
+            # built on the first top-down query, so a bottom-up solve of a
+            # large ruleset costs nothing extra
+            cols = self.game.ruleset.array.T.tolist()
+            self._columns = cols, [max(c, default=0) for c in cols]
+        cols, top = self._columns
+        opts = list(zip(*[[c - m for m in col] for c, col in zip(p, cols)]))
+        for k, c in enumerate(p):
+            if c < top[k]:  # else no move takes axis k below 0
+                opts = [q for q in opts if q[k] >= 0]
+        if self.game.has_defeated:
+            memo, contains = self.memo, self.game.defeated._contains
+            opts = [q for q in opts if q in memo or not contains(q)]
         return opts
 
     def outcome(self, p) -> str:
@@ -358,14 +375,14 @@ class Solver:
             if q in memo:
                 continue
             if opts is None:
-                opts = self.options(q)
+                opts = self._options(q)
                 pending = [o for o in opts if o not in memo]
                 if pending:
                     # everything pushed above q resolves before q is next seen
                     stack.append((q, opts))
                     stack.extend((o, None) for o in pending)
                     continue
-            memo[q] = N if any(memo[o] == P for o in opts) else P
+            memo[q] = N if P in map(memo.__getitem__, opts) else P
         return memo[p]
 
     def solve_window(self, window, mode: str = "bottom-up") -> OutcomeGrid:
@@ -461,11 +478,13 @@ def periodicity_probe(grid: OutcomeGrid, slice_index, cone, ell) -> ProbeResult:
     (x0, x1), (y0, y1) = ((max(0, c), min(n, n + c)) for n, c in zip(plane.shape, ell))
     if x0 >= x1 or y0 >= y1:
         return ProbeResult(True, ell)
-    x, y = np.ogrid[x0:x1, y0:y1]
-    cp, cq = plane[x0:x1, y0:y1], plane[x0 - ell[0] : x1 - ell[0], y0 - ell[1] : y1 - ell[1]]
-    valid = (cp != CODE_DEFEATED) & (cq != CODE_DEFEATED)
-    for v in ((x, y), (x - ell[0], y - ell[1])):
-        valid &= (_cross(r, v) >= 0) & (_cross(v, s) >= 0)
+    # one mask of the cells inside the cone that are positions, read at p and q
+    x, y = np.arange(plane.shape[0])[:, None], np.arange(plane.shape[1])
+    ok = (plane != CODE_DEFEATED) & (r[0] * y >= r[1] * x) & (s[1] * x >= s[0] * y)
+    at_p = slice(x0, x1), slice(y0, y1)
+    at_q = slice(x0 - ell[0], x1 - ell[0]), slice(y0 - ell[1], y1 - ell[1])
+    cp, cq = plane[at_p], plane[at_q]
+    valid = ok[at_p] & ok[at_q]
     # C order is the x-then-y order of the lexicographically first witness
     bad = np.flatnonzero(valid & (cp != cq))
     if bad.size == 0:

@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction
 
@@ -266,7 +267,8 @@ def pointed_games(draw):
     bound w, so some moves reach past every box the sieve solves; a move is
     kept only if it pairs positively with a drawn functional, so the ruleset
     is pointed while negative components stay common.  Defeated sets are
-    empty, finite, an orthant or a union of the two.
+    empty, finite, an orthant, a coset, or a union, intersection or
+    difference of two of those three.
     """
     d = draw(st.sampled_from((1, 2, 3)))
     phi = draw(st.tuples(*[st.integers(1, 3)] * d))
@@ -277,12 +279,15 @@ def pointed_games(draw):
     point = st.tuples(*[st.integers(0, w + 1) for w in window])
     finite = st.lists(point, max_size=6).map(lambda pts: LatticeSet.finite(pts, dim=d))
     orthant = point.map(LatticeSet.orthant)
+    basis = st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=1, max_size=d)
+    coset = st.builds(LatticeSet.coset, point, basis, st.integers(1, 3))
+    atom = st.one_of(finite, orthant, coset)
     defeated = draw(
         st.one_of(
             st.just(LatticeSet.empty(d)),
-            finite,
-            orthant,
-            st.tuples(finite, orthant).map(lambda ab: LatticeSet.union(*ab)),
+            atom,
+            *(st.tuples(atom, atom).map(lambda ab, op=op: op(*ab))
+              for op in (LatticeSet.union, LatticeSet.inter, LatticeSet.diff)),
         )
     )
     return GameSpec(Ruleset(d, moves), defeated), window
@@ -578,6 +583,140 @@ def test_topdown_memo_is_closed_under_options():
                 reached.add(q)
                 frontier.append(q)
     assert set(solver.memo) == reached
+
+
+def _reference_options(game, p):
+    """Options of p by the per-move loop: subtract each move, then test the
+    orthant and the defeated set."""
+    defeated = game.defeated if game.has_defeated else None
+    opts = []
+    for m in game.ruleset.moves:
+        q = tuple(a - b for a, b in zip(p, m))
+        if min(q) >= 0 and not (defeated is not None and defeated._contains(q)):
+            opts.append(q)
+    return opts
+
+
+def _reference_outcome(game, memo, p):
+    """Top-down evaluation of the position p into memo, by the per-move
+    options and an any() over the option outcomes."""
+    stack = [(p, None)]
+    while stack:
+        q, opts = stack.pop()
+        if q in memo:
+            continue
+        if opts is None:
+            opts = _reference_options(game, q)
+            pending = [o for o in opts if o not in memo]
+            if pending:
+                stack.append((q, opts))
+                stack.extend((o, None) for o in pending)
+                continue
+        memo[q] = "N" if any(memo[o] == "P" for o in opts) else "P"
+    return memo[p]
+
+
+def _reference_topdown(game, window):
+    """Top-down window solve by _reference_outcome; returns the memo and the
+    grid's data."""
+    memo = {}
+    shape = tuple(w + 1 for w in window)
+    data = np.zeros(shape, dtype=np.uint8)
+    for p in np.ndindex(shape):
+        if min(p) < 0 or (game.has_defeated and game.defeated._contains(p)):
+            data[p] = kernels.CODE_DEFEATED
+        else:
+            data[p] = kernels.CODE_P if _reference_outcome(game, memo, p) == "P" else kernels.CODE_N
+    return memo, data
+
+
+@settings(max_examples=100)
+@given(pointed_games(), st.data())
+def test_options_match_the_reference_loop(case, data):
+    game, window = case
+    solver = Solver(game)
+    # points inside the window, on its boundary and past the largest move
+    # component on every axis, where no sign test runs
+    top = [max(0, *col) for col in zip(*game.ruleset.moves)]
+    cell = st.tuples(*[st.integers(0, max(w, t) + 1) for w, t in zip(window, top)])
+    points = data.draw(st.lists(cell, min_size=1, max_size=12))
+    points += [window, tuple(top)]
+    first = data.draw(cell)
+    # with an empty memo, then with the memo an earlier query leaves (made
+    # by the reference, so that a broken solver cannot run away here)
+    for _ in range(2):
+        for p in points:
+            if solver._is_position(p):
+                assert solver.options(p) == _reference_options(game, p), p
+            else:
+                with pytest.raises(ValueError, match="not a position"):
+                    solver.options(p)
+        if not solver._is_position(first):
+            break
+        _reference_outcome(game, solver.memo, first)
+
+
+def test_options_refuse_a_point_of_the_wrong_dimension(gamma_prime_solver):
+    with pytest.raises(ValueError, match="3-dimensional"):
+        gamma_prime_solver.options((6, 6))
+
+
+def test_options_refuse_a_defeated_point(gamma_prime_game):
+    solver = Solver(GameSpec(gamma_prime_game.ruleset, LatticeSet.finite([(1, 1, 0)])))
+    with pytest.raises(ValueError, match="not a position"):
+        solver.options((1, 1, 0))
+
+
+def test_options_refuse_a_negative_point(gamma_prime_solver):
+    with pytest.raises(ValueError, match="not a position"):
+        gamma_prime_solver.options((-1, 5, 0))
+
+
+def _oracle_holed_gamma_prime(seed):
+    """Gamma' minus 500 seeded points of the window (48, 48, 1), drawn as the
+    oracle benchmark workload draws them."""
+    rng = random.Random(seed)
+    points = set()
+    while len(points) < 500:
+        points.add(tuple(rng.randint(0, w) for w in (48, 48, 1)))
+    return GameSpec(paper_gamma_prime(), LatticeSet.finite(sorted(points))), (48, 48, 1)
+
+
+def _assert_topdown_matches_reference(game, window):
+    solver = Solver(game)
+    grid = solver.solve_window(window, mode="top-down")
+    memo, data = _reference_topdown(game, window)
+    assert solver.memo == memo
+    assert list(solver.memo) == list(memo)  # filled in the same order, too
+    assert grid.data.dtype == data.dtype and np.array_equal(grid.data, data)
+    return solver
+
+
+def test_topdown_memo_matches_the_reference_on_the_holed_gamma_prime():
+    solver = _assert_topdown_matches_reference(*_oracle_holed_gamma_prime(0))
+    assert len(solver.memo) == 7653
+
+
+@settings(max_examples=100)
+@given(pointed_games())
+def test_topdown_memo_matches_the_reference(case):
+    _assert_topdown_matches_reference(*case)
+
+
+def test_topdown_window_queries_go_through_outcome(monkeypatch):
+    # a tracer that wraps Solver.outcome sees one call per position of the
+    # window, so its engine.outcome spans count the top-down work
+    game, window = _oracle_holed_gamma_prime(1)
+    calls = []
+    outcome = Solver.outcome
+
+    def spy(self, p):
+        calls.append(p)
+        return outcome(self, p)
+
+    monkeypatch.setattr(Solver, "outcome", spy)
+    grid = Solver(game).solve_window(window, mode="top-down")
+    assert len(calls) == np.count_nonzero(grid.data != kernels.CODE_DEFEATED)
 
 
 def test_kernel_scale_guard():
