@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
 """Compare two checkouts on the perfbench workloads, in alternating pairs.
 
-    python3 scripts/bench_pairs.py PARENT CHANGE --topic TOPIC
-        [--workload W ...] [--pairs 10] [--seed 0] [--title TEXT]
+    python3 scripts/bench_pairs.py PARENT CHANGE --topic TOPIC [--workload W ...]
 
-PARENT and CHANGE are the roots of two checkouts.  Pair i runs
-`python3 perfbench/run.py --workload W --seed S+i` once in each of them,
+PARENT and CHANGE are the roots of two checkouts.  Pair i, for i = 0..9, runs
+`python3 perfbench/run.py --workload W --seed i` once in each of them,
 the parent first in even pairs and the change first in odd ones, so a drift
 in machine speed does not favour either side.  The result goes to
 BENCH_<TOPIC>.json in the current directory: for every workload, the runs,
@@ -23,6 +22,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+PAIRS = 10  # pair i runs seed i
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
@@ -31,13 +31,12 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"{' '.join(cmd[1:])} failed in {checkout} with code {proc.returncode}")
-    summary = json.loads(proc.stdout.splitlines()[-1])
     record = json.loads((checkout / ".perfbench-out" / f"{workload}-seed{seed}-trace0.json").read_text())
     return {
-        "metrics": {k: v["value"] for k, v in summary["metrics"].items()},
+        "metrics": {k: v["value"] for k, v in record["metrics"].items()},
         "stages": record["stages"],
-        "failed": summary["failed"],
-        "attempted": summary["attempted"],
+        "failed": record["failed"],
+        "attempted": record["attempted"],
         "fingerprint": record["ops"][0]["fingerprint"],
         "env": record["env"],
     }
@@ -64,12 +63,7 @@ def main():
     p.add_argument("change", type=Path)
     p.add_argument("--topic", required=True)
     p.add_argument("--workload", action="append", dest="workloads")
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0, help="seed of the first pair")
-    p.add_argument("--title", default="")
     args = p.parse_args()
-    if args.pairs < 2:
-        raise SystemExit("quartiles need at least 2 pairs")
     checkouts = {side: getattr(args, side).resolve() for side in SIDES}
     workloads = args.workloads or ["gasket", "ca-verify", "oracle"]
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
@@ -78,9 +72,8 @@ def main():
     result, env = {}, None
     for workload in workloads:
         runs = {side: [] for side in SIDES}
-        for i in range(args.pairs):
-            seed = args.seed + i
-            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+        for seed in range(PAIRS):
+            for side in SIDES if seed % 2 == 0 else SIDES[::-1]:
                 runs[side].append(run_once(checkouts[side], workload, seed))
                 print(f"{workload} seed {seed} {side}: {runs[side][-1]['metrics']}", file=sys.stderr)
         env = runs["change"][0]["env"]
@@ -92,17 +85,16 @@ def main():
             "attempted": {side: [r["attempted"] for r in runs[side]] for side in SIDES},
             "equal_fingerprints_in_pairs": "{}/{}".format(
                 sum(a["fingerprint"] == b["fingerprint"] for a, b in zip(runs["parent"], runs["change"])),
-                args.pairs,
+                PAIRS,
             ),
         }
     out = {
-        "title": args.title,
+        "topic": args.topic,
         "machine": {k: env[k] for k in ("nproc", "python", "numpy") if k in env},
         "method": (
-            f"{args.pairs} pairs per workload of `python3 perfbench/run.py --workload W --seed N`, "
-            f"N = {args.seed}..{args.seed + args.pairs - 1}, parent and change alternating which runs "
-            "first; end-to-end metrics from the last stdout line, stages and fingerprints from "
-            ".perfbench-out; quartiles by the inclusive method"
+            f"{PAIRS} pairs per workload of `python3 perfbench/run.py --workload W --seed N`, "
+            f"N = 0..{PAIRS - 1}, parent and change alternating which runs first; metrics, stages "
+            "and fingerprints from the run's record in .perfbench-out; quartiles by the inclusive method"
         ),
         "workloads": result,
     }

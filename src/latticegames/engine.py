@@ -30,7 +30,9 @@ CODE_DEFEATED = kernels.CODE_DEFEATED
 class Ruleset:
     """A finite set of nonzero move vectors, held once as ``array``: a
     read-only int64 (M, dim) array of distinct rows in lexicographic order.
-    ``moves`` is the same set as a tuple of tuples of Python ints.  A move
+    ``moves`` is the same set as a tuple of tuples of Python ints, and
+    ``columns`` the per-axis components of the moves in the same order,
+    with ``column_max`` the largest of each (0 when there are no moves).  A move
     that is not a nonzero dim-vector of int64 integers raises ValueError
     naming it."""
 
@@ -50,7 +52,9 @@ class Ruleset:
             raise ValueError(f"the zero vector {(0,) * self.dim} cannot be a move")
         self.array = unique_rows(arr)
         self.array.flags.writeable = False
-        self.moves = tuple(zip(*self.array.T.tolist()))
+        self.columns = tuple(map(tuple, self.array.T.tolist()))
+        self.column_max = tuple(max(c, default=0) for c in self.columns)
+        self.moves = tuple(zip(*self.columns))
 
     def __eq__(self, other):
         return isinstance(other, Ruleset) and (self.dim, self.moves) == (other.dim, other.moves)
@@ -321,7 +325,6 @@ class Solver:
         self.witness = witness
         self.phi = witness.as_integer()
         self.memo: dict[Vec, str] = {}
-        self._columns = None  # per-axis move components and their maxima
 
     def _is_position(self, p: Vec) -> bool:
         """p must already be a tuple of ints of the game's dimension."""
@@ -340,12 +343,8 @@ class Solver:
     def _options(self, p: Vec) -> list[Vec]:
         """options(p) without its checks.  The memo holds only positions, so
         only an option missing from it is tested against the defeated set."""
-        if self._columns is None:
-            # built on the first top-down query, so a bottom-up solve of a
-            # large ruleset costs nothing extra
-            cols = self.game.ruleset.array.T.tolist()
-            self._columns = cols, [max(c, default=0) for c in cols]
-        cols, top = self._columns
+        rules = self.game.ruleset
+        cols, top = rules.columns, rules.column_max
         opts = list(zip(*[[c - m for m in col] for c, col in zip(p, cols)]))
         for k, c in enumerate(p):
             if c < top[k]:  # else no move takes axis k below 0
