@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 import numpy as np
@@ -30,9 +31,7 @@ CODE_DEFEATED = kernels.CODE_DEFEATED
 class Ruleset:
     """A finite set of nonzero move vectors, held once as ``array``: a
     read-only int64 (M, dim) array of distinct rows in lexicographic order.
-    ``moves`` is the same set as a tuple of tuples of Python ints, and
-    ``columns`` the per-axis components of the moves in the same order,
-    with ``column_max`` the largest of each (0 when there are no moves).  A move
+    ``moves`` is the same set as a tuple of tuples of Python ints.  A move
     that is not a nonzero dim-vector of int64 integers raises ValueError
     naming it."""
 
@@ -52,9 +51,15 @@ class Ruleset:
             raise ValueError(f"the zero vector {(0,) * self.dim} cannot be a move")
         self.array = unique_rows(arr)
         self.array.flags.writeable = False
-        self.columns = tuple(map(tuple, self.array.T.tolist()))
-        self.column_max = tuple(max(c, default=0) for c in self.columns)
-        self.moves = tuple(zip(*self.columns))
+        self.moves = tuple(zip(*self.array.T.tolist()))
+
+    @cached_property
+    def axis_columns(self) -> tuple[list[list[int]], list[int]]:
+        """The per-axis components of the moves, in move order, and the
+        largest of each (0 when there are no moves).  Built on first use, so
+        a ruleset that is only solved bottom-up never holds them."""
+        cols = self.array.T.tolist()
+        return cols, [max(c, default=0) for c in cols]
 
     def __eq__(self, other):
         return isinstance(other, Ruleset) and (self.dim, self.moves) == (other.dim, other.moves)
@@ -343,8 +348,7 @@ class Solver:
     def _options(self, p: Vec) -> list[Vec]:
         """options(p) without its checks.  The memo holds only positions, so
         only an option missing from it is tested against the defeated set."""
-        rules = self.game.ruleset
-        cols, top = rules.columns, rules.column_max
+        cols, top = self.game.ruleset.axis_columns
         opts = list(zip(*[[c - m for m in col] for c, col in zip(p, cols)]))
         for k, c in enumerate(p):
             if c < top[k]:  # else no move takes axis k below 0
