@@ -67,9 +67,6 @@ class NorCircuit:
     def predecessors(self, v: str) -> list[str]:
         return [t for t, h in self.edges if h == v]
 
-    def successors(self, v: str) -> list[str]:
-        return [h for t, h in self.edges if t == v]
-
     def topological_order(self) -> list[str]:
         indeg = {v: 0 for v in self.vertices}
         for _, h in self.edges:

@@ -13,9 +13,8 @@ from __future__ import annotations
 import copy
 import random
 from dataclasses import dataclass
-from functools import cache, reduce
-from itertools import chain, combinations, product
-from types import SimpleNamespace
+from functools import cached_property, reduce
+from itertools import combinations, product
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .engine import GameSpec, Infeasible, PointednessWitness, Ruleset, Solver
 from .lattice import (
     F_array,
     LatticeSet,
+    Sublattice,
     Vec,
     as_vec,
     dominates,
@@ -69,12 +69,79 @@ class Placement:
         self.normal = as_vec(normal, 2)
         if self.normal[0] <= 0 or self.normal[1] <= 0:
             raise ValueError("the halfspace normal must pair positively with both axes")
+        self._frame = None
+
+    def label_frame(self, lattice: Sublattice) -> LabelFrame:
+        """The label frame of this m, staircase and normal over lattice,
+        built on first use and kept while none of the four changes."""
+        fr, key = self._frame, (lattice, self.m, self.staircase, self.normal)
+        if fr is None or (fr.lattice, fr.m, fr.staircase, fr.normal) != key:
+            fr = self._frame = LabelFrame(*key)
+        return fr
 
     def __repr__(self):
         return (
             f"Placement(m={self.m}, I={list(self.staircase)}, "
             f"normal={self.normal}, {len(self.pos)} gates)"
         )
+
+
+class LabelFrame:
+    """The residue tables of one (L, m, I, nu), which no gate position
+    changes: mL, F and its codes, the codes of the staircase points and of
+    their differences, and, on first use, the outward witness of (a).  F and
+    its codes name the class of a witness (rep) and give the distinct points
+    of F - I.
+
+    Codes are those of mL.class_labels, a * |det| + b for the label (a, b).
+    Labels are additive mod |det|, so plus and minus give the code of a sum
+    or a difference from the codes of its terms, without labelling it again.
+    A Placement carries its frame (Placement.label_frame), so the trials of a
+    search at one m, their conditions and the emission share one.
+    """
+
+    def __init__(self, lattice: Sublattice, m: int, staircase, normal):
+        self.lattice, self.m, self.staircase, self.normal = lattice, m, staircase, normal
+        self.mL = lattice.scale(m)
+        self.det = self.mL.index()
+        self.F = F_array(lattice, m)
+        self.F_codes = self.mL.class_labels(self.F)
+        self.stair_codes = self.mL.class_labels(staircase)
+        # [p, q] holds the code of I[p] - I[q]
+        self.stair_diff_codes = self.minus(self.stair_codes[:, None], self.stair_codes)
+
+    def plus(self, x, y) -> np.ndarray:
+        """Codes of the sums of classes of codes x and y, broadcast."""
+        d = self.det
+        return (x // d + y // d) % d * d + (x + y) % d
+
+    def minus(self, x, y) -> np.ndarray:
+        """Codes of the differences of classes of codes x and y, broadcast."""
+        d = self.det
+        return (x // d - y // d) % d * d + (x - y) % d
+
+    def rep(self, code) -> Vec:
+        """The point that names a class in a witness: its last point of F."""
+        return tuple(self.F[np.flatnonzero(self.F_codes == code)[-1]].tolist())
+
+    @cached_property
+    def outward(self):
+        """(a)'s witness on the staircase: the first point of its outward set,
+        the points q - i with <nu, q> <= <nu, i>, that is no staircase
+        difference, or None."""
+        I, nu = self.staircase, self.normal
+        stair_diffs = {vsub(p, q) for p in I for q in I}
+        q = _under_line(nu, max(dot(nu, i) for i in I))
+        return next((("outward-point", p) for i in I
+                     for p in map(tuple, (q[q @ nu <= dot(nu, i)] - i).tolist())
+                     if p not in stair_diffs), None)
+
+    def f_minus_i(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct points f - i, f in F and i in I, in lexicographic
+        order, and their codes.  Emission reads them once, so they are not
+        kept: a compiled game holds its placement, and with it the frame."""
+        points = unique_rows((self.F[:, None] - np.array(self.staircase, dtype=np.int64)).reshape(-1, 2))
+        return points, self.mL.class_labels(points)
 
 
 @dataclass(frozen=True)
@@ -142,15 +209,17 @@ def check_conditions(
     """Decide the nine placement conditions exactly, on demand.
 
     Lattice-translation-invariant clauses are reduced to residue classes of
-    m*lattice, read from class_labels arrays: one code per gate position and
-    one per pairwise gate difference.  The staircase clauses are finite
+    m*lattice, read from class_labels codes: one per gate position, and the
+    pairwise gate differences derived from them, since labels are additive.
+    The tables that depend only on the lattice, m, the staircase and the
+    normal come from the placement's label frame, built once for all the
+    placements that share it.  The staircase clauses are finite
     enumerations.  Clauses about the control vertices are vacuous when the
     circuit does not carry them.  Each condition is a function that returns
     its first witness, or None when the condition holds; the report runs
     them only when asked.  ok() stops at the first failing condition, trying
     (c) first, then the checks on positions alone, then those that read the
-    staircase tables, which are built once, by the first condition that
-    needs them.  Reading the results decides every condition, so other
+    staircase tables.  Reading the results decides every condition, so other
     callers see the full report.
     """
     check_variant(variant)
@@ -158,7 +227,7 @@ def check_conditions(
     for v in circuit.vertices:
         if v not in pl.pos:
             raise ValueError(f"placement gives no position for vertex {v}")
-    mL = spec.lattice.scale(pl.m)
+    fr = pl.label_frame(spec.lattice)
     nu = pl.normal
     I = pl.staircase
     pos = pl.pos
@@ -166,43 +235,17 @@ def check_conditions(
     E = list(circuit.edges)
     ix = {v: k for k, v in enumerate(V)}
     # labelled first, so that a position outside int64 raises ValueError
-    gate_labels = mL.class_labels([pos[v] for v in V])
-    gates = np.array([pos[v] for v in V], dtype=np.int64).reshape(-1, 2)
-    # deltas[k, j] = pos[V[j]] - pos[V[k]], and diff holds its labels; an
-    # edge (t, h) reads its own entries
-    deltas = gates[None] - gates[:, None]
-    diff = mL.class_labels(deltas).reshape(len(V), len(V))
+    gate_labels = fr.mL.class_labels([pos[v] for v in V])
+    # diff[k, j] is the label of pos[V[j]] - pos[V[k]]; an edge (t, h) reads
+    # its own entry
+    diff = fr.minus(gate_labels, gate_labels[:, None])
     tail, head = np.array([(ix[t], ix[h]) for t, h in E], dtype=np.intp).reshape(-1, 2).T
-    edge_delta = [tuple(d) for d in deltas[tail, head].tolist()]
+    gates = np.array([pos[v] for v in V], dtype=np.int64).reshape(-1, 2)
+    edge_delta = list(map(tuple, (gates[head] - gates[tail]).tolist()))
     edge_labels = diff[tail, head]
     # in circuit order, so that (h) names the same input under every hash seed
     flat_inputs = [x for block in circuit.inputs for x in block]
     specials = [x for x in (circuit.in_prime, circuit.in_dprime) if x is not None]
-
-    @cache
-    def stair():
-        # the tables of the staircase alone, which no gate position changes
-        points = np.array(I, dtype=np.int64)
-        disp = points[:, None] - points  # disp[p, q] = I[p] - I[q]
-        # (a): the first point of the staircase's outward set outside the
-        # open halfspace, the points q - i with <nu, q> <= <nu, i>
-        stair_diffs = {vsub(p, q) for p in I for q in I}
-        q = _under_line(nu, max(dot(nu, i) for i in I))
-        outward = next((("outward-point", p) for i in I
-                        for p in map(tuple, (q[q @ nu <= dot(nu, i)] - i).tolist())
-                        if p not in stair_diffs), None)
-        return SimpleNamespace(
-            points=points,
-            disp=disp,
-            labels=mL.class_labels(points),
-            diff_labels=mL.class_labels(disp),
-            outward=outward,
-        )
-
-    def rep(code):
-        # a witness class is named by its last point of F
-        F = F_array(spec.lattice, pl.m)
-        return tuple(F[np.flatnonzero(mL.class_labels(F) == code)[-1]].tolist())
 
     def halfspace():
         # (a) edge differences and the staircase's outward set share the open
@@ -210,7 +253,7 @@ def check_conditions(
         for e, d in zip(E, edge_delta):
             if dot(nu, d) <= 0:
                 return ("edge", e, d)
-        return stair().outward
+        return fr.outward
 
     def input_shifts():
         # (b) inputs sit one scaled shift before their output
@@ -225,24 +268,26 @@ def check_conditions(
         # (c) wire moves connect gates only along actual edges: whenever the
         # difference from v to a non-input w matches an edge difference mod mL,
         # some vertex realises that difference exactly, and every vertex that
-        # does is an in-neighbour of w
+        # does is an in-neighbour of w.  reach[j, e]: the label of edge e is
+        # that of a difference to V[j]; read in (w, e) order.  An edge (t, h)
+        # read at h is realised by t alone when no other vertex shares t's
+        # position, so it passes unread
         at: dict[Vec, list[str]] = {}
         for v in V:
             at.setdefault(pos[v], []).append(v)
-        edges = list(zip(E, edge_delta, edge_labels.tolist()))
-        # column j holds the labels of the differences from every vertex to V[j]
-        for w, reachable in zip(V, map(set, diff.T.tolist())):
-            if w in flat_inputs:
-                continue
-            for e, d, l in edges:
-                if l not in reachable:
-                    continue
-                exact = at.get(vsub(pos[w], d), [])
-                if not exact:
-                    return ("no-exact-realisation", w, e, d)
-                bad = [v for v in exact if (v, w) not in E]
-                if bad:
-                    return ("non-edge-realisation", w, e, d, bad[0])
+        reach = (diff[:, :, None] == edge_labels).any(axis=0)
+        reach[[ix[x] for x in flat_inputs]] = False
+        alone = np.array([len(at[pos[v]]) == 1 for v in V], dtype=bool)
+        reach[head, np.arange(len(E))] &= ~alone[tail]
+        edges = set(E)
+        for j, k in np.argwhere(reach).tolist():
+            w, e, d = V[j], E[k], edge_delta[k]
+            exact = at.get(vsub(pos[w], d), [])
+            if not exact:
+                return ("no-exact-realisation", w, e, d)
+            bad = [v for v in exact if (v, w) not in edges]
+            if bad:
+                return ("non-edge-realisation", w, e, d, bad[0])
         return None
 
     def staircase_translates():
@@ -251,11 +296,10 @@ def check_conditions(
         # is what the slice-0 induction consumes, and the stronger variant that
         # also admits staircase differences is violated by perfectly good
         # placements
-        st = stair()
-        shifted = mL.class_labels(deltas.reshape(-1, 1, 2) + st.points).reshape(-1, len(I))
+        shifted = fr.plus(diff.reshape(-1, 1), fr.stair_codes)
         candidates = reduce(np.intersect1d, shifted.T, shifted[:, 0])
-        bad = candidates[~np.isin(candidates, st.labels)]
-        return rep(bad[0]) if len(bad) else None
+        bad = candidates[~np.isin(candidates, fr.stair_codes)]
+        return fr.rep(bad[0]) if len(bad) else None
 
     def displacement_sets():
         # (e) no translate of any displacement set {p - h(p)}, h(p) != p in I,
@@ -264,30 +308,28 @@ def check_conditions(
         # h(p) = q when a + label(p - q) is a gate label.  The witness is the
         # first h in product order, which is the least over the anchors of
         # their first admitted q per p, with the least anchor admitting it.
-        st = stair()
-        anchors = (gates[:, None] - st.disp[0, 1:]).reshape(-1, 1, 1, 2)
-        admits = np.isin(mL.class_labels(anchors + st.disp), gate_labels)
-        admits = admits.reshape(len(anchors), len(I), len(I)) & ~np.eye(len(I), dtype=bool)
+        disp = fr.stair_diff_codes
+        anchors = fr.minus(gate_labels[:, None], disp[0, 1:]).reshape(-1)
+        admits = np.isin(fr.plus(anchors[:, None, None], disp), gate_labels)
+        admits &= ~np.eye(len(I), dtype=bool)
         lands = admits.any(axis=2).all(axis=1)
         if not lands.any():
             return None
         first = admits[lands].argmax(axis=2)
         h = first[np.lexsort(first.T[::-1])[0]]
         admitting = admits[:, np.arange(len(I)), h].all(axis=1)
-        anchor = mL.class_labels(anchors[admitting]).min()
-        return (rep(anchor), {vsub(p, I[q]) for p, q in zip(I, h.tolist())})
+        return (fr.rep(anchors[admitting].min()), {vsub(p, I[q]) for p, q in zip(I, h.tolist())})
 
     def wire_stair_clashes():
         # (f) no wire move is congruent to a staircase difference
-        clash = np.flatnonzero(np.isin(edge_labels, stair().diff_labels))
+        clash = np.flatnonzero(np.isin(edge_labels, fr.stair_diff_codes))
         return (E[clash[0]], edge_delta[clash[0]]) if len(clash) else None
 
     def control_neighbourhoods():
         # (g) the control vertices own their staircase neighbourhoods, and the
         # input-feed differences from in'' clash with no other difference
-        st = stair()
         for x in specials:
-            overlap = np.isin(diff[ix[x]], st.labels)
+            overlap = np.isin(diff[ix[x]], fr.stair_codes)
             overlap[ix[x]] = False
             if overlap.any():
                 return ("staircase-overlap", V[overlap.argmax()], x)
@@ -301,7 +343,7 @@ def check_conditions(
             feed_heads.append(circuit.in_prime)
         for h in feed_heads:
             l0 = diff[ix[ind], ix[h]]
-            if l0 in st.diff_labels:
+            if l0 in fr.stair_diff_codes:
                 return ("staircase-clash", h, vsub(pos[h], pos[ind]))
             # every (v2, w2) with that label, but for the pairs in the
             # classes of (in'', h)
@@ -421,33 +463,45 @@ def search_placement(
         (step * max_depth * dot(nu, nu) + 2) // beta_gain + 2,
     )
 
+    def along_w(base, k):
+        return (base[0] + k * w[0], base[1] + k * w[1])
+
     def board_slot(base, spread):
-        p = vadd(base, vscale(spread, w))
+        p = along_w(base, spread)
         return p if p[0] >= 0 and p[1] >= 0 else base
 
-    # every trial shares the staircase and the normal, so they are checked
-    # once, here, and each trial copies this frame
-    frame = Placement({}, m0, I, nu)
+    # the parts of a trial that no draw changes
+    out_base = vscale(out_level, u)
+    ladder_base = [(v, vscale(out_level - step * max(depth[v], 1), u)) for v in ladder]
+    feeds = [(name, circuit.outputs[j], spec.betas[i])
+             for i, block in enumerate(circuit.inputs) for j, name in enumerate(block)]
+
+    # the trials at one m share the staircase, the normal and their label
+    # frame, so these are checked and built once per m, and each trial
+    # copies this template
+    template = None
     rng = random.Random(seed)
     report = None
     for trial in range(max_tries):
         m = m0 + 2 * (trial // 200)
+        if template is None or template.m != m:
+            template = Placement({}, m, I, nu)
+            template.label_frame(spec.lattice)
+            shifts = [(name, out, vscale(m, b)) for name, out, b in feeds]
         pos: dict[str, Vec] = {}
         shared = rng.randint(-2, 2)
         for j, o in enumerate(circuit.outputs):
-            pos[o] = vadd(vscale(out_level, u), vscale(j + shared, w))
+            pos[o] = along_w(out_base, j + shared)
         if circuit.in_prime is not None:
             pos[circuit.in_prime] = board_slot(u, rng.randint(-1, 1))
         if circuit.in_dprime is not None:
             pos[circuit.in_dprime] = board_slot(vscale(2, u), rng.randint(-2, 2))
-        for v in ladder:
-            level = out_level - step * max(depth[v], 1)
-            pos[v] = vadd(vscale(level, u), vscale(rng.randint(-jitter, jitter), w))
-        for i, block in enumerate(circuit.inputs):
-            for j, name in enumerate(block):
-                pos[name] = vsub(pos[circuit.outputs[j]], vscale(m, spec.betas[i]))
-        placement = copy.copy(frame)
-        placement.pos, placement.m = pos, m
+        for v, base in ladder_base:
+            pos[v] = along_w(base, rng.randint(-jitter, jitter))
+        for name, out, (sx, sy) in shifts:
+            pos[name] = (pos[out][0] - sx, pos[out][1] - sy)
+        placement = copy.copy(template)
+        placement.pos = pos
         report = check_conditions(placement, circuit, spec, variant)
         if report.ok():
             return placement
@@ -526,31 +580,27 @@ def emit_ruleset(
     report = check_conditions(pl, circuit, spec, variant)
     if not report.ok():
         raise EmissionError(f"placement fails conditions {report.failures()}", report)
-    mL = spec.lattice.scale(pl.m)
-    labels = mL.class_labels
-    I = np.array(pl.staircase, dtype=np.int64)
+    fr = pl.label_frame(spec.lattice)
     pos = pl.pos
-    V = list(circuit.vertices)
-    gates = np.array([pos[v] for v in V], dtype=np.int64)
-    F = F_array(spec.lattice, pl.m)
-    f_minus_i = (F[:, None] - I).reshape(-1, 2)
+    gate_codes = fr.mL.class_labels([pos[v] for v in circuit.vertices])
+    f_minus_i, fi_codes = fr.f_minus_i()
 
-    lines: dict[str, tuple] = {}
+    # each line is an (n, 3) int64 array of sorted distinct moves
+    lines: dict[str, np.ndarray] = {}
     wires = [vsub(pos[h], pos[t]) for t, h in circuit.edges if t != circuit.in_dprime]
     lines[LINE_WIRES] = _plane_line(wires, 0)
 
     # slice 0: f - i unless congruent to a staircase or a gate difference
-    forbidden = np.concatenate([labels(I[:, None] - I), labels(gates[:, None] - gates)])
-    slice0 = f_minus_i[~np.isin(labels(f_minus_i), forbidden)]
-    lines[LINE_SLICE0] = _plane_line(slice0, 0)
+    forbidden = np.concatenate([fr.stair_diff_codes.ravel(),
+                                fr.minus(gate_codes[:, None], gate_codes).ravel()])
+    lines[LINE_SLICE0] = _plane_line(f_minus_i[~np.isin(fi_codes, forbidden)], 0)
 
-    # slice 1: -m beta + f - i unless some p + i is congruent to a gate
-    slice1 = []
-    for b in spec.betas:
-        p = f_minus_i - pl.m * np.array(b, dtype=np.int64)
-        hits = np.isin(labels(p[:, None] + I), labels(gates)).reshape(len(p), len(I))
-        slice1.append(p[~hits.any(axis=1)])
-    lines[LINE_SLICE1] = _plane_line(np.concatenate(slice1), 1)
+    # slice 1: -m beta + f - i unless some p + i is congruent to a gate; every
+    # beta lies in L, so p + i is congruent to f - i + i, and one mask serves
+    # all the betas
+    free = ~np.isin(fr.plus(fi_codes[:, None], fr.stair_codes), gate_codes).any(axis=1)
+    shifts = pl.m * np.array(spec.betas, dtype=np.int64)
+    lines[LINE_SLICE1] = _plane_line(f_minus_i[free] - shifts[:, None], 1)
 
     defeated = None
     if not core_only:
@@ -584,13 +634,14 @@ def emit_ruleset(
                 raise EmissionError("variant A emission needs the symbol encoding")
             defeated = emit_defeated(pl, spec, enc, circuit)
 
-    game = GameSpec(Ruleset(3, list(chain.from_iterable(lines.values()))), defeated)
+    game = GameSpec(Ruleset(3, np.concatenate(list(lines.values()))), defeated)
     witness = engine.check_pointedness(game.ruleset)
     if isinstance(witness, Infeasible):
         raise EmissionError(
             "the emitted ruleset is not pointed: no positive functional bounds play",
             certificate=witness,
         )
+    lines = {name: tuple(zip(*line.T.tolist())) for name, line in lines.items()}
     return CompiledGame(game, pl, circuit, spec, enc, variant, lines, witness)
 
 
@@ -599,9 +650,11 @@ def _under_line(nu, top: int) -> np.ndarray:
     return points_under((top - nu[0] * np.arange(top // nu[0] + 1)) // nu[1] + 1)
 
 
-def _plane_line(points, z: int) -> tuple:
-    """Sorted distinct moves (x, y, z) from (n, 2) integer points (x, y)."""
-    return tuple((x, y, z) for x, y in unique_rows(np.reshape(points, (-1, 2))).tolist())
+def _plane_line(points, z: int) -> np.ndarray:
+    """Sorted distinct moves (x, y, z) from (..., 2) integer points (x, y),
+    as an (n, 3) int64 array."""
+    xy = unique_rows(np.reshape(points, (-1, 2)))
+    return np.column_stack([xy, np.full(len(xy), z, dtype=np.int64)])
 
 
 def emit_defeated(

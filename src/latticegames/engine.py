@@ -33,19 +33,22 @@ class Ruleset:
     read-only int64 (M, dim) array of distinct rows in lexicographic order.
     ``moves`` is the same set as a tuple of tuples of Python ints.  A move
     that is not a nonzero dim-vector of int64 integers raises ValueError
-    naming it."""
+    naming it.  An int64 array is read as it is; any other input goes
+    through Python ints, so that no value wraps."""
 
     def __init__(self, dim: int, moves):
         self.dim = int(dim)
-        # Python ints, so that a value outside int64 is refused, not wrapped
-        moves = moves.tolist() if isinstance(moves, np.ndarray) else list(moves)
-        try:
-            arr = np.array(moves, dtype=np.int64)
-        except (OverflowError, TypeError, ValueError):
-            arr = None
-        if arr is not None and arr.shape == (0,):
+        if isinstance(moves, np.ndarray) and moves.dtype == np.int64:
+            arr = moves
+        else:
+            moves = moves.tolist() if isinstance(moves, np.ndarray) else list(moves)
+            try:
+                arr = np.array(moves, dtype=np.int64)
+            except (OverflowError, TypeError, ValueError):
+                raise ValueError(_bad_move(moves, self.dim)) from None
+        if arr.shape == (0,):
             arr = arr.reshape(0, self.dim)
-        if arr is None or arr.ndim != 2 or arr.shape[1] != self.dim:
+        if arr.ndim != 2 or arr.shape[1] != self.dim:
             raise ValueError(_bad_move(moves, self.dim))
         if not arr.any(axis=1).all():
             raise ValueError(f"the zero vector {(0,) * self.dim} cannot be a move")
@@ -76,7 +79,7 @@ class Ruleset:
 
 def _bad_move(moves, dim: int) -> str:
     """Names the first move that is not a dim-vector of int64 integers."""
-    for m in moves:
+    for m in moves.tolist() if isinstance(moves, np.ndarray) else moves:
         try:
             if np.array(m, dtype=np.int64).shape != (dim,):
                 return f"move {m!r} is not a {dim}-dimensional vector"

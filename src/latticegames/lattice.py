@@ -14,6 +14,7 @@ follow in closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from math import gcd
 
@@ -182,8 +183,7 @@ class LatticeSet:
         if self.kind == "finite":
             return p in self.payload
         if self.kind == "coset":
-            reduce = self._coset_reducer()
-            return reduce(p) == reduce(self.payload[0])
+            return self._coset_reducer(p) == self._coset_base
         if self.kind == "union":
             return any(c._contains(p) for c in self.children)
         if self.kind == "inter":
@@ -239,7 +239,7 @@ class LatticeSet:
         # in exact integers, and compared by one broadcast: no product has to
         # fit in int64, and the right side, folded in axis by axis with one
         # reduction per distinct (class, step) pair, has cells / shape[a] labels.
-        reduce = self._coset_reducer()
+        reduce = self._coset_reducer
         index: dict[Vec, int] = {}  # class representative -> label
 
         def label(p: Vec) -> int:
@@ -262,6 +262,9 @@ class LatticeSet:
             right = np.array(ids, dtype=np.int64)[inverse].reshape(right.shape + (n,))
         return np.expand_dims(right, a) == np.expand_dims(left, rest)
 
+    # a node is frozen, so its coset tables are built once, on first use;
+    # they live outside the fields, which alone decide == and hash
+    @cached_property
     def _coset_reducer(self):
         """Map from a point to the canonical representative of its class
         modulo the coset's lattice m * Z<basis>: each pivot coordinate of the
@@ -277,6 +280,11 @@ class LatticeSet:
             return p
 
         return reduce
+
+    @cached_property
+    def _coset_base(self) -> Vec:
+        """The canonical representative of the coset's own class."""
+        return self._coset_reducer(self.payload[0])
 
     # constructors -------------------------------------------------------
 
@@ -590,10 +598,3 @@ def F_array(L: Sublattice, m: int) -> np.ndarray:
 def enumerate_F(L: Sublattice, m: int) -> list[Vec]:
     """F_array(L, m) as a list of tuples."""
     return list(map(tuple, F_array(L, m).tolist()))
-
-
-def class_representatives(L: Sublattice, m: int) -> dict[tuple[int, int], Vec]:
-    """Map from each class label of Z^2 / mL to a point of F in that class;
-    where F holds several, the last in F order."""
-    mL = L.scale(m)
-    return {mL.class_label(p): p for p in enumerate_F(L, m)}

@@ -90,19 +90,23 @@ def test_synthesize_bound():
         synthesize_nor_circuit(big)
 
 
+def _successors(circuit, v):
+    return [h for t, h in circuit.edges if t == v]
+
+
 def test_extend_variant_c():
     c = extend_circuit(xor_circuit(), "C")
     assert c.in_prime == "in'"
     assert c.in_dprime is None
-    assert c.successors("in'") == ["v6"]
+    assert _successors(c, "in'") == ["v6"]
 
 
 def test_extend_variant_b():
     c = extend_circuit(xor_circuit(), "B")
     assert c.in_dprime == "in''"
     # the output and its predecessors
-    assert sorted(c.successors("in''")) == ["v4", "v5", "v6"]
-    assert sorted(c.successors("in'")) == ["v6"]
+    assert sorted(_successors(c, "in''")) == ["v4", "v5", "v6"]
+    assert sorted(_successors(c, "in'")) == ["v6"]
 
 
 def test_extend_variant_a_matches_c():

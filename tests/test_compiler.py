@@ -529,7 +529,7 @@ def _reference_check_conditions(placement, circuit, spec, variant="C"):
 
     from latticegames.circuits import check_variant
     from latticegames.compiler import ConditionReport, ConditionResult
-    from latticegames.lattice import class_representatives, dominates, dot, vscale
+    from latticegames.lattice import dominates, dot, enumerate_F, vscale
 
     def _staircase_diffs(I):
         return {vsub(a, b) for a in I for b in I}
@@ -620,7 +620,8 @@ def _reference_check_conditions(placement, circuit, spec, variant="C"):
     def lneg(l1):
         return ((-l1[0]) % d_mod, (-l1[1]) % d_mod)
 
-    rep_of = class_representatives(spec.lattice, pl.m)
+    # a witness class is named by its last point of F
+    rep_of = {label(p): p for p in enumerate_F(spec.lattice, pl.m)}
 
     pair_diff_labels = {label(vsub(pos[w], pos[v])) for v in V for w in V}
     candidates = None
@@ -900,6 +901,120 @@ def test_conditions_match_reference(searches):
         "staircase-overlap", "staircase-clash", "difference-clash",
         "control-off-board", "input-on-board", "output-order", "feeder-dominates",
     }
+
+
+def _reference_emit_lines(placement, circuit, spec, variant, enc):
+    """emit_ruleset's lines in their direct form, kept as the reference:
+    slice 0 labels every f - i, duplicates and all, and slice 1 relabels the
+    translates of each beta on their own."""
+    from latticegames.lattice import F_array, vadd, vscale
+
+    pl = placement
+    labels = spec.lattice.scale(pl.m).class_labels
+    I = np.array(pl.staircase, dtype=np.int64)
+    pos = pl.pos
+    gates = np.array([pos[v] for v in circuit.vertices], dtype=np.int64)
+    f_minus_i = (F_array(spec.lattice, pl.m)[:, None] - I).reshape(-1, 2)
+
+    def line(points, z):
+        return tuple(sorted({(x, y, z) for x, y in np.reshape(points, (-1, 2)).tolist()}))
+
+    lines = {"wires": line([vsub(pos[h], pos[t]) for t, h in circuit.edges
+                            if t != circuit.in_dprime], 0)}
+    forbidden = np.concatenate([labels(I[:, None] - I), labels(gates[:, None] - gates)])
+    lines["slice0"] = line(f_minus_i[~np.isin(labels(f_minus_i), forbidden)], 0)
+    slice1 = []
+    for b in spec.betas:
+        p = f_minus_i - pl.m * np.array(b, dtype=np.int64)
+        hits = np.isin(labels(p[:, None] + I), labels(gates)).reshape(len(p), len(I))
+        slice1.append(p[~hits.any(axis=1)])
+    lines["slice1"] = line(np.concatenate(slice1), 1)
+    ip = pos[circuit.in_prime]
+    lines["in-prime"] = line([vadd(ip, vscale(pl.m, b)) for b in beta_intersection_generators(spec)], 1)
+    lines["tangent"] = ((0, 0, 2),)
+    if variant == "B":
+        ind = pos[circuit.in_dprime]
+        lines["in-double-prime"] = line(
+            [vadd(ind, vscale(pl.m, g)) for g in positive_generators(spec.lattice)], 1)
+        feeders = [t for t, h in circuit.edges if h in circuit.outputs and t != circuit.in_dprime]
+        initial = []
+        for g in spec.module.generators:
+            n_outputs = [o for o, bit in zip(circuit.outputs, enc.encode(spec.f0[g])) if bit == "N"]
+            initial += [vadd(vsub(pos[t], ind), vscale(pl.m, g)) for t in feeders + n_outputs]
+        lines["initial"] = line(initial, 0)
+    return lines
+
+
+def test_emission_matches_reference(searches):
+    # every placement a search accepted, emitted under each variant its
+    # circuit carries the control vertices for
+    accepted = [trials[-1] for trials, outcome in searches if isinstance(outcome, Placement)]
+    emitted = set()
+    for pl, circuit, spec, _ in accepted:
+        enc = swapped_encoding() if "P" in spec.alphabet else CA_ENC
+        for variant in "ABC" if circuit.in_dprime is not None else "AC":
+            try:
+                cg = emit_ruleset(pl, circuit, spec, variant, enc=enc)
+            except EmissionError as err:
+                assert err.certificate is not None, (pl, variant)
+                continue
+            want = _reference_emit_lines(pl, circuit, spec, variant, enc)
+            assert list(cg.lines) == list(want), (pl, variant)
+            for name, line in want.items():
+                assert cg.lines[name] == line, (pl, variant, name)
+            assert cg.game.ruleset == Ruleset(3, [mv for line in want.values() for mv in line])
+            emitted.add((len(circuit.outputs), variant, circuit.in_dprime is not None))
+    assert {variant for _, variant, _ in emitted} == set("ABC")
+
+
+def test_one_frame_per_compile(monkeypatch):
+    # F is built once per m the search visits, plus once at m = 1 for the
+    # in' generators: every trial at one m, its conditions and the emission
+    # share the placement's label frame
+    from latticegames import compiler, lattice
+
+    built = []
+
+    def counted(L, m):
+        built.append(m)
+        return real(L, m)
+
+    real = lattice.F_array
+    monkeypatch.setattr(lattice, "F_array", counted)
+    monkeypatch.setattr(compiler, "F_array", counted)
+    tried = []
+    checker = compiler.check_conditions
+    monkeypatch.setattr(compiler, "check_conditions",
+                        lambda *case: tried.append(case[0].m) or checker(*case))
+    cg = compile_recurrence(_ca_spec(110), CA_ENC, "B", seed=0)
+    assert sorted(built) == sorted({1, *tried}) and cg.placement.m in tried
+    # a search that runs out of tries at the third m builds three frames
+    built.clear()
+    wide = Encoding({sym: bits * 2 for sym, bits in swapped_encoding().table.items()})
+    circuit, spec = _search_circuit(xor_recurrence(), wide, "C")
+    with pytest.raises(PlacementSearchError):
+        search_placement(circuit, spec, "C", max_tries=401)
+    assert len(built) == len(set(built)) == 3
+
+
+def test_label_frame_follows_the_placement(xor_spec):
+    pl = paper_placement()
+    frame = pl.label_frame(xor_spec.lattice)
+    assert pl.label_frame(xor_spec.lattice) is frame
+    assert check_conditions(pl, xor_circuit(), xor_spec, "C").ok()
+    assert pl.label_frame(xor_spec.lattice) is frame
+    # a changed m or another lattice gets a frame of its own
+    pl.m = 12
+    assert pl.label_frame(xor_spec.lattice).mL == xor_spec.lattice.scale(12)
+    even = Sublattice((1, 1), (1, -1))
+    assert pl.label_frame(even).mL == even.scale(12)
+    # labels are additive, so plus and minus agree with labelling the sum
+    rng = np.random.default_rng(0)
+    p, q = rng.integers(-50, 50, size=(2, 40, 2))
+    code = pl.label_frame(even).mL.class_labels
+    frame = pl.label_frame(even)
+    assert (frame.plus(code(p), code(q)) == code(p + q)).all()
+    assert (frame.minus(code(p), code(q)) == code(p - q)).all()
 
 
 def test_wide_staircase_compiles_in_time():

@@ -72,6 +72,36 @@ def test_ruleset_canonicalisation():
     assert (grid.data == kernels.CODE_P).all()
 
 
+def test_ruleset_from_an_int64_array():
+    moves = [(0, 1, 0), (2, -1, 1), (0, 1, 0), (-3, 4, 0)]
+    given_array = np.array(moves, dtype=np.int64)
+    a, b = Ruleset(3, given_array), Ruleset(3, moves)
+    assert a == b and hash(a) == hash(b) and a.moves == b.moves
+    assert a.array.tolist() == b.array.tolist() and not a.array.flags.writeable
+    assert all(type(c) is int for m in a.moves for c in m)
+    # the caller's array is left as it was
+    assert given_array.flags.writeable and given_array.tolist() == [list(m) for m in moves]
+    assert Ruleset(3, np.zeros((0, 3), dtype=np.int64)) == Ruleset(3, [])
+    assert Ruleset(3, np.zeros(0, dtype=np.int64)) == Ruleset(3, [])
+    # refused with the messages the checked path gives an array
+    for dim, bad, message in (
+        (3, [(0, 1, 0), (0, 0, 0)], "the zero vector (0, 0, 0) cannot be a move"),
+        (3, [(1, 2), (3, 4)], "move [1, 2] is not a 3-dimensional vector"),
+        (3, [1, 2, 3], "move 1 is not a 3-dimensional vector"),
+        (2, [[(1, 2), (3, 4)]], "move [[1, 2], [3, 4]] is not a 2-dimensional vector"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Ruleset(dim, np.array(bad, dtype=np.int64))
+    # any other dtype goes through Python ints, so nothing wraps into int64
+    assert Ruleset(3, np.array(moves, dtype=object)) == b
+    assert Ruleset(2, np.array([(3, 1), (0, 2)], dtype=np.uint64)) == Ruleset(2, [(0, 2), (3, 1)])
+    for huge in (np.array([(0, 1), (2**63, 1)], dtype=np.uint64),
+                 np.array([(0, 1), (2**63, 1)], dtype=object),
+                 np.array([(0, 1), (-(2**63) - 1, 1)], dtype=object)):
+        with pytest.raises(ValueError, match="not a vector of int64 integers"):
+            Ruleset(2, huge)
+
+
 def test_builtin_sizes():
     assert len(paper_gamma_prime()) == 28
     # 7 wires + 20 slice-0 + 2*28 slice-1 sums with one coincidence

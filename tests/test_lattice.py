@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from latticegames.compiler import LabelFrame
 from latticegames.lattice import (
     EVEN_SUM,
     Z2,
@@ -12,7 +13,6 @@ from latticegames.lattice import (
     LatticeSet,
     ModuleIdeal,
     Sublattice,
-    class_representatives,
     enumerate_F,
     parse_set_expr,
     pareto_minimal,
@@ -170,7 +170,9 @@ def test_residue_tables_match_the_box_scans(basis, m):
     assert positive_generators(mL) == _reference_positive_generators(mL)
     F, rep_of = _reference_residues(L, m)
     assert enumerate_F(L, m) == F
-    assert class_representatives(L, m) == rep_of
+    # the label frame names each class by the same point
+    frame = LabelFrame(L, m, ((0, 0),), (1, 1))
+    assert {divmod(c, mL.index()): frame.rep(c) for c in frame.F_codes.tolist()} == rep_of
 
 
 @st.composite
@@ -373,6 +375,28 @@ def test_coset_contains_dependent_vectors():
     three = parse_set_expr("coset((1,1);(2,1);(4,2);(0,3);2)")
     assert three.contains((1, 7)) and three.contains((5, 3))
     assert not three.contains((1, 4)) and not three.contains((2, 1))
+
+
+def test_coset_tables_are_built_once_per_node(monkeypatch):
+    from latticegames import lattice
+
+    made = []
+
+    def counted(rows, dim):
+        made.append(dim)
+        return real(rows, dim)
+
+    real = lattice.echelon
+    monkeypatch.setattr(lattice, "echelon", counted)
+    s = parse_set_expr("coset((1,1);(2,1);(4,2);(0,3);2)")
+    fresh = parse_set_expr(s.to_expr())
+    hits = [p for p in np.ndindex(9, 9) if s.contains(p)]
+    assert hits == [p for p in np.ndindex(9, 9) if fresh.contains(p)]
+    assert s.mask((8, 8)).sum() == len(hits)
+    assert made == [2, 2]  # one echelon per node, for every test and the mask
+    # the tables stay outside the fields: == and hash read only those
+    assert s == fresh and hash(s) == hash(fresh)
+    assert s != LatticeSet.coset((0, 1), [(2, 1), (4, 2), (0, 3)], 2)
 
 
 def test_latticeset_embed_slice():
