@@ -10,6 +10,8 @@ vertices, and optionally the two control vertices added by extend_circuit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from graphlib import CycleError, TopologicalSorter
 from itertools import product
 
 VARIANTS = ("A", "B", "C")
@@ -40,21 +42,30 @@ class NorCircuit:
         for t, h in self.edges:
             if t not in vset or h not in vset:
                 raise ValueError(f"edge ({t},{h}) uses an unknown vertex")
-        flat_inputs = [v for block in self.inputs for v in block]
         if len({len(b) for b in self.inputs} | {len(self.outputs)}) > 1:
             raise ValueError("input blocks must have one bit per output")
         heads = {h for _, h in self.edges}
         tails = {t for t, _ in self.edges}
-        for v in flat_inputs:
+        for v in self.flat_inputs:
             if v in heads:
                 raise ValueError(f"input {v} has an in-edge")
         for v in self.outputs:
             if v in tails:
                 raise ValueError(f"output {v} has an out-edge")
-        for v in (self.in_prime, self.in_dprime):
-            if v is not None and v in heads:
+        for v in self.controls:
+            if v in heads:
                 raise ValueError(f"control vertex {v} has an in-edge")
         self.topological_order()  # raises on cycles
+
+    @cached_property
+    def flat_inputs(self) -> tuple[str, ...]:
+        """The input vertices, argument by argument, in circuit order."""
+        return tuple(v for block in self.inputs for v in block)
+
+    @cached_property
+    def controls(self) -> tuple[str, ...]:
+        """The control vertices the circuit carries: in', then in''."""
+        return tuple(v for v in (self.in_prime, self.in_dprime) if v is not None)
 
     @property
     def num_args(self) -> int:
@@ -68,28 +79,19 @@ class NorCircuit:
         return [t for t, h in self.edges if h == v]
 
     def topological_order(self) -> list[str]:
-        indeg = {v: 0 for v in self.vertices}
-        for _, h in self.edges:
-            indeg[h] += 1
-        ready = [v for v in self.vertices if indeg[v] == 0]
-        order = []
-        while ready:
-            v = ready.pop(0)
-            order.append(v)
-            for t, h in self.edges:
-                if t == v:
-                    indeg[h] -= 1
-                    if indeg[h] == 0:
-                        ready.append(h)
-        if len(order) != len(self.vertices):
-            raise ValueError("circuit graph contains a cycle")
-        return order
+        graph = TopologicalSorter({v: () for v in self.vertices})
+        for t, h in self.edges:
+            graph.add(h, t)
+        try:
+            return list(graph.static_order())
+        except CycleError:
+            raise ValueError("circuit graph contains a cycle") from None
 
     def gate_vertices(self) -> list[str]:
-        """Vertices that evaluate as nor gates (everything but the inputs)."""
-        flat = {v for block in self.inputs for v in block}
-        flat |= {v for v in (self.in_prime, self.in_dprime) if v is not None}
-        return [v for v in self.vertices if v not in flat]
+        """Vertices that evaluate as nor gates: everything but the inputs and
+        the control vertices."""
+        fixed = {*self.flat_inputs, *self.controls}
+        return [v for v in self.vertices if v not in fixed]
 
     def arguments_reaching_outputs(self) -> set[int]:
         reach = set(self.outputs)

@@ -204,7 +204,6 @@ def check_conditions(
     placement: Placement,
     circuit: NorCircuit,
     spec: RecurrenceSpec,
-    variant: str = "C",
 ) -> ConditionReport:
     """Decide the nine placement conditions exactly, on demand.
 
@@ -222,7 +221,6 @@ def check_conditions(
     staircase tables.  Reading the results decides every condition, so other
     callers see the full report.
     """
-    check_variant(variant)
     pl = placement
     for v in circuit.vertices:
         if v not in pl.pos:
@@ -243,9 +241,6 @@ def check_conditions(
     gates = np.array([pos[v] for v in V], dtype=np.int64).reshape(-1, 2)
     edge_delta = list(map(tuple, (gates[head] - gates[tail]).tolist()))
     edge_labels = diff[tail, head]
-    # in circuit order, so that (h) names the same input under every hash seed
-    flat_inputs = [x for block in circuit.inputs for x in block]
-    specials = [x for x in (circuit.in_prime, circuit.in_dprime) if x is not None]
 
     def halfspace():
         # (a) edge differences and the staircase's outward set share the open
@@ -276,7 +271,7 @@ def check_conditions(
         for v in V:
             at.setdefault(pos[v], []).append(v)
         reach = (diff[:, :, None] == edge_labels).any(axis=0)
-        reach[[ix[x] for x in flat_inputs]] = False
+        reach[[ix[x] for x in circuit.flat_inputs]] = False
         alone = np.array([len(at[pos[v]]) == 1 for v in V], dtype=bool)
         reach[head, np.arange(len(E))] &= ~alone[tail]
         edges = set(E)
@@ -328,7 +323,7 @@ def check_conditions(
     def control_neighbourhoods():
         # (g) the control vertices own their staircase neighbourhoods, and the
         # input-feed differences from in'' clash with no other difference
-        for x in specials:
+        for x in circuit.controls:
             overlap = np.isin(diff[ix[x]], fr.stair_codes)
             overlap[ix[x]] = False
             if overlap.any():
@@ -356,10 +351,11 @@ def check_conditions(
 
     def board_sides():
         # (h) control vertices on the board, input gates off it
-        for x in specials:
+        for x in circuit.controls:
             if pos[x][0] < 0 or pos[x][1] < 0:
                 return ("control-off-board", x, pos[x])
-        for name in flat_inputs:
+        # in circuit order, so that (h) names the same input under every hash seed
+        for name in circuit.flat_inputs:
             if pos[name][0] >= 0 and pos[name][1] >= 0:
                 return ("input-on-board", name, pos[name])
         return None
@@ -386,7 +382,7 @@ def check_conditions(
         "h": board_sides,
         "i": output_order,
         "e": displacement_sets,
-        "g": control_neighbourhoods if specials else vacuous,
+        "g": control_neighbourhoods if circuit.controls else vacuous,
         "f": wire_stair_clashes,
         "d": staircase_translates,
         "a": halfspace,
@@ -402,7 +398,6 @@ class PlacementSearchError(RuntimeError):
 def search_placement(
     circuit: NorCircuit,
     spec: RecurrenceSpec,
-    variant: str = "C",
     seed: int = 0,
     hint: Placement | None = None,
     max_tries: int = 10_000,
@@ -417,13 +412,12 @@ def search_placement(
     failing condition (see check_conditions); failures are reproducible,
     and the last trial's full condition report is attached to the error.
     """
-    check_variant(variant)
     if not circuit.vertices or not circuit.outputs:
         raise ValueError("cannot place an empty circuit")
     circuit.check_reachability()
     if hint is not None:
         try:
-            if check_conditions(hint, circuit, spec, variant).ok():
+            if check_conditions(hint, circuit, spec).ok():
                 return hint
         except ValueError:
             pass  # hint does not fit this circuit; fall through to the search
@@ -434,13 +428,7 @@ def search_placement(
     u = nu
     w = (nu[1], -nu[0])
     s = circuit.num_bits
-    specials = [x for x in (circuit.in_prime, circuit.in_dprime) if x is not None]
-    flat_inputs = {x for block in circuit.inputs for x in block}
-    ladder = [
-        v
-        for v in circuit.vertices
-        if v not in flat_inputs and v not in specials and v not in circuit.outputs
-    ]
+    ladder = [v for v in circuit.gate_vertices() if v not in circuit.outputs]
 
     depth = {o: 0 for o in circuit.outputs}
     order = circuit.topological_order()
@@ -502,7 +490,7 @@ def search_placement(
             pos[name] = (pos[out][0] - sx, pos[out][1] - sy)
         placement = copy.copy(template)
         placement.pos = pos
-        report = check_conditions(placement, circuit, spec, variant)
+        report = check_conditions(placement, circuit, spec)
         if report.ok():
             return placement
     raise PlacementSearchError(
@@ -577,7 +565,7 @@ def emit_ruleset(
     """
     check_variant(variant)
     pl = placement
-    report = check_conditions(pl, circuit, spec, variant)
+    report = check_conditions(pl, circuit, spec)
     if not report.ok():
         raise EmissionError(f"placement fails conditions {report.failures()}", report)
     fr = pl.label_frame(spec.lattice)
@@ -754,8 +742,8 @@ def verify_construction(cg: CompiledGame, bound: int) -> VerificationReport:
         raise ValueError(f"bound {bound} needs about {need / 2**30:.1f} GiB of probe tables, "
                          f"over the {kernels.MEMORY_BUDGET / 2**30:.0f} GiB budget")
     # the probe cells pos[v] + m * l, l >= 0, must lie in the solved window
-    for v in (*cg.circuit.outputs, cg.circuit.in_prime, cg.circuit.in_dprime):
-        if v is not None and min(pl.pos[v]) < 0:
+    for v in (*cg.circuit.outputs, *cg.circuit.controls):
+        if min(pl.pos[v]) < 0:
             raise ValueError(f"vertex {v!r} at {pl.pos[v]} lies off the board; "
                              "verify reads outputs and controls on it")
     m = pl.m
@@ -845,5 +833,5 @@ def compile_recurrence(
     pruned, _kept = prune_unused_arguments(spec)
     circuit = synthesize_nor_circuit(encoded_table(pruned, enc))
     circuit = extend_circuit(circuit, variant)
-    placement = search_placement(circuit, pruned, variant, seed, hint=hint)
+    placement = search_placement(circuit, pruned, seed, hint=hint)
     return emit_ruleset(placement, circuit, pruned, variant, core_only=core_only, enc=enc)

@@ -137,13 +137,12 @@ class Infeasible:
     """Farkas certificate: a nonnegative combination of the constraints
     whose left side vanishes while the right side stays positive."""
 
-    multipliers: tuple[tuple[int, Fraction], ...]
-    combined_rhs: Fraction
+    multipliers: tuple[tuple[int, int], ...]
+    combined_rhs: int
 
     def verify(self, constraints) -> bool:
-        d = len(constraints[0][0])
-        combo = [Fraction(0)] * d
-        rhs = Fraction(0)
+        combo = [0] * len(constraints[0][0])
+        rhs = 0
         for idx, lam in self.multipliers:
             if lam < 0:
                 return False
@@ -163,8 +162,8 @@ def _constraint_row(rs: Ruleset, i: int):
     """Row i of pointedness_constraints(rs)."""
     d = rs.dim
     if i < d:
-        return tuple(Fraction(int(k == i)) for k in range(d)), Fraction(1)
-    return tuple(Fraction(c) for c in rs.moves[i - d]), Fraction(1)
+        return tuple(int(k == i) for k in range(d)), 1
+    return rs.moves[i - d], 1
 
 
 def pointedness_constraints(rs: Ruleset):
@@ -189,40 +188,30 @@ def pointedness_rows(rs: Ruleset) -> list[int]:
 
 
 def fourier_motzkin(constraints: dict):
-    """Exact rational feasibility of {phi : coeffs . phi >= rhs} by
-    Fourier-Motzkin elimination over constraints = {index: (coeffs, rhs)}.
+    """Exact feasibility of {phi : coeffs . phi >= rhs} by Fourier-Motzkin
+    elimination over integer rows, constraints = {index: (coeffs, rhs)}.
 
-    Returns the lexicographically least feasible phi as a tuple of Fractions,
-    or an Infeasible certificate whose multipliers are keyed by the
-    constraint indices.  Every derived row carries the multipliers of the
-    rows it combines, which is what makes the certificate checkable.
+    A derived row is -n[var] * p + p[var] * n for rows p and n, so every row
+    and every Farkas multiplier stays an integer; only the back-substitution
+    divides.  Returns the lexicographically least feasible phi as a tuple of
+    Fractions, or an Infeasible certificate whose multipliers are keyed by
+    the constraint indices.  Every derived row carries the multipliers of
+    the rows it combines, which is what makes the certificate checkable.
     """
     d = len(next(iter(constraints.values()))[0])
-    rows = [
-        (list(coeffs), rhs, {i: Fraction(1)}) for i, (coeffs, rhs) in constraints.items()
-    ]
-
-    def merge(m1, m2, f1, f2):
-        out = dict()
-        for k, v in m1.items():
-            out[k] = out.get(k, Fraction(0)) + f1 * v
-        for k, v in m2.items():
-            out[k] = out.get(k, Fraction(0)) + f2 * v
-        return out
+    rows = [(list(coeffs), rhs, {i: 1}) for i, (coeffs, rhs) in constraints.items()]
 
     snapshots = {d: rows}
     for var in range(d - 1, -1, -1):
-        nxt = []
+        nxt = [r for r in rows if r[0][var] == 0]
         pos = [r for r in rows if r[0][var] > 0]
         neg = [r for r in rows if r[0][var] < 0]
-        zero = [r for r in rows if r[0][var] == 0]
-        nxt.extend(zero)
         for pc, pr, pm in pos:
             for nc, nr, nm in neg:
                 a, b = -nc[var], pc[var]
                 coeffs = [a * x + b * y for x, y in zip(pc, nc)]
-                rhs = a * pr + b * nr
-                nxt.append((coeffs, rhs, merge(pm, nm, a, b)))
+                mult = {k: a * pm.get(k, 0) + b * nm.get(k, 0) for k in pm.keys() | nm.keys()}
+                nxt.append((coeffs, a * pr + b * nr, mult))
         rows = []
         for coeffs, rhs, mult in nxt:
             if all(c == 0 for c in coeffs):
@@ -240,7 +229,7 @@ def fourier_motzkin(constraints: dict):
         for coeffs, rhs, _ in snapshots[var + 1]:
             c = coeffs[var]
             if c > 0:
-                bound = (rhs - sum(coeffs[j] * phi[j] for j in range(var))) / c
+                bound = Fraction(rhs - sum(coeffs[j] * phi[j] for j in range(var)), c)
                 lo = bound if lo is None or bound > lo else lo
         phi[var] = lo if lo is not None else Fraction(1)
     return tuple(phi)

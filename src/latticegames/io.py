@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from itertools import product
 
-from .circuits import NorCircuit
+from .circuits import NorCircuit, check_variant
 from .compiler import CompiledGame, Placement
 from .engine import GameSpec, Ruleset
 from .lattice import INT64, LatticeSet, ModuleIdeal, Sublattice, parse_set_expr
@@ -129,7 +129,7 @@ def spec_to_json(spec: RecurrenceSpec, enc: Encoding | None = None, variant: str
 def spec_from_json(obj: dict):
     """Returns (spec, encoding | None, variant | None, ca_embedding | None).
 
-    A {"ca": {rule, word, steps}} block is shorthand for the cellular
+    A {"ca": {rule, word}} block is shorthand for the cellular
     automaton embedding with the standard 0/1 encoding.  A missing or
     ill-typed field raises ValueError naming the field.
     """
@@ -229,7 +229,7 @@ def compiled_from_files(game: GameSpec, sidecar: dict, spec: RecurrenceSpec, enc
     shell = NorCircuit(vertices, (), (), outputs, in_prime, in_dprime)
     lines = _field(sidecar, "placement", "lines", _map_of(_list_of(_vec(3))), optional=True) or {}
     lines = {name: tuple(tuple(m) for m in moves) for name, moves in lines.items()}
-    variant = _field(sidecar, "placement", "variant", _STR, optional=True) or "C"
+    variant = check_variant(_field(sidecar, "placement", "variant", _STR, optional=True) or "C")
     return CompiledGame(game, pl, shell, spec, enc, variant, lines)
 
 

@@ -11,6 +11,13 @@ from latticegames.circuits import (
     synthesize_nor_circuit,
     table_from_function,
 )
+from latticegames.recurrence import (
+    Encoding,
+    ca_to_recurrence,
+    encoded_table,
+    prune_unused_arguments,
+    wolfram_rule_table,
+)
 
 
 def test_xor_circuit_truth_table():
@@ -159,3 +166,49 @@ def test_reachability_check():
     with pytest.raises(ValueError):
         c.check_reachability()
     xor_circuit().check_reachability()
+
+
+# (vertices, edges, inputs, outputs, in_prime, what the refusal says)
+MALFORMED_CIRCUITS = [
+    (("a", "a"), (), (), ("a",), None, "duplicate vertex names"),
+    (("x", "o"), (("x", "z"),), (("x",),), ("o",), None, r"edge \(x,z\) uses an unknown vertex"),
+    (("x", "y", "z", "o"), (), (("x", "y"), ("z",)), ("o",), None,
+     "input blocks must have one bit per output"),
+    (("x", "g", "o"), (("g", "x"), ("x", "o")), (("x",),), ("o",), None, "input x has an in-edge"),
+    (("x", "g", "o"), (("x", "o"), ("o", "g")), (("x",),), ("o",), None,
+     "output o has an out-edge"),
+    (("x", "c", "g", "o"), (("g", "c"), ("x", "o")), (("x",),), ("o",), "c",
+     "control vertex c has an in-edge"),
+    (("x", "a", "b", "o"), (("x", "a"), ("a", "b"), ("b", "a"), ("b", "o")), (("x",),), ("o",),
+     None, "circuit graph contains a cycle"),
+]
+
+
+@pytest.mark.parametrize("vertices, edges, inputs, outputs, in_prime, says", MALFORMED_CIRCUITS)
+def test_malformed_circuit_refused(vertices, edges, inputs, outputs, in_prime, says):
+    with pytest.raises(ValueError, match=says):
+        NorCircuit(vertices, edges, inputs, outputs, in_prime)
+
+
+def _rule_circuit(rule):
+    spec = ca_to_recurrence(wolfram_rule_table(rule), "0", "1").spec
+    spec, _ = prune_unused_arguments(spec)
+    table = encoded_table(spec, Encoding({"0": ("N",), "1": ("P",)}))
+    return extend_circuit(synthesize_nor_circuit(table), "B")
+
+
+@pytest.mark.parametrize("rule", [None, 30, 90, 110], ids=["xor", "rule30-B", "rule90-B", "rule110-B"])
+def test_topological_order_puts_tails_first(rule):
+    c = xor_circuit() if rule is None else _rule_circuit(rule)
+    order = c.topological_order()
+    assert sorted(order) == sorted(c.vertices)
+    at = {v: k for k, v in enumerate(order)}
+    assert all(at[t] < at[h] for t, h in c.edges)
+
+
+def test_gate_vertices_drop_inputs_and_controls():
+    c = extend_circuit(xor_circuit(), "B")
+    assert c.flat_inputs == ("v0", "v1")
+    assert c.controls == ("in'", "in''")
+    assert c.gate_vertices() == ["v2", "v3", "v4", "v5", "v6"]
+    assert xor_circuit().controls == ()

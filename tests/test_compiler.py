@@ -56,7 +56,7 @@ def xor_compiled(xor_spec):
 
 
 def test_paper_placement_passes_conditions(xor_spec):
-    rep = check_conditions(paper_placement(), xor_circuit(), xor_spec, "C")
+    rep = check_conditions(paper_placement(), xor_circuit(), xor_spec)
     for key in "abcdefi":
         assert rep[key].status == "pass", (key, rep[key])
     assert rep["g"].status == "vacuous"
@@ -68,7 +68,7 @@ def test_condition_b_fails_on_moved_input(xor_spec):
     pos = dict(pl.pos)
     pos["v0"] = (-5, 0)
     moved = Placement(pos, pl.m, pl.staircase, pl.normal)
-    rep = check_conditions(moved, xor_circuit(), xor_spec, "C")
+    rep = check_conditions(moved, xor_circuit(), xor_spec)
     assert rep["b"].status == "fail"
     assert rep["b"].witness[:2] == (1, 1)
 
@@ -82,7 +82,7 @@ def test_input_on_board_witness_ignores_hash_seed():
         "pl = paper_placement()\n"
         "pos = {**pl.pos, 'v0': (0, 1), 'v1': (1, 0)}\n"
         "moved = Placement(pos, pl.m, pl.staircase, pl.normal)\n"
-        "print(check_conditions(moved, xor_circuit(), xor_recurrence(), 'C')['h'].witness)\n"
+        "print(check_conditions(moved, xor_circuit(), xor_recurrence())['h'].witness)\n"
     )
     path = os.pathsep.join([str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")])
     for seed in ("0", "4"):
@@ -95,7 +95,7 @@ def test_input_on_board_witness_ignores_hash_seed():
 def test_conditions_fail_at_m_one(xor_spec):
     pl = paper_placement()
     tiny = Placement(pl.pos, 1, pl.staircase, pl.normal)
-    rep = check_conditions(tiny, xor_circuit(), xor_spec, "C")
+    rep = check_conditions(tiny, xor_circuit(), xor_spec)
     assert not rep.ok()
     # with m = 1 every residue is covered, so the wire moves are all
     # congruent to staircase differences
@@ -189,16 +189,16 @@ def test_search_placement_xor(xor_spec):
     circuit = extend_circuit(
         synthesize_nor_circuit(encoded_table(xor_spec, swapped_encoding())), "C"
     )
-    pl = search_placement(circuit, xor_spec, "C", seed=0)
-    assert check_conditions(pl, circuit, xor_spec, "C").ok()
+    pl = search_placement(circuit, xor_spec, seed=0)
+    assert check_conditions(pl, circuit, xor_spec).ok()
     # deterministic in the seed
-    pl2 = search_placement(circuit, xor_spec, "C", seed=0)
+    pl2 = search_placement(circuit, xor_spec, seed=0)
     assert pl.pos == pl2.pos and pl.m == pl2.m
 
 
 def test_search_hint_mode(xor_spec):
     # a passing placement given as hint comes back unchanged
-    pl = search_placement(xor_circuit(), xor_spec, "C", seed=3, hint=paper_placement())
+    pl = search_placement(xor_circuit(), xor_spec, seed=3, hint=paper_placement())
     assert pl is not None
     assert pl.pos == paper_placement().pos
     assert pl.m == 6
@@ -209,7 +209,7 @@ def test_search_empty_circuit(xor_spec):
 
     empty = NorCircuit((), (), (), ())
     with pytest.raises(ValueError):
-        search_placement(empty, xor_spec, "C", seed=0)
+        search_placement(empty, xor_spec, seed=0)
 
 
 def test_compiled_game_satisfies_axioms(xor_compiled):
@@ -521,20 +521,18 @@ def test_variant_b_emits_initial_lines():
     assert set(cg.lines["initial"]) == expected
 
 
-def _reference_check_conditions(placement, circuit, spec, variant="C"):
+def _reference_check_conditions(placement, circuit, spec):
     """check_conditions in its direct form, kept as the reference: every
     difference is relabelled with class_label instead of being derived from
     the labels of single points."""
     from itertools import product
 
-    from latticegames.circuits import check_variant
     from latticegames.compiler import ConditionReport, ConditionResult
     from latticegames.lattice import dominates, dot, enumerate_F, vscale
 
     def _staircase_diffs(I):
         return {vsub(a, b) for a in I for b in I}
 
-    check_variant(variant)
     pl = placement
     for v in circuit.vertices:
         if v not in pl.pos:
@@ -762,7 +760,7 @@ CA_ENC = Encoding({"0": ("N",), "1": ("P",)})
 def _recorded_searches(searches):
     """Run each search() while recording every check_conditions call; returns
     one (trials, outcome) pair per search, where trials are the checked
-    (placement, circuit, spec, variant) in order and outcome is the returned
+    (placement, circuit, spec) in order and outcome is the returned
     placement or the PlacementSearchError raised."""
     from latticegames import compiler
 
@@ -797,10 +795,10 @@ def searches():
     for spec, enc, variant in cases:
         circuit, pruned = _search_circuit(spec, enc, variant)
         for seed in (0, 1):
-            runs.append(partial(search_placement, circuit, pruned, variant, seed=seed))
+            runs.append(partial(search_placement, circuit, pruned, seed=seed))
     wide = Encoding({sym: bits * 2 for sym, bits in swapped_encoding().table.items()})
     circuit, spec = _search_circuit(xor_recurrence(), wide, "C")
-    runs.append(partial(search_placement, circuit, spec, "C", max_tries=20))
+    runs.append(partial(search_placement, circuit, spec, max_tries=20))
     return _recorded_searches(runs)
 
 
@@ -837,7 +835,7 @@ def test_search_trial_count_rule110_b():
     # compiles: placement seeds 0-3 make 194 trials between them
     circuit, spec = _search_circuit(_ca_spec(110), CA_ENC, "B")
     runs = _recorded_searches(
-        [partial(search_placement, circuit, spec, "B", seed=seed) for seed in range(4)]
+        [partial(search_placement, circuit, spec, seed=seed) for seed in range(4)]
     )
     assert all(isinstance(outcome, Placement) for _, outcome in runs)
     assert sum(len(trials) for trials, _ in runs) == 194
@@ -850,7 +848,7 @@ def test_conditions_match_reference(searches):
     # the unextended xor circuit carries no control vertices, so (g) is
     # vacuous and (h) checks the input gates alone
     pl = paper_placement()
-    plain = (pl, xor_circuit(), xor_recurrence(), "C")
+    plain = (pl, xor_circuit(), xor_recurrence())
     # the paper's inputs sit a full m off the board, beyond the perturbations,
     # and no draw changes the staircase, which (a)'s outward points depend on
     on_board = Placement({**pl.pos, "v0": (0, 1)}, pl.m, pl.staircase, pl.normal)
@@ -859,13 +857,13 @@ def test_conditions_match_reference(searches):
     # points, where the reference enumerates 5^6 choice functions for (e);
     # at the searched m (e) passes, and small m make it fail at varied anchors
     circuit, spec = _search_circuit(_xor_spec([(1, 0), (-1, 1)]), swapped_encoding(), "C")
-    six = (search_placement(circuit, spec, "C"), circuit, spec, "C")
+    six = (search_placement(circuit, spec), circuit, spec)
     assert len(six[0].staircase) == 6
     rng = random.Random(0)
     drawn = list(tried) + [plain, (on_board,) + plain[1:], (narrow,) + plain[1:], six]
     two_outputs = next(case for case in tried if len(case[1].outputs) == 2)
     for base in [None] * 300 + [plain] * 60 + [two_outputs] * 40 + [six] * 16:
-        pl, circuit, spec, variant = base or rng.choice(tried)
+        pl, circuit, spec = base or rng.choice(tried)
         pos = dict(pl.pos)
         for v in rng.sample(sorted(pos), rng.randint(1, 3)):
             pos[v] = (pos[v][0] + rng.randint(-3, 3), pos[v][1] + rng.randint(-3, 3))
@@ -873,7 +871,7 @@ def test_conditions_match_reference(searches):
             m = rng.randint(1, 8)
         else:
             m = pl.m if rng.random() < 0.7 else rng.randint(1, pl.m)
-        drawn.append((Placement(pos, m, pl.staircase, pl.normal), circuit, spec, variant))
+        drawn.append((Placement(pos, m, pl.staircase, pl.normal), circuit, spec))
     seen = {}
     tags = set()
     for n, case in enumerate(drawn):
@@ -950,7 +948,7 @@ def test_emission_matches_reference(searches):
     # circuit carries the control vertices for
     accepted = [trials[-1] for trials, outcome in searches if isinstance(outcome, Placement)]
     emitted = set()
-    for pl, circuit, spec, _ in accepted:
+    for pl, circuit, spec in accepted:
         enc = swapped_encoding() if "P" in spec.alphabet else CA_ENC
         for variant in "ABC" if circuit.in_dprime is not None else "AC":
             try:
@@ -993,7 +991,7 @@ def test_one_frame_per_compile(monkeypatch):
     wide = Encoding({sym: bits * 2 for sym, bits in swapped_encoding().table.items()})
     circuit, spec = _search_circuit(xor_recurrence(), wide, "C")
     with pytest.raises(PlacementSearchError):
-        search_placement(circuit, spec, "C", max_tries=401)
+        search_placement(circuit, spec, max_tries=401)
     assert len(built) == len(set(built)) == 3
 
 
@@ -1001,7 +999,7 @@ def test_label_frame_follows_the_placement(xor_spec):
     pl = paper_placement()
     frame = pl.label_frame(xor_spec.lattice)
     assert pl.label_frame(xor_spec.lattice) is frame
-    assert check_conditions(pl, xor_circuit(), xor_spec, "C").ok()
+    assert check_conditions(pl, xor_circuit(), xor_spec).ok()
     assert pl.label_frame(xor_spec.lattice) is frame
     # a changed m or another lattice gets a frame of its own
     pl.m = 12

@@ -197,6 +197,115 @@ def test_pruned_pointedness_matches_full_elimination(rs):
         assert pruned.phi == full
 
 
+def _reference_fourier_motzkin(constraints: dict):
+    """fourier_motzkin as it was on Fraction rows, kept as the reference: the
+    rows, the multipliers and the right sides are all Fractions."""
+    d = len(next(iter(constraints.values()))[0])
+    rows = [
+        ([Fraction(c) for c in coeffs], Fraction(rhs), {i: Fraction(1)})
+        for i, (coeffs, rhs) in constraints.items()
+    ]
+
+    def merge(m1, m2, f1, f2):
+        out = dict()
+        for k, v in m1.items():
+            out[k] = out.get(k, Fraction(0)) + f1 * v
+        for k, v in m2.items():
+            out[k] = out.get(k, Fraction(0)) + f2 * v
+        return out
+
+    snapshots = {d: rows}
+    for var in range(d - 1, -1, -1):
+        nxt = []
+        pos = [r for r in rows if r[0][var] > 0]
+        neg = [r for r in rows if r[0][var] < 0]
+        zero = [r for r in rows if r[0][var] == 0]
+        nxt.extend(zero)
+        for pc, pr, pm in pos:
+            for nc, nr, nm in neg:
+                a, b = -nc[var], pc[var]
+                coeffs = [a * x + b * y for x, y in zip(pc, nc)]
+                rhs = a * pr + b * nr
+                nxt.append((coeffs, rhs, merge(pm, nm, a, b)))
+        rows = []
+        for coeffs, rhs, mult in nxt:
+            if all(c == 0 for c in coeffs):
+                if rhs > 0:
+                    return Infeasible(tuple(sorted(mult.items())), rhs)
+                continue
+            rows.append((coeffs, rhs, mult))
+        snapshots[var] = rows
+
+    phi = [Fraction(0)] * d
+    for var in range(d):
+        lo = None
+        for coeffs, rhs, _ in snapshots[var + 1]:
+            c = coeffs[var]
+            if c > 0:
+                bound = (rhs - sum(coeffs[j] * phi[j] for j in range(var))) / c
+                lo = bound if lo is None or bound > lo else lo
+        phi[var] = lo if lo is not None else Fraction(1)
+    return tuple(phi)
+
+
+def _reference_pointedness(rs):
+    constraints = pointedness_constraints(rs)
+    result = _reference_fourier_motzkin({i: constraints[i] for i in pointedness_rows(rs)})
+    return result if isinstance(result, Infeasible) else PointednessWitness(result)
+
+
+def _assert_exact_types(result):
+    # a certificate is all integers; a witness, or an elimination's phi, is
+    # all Fractions
+    if isinstance(result, Infeasible):
+        assert all(type(i) is int and type(lam) is int for i, lam in result.multipliers)
+        assert type(result.combined_rhs) is int
+    else:
+        phi = result.phi if isinstance(result, PointednessWitness) else result
+        assert all(type(f) is Fraction for f in phi)
+
+
+def _assert_same_as_reference(rs):
+    # equal witnesses, or equal certificates: multipliers and right side
+    got = check_pointedness(rs)
+    assert got == _reference_pointedness(rs)
+    _assert_exact_types(got)
+
+
+@settings(max_examples=300)
+@given(rulesets())
+def test_integer_elimination_matches_the_fraction_reference(rs):
+    _assert_same_as_reference(rs)
+    rows = dict(enumerate(pointedness_constraints(rs)))
+    full = fourier_motzkin(rows)
+    assert full == _reference_fourier_motzkin(rows)
+    _assert_exact_types(full)
+
+
+def test_compiled_pointedness_matches_the_fraction_reference():
+    # the benchmark's rule 110 B compiles, placement seeds 0-3, and Γ, Γ'
+    emb = ca_to_recurrence(wolfram_rule_table(110), "0", "1")
+    enc = Encoding({"0": ("N",), "1": ("P",)})
+    games = [compile_recurrence(emb.spec, enc, variant="B", seed=s).game.ruleset for s in range(4)]
+    for rs in games + [paper_gamma(), paper_gamma_prime()]:
+        _assert_same_as_reference(rs)
+
+
+def test_certificate_check_rejects_tampering():
+    rs = Ruleset(3, [(1, 0, 0), (-1, 0, 0)])
+    rows = pointedness_constraints(rs)  # rows 3 and 4 are (-1, 0, 0) and (1, 0, 0)
+    cert = check_pointedness(rs)
+    # the axis row x >= 1 and the move row -x >= 1
+    assert cert == Infeasible(((0, 1), (3, 1)), 2) and cert.verify(rows)
+    # -1 * (1, 0, 0) + 2 * (-1, 0, 0) + 3 * (1, 0, 0) vanishes with right side
+    # 4, so only the sign of the first multiplier is wrong
+    assert not Infeasible(((0, -1), (3, 2), (4, 3)), 4).verify(rows)
+    # (-1, 0, 0) + 2 * (1, 0, 0) does not vanish
+    assert not Infeasible(((3, 1), (4, 2)), 3).verify(rows)
+    # x >= 0 and -x >= 0 combine to 0 >= 0, which is no contradiction
+    assert not Infeasible(((0, 1), (1, 1)), 0).verify([((1,), 0), ((-1,), 0)])
+
+
 def test_tangent_cone_gamma_prime():
     reports = check_tangent_cone(paper_gamma_prime())
     assert all(r.passed for r in reports)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -43,7 +44,7 @@ def test_spec_roundtrip():
 
 def test_spec_ca_shorthand():
     spec, enc, variant, emb = io.spec_from_json(
-        {"ca": {"rule": 90, "word": "1", "steps": 8}, "variant": "B"}
+        {"ca": {"rule": 90, "word": "1"}, "variant": "B"}
     )
     assert variant == "B"
     assert emb is not None and emb.offset == 2
@@ -57,7 +58,7 @@ def test_compiled_roundtrip(tmp_path):
     sidecar = io.save_compiled(cg, str(out))
     back_game = io.load_game(str(out))
     assert back_game.ruleset == cg.game.ruleset
-    side = json.loads(open(sidecar).read())
+    side = json.loads(Path(sidecar).read_text())
     back = io.compiled_from_files(back_game, side, cg.spec, cg.enc)
     assert back.placement.pos == cg.placement.pos
     assert back.placement.m == cg.placement.m
@@ -331,17 +332,41 @@ MALFORMED_SPECS = [
     ([XOR_SPEC], "JSON object"),
     ({**XOR_SPEC, "f0": [[[0, 0], "P"], [[0, 0], "N"]]}, "'f0' gives generator"),
 ]
+# well-typed spec files that the recurrence or its encoding refuses; kept
+# after every other row of CLI_FAILURES, so that the ids of those rows stay
+REFUSED_SPECS = [
+    ({**XOR_SPEC, "alphabet": ["P", "P"]}, "distinct symbols"),
+    ({**XOR_SPEC, "sigma0": "X"}, "sigma0 must belong to the alphabet"),
+    ({**XOR_SPEC, "betas": [], "g": ["P"]}, "at least one shift vector is required"),
+    ({**XOR_SPEC, "betas": [[0, 0], [0, 1]]}, "shift vectors must be nonzero"),
+    ({**XOR_SPEC, "lattice": [[1, 1], [1, -1]]}, "shift (1, 0) is not in the lattice"),
+    ({**XOR_SPEC, "betas": [[1, 0], [1, 0]]}, "duplicate shift vectors"),
+    ({**XOR_SPEC, "g": ["N", "P", "P", "X"]}, "table produces symbols outside the alphabet"),
+    ({**XOR_SPEC, "f0": [[[1, 0], "P"]]}, "initial values must be given exactly on the module generators"),
+    ({**XOR_SPEC, "f0": [[[0, 0], "X"]]}, "initial values outside the alphabet"),
+    ({**XOR_SPEC, "encoding": {"P": ["N"], "N": ["P", "P"]}}, "all encodings must have the same width"),
+    ({**XOR_SPEC, "encoding": {"P": ["N"], "N": ["X"]}}, "encodings are tuples over P/N"),
+    ({**XOR_SPEC, "encoding": {"P": ["N"], "N": ["N"]}}, "encoding is not injective"),
+    ({**XOR_SPEC, "encoding": {"P": ["N"]}}, "missing-symbols: ['N']"),
+]
 
 
-@pytest.mark.parametrize("obj, field", MALFORMED_SPECS)
+def _compile_spec(obj):
+    # the library path of `compile` up to its first refusal: reading the
+    # file, then validating the encoding against the recurrence
+    spec, enc, variant, _emb = io.spec_from_json(obj)
+    compile_recurrence(spec, enc, variant or "C")
+
+
+@pytest.mark.parametrize("obj, field", MALFORMED_SPECS + REFUSED_SPECS)
 def test_cli_malformed_spec_file(tmp_path, capsys, obj, field):
     bad = tmp_path / "spec.json"
     bad.write_text(json.dumps(obj))
     assert main(["compile", str(bad), "-o", str(tmp_path / "g.json")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and field in err
-    with pytest.raises(ValueError, match=field):
-        io.spec_from_json(obj)
+    with pytest.raises(ValueError, match=re.escape(field)):
+        _compile_spec(obj)
 
 
 PAPER_SIDECAR = {
@@ -374,6 +399,7 @@ MALFORMED_SIDECARS = [
     ([PAPER_SIDECAR], "JSON object"),
     ({**PAPER_SIDECAR, "outputs": ["out_9"]}, "'pos' gives no position for vertex 'out_9'"),
     ({**PAPER_SIDECAR, "in_dprime": "ghost"}, "'pos' gives no position for vertex 'ghost'"),
+    ({**PAPER_SIDECAR, "variant": "Z"}, "variant must be one of"),
 ]
 VERIFY_XOR = ["verify", "paper-gamma", "--spec", "specs/xor.json", "--bound", "12"]
 
@@ -408,6 +434,7 @@ CLI_FAILURES = [
     *((["solve", "{file}", "--window", "3,3,1"], obj, field) for obj, field in MALFORMED_GAMES),
     *((["compile", "{file}", "-o", "{out}"], obj, field) for obj, field in MALFORMED_SPECS),
     *((VERIFY_XOR + ["--placement", "{file}"], obj, field) for obj, field in MALFORMED_SIDECARS),
+    *((["compile", "{file}", "-o", "{out}"], obj, field) for obj, field in REFUSED_SPECS),
 ]
 
 
