@@ -14,6 +14,8 @@ from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 from itertools import product
 
+import numpy as np
+
 VARIANTS = ("A", "B", "C")
 
 # total gate count k * 2^k admitted by truth-table synthesis
@@ -75,17 +77,40 @@ class NorCircuit:
     def num_bits(self) -> int:
         return len(self.outputs)
 
-    def predecessors(self, v: str) -> list[str]:
-        return [t for t, h in self.edges if h == v]
-
-    def topological_order(self) -> list[str]:
-        graph = TopologicalSorter({v: () for v in self.vertices})
+    @cached_property
+    def _preds(self) -> dict[str, tuple[str, ...]]:
+        preds = {v: [] for v in self.vertices}
         for t, h in self.edges:
-            graph.add(h, t)
+            preds[h].append(t)
+        return {v: tuple(ts) for v, ts in preds.items()}
+
+    @cached_property
+    def _order(self) -> tuple[str, ...]:
         try:
-            return list(graph.static_order())
+            return tuple(TopologicalSorter(self._preds).static_order())
         except CycleError:
             raise ValueError("circuit graph contains a cycle") from None
+
+    @cached_property
+    def vertex_index(self) -> dict[str, int]:
+        """Each vertex's position in vertices."""
+        return {v: k for k, v in enumerate(self.vertices)}
+
+    @cached_property
+    def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """The edges' (tail, head) vertex_index arrays, read-only, in edge order."""
+        ix = self.vertex_index
+        pairs = np.array([(ix[t], ix[h]) for t, h in self.edges], dtype=np.intp).reshape(-1, 2)
+        pairs.flags.writeable = False
+        return tuple(pairs.T)
+
+    def predecessors(self, v: str) -> tuple[str, ...]:
+        """The tails of the edges into v, in edge order (a cached table)."""
+        return self._preds[v]
+
+    def topological_order(self) -> tuple[str, ...]:
+        """Every vertex, each edge's tail first (a cached table, sorted once)."""
+        return self._order
 
     def gate_vertices(self) -> list[str]:
         """Vertices that evaluate as nor gates: everything but the inputs and
@@ -94,14 +119,15 @@ class NorCircuit:
         return [v for v in self.vertices if v not in fixed]
 
     def arguments_reaching_outputs(self) -> set[int]:
+        """The arguments with an input bit on some path to an output: one
+        backward traversal of the predecessor lists."""
         reach = set(self.outputs)
-        changed = True
-        while changed:
-            changed = False
-            for t, h in self.edges:
-                if h in reach and t not in reach:
+        stack = list(self.outputs)
+        while stack:
+            for t in self._preds[stack.pop()]:
+                if t not in reach:
                     reach.add(t)
-                    changed = True
+                    stack.append(t)
         return {
             i for i, block in enumerate(self.inputs) if any(v in reach for v in block)
         }
@@ -121,7 +147,8 @@ def eval_circuit(
     in_prime: str | None = None,
     in_dprime: str | None = None,
 ) -> tuple[str, ...]:
-    """Topological evaluation; returns the output bits as 'P'/'N'.
+    """Topological evaluation; returns the output bits as 'P'/'N'.  It walks
+    the circuit's cached order and predecessor lists, in O(V + E).
 
     input_bits is one block of s bits per argument.  Values for the control
     vertices are required exactly when the circuit has them.
@@ -141,10 +168,10 @@ def eval_circuit(
             values[name] = _as_bool(given)
         elif given is not None:
             raise ValueError("control value supplied but the circuit has no such vertex")
-    for v in circuit.topological_order():
-        if v in values:
-            continue
-        values[v] = not any(values[t] for t, h in circuit.edges if h == v)
+    preds = circuit._preds
+    for v in circuit._order:
+        if v not in values:
+            values[v] = not any(values[t] for t in preds[v])
     return tuple("P" if values[o] else "N" for o in circuit.outputs)
 
 
@@ -162,7 +189,8 @@ def synthesize_nor_circuit(table: dict) -> NorCircuit:
     One detector gate per input row that must produce an N somewhere, one
     shared inverter per input bit, plus a shared always-P gate feeding
     constant-N outputs.  Deterministic and unoptimised; the result is checked
-    against the table on all 2^k inputs before being returned.
+    against the table on all 2^k inputs before being returned, in
+    O(2^k (V + E)).
     """
     rows = sorted(table)
     if not rows:
@@ -248,11 +276,8 @@ def extend_circuit(circuit: NorCircuit, variant: str) -> NorCircuit:
     if variant == "B":
         in_dprime = "in''"
         vertices.append(in_dprime)
-        targets = list(circuit.outputs)
-        for o in circuit.outputs:
-            for t in circuit.predecessors(o):
-                if t not in targets:
-                    targets.append(t)
+        feeders = (t for o in circuit.outputs for t in circuit.predecessors(o))
+        targets = dict.fromkeys([*circuit.outputs, *feeders])
         edges.extend((in_dprime, t) for t in targets)
     return NorCircuit(
         tuple(vertices),

@@ -24,7 +24,7 @@ from .engine import (
     equivalence_in_window,
     periodicity_probe,
 )
-from .kernels import CODE_N, CODE_P
+from .kernels import CODE_N, CODE_P, MEMORY_BUDGET
 from .recurrence import binom_parity_oracle, eval_recurrence, prune_unused_arguments
 from .render import render_grid
 
@@ -163,8 +163,18 @@ def cmd_equiv(args) -> int:
     return 1
 
 
+# traced peak bytes per window cell of `oracle`, with margin: 118-167 for
+# xor, which memoises every point, and 4.1-6.6 for binom-parity at windows
+# of 300^2 to 2000^2 (the grid, its text rendering and the memo)
+ORACLE_CELL_BYTES = {"binom-parity": 8, "xor": 200}
+
+
 def cmd_oracle(args) -> int:
     nx, ny = args.window
+    need = (nx + 1) * (ny + 1) * ORACLE_CELL_BYTES[args.which]
+    if need > MEMORY_BUDGET:
+        raise ValueError(f"window {nx},{ny} needs about {need / 2**30:.1f} GiB, "
+                         f"over the {MEMORY_BUDGET / 2**30:.0f} GiB budget")
     codes = np.zeros((nx + 1, ny + 1), dtype=np.uint8)
     if args.which == "binom-parity":
         value = binom_parity_oracle

@@ -229,15 +229,13 @@ def check_conditions(
     nu = pl.normal
     I = pl.staircase
     pos = pl.pos
-    V = list(circuit.vertices)
-    E = list(circuit.edges)
-    ix = {v: k for k, v in enumerate(V)}
+    V, E, ix = circuit.vertices, circuit.edges, circuit.vertex_index
+    tail, head = circuit.edge_index
     # labelled first, so that a position outside int64 raises ValueError
     gate_labels = fr.mL.class_labels([pos[v] for v in V])
     # diff[k, j] is the label of pos[V[j]] - pos[V[k]]; an edge (t, h) reads
     # its own entry
     diff = fr.minus(gate_labels, gate_labels[:, None])
-    tail, head = np.array([(ix[t], ix[h]) for t, h in E], dtype=np.intp).reshape(-1, 2).T
     gates = np.array([pos[v] for v in V], dtype=np.int64).reshape(-1, 2)
     edge_delta = list(map(tuple, (gates[head] - gates[tail]).tolist()))
     edge_labels = diff[tail, head]
@@ -274,13 +272,12 @@ def check_conditions(
         reach[[ix[x] for x in circuit.flat_inputs]] = False
         alone = np.array([len(at[pos[v]]) == 1 for v in V], dtype=bool)
         reach[head, np.arange(len(E))] &= ~alone[tail]
-        edges = set(E)
         for j, k in np.argwhere(reach).tolist():
             w, e, d = V[j], E[k], edge_delta[k]
             exact = at.get(vsub(pos[w], d), [])
             if not exact:
                 return ("no-exact-realisation", w, e, d)
-            bad = [v for v in exact if (v, w) not in edges]
+            bad = [v for v in exact if v not in circuit.predecessors(w)]
             if bad:
                 return ("non-edge-realisation", w, e, d, bad[0])
         return None
@@ -331,7 +328,7 @@ def check_conditions(
         ind = circuit.in_dprime
         if ind is None:
             return None
-        feed_heads = [h for t, h in E if t == ind]
+        feed_heads = [V[k] for k in head[tail == ix[ind]].tolist()]
         if circuit.in_prime is not None and circuit.in_prime not in feed_heads:
             # the initial-condition moves also target in', so its
             # difference must be protected like the edge ones
@@ -367,8 +364,9 @@ def check_conditions(
             a, b = pos[o1], pos[o2]
             if not (a[0] < b[0] and a[1] > b[1]):
                 return ("output-order", o1, o2)
-        for (t, h), o in product(E, outs):
-            if h in outs and dominates(pos[t], pos[o]):
+        feeders = [t for t, h in E if h in outs]
+        for t, o in product(feeders, outs):
+            if dominates(pos[t], pos[o]):
                 return ("feeder-dominates", t, o)
         return None
 
@@ -430,13 +428,12 @@ def search_placement(
     s = circuit.num_bits
     ladder = [v for v in circuit.gate_vertices() if v not in circuit.outputs]
 
-    depth = {o: 0 for o in circuit.outputs}
+    # the longest path from each vertex to a sink, in one pass from the heads
     order = circuit.topological_order()
-    for v in reversed(order):
-        if v in depth:
-            continue
-        succ = [depth[h] + 1 for t, h in circuit.edges if t == v and h in depth]
-        depth[v] = max(succ, default=0)
+    depth = dict.fromkeys(order, 0)
+    for h in reversed(order):
+        for t in circuit.predecessors(h):
+            depth[t] = max(depth[t], depth[h] + 1)
     max_depth = max((depth[v] for v in ladder), default=0)
 
     step = 3
@@ -610,7 +607,8 @@ def emit_ruleset(
             lines[LINE_IN_DPRIME] = _plane_line(np.add(ind, pl.m * b_dprime), 1)
             # at each module generator g, from in'' to every feeder of an
             # output and to every output whose encoded initial bit is N
-            feeders = [t for t, h in circuit.edges if h in circuit.outputs and t != circuit.in_dprime]
+            feeders = [t for o in circuit.outputs for t in circuit.predecessors(o)
+                       if t != circuit.in_dprime]
             initial = []
             for g in spec.module.generators:
                 bits = enc.encode(spec.f0[g])

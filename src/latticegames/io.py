@@ -131,9 +131,12 @@ def spec_from_json(obj: dict):
 
     A {"ca": {rule, word}} block is shorthand for the cellular
     automaton embedding with the standard 0/1 encoding.  A missing or
-    ill-typed field raises ValueError naming the field.
+    ill-typed field raises ValueError naming the field, and a variant
+    outside VARIANTS is refused.
     """
     variant = _field(obj, "spec", "variant", _STR, optional=True)
+    if variant is not None:
+        check_variant(variant)
     ca = _field(obj, "spec", "ca", (lambda x: isinstance(x, dict), "an object"), optional=True)
     if ca is not None:
         rule = _field(ca, "ca block", "rule", _INT)
@@ -216,12 +219,17 @@ def compiled_from_files(game: GameSpec, sidecar: dict, spec: RecurrenceSpec, enc
     """Rebuild the compiled-game record needed for verification.
 
     Only the output/control vertex positions matter, so the circuit shell
-    carries names without gates or wires.
+    carries names without gates or wires.  A variant B sidecar must name its
+    in'' vertex.
     """
     pl = placement_from_json(sidecar)
     outputs = tuple(_field(sidecar, "placement", "outputs", _STRS))
     in_prime = _field(sidecar, "placement", "in_prime", _STR, optional=True)
     in_dprime = _field(sidecar, "placement", "in_dprime", _STR, optional=True)
+    variant = check_variant(_field(sidecar, "placement", "variant", _STR, optional=True) or "C")
+    if variant == "B" and in_dprime is None:
+        # verify would silently drop the in'' characterisation
+        raise ValueError("placement field 'in_dprime' must name the in'' vertex of a variant B game")
     vertices = outputs + tuple(v for v in (in_prime, in_dprime) if v is not None)
     for v in vertices:
         if v not in pl.pos:
@@ -229,7 +237,6 @@ def compiled_from_files(game: GameSpec, sidecar: dict, spec: RecurrenceSpec, enc
     shell = NorCircuit(vertices, (), (), outputs, in_prime, in_dprime)
     lines = _field(sidecar, "placement", "lines", _map_of(_list_of(_vec(3))), optional=True) or {}
     lines = {name: tuple(tuple(m) for m in moves) for name, moves in lines.items()}
-    variant = check_variant(_field(sidecar, "placement", "variant", _STR, optional=True) or "C")
     return CompiledGame(game, pl, shell, spec, enc, variant, lines)
 
 

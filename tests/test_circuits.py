@@ -1,8 +1,10 @@
 import random
+from graphlib import TopologicalSorter
 from itertools import product
 
 import pytest
 
+from latticegames import circuits
 from latticegames.builtin import xor_circuit
 from latticegames.circuits import (
     NorCircuit,
@@ -11,6 +13,7 @@ from latticegames.circuits import (
     synthesize_nor_circuit,
     table_from_function,
 )
+from latticegames.compiler import compile_recurrence
 from latticegames.recurrence import (
     Encoding,
     ca_to_recurrence,
@@ -62,8 +65,8 @@ def test_synthesize_constant_n():
     table = {row: ("N",) for row in product("PN", repeat=2)}
     c = synthesize_nor_circuit(table)
     # the output hangs off a single always-P feeder
-    assert c.predecessors("out_1") == ["const_p"]
-    assert c.predecessors("const_p") == []
+    assert c.predecessors("out_1") == ("const_p",)
+    assert c.predecessors("const_p") == ()
     for row in table:
         assert eval_circuit(c, (row[:1], row[1:])) == ("N",)
 
@@ -212,3 +215,72 @@ def test_gate_vertices_drop_inputs_and_controls():
     assert c.controls == ("in'", "in''")
     assert c.gate_vertices() == ["v2", "v3", "v4", "v5", "v6"]
     assert xor_circuit().controls == ()
+
+
+def _reference_eval_circuit(circuit, input_bits, in_prime=None, in_dprime=None):
+    """Evaluation by edge scan: a topological sort of its own, then every
+    edge read for every vertex."""
+    graph = TopologicalSorter({v: () for v in circuit.vertices})
+    for t, h in circuit.edges:
+        graph.add(h, t)
+    values = {name: bit == "P" for block, bits in zip(circuit.inputs, input_bits)
+              for name, bit in zip(block, bits)}
+    for name, given in ((circuit.in_prime, in_prime), (circuit.in_dprime, in_dprime)):
+        if name is not None:
+            values[name] = given == "P"
+    for v in graph.static_order():
+        if v not in values:
+            values[v] = not any(values[t] for t, h in circuit.edges if h == v)
+    return tuple("P" if values[o] else "N" for o in circuit.outputs)
+
+
+def _reference_arguments_reaching_outputs(circuit):
+    """Reachability by fixpoint: sweep the edges until no tail joins."""
+    reach = set(circuit.outputs)
+    changed = True
+    while changed:
+        changed = False
+        for t, h in circuit.edges:
+            if h in reach and t not in reach:
+                reach.add(t)
+                changed = True
+    return {i for i, block in enumerate(circuit.inputs) if any(v in reach for v in block)}
+
+
+# every (k input bits, s output bits) with s dividing k and k <= 6
+TABLE_SHAPES = [(k, s) for k in range(1, 7) for s in range(1, k + 1) if k % s == 0]
+
+
+@pytest.mark.parametrize("k, s", TABLE_SHAPES, ids=[f"k{k}-s{s}" for k, s in TABLE_SHAPES])
+def test_graph_tables_match_edge_scans(k, s):
+    # evaluation and reachability read the cached order and predecessor
+    # lists; the edge-scan references must agree on a seeded random table's
+    # circuit and on its A and B extensions, for every input row and
+    # control value
+    rng = random.Random(2000 + 10 * k + s)
+    table = {row: tuple(rng.choice("PN") for _ in range(s)) for row in product("PN", repeat=k)}
+    base = synthesize_nor_circuit(table)
+    for c in (base, extend_circuit(base, "A"), extend_circuit(base, "B")):
+        assert c.arguments_reaching_outputs() == _reference_arguments_reaching_outputs(c)
+        for row, *controls in product(table, *(["PN"] * len(c.controls))):
+            blocks = tuple(row[i:i + s] for i in range(0, len(row), s))
+            got = eval_circuit(c, blocks, *controls)
+            assert got == _reference_eval_circuit(c, blocks, *controls)
+            if c is base:
+                assert got == table[row]
+
+
+def test_one_sort_per_circuit(monkeypatch):
+    # a rule 110 B compile builds two circuits, the synthesised one and its
+    # extension, and every reader of a circuit's order shares its one sort
+    sorts = []
+
+    class CountingSorter(TopologicalSorter):
+        def __init__(self, *args):
+            sorts.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(circuits, "TopologicalSorter", CountingSorter)
+    spec = ca_to_recurrence(wolfram_rule_table(110), "0", "1").spec
+    compile_recurrence(spec, Encoding({"0": ("N",), "1": ("P",)}), variant="B")
+    assert len(sorts) == 2
