@@ -171,19 +171,21 @@ ORACLE_CELL_BYTES = {"binom-parity": 8, "xor": 200}
 
 def cmd_oracle(args) -> int:
     nx, ny = args.window
+    if nx < 0 or ny < 0:
+        raise ValueError("window bounds must be nonnegative")
     need = (nx + 1) * (ny + 1) * ORACLE_CELL_BYTES[args.which]
     if need > MEMORY_BUDGET:
         raise ValueError(f"window {nx},{ny} needs about {need / 2**30:.1f} GiB, "
                          f"over the {MEMORY_BUDGET / 2**30:.0f} GiB budget")
-    codes = np.zeros((nx + 1, ny + 1), dtype=np.uint8)
     if args.which == "binom-parity":
         value = binom_parity_oracle
     else:
         spec = builtin.xor_recurrence()
         value = lambda i, j: eval_recurrence(spec, (i, j))  # noqa: E731
-    for i in range(nx + 1):
-        for j in range(ny + 1):
-            codes[i, j] = CODE_P if value(i, j) == "P" else CODE_N
+    # one pass in C order, no list: binom-parity's grid stays a byte per cell
+    codes = np.fromiter((CODE_P if value(i, j) == "P" else CODE_N
+                         for i in range(nx + 1) for j in range(ny + 1)),
+                        dtype=np.uint8, count=(nx + 1) * (ny + 1)).reshape(nx + 1, ny + 1)
     data = render_grid(OutcomeGrid((nx, ny), codes), None, "text", None)
     _emit(data, args.output)
     return 0

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from itertools import product
+from math import lcm, prod
 
 import numpy as np
 
@@ -322,6 +323,7 @@ class Solver:
         self.witness = witness
         self.phi = witness.as_integer()
         self.memo: dict[Vec, str] = {}
+        self._columns: tuple[dict[int, list[int]], ...] = tuple({} for _ in range(game.ruleset.dim))
 
     def _is_position(self, p: Vec) -> bool:
         """p must already be a tuple of ints of the game's dimension."""
@@ -337,14 +339,33 @@ class Solver:
             raise ValueError(f"{p} is not a position of this game")
         return self._options(p)
 
-    def _options(self, p: Vec) -> list[Vec]:
-        """options(p) without its checks.  The memo holds only positions, so
-        only an option missing from it is tested against the defeated set."""
+    def _candidates(self, p: Vec) -> list[Vec]:
+        """The points p - m for the moves m, in move order, that lie in N^d.
+
+        They are read by zipping per-axis columns: column k at coordinate c
+        is [c - m[k] for each move m], built on first use and cached in
+        self._columns[k] under c, so the cache holds d x (distinct
+        coordinates expanded) x moves ints, small beside the memo.  An axis
+        on which p is at least the largest move component cannot go
+        negative and skips the sign test."""
         cols, top = self.game.ruleset.axis_columns
-        opts = list(zip(*[[c - m for m in col] for c, col in zip(p, cols)]))
+        parts = []
+        for c, col, cache in zip(p, cols, self._columns):
+            part = cache.get(c)
+            if part is None:
+                part = cache[c] = [c - m for m in col]
+            parts.append(part)
+        opts = list(zip(*parts))
         for k, c in enumerate(p):
-            if c < top[k]:  # else no move takes axis k below 0
+            if c < top[k]:
                 opts = [q for q in opts if q[k] >= 0]
+        return opts
+
+    def _options(self, p: Vec) -> list[Vec]:
+        """options(p) without its checks: the candidates of p that are not
+        defeated.  The memo holds only positions, so only a candidate
+        missing from it is tested against the defeated set."""
+        opts = self._candidates(p)
         if self.game.has_defeated:
             memo, contains = self.memo, self.game.defeated._contains
             opts = [q for q in opts if q in memo or not contains(q)]
@@ -357,6 +378,12 @@ class Solver:
         finite DAG; the stack depth is bounded by the number of distinct
         reachable positions rather than by the recursion limit.  Every option
         is evaluated, so the memo holds each position reachable from p.
+        An expansion is a single pass over the candidates of _candidates,
+        with one memo lookup each: a memoised P option makes the position N,
+        and a candidate missing from the memo is tested against the defeated
+        set and, if it is a position, left pending.  With nothing pending
+        the value is written at once; otherwise the position waits under its
+        pending options, which resolve before it is seen again.
         """
         p = as_vec(p, self.game.ruleset.dim)
         memo = self.memo
@@ -364,20 +391,30 @@ class Solver:
             return memo[p]
         if not self._is_position(p):
             raise ValueError(f"{p} is not a position of this game")
-        stack = [(p, None)]
+        get = memo.get
+        defeated = self.game.defeated._contains if self.game.has_defeated else None
+        stack = [(p, None, None)]
         while stack:
-            q, opts = stack.pop()
+            q, value, pending = stack.pop()
             if q in memo:
                 continue
-            if opts is None:
-                opts = self._options(q)
-                pending = [o for o in opts if o not in memo]
+            if pending is None:
+                value, pending = P, []
+                for o in self._candidates(q):
+                    v = get(o)
+                    if v is None:
+                        if not (defeated and defeated(o)):
+                            pending.append(o)
+                    elif v == P:
+                        value = N
                 if pending:
                     # everything pushed above q resolves before q is next seen
-                    stack.append((q, opts))
-                    stack.extend((o, None) for o in pending)
+                    stack.append((q, value, pending))
+                    stack.extend([(o, None, None) for o in pending])
                     continue
-            memo[q] = N if P in map(memo.__getitem__, opts) else P
+            elif value == P and P in map(get, pending):
+                value = N
+            memo[q] = value
         return memo[p]
 
     def solve_window(self, window, mode: str = "bottom-up") -> OutcomeGrid:
@@ -392,13 +429,11 @@ class Solver:
 
     def _solve_window_topdown(self, window: Vec) -> OutcomeGrid:
         shape = tuple(w + 1 for w in window)
-        data = np.zeros(shape, dtype=np.uint8)
-        for p in np.ndindex(shape):
-            if not self._is_position(p):
-                data[p] = CODE_DEFEATED
-            else:
-                data[p] = CODE_P if self.outcome(p) == P else CODE_N
-        return OutcomeGrid(window, data)
+        codes = (
+            (CODE_P if self.outcome(p) == P else CODE_N) if self._is_position(p) else CODE_DEFEATED
+            for p in product(*map(range, shape))
+        )
+        return OutcomeGrid(window, np.fromiter(codes, np.uint8, count=prod(shape)).reshape(shape))
 
     def _solve_window_bottomup(self, window: Vec) -> OutcomeGrid:
         rs = self.game.ruleset

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from math import gcd
+from operator import add, sub
 
 import numpy as np
 
@@ -29,13 +30,13 @@ INT64 = range(-(2**63), 2**63)
 def vadd(a: Vec, b: Vec) -> Vec:
     if len(a) != len(b):
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def vsub(a: Vec, b: Vec) -> Vec:
     if len(a) != len(b):
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def vscale(c: int, a: Vec) -> Vec:
@@ -54,7 +55,7 @@ def dominates(a: Vec, b: Vec) -> bool:
 
 
 def as_vec(x, dim=None) -> Vec:
-    v = tuple(int(c) for c in x)
+    v = tuple(map(int, x))
     if dim is not None and len(v) != dim:
         raise ValueError(f"expected {dim}-dimensional vector, got {v}")
     return v

@@ -850,6 +850,32 @@ def test_topdown_window_queries_go_through_outcome(monkeypatch):
     assert len(calls) == np.count_nonzero(grid.data != kernels.CODE_DEFEATED)
 
 
+@pytest.fixture(scope="module")
+def solved_holed_gamma_prime():
+    game, window = _oracle_holed_gamma_prime(0)
+    solver = Solver(game)
+    solver.solve_window(window, mode="top-down")
+    return game, solver
+
+
+def test_topdown_caches_one_column_per_coordinate(solved_holed_gamma_prime):
+    # only an expansion builds a column, and every expanded position is
+    # memoised, so axis k holds one column per k-th coordinate in the memo
+    game, solver = solved_holed_gamma_prime
+    assert len(solver._columns) == game.ruleset.dim
+    for k, cache in enumerate(solver._columns):
+        assert sorted(cache) == sorted({p[k] for p in solver.memo})
+        for c, column in cache.items():
+            assert column == [c - m[k] for m in game.ruleset.moves]
+
+
+def test_options_match_the_reference_on_every_memoised_position(solved_holed_gamma_prime):
+    # reads the cached columns at every coordinate the solve reached
+    game, solver = solved_holed_gamma_prime
+    for p in solver.memo:
+        assert solver.options(p) == _reference_options(game, p), p
+
+
 def test_kernel_scale_guard():
     from latticegames.kernels import solve_region
 

@@ -437,6 +437,9 @@ CLI_FAILURES = [
     *((["compile", "{file}", "-o", "{out}"], obj, field) for obj, field in LATER_MALFORMED_SPECS),
     *((VERIFY_XOR + ["--placement", "{file}"], obj, field) for obj, field in LATER_MALFORMED_SIDECARS),
     (["oracle", "xor", "--window", "1000000,1000000"], None, "over the 4 GiB budget"),
+    (["oracle", "xor", "--window=-1,3"], None, "window bounds must be nonnegative"),
+    (["oracle", "binom-parity", "--window=3,-1"], None, "window bounds must be nonnegative"),
+    (["oracle", "xor", "--window=-5,-5"], None, "window bounds must be nonnegative"),
 ]
 
 
