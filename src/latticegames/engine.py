@@ -297,8 +297,12 @@ class OutcomeGrid:
         return {CODE_P: P, CODE_N: N}.get(self.code_at(p))
 
     def plane(self, slice_index: int | None = None) -> np.ndarray:
-        """2-D slice at a fixed last coordinate (the grid itself in 2-D)."""
-        if len(self.window) == 2:
+        """2-D slice at a fixed last coordinate (the grid itself in 2-D);
+        a grid of any other dimension than 2 or 3 has no plane."""
+        d = len(self.window)
+        if d not in (2, 3):
+            raise ValueError(f"a {d}-D grid has no plane; only 2-D and 3-D grids do")
+        if d == 2:
             if slice_index not in (None, 0):
                 raise ValueError(f"a 2-D grid has no slices; got slice {slice_index}")
             return self.data
@@ -307,6 +311,21 @@ class OutcomeGrid:
         if not 0 <= slice_index <= self.window[-1]:
             raise ValueError(f"slice {slice_index} lies outside [0, {self.window[-1]}]")
         return self.data[:, :, slice_index]
+
+
+# traced peak bytes of a top-down window solve, with margin: per window cell
+# (the memo and the grid; 89-179 measured on Gamma, Gamma' and 2-D games at
+# windows 48 to 200), and per window coordinate and move (the per-axis
+# columns and the DFS path's pending candidates, which dominate in 1-D:
+# 25-39 measured with 3 and 28 moves at windows 2,000 to 40,000)
+TOPDOWN_CELL_BYTES = 256
+TOPDOWN_OPTION_BYTES = 64
+
+
+def topdown_bytes(window: Vec, n_moves: int) -> int:
+    """Estimated peak bytes of a top-down solve of the window."""
+    cells = prod(w + 1 for w in window)
+    return cells * TOPDOWN_CELL_BYTES + sum(w + 1 for w in window) * n_moves * TOPDOWN_OPTION_BYTES
 
 
 class Solver:
@@ -372,18 +391,22 @@ class Solver:
         return opts
 
     def outcome(self, p) -> str:
-        """Memoized top-down evaluation with an explicit stack.
+        """Memoized top-down evaluation that stops at the first P option.
+
+        An expansion of q scans the candidates of _candidates in move order,
+        one memo lookup each: a memoised P candidate makes q N at once.
+        Otherwise the candidates missing from the memo are pending, and they
+        are evaluated one at a time in move order, the memo re-read before
+        each: q is N at the first that is P, and P if none is.  Only the
+        pending candidate about to be evaluated is tested against the
+        defeated set, so a candidate never reached is never tested.  The
+        memo therefore holds the positions this search reaches, not all
+        those reachable from p.
 
         phi strictly decreases along moves, so the option graph below p is a
-        finite DAG; the stack depth is bounded by the number of distinct
-        reachable positions rather than by the recursion limit.  Every option
-        is evaluated, so the memo holds each position reachable from p.
-        An expansion is a single pass over the candidates of _candidates,
-        with one memo lookup each: a memoised P option makes the position N,
-        and a candidate missing from the memo is tested against the defeated
-        set and, if it is a position, left pending.  With nothing pending
-        the value is written at once; otherwise the position waits under its
-        pending options, which resolve before it is seen again.
+        finite DAG, and the explicit stack is the DFS path from p: one frame
+        (position, its pending candidates not yet evaluated) per level, so
+        the depth is bounded by phi . p rather than by the recursion limit.
         """
         p = as_vec(p, self.game.ruleset.dim)
         memo = self.memo
@@ -393,29 +416,41 @@ class Solver:
             raise ValueError(f"{p} is not a position of this game")
         get = memo.get
         defeated = self.game.defeated._contains if self.game.has_defeated else None
-        stack = [(p, None, None)]
-        while stack:
-            q, value, pending = stack.pop()
-            if q in memo:
-                continue
-            if pending is None:
-                value, pending = P, []
+        path = []
+        q, rest, value = p, None, None
+        while True:
+            if rest is None:  # expand q
+                pending = []
                 for o in self._candidates(q):
                     v = get(o)
                     if v is None:
-                        if not (defeated and defeated(o)):
-                            pending.append(o)
+                        pending.append(o)
                     elif v == P:
                         value = N
-                if pending:
-                    # everything pushed above q resolves before q is next seen
-                    stack.append((q, value, pending))
-                    stack.extend([(o, None, None) for o in pending])
+                        break
+                rest = iter(pending)
+            if value is None:
+                for o in rest:
+                    v = get(o)
+                    if v is None:
+                        if defeated and defeated(o):
+                            continue
+                        path.append((q, rest))
+                        q, rest = o, None
+                        break
+                    if v == P:
+                        value = N
+                        break
+                else:
+                    value = P
+                if value is None:  # o is expanded next
                     continue
-            elif value == P and P in map(get, pending):
-                value = N
             memo[q] = value
-        return memo[p]
+            if not path:
+                return value
+            # q is settled: a P makes its parent N, an N resumes the parent
+            q, rest = path.pop()
+            value = N if value == P else None
 
     def solve_window(self, window, mode: str = "bottom-up") -> OutcomeGrid:
         window = as_vec(window, self.game.ruleset.dim)
@@ -428,6 +463,12 @@ class Solver:
         return self._solve_window_bottomup(window)
 
     def _solve_window_topdown(self, window: Vec) -> OutcomeGrid:
+        need = topdown_bytes(window, len(self.game.ruleset))
+        if need > kernels.MEMORY_BUDGET:
+            raise ValueError(
+                f"top-down solve of window {window} needs about {need / 2**30:.1f} GiB, "
+                f"over the {kernels.MEMORY_BUDGET / 2**30:.0f} GiB budget"
+            )
         shape = tuple(w + 1 for w in window)
         codes = (
             (CODE_P if self.outcome(p) == P else CODE_N) if self._is_position(p) else CODE_DEFEATED
@@ -503,7 +544,8 @@ def periodicity_probe(grid: OutcomeGrid, slice_index, cone, ell) -> ProbeResult:
     if _cross(r, s) < 0:
         r, s = s, r
 
-    plane = grid.plane(slice_index)
+    # a 3-D grid's plane is a strided view; every op below runs faster on a copy
+    plane = np.ascontiguousarray(grid.plane(slice_index))
     # p = (x, y) runs over the cells whose q = p - ell is in the window too
     (x0, x1), (y0, y1) = ((max(0, c), min(n, n + c)) for n, c in zip(plane.shape, ell))
     if x0 >= x1 or y0 >= y1:

@@ -26,6 +26,7 @@ from latticegames.engine import (
     pointedness_constraints,
     pointedness_rows,
     tangent_axis_ok,
+    topdown_bytes,
 )
 from latticegames import kernels
 from latticegames.lattice import LatticeSet, dominates, dot
@@ -696,15 +697,16 @@ def test_probe_matches_reference_loop(case):
     assert periodicity_probe(*case) == _probe_reference(*case)
 
 
-def test_topdown_memo_is_closed_under_options():
-    # every option of every reached position is evaluated, so the memo is
-    # exactly the set of positions reachable from the window
+def test_topdown_memo_lies_between_the_window_and_its_reachable_set():
+    # the search stops at the first P option, so it may leave reachable
+    # positions unevaluated, but it evaluates every position it is asked for
     defeated = LatticeSet.finite([(2, 1, 0), (3, 3, 1), (0, 5, 1), (7, 2, 0), (1, 1, 1)])
     game = GameSpec(paper_gamma_prime(), defeated)
     solver = Solver(game)
     window = (9, 9, 1)
     solver.solve_window(window, mode="top-down")
     frontier = [p for p in np.ndindex(*(w + 1 for w in window)) if not defeated.contains(p)]
+    queried = set(frontier)
     reached = set(frontier)
     while frontier:
         p = frontier.pop()
@@ -713,7 +715,8 @@ def test_topdown_memo_is_closed_under_options():
             if min(q) >= 0 and not defeated.contains(q) and q not in reached:
                 reached.add(q)
                 frontier.append(q)
-    assert set(solver.memo) == reached
+    assert queried <= set(solver.memo) <= reached
+    assert len(solver.memo) < len(reached)  # some reachable position is never evaluated
 
 
 def _reference_options(game, p):
@@ -729,8 +732,9 @@ def _reference_options(game, p):
 
 
 def _reference_outcome(game, memo, p):
-    """Top-down evaluation of the position p into memo, by the per-move
-    options and an any() over the option outcomes."""
+    """Exhaustive top-down evaluation of the position p into memo, by the
+    per-move options and an any() over the option outcomes: every position
+    reachable from p is evaluated."""
     stack = [(p, None)]
     while stack:
         q, opts = stack.pop()
@@ -747,9 +751,24 @@ def _reference_outcome(game, memo, p):
     return memo[p]
 
 
-def _reference_topdown(game, window):
-    """Top-down window solve by _reference_outcome; returns the memo and the
-    grid's data."""
+def _reference_lazy_outcome(game, memo, p):
+    """Short-circuit top-down evaluation of the position p into memo, by
+    recursion: p is N if a memoised option is P; otherwise its options are
+    evaluated in move order, the memo re-read before each, up to the first
+    that is P."""
+    if p not in memo:
+        opts = _reference_options(game, p)
+        if any(memo.get(o) == "P" for o in opts):
+            memo[p] = "N"
+        else:
+            solve = lambda o: memo[o] if o in memo else _reference_lazy_outcome(game, memo, o)  # noqa: E731
+            memo[p] = "N" if any(solve(o) == "P" for o in opts) else "P"
+    return memo[p]
+
+
+def _reference_topdown(game, window, outcome):
+    """Top-down window solve, one outcome(game, memo, p) query per position
+    in C order; returns the memo and the grid's data."""
     memo = {}
     shape = tuple(w + 1 for w in window)
     data = np.zeros(shape, dtype=np.uint8)
@@ -757,7 +776,7 @@ def _reference_topdown(game, window):
         if min(p) < 0 or (game.has_defeated and game.defeated._contains(p)):
             data[p] = kernels.CODE_DEFEATED
         else:
-            data[p] = kernels.CODE_P if _reference_outcome(game, memo, p) == "P" else kernels.CODE_N
+            data[p] = kernels.CODE_P if outcome(game, memo, p) == "P" else kernels.CODE_N
     return memo, data
 
 
@@ -816,16 +835,20 @@ def _oracle_holed_gamma_prime(seed):
 def _assert_topdown_matches_reference(game, window):
     solver = Solver(game)
     grid = solver.solve_window(window, mode="top-down")
-    memo, data = _reference_topdown(game, window)
+    memo, data = _reference_topdown(game, window, _reference_lazy_outcome)
     assert solver.memo == memo
     assert list(solver.memo) == list(memo)  # filled in the same order, too
     assert grid.data.dtype == data.dtype and np.array_equal(grid.data, data)
+    # every value the search memoises is the exhaustive evaluation's value
+    full, full_data = _reference_topdown(game, window, _reference_outcome)
+    assert all(full[p] == v for p, v in solver.memo.items())
+    assert np.array_equal(grid.data, full_data)
     return solver
 
 
 def test_topdown_memo_matches_the_reference_on_the_holed_gamma_prime():
     solver = _assert_topdown_matches_reference(*_oracle_holed_gamma_prime(0))
-    assert len(solver.memo) == 7653
+    assert len(solver.memo) == 5297  # the exhaustive memo holds 7,653
 
 
 @settings(max_examples=100)
@@ -874,6 +897,44 @@ def test_options_match_the_reference_on_every_memoised_position(solved_holed_gam
     game, solver = solved_holed_gamma_prime
     for p in solver.memo:
         assert solver.options(p) == _reference_options(game, p), p
+
+
+def test_topdown_memory_guard_raises_before_allocating(gamma_prime_game, traced_peak):
+    # about 8 * 10**8 cells: the memo alone would run out of memory
+    solver = Solver(gamma_prime_game)
+    with traced_peak() as peak, pytest.raises(ValueError, match="top-down .* GiB"):
+        solver.solve_window((20000, 20000, 1), mode="top-down")
+    assert peak.bytes < 2**20 and not solver.memo
+
+
+def _one_dim_28_moves():
+    # in 1-D the per-axis columns and the DFS path grow with the window
+    return GameSpec(Ruleset(1, [(m,) for m in range(1, 29)])), (3000,)
+
+
+def _two_dim_game():
+    return GameSpec(Ruleset(2, [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2)])), (120, 120)
+
+
+@pytest.mark.parametrize(
+    "case", [lambda: _oracle_holed_gamma_prime(0), _one_dim_28_moves, _two_dim_game],
+    ids=["holed-gamma-prime", "1d-28-moves", "2d"],
+)
+def test_topdown_solve_stays_within_its_guard(case, monkeypatch, traced_peak):
+    game, window = case()
+    want = Solver(game).solve_window(window).data
+    need = topdown_bytes(window, len(game.ruleset))
+    monkeypatch.setattr(kernels, "MEMORY_BUDGET", need - 1)
+    solver = Solver(game)
+    with traced_peak() as peak, pytest.raises(ValueError, match="GiB"):
+        solver.solve_window(window, mode="top-down")
+    assert peak.bytes < 2**20 and not solver.memo
+    # at exactly the budget the window is solved, within the estimate
+    monkeypatch.setattr(kernels, "MEMORY_BUDGET", need)
+    with traced_peak() as peak:
+        grid = solver.solve_window(window, mode="top-down")
+    assert peak.bytes <= need
+    assert np.array_equal(grid.data, want)
 
 
 def test_kernel_scale_guard():

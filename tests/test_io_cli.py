@@ -440,6 +440,11 @@ CLI_FAILURES = [
     (["oracle", "xor", "--window=-1,3"], None, "window bounds must be nonnegative"),
     (["oracle", "binom-parity", "--window=3,-1"], None, "window bounds must be nonnegative"),
     (["oracle", "xor", "--window=-5,-5"], None, "window bounds must be nonnegative"),
+    (["solve", "{file}", "--window", "6"], {"dim": 1, "moves": [[1], [2]]}, "a 1-D grid has no plane"),
+    (["solve", "{file}", "--window", "2,2,1,1"], {"dim": 4, "moves": [[1, 0, 0, 0], [0, 1, 0, 0]]},
+     "a 4-D grid has no plane"),
+    (["probe", "{file}", "--window", "4,4"], {"dim": 4, "moves": [[1, 0, 0, 0], [0, 1, 0, 0]]},
+     "a 4-D grid has no plane"),
 ]
 
 
