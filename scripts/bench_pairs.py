@@ -8,7 +8,9 @@ PARENT and CHANGE are the roots of two checkouts.  Pair i, for i = 0..9, runs
 the parent first in even pairs and the change first in odd ones, so a drift
 in machine speed does not favour either side.  The result goes to
 BENCH_<TOPIC>.json in the current directory: for every workload, the runs,
-median and quartiles of each end-to-end metric and of each stage time, the
+median and quartiles of each end-to-end metric (with, alongside `setup_s`,
+`setup_wall_s`: the median unscaled set-up wall time of the run's set-up
+samples) and of each stage time, the
 number of pairs in which the change is better, the `failed` and `attempted`
 counts of every run, and whether the output fingerprints of the two runs of
 a pair are equal.  Quartiles are those of the inclusive (linear) method.
@@ -32,8 +34,11 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"{' '.join(cmd[1:])} failed in {checkout} with code {proc.returncode}")
     record = json.loads((checkout / ".perfbench-out" / f"{workload}-seed{seed}-trace0.json").read_text())
+    metrics = {k: v["value"] for k, v in record["metrics"].items()}
+    # set-up wall time, not scaled by the speed probe as setup_s is
+    metrics["setup_wall_s"] = statistics.median(s["setup_wall_s"] for s in record["setups"])
     return {
-        "metrics": {k: v["value"] for k, v in record["metrics"].items()},
+        "metrics": metrics,
         "stages": record["stages"],
         "failed": record["failed"],
         "attempted": record["attempted"],

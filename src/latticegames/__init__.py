@@ -8,7 +8,6 @@ from .compiler import (
     Placement,
     check_conditions,
     compile_recurrence,
-    emit_defeated,
     emit_ruleset,
     search_placement,
     verify_construction,

@@ -16,7 +16,7 @@ from itertools import product
 
 import numpy as np
 
-VARIANTS = ("A", "B", "C")
+VARIANTS = ("B", "C")
 
 # total gate count k * 2^k admitted by truth-table synthesis
 SYNTH_TABLE_BOUND = 4096
@@ -265,8 +265,8 @@ def synthesize_nor_circuit(table: dict) -> NorCircuit:
 
 
 def extend_circuit(circuit: NorCircuit, variant: str) -> NorCircuit:
-    """Add the control vertices: in' feeding every output, and for variant B
-    also in'' feeding every output and every vertex that feeds an output."""
+    """Add the control vertices: in' feeding every output, and only for
+    variant B, in'' feeding every output and every vertex that feeds one."""
     check_variant(variant)
     if circuit.in_prime is not None or circuit.in_dprime is not None:
         raise ValueError("circuit already has control vertices")

@@ -13,6 +13,7 @@ import sys
 from itertools import product
 
 from . import builtin, io
+from .circuits import VARIANTS
 from .compiler import compile_recurrence, verify_construction
 from .engine import (
     GameSpec,
@@ -121,12 +122,14 @@ def cmd_compile(args) -> int:
 
 def cmd_verify(args) -> int:
     game = _load_game(args.ruleset)
-    spec, enc, _variant, _emb = io.load_spec(args.spec)
+    spec, enc, variant, _emb = io.load_spec(args.spec)
     sidecar_path = args.placement or args.ruleset + ".placement.json"
     with open(sidecar_path) as fh:
         sidecar = json.load(fh)
     pruned, _ = prune_unused_arguments(spec)
     cg = io.compiled_from_files(game, sidecar, pruned, enc)
+    if variant is not None and variant != cg.variant:
+        raise ValueError(f"the spec names variant {variant}, but the game is variant {cg.variant}")
     report = verify_construction(cg, args.bound)
     print(report.summary())
     return 0 if report.ok else 1
@@ -134,6 +137,8 @@ def cmd_verify(args) -> int:
 
 def cmd_probe(args) -> int:
     game = _load_game(args.ruleset)
+    if game.ruleset.dim not in (2, 3):  # refused before the solve, which grows with the window
+        raise ValueError(f"a {game.ruleset.dim}-D grid has no plane; only 2-D and 3-D grids do")
     window = args.window + (game.ruleset.dim - 2) * (args.slice,)
     grid = Solver(game).solve_window(window)
     cone = args.cone
@@ -225,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compile", help="compile a recurrence spec into a ruleset")
     p.add_argument("spec")
-    p.add_argument("--variant", choices=("A", "B", "C"))
+    p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--core-only", action="store_true")
     p.add_argument("--hint", help="placement sidecar to try before searching")

@@ -23,14 +23,12 @@ from .circuits import NorCircuit, check_variant, extend_circuit, synthesize_nor_
 from .engine import GameSpec, Infeasible, PointednessWitness, Ruleset, Solver
 from .lattice import (
     F_array,
-    LatticeSet,
     Sublattice,
     Vec,
     as_vec,
     dominates,
     dot,
     enumerate_F,
-    pareto_minimal,
     points_under,
     positive_generators,
     unique_rows,
@@ -503,9 +501,13 @@ class CompiledGame:
     circuit: NorCircuit
     spec: RecurrenceSpec
     enc: Encoding | None
-    variant: str
     lines: dict[str, tuple]
     witness: PointednessWitness | None = None
+
+    @property
+    def variant(self) -> str:
+        """B when the circuit carries the in'' vertex, C otherwise."""
+        return "B" if self.circuit.in_dprime is not None else "C"
 
 
 class EmissionError(ValueError):
@@ -546,7 +548,6 @@ def emit_ruleset(
     placement: Placement,
     circuit: NorCircuit,
     spec: RecurrenceSpec,
-    variant: str = "C",
     core_only: bool = False,
     enc: Encoding | None = None,
 ) -> CompiledGame:
@@ -555,12 +556,10 @@ def emit_ruleset(
     The placement is checked first; one that fails a condition raises
     EmissionError with the condition report.  core_only restricts to the wire
     moves and the two slice blocks (the published subset); otherwise the
-    control lines for the chosen variant are added, and variant A
-    additionally carries a defeated set.  The result carries its pointedness
-    witness; a ruleset that is not pointed raises EmissionError with the
-    Farkas certificate.
+    control lines are added, with variant B's if the circuit carries in''.
+    The result carries its pointedness witness; a ruleset that is not pointed
+    raises EmissionError with the Farkas certificate.
     """
-    check_variant(variant)
     pl = placement
     report = check_conditions(pl, circuit, spec)
     if not report.ok():
@@ -587,7 +586,6 @@ def emit_ruleset(
     shifts = pl.m * np.array(spec.betas, dtype=np.int64)
     lines[LINE_SLICE1] = _plane_line(f_minus_i[free] - shifts[:, None], 1)
 
-    defeated = None
     if not core_only:
         if circuit.in_prime is None:
             raise EmissionError(
@@ -597,9 +595,7 @@ def emit_ruleset(
         b_prime = np.array(beta_intersection_generators(spec), dtype=np.int64)
         lines[LINE_IN_PRIME] = _plane_line(np.add(ip, pl.m * b_prime), 1)
         lines[LINE_TANGENT] = _plane_line([(0, 0)], 2)
-        if variant == "B":
-            if circuit.in_dprime is None:
-                raise EmissionError("variant B needs the in'' vertex in the circuit")
+        if circuit.in_dprime is not None:
             if enc is None:
                 raise EmissionError("variant B emission needs the symbol encoding")
             ind = pos[circuit.in_dprime]
@@ -615,12 +611,8 @@ def emit_ruleset(
                 n_outputs = [o for o, bit in zip(circuit.outputs, bits) if bit == "N"]
                 initial += [vadd(vsub(pos[t], ind), vscale(pl.m, g)) for t in feeders + n_outputs]
             lines[LINE_INITIAL] = _plane_line(initial, 0)
-        if variant == "A":
-            if enc is None:
-                raise EmissionError("variant A emission needs the symbol encoding")
-            defeated = emit_defeated(pl, spec, enc, circuit)
 
-    game = GameSpec(Ruleset(3, np.concatenate(list(lines.values()))), defeated)
+    game = GameSpec(Ruleset(3, np.concatenate(list(lines.values()))))
     witness = engine.check_pointedness(game.ruleset)
     if isinstance(witness, Infeasible):
         raise EmissionError(
@@ -628,7 +620,7 @@ def emit_ruleset(
             certificate=witness,
         )
     lines = {name: tuple(zip(*line.T.tolist())) for name, line in lines.items()}
-    return CompiledGame(game, pl, circuit, spec, enc, variant, lines, witness)
+    return CompiledGame(game, pl, circuit, spec, enc, lines, witness)
 
 
 def _under_line(nu, top: int) -> np.ndarray:
@@ -641,40 +633,6 @@ def _plane_line(points, z: int) -> np.ndarray:
     as an (n, 3) int64 array."""
     xy = unique_rows(np.reshape(points, (-1, 2)))
     return np.column_stack([xy, np.full(len(xy), z, dtype=np.int64)])
-
-
-def emit_defeated(
-    placement: Placement,
-    spec: RecurrenceSpec,
-    enc: Encoding,
-    circuit: NorCircuit,
-) -> LatticeSet:
-    """Variant-A defeated set over the two relevant slices.
-
-    Slice 0 is the complement of the scaled non-generator module cone; slice
-    1 additionally frees the output cones of the generators whose encoded
-    initial bit is P.
-    """
-    # a non-generator g + l of M (l nonzero in L+) dominates g + q for a
-    # minimal nonzero q of L+, and g + q is itself a non-generator, so the
-    # componentwise cover is the Pareto minimum of these points: a union of
-    # plain orthants
-    positive = positive_generators(spec.lattice)
-    points = np.array(
-        [vadd(g, q) for g in spec.module.generators for q in positive], dtype=np.int64
-    )
-    nongens = placement.m * points[pareto_minimal(points)]
-    covered = LatticeSet.union(*[LatticeSet.orthant(g) for g in nongens.tolist()])
-    slice0 = LatticeSet.diff(LatticeSet.orthant((0, 0)), covered)
-    removals = []
-    for g in spec.module.generators:
-        for j, o in enumerate(circuit.outputs):
-            if enc.encode(spec.f0[g])[j] == "P":
-                removals.append(
-                    LatticeSet.orthant(vadd(placement.pos[o], vscale(placement.m, g)))
-                )
-    slice1 = LatticeSet.diff(slice0, LatticeSet.union(*removals)) if removals else slice0
-    return LatticeSet.union(slice0.embed_slice(0), slice1.embed_slice(1))
 
 
 @dataclass(frozen=True)
@@ -721,20 +679,21 @@ def verify_construction(cg: CompiledGame, bound: int) -> VerificationReport:
     at the output gates, and the characterisations of the two control
     vertices.  Each check is one row of a table (name, the key each point
     reports on failure, its probe cells, the expected P per cell), read from
-    one solved window.  Defeated cells are skipped, except at the output
-    gates, where they read as N bits.  A check counts the points it compared
-    up to and including its first failure; one that compared none is not
-    checked, and the report is then not ok.  A bound whose tables would
-    exceed kernels.MEMORY_BUDGET, or an output or control vertex off the
-    board, raises ValueError before anything is built.
+    one solved window.  A check counts the points it compared up to and
+    including its first failure; one that compared none is not checked, and
+    the report is then not ok.  A game with a defeated set, a bound whose
+    tables would exceed kernels.MEMORY_BUDGET, or an output or control
+    vertex off the board raises ValueError before anything is built.
     """
     if bound < 0:
         raise ValueError(f"bound must be nonnegative, got {bound}")
+    if cg.game.has_defeated:
+        raise ValueError("verify reads compiled games, which carry no defeated set")
     spec = cg.spec
     pl = cg.placement
     # the probe tables peak at 24.5-24.8 bytes per cell of the slice-0 box
-    # under tracemalloc (rule 110 in variant B, rule 90 in variants A and B,
-    # 8m to 128m), the slice-0 points and their lifted cells; 26 leaves a margin
+    # under tracemalloc (rules 90 and 110 in variant B, 8m to 128m), the
+    # slice-0 points and their lifted cells; 26 leaves a margin
     need = (bound // pl.normal[0] + 1) * (bound // pl.normal[1] + 1) * 26
     if need > kernels.MEMORY_BUDGET:
         raise ValueError(f"bound {bound} needs about {need / 2**30:.1f} GiB of probe tables, "
@@ -761,7 +720,7 @@ def verify_construction(cg: CompiledGame, bound: int) -> VerificationReport:
         return lift(np.array(pl.pos[v], dtype=np.int64) + m * ells[:, None], 1)
 
     # rows (name, failure keys, probe cells (n, k, 3), expected P (n, k), word);
-    # a word row reports bit tuples and reads defeated cells as N
+    # a word row reports bit tuples
     cells0 = lift(slice0, 0)
     table = [("slice0-lattice-law", cells0, cells0[:, None], on_stair[:, None], False)]
     if cg.enc is not None:
@@ -793,12 +752,9 @@ def verify_construction(cg: CompiledGame, bound: int) -> VerificationReport:
 
     checks = []
     for name, keys, cells, expect, word in table:
-        codes = grid.data[cells[..., 0], cells[..., 1], cells[..., 2]]
-        got = codes == engine.CODE_P
-        live = np.ones(len(codes), bool) if word else (codes != engine.CODE_DEFEATED).all(axis=1)
-        bad = np.flatnonzero(live & (got != expect).any(axis=1))
-        upto = bad[0] + 1 if len(bad) else len(live)
-        checked = int(np.count_nonzero(live[:upto]))
+        got = grid.data[cells[..., 0], cells[..., 1], cells[..., 2]] == engine.CODE_P
+        bad = np.flatnonzero((got != expect).any(axis=1))
+        checked = int(bad[0]) + 1 if len(bad) else len(got)
         failure = None
         if len(bad):
             i = bad[0]
@@ -832,4 +788,4 @@ def compile_recurrence(
     circuit = synthesize_nor_circuit(encoded_table(pruned, enc))
     circuit = extend_circuit(circuit, variant)
     placement = search_placement(circuit, pruned, seed, hint=hint)
-    return emit_ruleset(placement, circuit, pruned, variant, core_only=core_only, enc=enc)
+    return emit_ruleset(placement, circuit, pruned, core_only=core_only, enc=enc)

@@ -219,17 +219,17 @@ def compiled_from_files(game: GameSpec, sidecar: dict, spec: RecurrenceSpec, enc
     """Rebuild the compiled-game record needed for verification.
 
     Only the output/control vertex positions matter, so the circuit shell
-    carries names without gates or wires.  A variant B sidecar must name its
-    in'' vertex.
+    carries names without gates or wires.  A sidecar's variant must agree
+    with its in'' vertex, and its outputs must number the encoding's bits.
     """
     pl = placement_from_json(sidecar)
     outputs = tuple(_field(sidecar, "placement", "outputs", _STRS))
     in_prime = _field(sidecar, "placement", "in_prime", _STR, optional=True)
     in_dprime = _field(sidecar, "placement", "in_dprime", _STR, optional=True)
-    variant = check_variant(_field(sidecar, "placement", "variant", _STR, optional=True) or "C")
-    if variant == "B" and in_dprime is None:
-        # verify would silently drop the in'' characterisation
-        raise ValueError("placement field 'in_dprime' must name the in'' vertex of a variant B game")
+    variant = _field(sidecar, "placement", "variant", _STR, optional=True)
+    if enc is not None and len(outputs) != enc.s:
+        raise ValueError(f"placement field 'outputs' must name one vertex per encoded bit, "
+                         f"{enc.s}, got {len(outputs)}")
     vertices = outputs + tuple(v for v in (in_prime, in_dprime) if v is not None)
     for v in vertices:
         if v not in pl.pos:
@@ -237,7 +237,11 @@ def compiled_from_files(game: GameSpec, sidecar: dict, spec: RecurrenceSpec, enc
     shell = NorCircuit(vertices, (), (), outputs, in_prime, in_dprime)
     lines = _field(sidecar, "placement", "lines", _map_of(_list_of(_vec(3))), optional=True) or {}
     lines = {name: tuple(tuple(m) for m in moves) for name, moves in lines.items()}
-    return CompiledGame(game, pl, shell, spec, enc, variant, lines)
+    cg = CompiledGame(game, pl, shell, spec, enc, lines)
+    if variant is not None and check_variant(variant) != cg.variant:
+        raise ValueError("placement field 'in_dprime' must name the in'' vertex of a variant B game "
+                         f"and of no other, got {in_dprime!r} for 'variant' {variant}")
+    return cg
 
 
 def save_compiled(cg: CompiledGame, out_path: str) -> str:

@@ -334,30 +334,6 @@ class LatticeSet:
             raise ValueError("dimension mismatch in diff")
         return LatticeSet("diff", a.dim, children=(a, b))
 
-    def embed_slice(self, k: int) -> "LatticeSet":
-        """Lift a 2-D set S to S x {k} inside Z^3.
-
-        Atoms are lifted so every node agrees with S on the plane z = k, then
-        the plane itself is intersected in at the top.
-        """
-        if self.dim != 2:
-            raise ValueError("embed_slice lifts 2-dimensional sets")
-        plane = LatticeSet.diff(
-            LatticeSet.orthant((0, 0, k)), LatticeSet.orthant((0, 0, k + 1))
-        )
-        return LatticeSet.inter(self._lift(k), plane)
-
-    def _lift(self, k: int) -> "LatticeSet":
-        if self.kind == "orthant":
-            return LatticeSet.orthant(self.payload + (k,))
-        if self.kind == "finite":
-            return LatticeSet.finite([p + (k,) for p in self.payload], dim=3)
-        if self.kind == "coset":
-            v, basis, m = self.payload
-            return LatticeSet.coset(v + (k,), [b + (0,) for b in basis], m)
-        lifted = tuple(c._lift(k) for c in self.children)
-        return LatticeSet(self.kind, 3, children=lifted)
-
     def to_expr(self) -> str:
         """Serialise to the prefix expression grammar."""
         if self.kind == "orthant":

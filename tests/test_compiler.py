@@ -27,7 +27,6 @@ from latticegames.compiler import (
     beta_intersection_generators,
     check_conditions,
     compile_recurrence,
-    emit_defeated,
     emit_ruleset,
     search_placement,
     verify_construction,
@@ -108,7 +107,7 @@ def test_staircase_must_be_downward_closed():
 
 
 def test_golden_emission(xor_spec):
-    cg = emit_ruleset(paper_placement(), xor_circuit(), xor_spec, "C", core_only=True)
+    cg = emit_ruleset(paper_placement(), xor_circuit(), xor_spec, core_only=True)
     assert set(cg.game.ruleset.moves) == set(paper_gamma().moves)
     assert len(cg.lines["wires"]) == 7
     assert len(cg.lines["slice0"]) == 20
@@ -119,7 +118,7 @@ def test_golden_emission(xor_spec):
 def test_emission_rederives_the_misprints(xor_spec):
     # the verbatim transcription differs from the formula output exactly by
     # both translates of the four bad base points
-    cg = emit_ruleset(paper_placement(), xor_circuit(), xor_spec, "C", core_only=True)
+    cg = emit_ruleset(paper_placement(), xor_circuit(), xor_spec, core_only=True)
     extras = set(paper_gamma_verbatim().moves) - set(cg.game.ruleset.moves)
     want = set()
     for b in ((0, 5), (4, 0), (5, 0), (5, 1)):
@@ -130,8 +129,8 @@ def test_emission_rederives_the_misprints(xor_spec):
 
 
 def test_emission_deterministic(xor_spec):
-    a = emit_ruleset(paper_placement(), xor_circuit(), xor_spec, "C", core_only=True)
-    b = emit_ruleset(paper_placement(), xor_circuit(), xor_spec, "C", core_only=True)
+    a = emit_ruleset(paper_placement(), xor_circuit(), xor_spec, core_only=True)
+    b = emit_ruleset(paper_placement(), xor_circuit(), xor_spec, core_only=True)
     assert a.lines == b.lines
     assert a.game.ruleset == b.game.ruleset
 
@@ -175,7 +174,7 @@ def test_emission_refuses_failing_placement(xor_spec):
     pl = paper_placement()
     tiny = Placement(pl.pos, 1, pl.staircase, pl.normal)
     with pytest.raises(EmissionError):
-        emit_ruleset(tiny, xor_circuit(), xor_spec, "C", core_only=True)
+        emit_ruleset(tiny, xor_circuit(), xor_spec, core_only=True)
 
 
 def test_tangent_line_always_present(xor_compiled):
@@ -252,7 +251,6 @@ def test_verify_builtin_gamma():
         circuit=xor_circuit(),
         spec=spec,
         enc=Encoding({"P": ("P",), "N": ("N",)}),
-        variant="C",
         lines={},
     )
     rep = verify_construction(cg, bound=47)
@@ -269,7 +267,6 @@ def _corrupted_gamma():
         circuit=xor_circuit(),
         spec=xor_recurrence(),
         enc=Encoding({"P": ("P",), "N": ("N",)}),
-        variant="C",
         lines={},
     )
 
@@ -278,16 +275,6 @@ def test_verify_detects_corruption():
     rep = verify_construction(_corrupted_gamma(), bound=60)
     assert not rep.ok
     assert not rep["output-encoding"].ok
-
-
-def unit_placement(out_pos=(0, 0)):
-    return Placement({"out_1": out_pos}, 1, [(0, 0)], (1, 1))
-
-
-def one_output_circuit():
-    from latticegames.circuits import NorCircuit
-
-    return NorCircuit(("out_1",), (), (), ("out_1",))
 
 
 def simple_spec():
@@ -307,31 +294,16 @@ def simple_spec():
     )
 
 
-def test_emit_defeated_slice0():
-    d = emit_defeated(unit_placement(), simple_spec(), swapped_encoding(), one_output_circuit())
-    # slice 0 of the defeated set is exactly the origin
-    assert d.contains((0, 0, 0))
-    for x in range(5):
-        for y in range(5):
-            if (x, y) != (0, 0):
-                assert not d.contains((x, y, 0)), (x, y)
+def test_variant_a_is_refused_before_synthesis(monkeypatch):
+    # the defeated-position channel is gone, and its name is refused first
+    from latticegames import compiler
 
+    def unreachable(*args):
+        raise AssertionError("synthesis ran")
 
-def test_emit_defeated_slice1_removed():
-    # enc(f0) bit P at the origin output frees the whole slice-1 cone
-    enc = Encoding({"P": ("P",), "N": ("N",)})
-    d = emit_defeated(unit_placement(), simple_spec(), enc, one_output_circuit())
-    for x in range(4):
-        for y in range(4):
-            assert not d.contains((x, y, 1))
-
-
-def test_emit_defeated_slice1_kept():
-    # enc(f0) bit N leaves slice 1 matching slice 0
-    d = emit_defeated(unit_placement(), simple_spec(), swapped_encoding(), one_output_circuit())
-    assert d.contains((0, 0, 1))
-    assert not d.contains((1, 0, 1))
-    assert not d.contains((0, 0, 2))
+    monkeypatch.setattr(compiler, "synthesize_nor_circuit", unreachable)
+    with pytest.raises(ValueError, match="variant must be one of"):
+        compile_recurrence(_ca_spec(90), CA_ENC, "A")
 
 
 def test_variant_c_requires_background_initials():
@@ -460,7 +432,7 @@ def _ca_case(rule):
 @example(_ca_case(110))
 @example(_ca_case(30))
 def test_module_generators_match_reference(case):
-    spec, enc = case
+    spec, _enc = case
     L, M = spec.lattice, spec.module
     coords = [abs(c) for v in spec.betas + M.generators for c in v]
     box = 2 * max(coords) + sum(L.axis_strides()) + 2
@@ -468,29 +440,14 @@ def test_module_generators_match_reference(case):
     def in_betas(p):
         return all(min(vsub(p, b)) >= 0 and L.contains(vsub(p, b)) for b in spec.betas)
 
-    def non_generator(p):
-        return M.contains(p) and not M.is_generator(p)
-
     b_prime = _reference_minimal_elements(in_betas, L, box)
     assert beta_intersection_generators(spec) == b_prime
     positive = _reference_minimal_elements(lambda p: p != (0, 0) and L.contains(p), Z2, box)
     assert positive_generators(L) == positive
-    # slice 0 of the defeated set: N^2 minus the orthants over the cover
-    cover = _reference_minimal_elements(non_generator, Z2, box)
-    want = LatticeSet.diff(
-        LatticeSet.orthant((0, 0)), LatticeSet.union(*[LatticeSet.orthant(g) for g in cover])
-    )
-    defeated = emit_defeated(unit_placement(), spec, enc, one_output_circuit())
-    assert defeated.children[0].to_expr() == want.embed_slice(0).to_expr()
-    # the generators regenerate their sets on a window: the in' generators in
-    # the L+ order, the cover as the componentwise up-closure of the
-    # non-generators
+    # the in' generators regenerate their set on a window, in the L+ order
     for p in product(range(13), repeat=2):
         regenerated = any(min(vsub(p, g)) >= 0 and L.contains(vsub(p, g)) for g in b_prime)
         assert regenerated == in_betas(p), p
-    nongens = np.array([[non_generator((x, y)) for y in range(13)] for x in range(13)])
-    up = np.logical_or.accumulate(np.logical_or.accumulate(nongens, axis=0), axis=1)
-    assert np.array_equal(defeated.mask((12, 12, 0))[..., 0], ~up)
 
 
 def test_variant_b_emits_initial_lines():
@@ -785,12 +742,12 @@ def _recorded_searches(searches):
 @pytest.fixture(scope="module")
 def searches():
     """Every seeded search and the placements it tries: xor under variant C,
-    rules 90 and 110 under variants A and B, each at seeds 0 and 1, and xor
+    rules 90 and 110 under variants C and B, each at seeds 0 and 1, and xor
     with two output bits, whose search takes thousands of tries, so only
     its first 20 are made; (i) compares the two outputs' order there."""
     cases = [(xor_recurrence(), swapped_encoding(), "C")]
     for rule in (90, 110):
-        cases += [(_ca_spec(rule), CA_ENC, "A"), (_ca_spec(rule), CA_ENC, "B")]
+        cases += [(_ca_spec(rule), CA_ENC, "C"), (_ca_spec(rule), CA_ENC, "B")]
     runs = []
     for spec, enc, variant in cases:
         circuit, pruned = _search_circuit(spec, enc, variant)
@@ -901,7 +858,7 @@ def test_conditions_match_reference(searches):
     }
 
 
-def _reference_emit_lines(placement, circuit, spec, variant, enc):
+def _reference_emit_lines(placement, circuit, spec, enc):
     """emit_ruleset's lines in their direct form, kept as the reference:
     slice 0 labels every f - i, duplicates and all, and slice 1 relabels the
     translates of each beta on their own."""
@@ -930,7 +887,7 @@ def _reference_emit_lines(placement, circuit, spec, variant, enc):
     ip = pos[circuit.in_prime]
     lines["in-prime"] = line([vadd(ip, vscale(pl.m, b)) for b in beta_intersection_generators(spec)], 1)
     lines["tangent"] = ((0, 0, 2),)
-    if variant == "B":
+    if circuit.in_dprime is not None:
         ind = pos[circuit.in_dprime]
         lines["in-double-prime"] = line(
             [vadd(ind, vscale(pl.m, g)) for g in positive_generators(spec.lattice)], 1)
@@ -944,25 +901,25 @@ def _reference_emit_lines(placement, circuit, spec, variant, enc):
 
 
 def test_emission_matches_reference(searches):
-    # every placement a search accepted, emitted under each variant its
+    # every placement a search accepted, emitted once under the variant its
     # circuit carries the control vertices for
     accepted = [trials[-1] for trials, outcome in searches if isinstance(outcome, Placement)]
     emitted = set()
     for pl, circuit, spec in accepted:
         enc = swapped_encoding() if "P" in spec.alphabet else CA_ENC
-        for variant in "ABC" if circuit.in_dprime is not None else "AC":
-            try:
-                cg = emit_ruleset(pl, circuit, spec, variant, enc=enc)
-            except EmissionError as err:
-                assert err.certificate is not None, (pl, variant)
-                continue
-            want = _reference_emit_lines(pl, circuit, spec, variant, enc)
-            assert list(cg.lines) == list(want), (pl, variant)
-            for name, line in want.items():
-                assert cg.lines[name] == line, (pl, variant, name)
-            assert cg.game.ruleset == Ruleset(3, [mv for line in want.values() for mv in line])
-            emitted.add((len(circuit.outputs), variant, circuit.in_dprime is not None))
-    assert {variant for _, variant, _ in emitted} == set("ABC")
+        try:
+            cg = emit_ruleset(pl, circuit, spec, enc=enc)
+        except EmissionError as err:
+            assert err.certificate is not None, pl
+            continue
+        want = _reference_emit_lines(pl, circuit, spec, enc)
+        assert list(cg.lines) == list(want), (pl, cg.variant)
+        for name, line in want.items():
+            assert cg.lines[name] == line, (pl, cg.variant, name)
+        assert cg.game.ruleset == Ruleset(3, [mv for line in want.values() for mv in line])
+        assert not cg.game.has_defeated
+        emitted.add(cg.variant)
+    assert emitted == {"B", "C"}
 
 
 def test_one_frame_per_compile(monkeypatch):
@@ -1086,12 +1043,9 @@ def _reference_verify_construction(cg, bound):
     count = 0
     failure = None
     for x, y in slice0_pts:
-        code = grid.code_at((x, y, 0))
-        if code == 3:  # defeated cells carry no outcome
-            continue
         count += 1
         expect_p = label((x, y)) in I_labels
-        if (code == 1) != expect_p:
+        if (grid.outcome_at((x, y, 0)) == "P") != expect_p:
             failure = ((x, y, 0), "P" if expect_p else "N", grid.outcome_at((x, y, 0)))
             break
     checks.append(CheckOutcome("slice0-lattice-law", failure is None, count, failure))
@@ -1101,11 +1055,7 @@ def _reference_verify_construction(cg, bound):
         failure = None
         for l in mod_ells:
             want = cg.enc.encode(eval_recurrence(spec, l))
-            got = []
-            for op in out_pos:
-                p = (op[0] + m * l[0], op[1] + m * l[1], 1)
-                o = grid.outcome_at(p)
-                got.append("N" if o is None else o)
+            got = [grid.outcome_at((op[0] + m * l[0], op[1] + m * l[1], 1)) for op in out_pos]
             count += 1
             if tuple(got) != want:
                 failure = (l, want, tuple(got))
@@ -1117,10 +1067,7 @@ def _reference_verify_construction(cg, bound):
         failure = None
         ip = specials["in-prime"]
         for l in ells:
-            p = (ip[0] + m * l[0], ip[1] + m * l[1], 1)
-            o = grid.outcome_at(p)
-            if o is None:
-                continue
+            o = grid.outcome_at((ip[0] + m * l[0], ip[1] + m * l[1], 1))
             count += 1
             expect_p = any(
                 not spec.module.contains(vsub(l, b)) for b in spec.betas
@@ -1137,10 +1084,7 @@ def _reference_verify_construction(cg, bound):
         failure = None
         ind = specials["in-double-prime"]
         for l in ells:
-            p = (ind[0] + m * l[0], ind[1] + m * l[1], 1)
-            o = grid.outcome_at(p)
-            if o is None:
-                continue
+            o = grid.outcome_at((ind[0] + m * l[0], ind[1] + m * l[1], 1))
             count += 1
             expect_p = l == (0, 0)
             if (o == "P") != expect_p:
@@ -1154,9 +1098,11 @@ def _reference_verify_construction(cg, bound):
 
 
 def _verify_cases():
-    """(game, bound) pairs: compiled games in variants A, B and C, the corrupted
-    published game, and compiled games with 1-3 moves removed at random; a
-    subset of a pointed ruleset keeps its witness, so these still solve."""
+    """(game, bound) pairs: compiled games in variants B and C, two of which
+    fail verify (the wide-staircase xor in variant C at 4m, rule 110 B with
+    the word "11" at 8m), the corrupted published game, and compiled games
+    with 1-3 moves removed at random; a subset of a pointed ruleset keeps
+    its witness, so these still solve."""
     import dataclasses
     import random
 
@@ -1169,7 +1115,9 @@ def _verify_cases():
     compiled += [(compile_recurrence(ca[110], ca_enc, "B", seed=s), 4) for s in range(4)]
     rule90 = compile_recurrence(ca[90], ca_enc, "B", seed=0)
     compiled += [(rule90, 4), (rule90, 8)]
-    compiled += [(compile_recurrence(ca[90], ca_enc, "A", seed=0), 6)]
+    compiled += [(compile_recurrence(_xor_spec([(2, -1), (-1, 1)]), swapped_encoding(), "C"), 4)]
+    word11 = ca_to_recurrence(wolfram_rule_table(110), "0", "11").spec
+    compiled += [(compile_recurrence(word11, ca_enc, "B", seed=0), 8)]
     cases = [(cg, k * cg.placement.m) for cg, k in compiled]
     cases.append((_corrupted_gamma(), 60))
     rng = random.Random(0)
@@ -1180,7 +1128,7 @@ def _verify_cases():
         for _ in range(rng.randint(1, 3)):
             dropped.add(rng.choice(cg.lines[rng.choice(sorted(cg.lines))]))
         moves = [mv for mv in cg.game.ruleset.moves if mv not in dropped]
-        game = GameSpec(Ruleset(3, moves), cg.game.defeated)
+        game = GameSpec(Ruleset(3, moves))
         cases.append((dataclasses.replace(cg, game=game), k * cg.placement.m))
     return cases
 
@@ -1201,18 +1149,17 @@ def test_verify_matches_reference():
 
 
 def test_verify_flags_unchecked_checks():
-    # rule 90, variant A at 4m: the defeated set covers every slice-0 cell and
-    # every in' cell in the window, so those two checks compare no point
-    from latticegames.recurrence import ca_to_recurrence, wolfram_rule_table
-
-    spec = ca_to_recurrence(wolfram_rule_table(90), "0", "1").spec
-    cg = compile_recurrence(spec, Encoding({"0": ("N",), "1": ("P",)}), "A", seed=0)
-    rep = verify_construction(cg, 4 * cg.placement.m)
+    # rule 90, variant B at 2m: the normal is (1, 1) and the module's
+    # generators lie on x + y = 4, so no module point l has m(x + y) <= 2m
+    # and output-encoding compares none
+    cg = compile_recurrence(_ca_spec(90), CA_ENC, "B", seed=0)
+    rep = verify_construction(cg, 2 * cg.placement.m)
     unchecked = [c.name for c in rep.checks if c.status == "not checked"]
-    assert unchecked == ["slice0-lattice-law", "in-prime-characterisation"]
+    assert unchecked == ["output-encoding"]
     assert all(c.failure is None and c.checked == 0 for c in rep.checks if c.name in unchecked)
+    assert all(c.ok for c in rep.checks if c.name not in unchecked)
     assert not rep.ok
-    assert "slice0-lattice-law: not checked (0 points)" in rep.summary().splitlines()
+    assert "output-encoding: not checked (0 points)" in rep.summary().splitlines()
 
 
 def test_verify_guard_covers_probe_tables(monkeypatch, traced_peak):
@@ -1240,6 +1187,15 @@ def test_verify_guard_covers_probe_tables(monkeypatch, traced_peak):
     with traced_peak() as refused, pytest.raises(ValueError, match="probe tables"):
         verify_construction(cg, bound)
     assert refused.bytes < 2**20
+
+
+def test_verify_refuses_a_defeated_set(xor_compiled):
+    # a defeated set has no meaning in the construction, so verify reads none
+    import dataclasses
+
+    game = GameSpec(xor_compiled.game.ruleset, LatticeSet.finite([(0, 0, 0)]))
+    with pytest.raises(ValueError, match="no defeated set"):
+        verify_construction(dataclasses.replace(xor_compiled, game=game), 6 * xor_compiled.placement.m)
 
 
 def test_verify_rejects_negative_bound(xor_compiled):

@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from latticegames.builtin import paper_gamma, paper_gamma_prime
-from latticegames.compiler import compile_recurrence
+from latticegames.circuits import extend_circuit, synthesize_nor_circuit
+from latticegames.compiler import compile_recurrence, emit_ruleset, search_placement
 from latticegames.engine import (
     EquivalenceReport,
     GameSpec,
@@ -29,11 +30,13 @@ from latticegames.engine import (
     topdown_bytes,
 )
 from latticegames import kernels
-from latticegames.lattice import LatticeSet, dominates, dot
+from latticegames.lattice import LatticeSet, dominates, dot, parse_set_expr
 from latticegames.recurrence import (
     Encoding,
     binom_parity_oracle,
     ca_to_recurrence,
+    encoded_table,
+    prune_unused_arguments,
     wolfram_rule_table,
 )
 
@@ -494,10 +497,27 @@ def _holed_gamma_prime():
     return Solver(GameSpec(paper_gamma_prime(), LatticeSet.finite(points))), (600, 600, 1)
 
 
+# the defeated set of the former variant-A game of rule 90 at placement
+# seed 0 (m = 21): slice 0 free below the scaled non-generators of the
+# module, slice 1 likewise, less the output's cone over the generator (2, 2)
+RULE90_DEFEATED = (
+    "union(inter(diff(orthant((0,0,0)),union(orthant((0,126,0)),orthant((21,105,0)),"
+    "orthant((42,84,0)),orthant((63,63,0)),orthant((84,42,0)),orthant((105,21,0)),"
+    "orthant((126,0,0)))),diff(orthant((0,0,0)),orthant((0,0,1)))),"
+    "inter(diff(diff(orthant((0,0,1)),union(orthant((0,126,1)),orthant((21,105,1)),"
+    "orthant((42,84,1)),orthant((63,63,1)),orthant((84,42,1)),orthant((105,21,1)),"
+    "orthant((126,0,1)))),orthant((58,56,1))),diff(orthant((0,0,1)),orthant((0,0,2)))))"
+)
+
+
 def _rule90_variant_a():
-    spec = ca_to_recurrence(wolfram_rule_table(90), "0", "1").spec
-    cg = compile_recurrence(spec, Encoding({"0": ("N",), "1": ("P",)}), variant="A", seed=0)
-    return Solver(cg.game, cg.witness), (256, 256, 1)
+    # the rule 90 seed-0 game in variant C, whose ruleset that former game
+    # shared, with its six-box defeated set
+    enc = Encoding({"0": ("N",), "1": ("P",)})
+    spec, _ = prune_unused_arguments(ca_to_recurrence(wolfram_rule_table(90), "0", "1").spec)
+    circuit = extend_circuit(synthesize_nor_circuit(encoded_table(spec, enc)), "C")
+    cg = emit_ruleset(search_placement(circuit, spec, seed=0), circuit, spec, enc=enc)
+    return Solver(GameSpec(cg.game.ruleset, parse_set_expr(RULE90_DEFEATED)), cg.witness), (256, 256, 1)
 
 
 @pytest.mark.parametrize("case", [_holed_gamma_prime, _rule90_variant_a])

@@ -201,16 +201,47 @@ def test_cli_verify_negative_bound(tmp_path, capsys, bound):
 
 
 def test_cli_verify_fails_unchecked_checks(tmp_path, capsys):
-    # rule 90 in variant A at 4m: two checks compare no point, which is no pass
+    # rule 90 in variant B at 2m: output-encoding compares no point, which is
+    # no pass
     out = tmp_path / "rule90.game.json"
-    argv = ["compile", "specs/rule90.json", "--variant", "A", "--seed", "0", "-o", str(out)]
+    argv = ["compile", "specs/rule90.json", "--variant", "B", "--seed", "0", "-o", str(out)]
     assert main(argv) == 0
     capsys.readouterr()
     m = json.loads((tmp_path / "rule90.game.json.placement.json").read_text())["m"]
-    assert main(["verify", str(out), "--spec", "specs/rule90.json", "--bound", str(4 * m)]) == 1
+    assert main(["verify", str(out), "--spec", "specs/rule90.json", "--bound", str(2 * m)]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert "slice0-lattice-law: not checked (0 points)" in lines
-    assert "in-prime-characterisation: not checked (0 points)" in lines
+    assert "output-encoding: not checked (0 points)" in lines
+    assert sum("not checked" in line for line in lines) == 1
+
+
+def test_cli_verify_refuses_a_spec_of_another_variant(tmp_path, capsys):
+    # the rule 110 B game against a copy of its spec that names variant C
+    out = tmp_path / "rule110.game.json"
+    assert main(["compile", "specs/rule110.json", "-o", str(out)]) == 0
+    spec_c = tmp_path / "rule110-c.json"
+    spec_c.write_text(json.dumps({**json.loads(Path("specs/rule110.json").read_text()), "variant": "C"}))
+    capsys.readouterr()
+    m = json.loads(Path(str(out) + ".placement.json").read_text())["m"]
+    assert main(["verify", str(out), "--spec", str(spec_c), "--bound", str(4 * m)]) == 1
+    out_text, err = capsys.readouterr()
+    assert out_text == ""
+    assert err == "error: the spec names variant C, but the game is variant B\n"
+    assert main(["verify", str(out), "--spec", "specs/rule110.json", "--bound", str(4 * m)]) == 0
+
+
+def test_cli_probe_refuses_before_solving(tmp_path, capsys, monkeypatch):
+    # a 4-D grid has no plane to probe, so nothing is solved
+    from latticegames.engine import Solver
+
+    def unreachable(self, window, *args, **kwargs):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(Solver, "solve_window", unreachable)
+    game = tmp_path / "g.json"
+    game.write_text(json.dumps({"dim": 4, "moves": [[1, 0, 0, 0], [0, 1, 0, 0]]}))
+    assert main(["probe", str(game), "--window", "4,4"]) == 1
+    assert "a 4-D grid has no plane" in capsys.readouterr().err
+
 
 def test_cli_compile_hint(tmp_path, capsys):
     # a hint that already passes is used as-is: paper placement, core only
@@ -353,7 +384,10 @@ REFUSED_SPECS = [
 # reader refusals kept out of MALFORMED_SPECS and MALFORMED_SIDECARS, whose
 # rows CLI_FAILURES spreads mid-list: their CLI rows go after every other
 # row there, so that the ids of those rows stay
-LATER_MALFORMED_SPECS = [({**XOR_SPEC, "variant": "Z"}, "variant must be one of")]
+LATER_MALFORMED_SPECS = [
+    ({**XOR_SPEC, "variant": "Z"}, "variant must be one of"),
+    ({**XOR_SPEC, "variant": "A"}, "variant must be one of"),
+]
 
 
 @pytest.mark.parametrize("obj, field", MALFORMED_SPECS + LATER_MALFORMED_SPECS)
@@ -399,7 +433,13 @@ MALFORMED_SIDECARS = [
     ({**PAPER_SIDECAR, "in_dprime": "ghost"}, "'pos' gives no position for vertex 'ghost'"),
     ({**PAPER_SIDECAR, "variant": "Z"}, "variant must be one of"),
 ]
-LATER_MALFORMED_SIDECARS = [({**PAPER_SIDECAR, "variant": "B"}, "'in_dprime' must name the in'' vertex")]
+LATER_MALFORMED_SIDECARS = [
+    ({**PAPER_SIDECAR, "variant": "B"}, "'in_dprime' must name the in'' vertex"),
+    ({**PAPER_SIDECAR, "pos": {**PAPER_SIDECAR["pos"], "in''": [4, 4]}, "in_dprime": "in''",
+      "variant": "C"}, "and of no other, got \"in''\" for 'variant' C"),
+    ({**PAPER_SIDECAR, "outputs": []}, "'outputs' must name one vertex per encoded bit, 1, got 0"),
+    ({**PAPER_SIDECAR, "variant": "A"}, "variant must be one of"),
+]
 VERIFY_XOR = ["verify", "paper-gamma", "--spec", "specs/xor.json", "--bound", "12"]
 
 
@@ -434,8 +474,8 @@ CLI_FAILURES = [
     *((["compile", "{file}", "-o", "{out}"], obj, field) for obj, field in MALFORMED_SPECS),
     *((VERIFY_XOR + ["--placement", "{file}"], obj, field) for obj, field in MALFORMED_SIDECARS),
     *((["compile", "{file}", "-o", "{out}"], obj, field) for obj, field in REFUSED_SPECS),
-    *((["compile", "{file}", "-o", "{out}"], obj, field) for obj, field in LATER_MALFORMED_SPECS),
-    *((VERIFY_XOR + ["--placement", "{file}"], obj, field) for obj, field in LATER_MALFORMED_SIDECARS),
+    *((["compile", "{file}", "-o", "{out}"], obj, field) for obj, field in LATER_MALFORMED_SPECS[:1]),
+    *((VERIFY_XOR + ["--placement", "{file}"], obj, field) for obj, field in LATER_MALFORMED_SIDECARS[:1]),
     (["oracle", "xor", "--window", "1000000,1000000"], None, "over the 4 GiB budget"),
     (["oracle", "xor", "--window=-1,3"], None, "window bounds must be nonnegative"),
     (["oracle", "binom-parity", "--window=3,-1"], None, "window bounds must be nonnegative"),
@@ -445,6 +485,10 @@ CLI_FAILURES = [
      "a 4-D grid has no plane"),
     (["probe", "{file}", "--window", "4,4"], {"dim": 4, "moves": [[1, 0, 0, 0], [0, 1, 0, 0]]},
      "a 4-D grid has no plane"),
+    # rows added later go last, so that the ids of the rows above stay
+    *((VERIFY_XOR + ["--placement", "{file}"], obj, field) for obj, field in LATER_MALFORMED_SIDECARS[1:]),
+    *((["compile", "{file}", "-o", "{out}"], obj, field) for obj, field in LATER_MALFORMED_SPECS[1:]),
+    (["compile", "specs/rule90.json", "--variant", "A", "-o", "{out}"], None, "invalid choice"),
 ]
 
 

@@ -399,21 +399,6 @@ def test_coset_tables_are_built_once_per_node(monkeypatch):
     assert s != LatticeSet.coset((0, 1), [(2, 1), (4, 2), (0, 3)], 2)
 
 
-def test_latticeset_embed_slice():
-    inner = LatticeSet.union(LatticeSet.orthant((1, 2)), LatticeSet.finite([(0, 0)]))
-    s = inner.embed_slice(1)
-    assert s.contains((0, 0, 1))
-    assert s.contains((3, 2, 1))
-    assert not s.contains((0, 0, 0))
-    assert not s.contains((3, 2, 2))
-    assert not s.contains((0, 1, 1))
-    m = s.mask((4, 4, 2))
-    for x in range(5):
-        for y in range(5):
-            for z in range(3):
-                assert bool(m[x, y, z]) == (z == 1 and inner.contains((x, y)))
-
-
 def test_expr_roundtrip():
     rng = random.Random(17)
     for _ in range(20):
