@@ -25,7 +25,7 @@ from .engine import (
     equivalence_in_window,
     periodicity_probe,
 )
-from .kernels import CODE_N, CODE_P, MEMORY_BUDGET
+from .kernels import CODE_N, CODE_P, check_memory
 from .recurrence import binom_parity_oracle, eval_recurrence, prune_unused_arguments
 from .render import render_grid
 
@@ -179,9 +179,7 @@ def cmd_oracle(args) -> int:
     if nx < 0 or ny < 0:
         raise ValueError("window bounds must be nonnegative")
     need = (nx + 1) * (ny + 1) * ORACLE_CELL_BYTES[args.which]
-    if need > MEMORY_BUDGET:
-        raise ValueError(f"window {nx},{ny} needs about {need / 2**30:.1f} GiB, "
-                         f"over the {MEMORY_BUDGET / 2**30:.0f} GiB budget")
+    check_memory(need, f"window {nx},{ny}")
     if args.which == "binom-parity":
         value = binom_parity_oracle
     else:

@@ -678,12 +678,13 @@ def verify_construction(cg: CompiledGame, bound: int) -> VerificationReport:
     within the bound: the slice-0 lattice law, the encoded recurrence values
     at the output gates, and the characterisations of the two control
     vertices.  Each check is one row of a table (name, the key each point
-    reports on failure, its probe cells, the expected P per cell), read from
-    one solved window.  A check counts the points it compared up to and
-    including its first failure; one that compared none is not checked, and
-    the report is then not ok.  A game with a defeated set, a bound whose
-    tables would exceed kernels.MEMORY_BUDGET, or an output or control
-    vertex off the board raises ValueError before anything is built.
+    reports on failure, its probe cells, the expected P per cell); all rows
+    are read from one solve of the phi-simplex under their probe cells.  A
+    check counts the points it compared up to and including its first
+    failure; one that compared none is not checked, and the report is then
+    not ok.  A game with a defeated set, a bound whose tables would exceed
+    kernels.MEMORY_BUDGET, or an output or control vertex off the board
+    raises ValueError before anything is built.
     """
     if bound < 0:
         raise ValueError(f"bound must be nonnegative, got {bound}")
@@ -691,14 +692,12 @@ def verify_construction(cg: CompiledGame, bound: int) -> VerificationReport:
         raise ValueError("verify reads compiled games, which carry no defeated set")
     spec = cg.spec
     pl = cg.placement
-    # the probe tables peak at 24.5-24.8 bytes per cell of the slice-0 box
+    # the probe tables peak at 25.2-26.8 bytes per cell of the slice-0 box
     # under tracemalloc (rules 90 and 110 in variant B, 8m to 128m), the
-    # slice-0 points and their lifted cells; 26 leaves a margin
-    need = (bound // pl.normal[0] + 1) * (bound // pl.normal[1] + 1) * 26
-    if need > kernels.MEMORY_BUDGET:
-        raise ValueError(f"bound {bound} needs about {need / 2**30:.1f} GiB of probe tables, "
-                         f"over the {kernels.MEMORY_BUDGET / 2**30:.0f} GiB budget")
-    # the probe cells pos[v] + m * l, l >= 0, must lie in the solved window
+    # slice-0 cells and their copy among all probe cells; 28 leaves a margin
+    need = (bound // pl.normal[0] + 1) * (bound // pl.normal[1] + 1) * 28
+    kernels.check_memory(need, f"bound {bound} (its probe tables)")
+    # the probe cells pos[v] + m * l, l >= 0, must lie on the board
     for v in (*cg.circuit.outputs, *cg.circuit.controls):
         if min(pl.pos[v]) < 0:
             raise ValueError(f"vertex {v!r} at {pl.pos[v]} lies off the board; "
@@ -708,20 +707,21 @@ def verify_construction(cg: CompiledGame, bound: int) -> VerificationReport:
     def lift(points, z):
         return np.concatenate([points, np.full(points.shape[:-1] + (1,), z)], axis=-1)
 
-    slice0 = _under_line(pl.normal, bound)
+    # the slice-0 points, then in their place their probe cells
+    mL = spec.lattice.scale(m)
+    cells0 = _under_line(pl.normal, bound)
+    on_stair = np.isin(mL.class_labels(cells0), mL.class_labels(pl.staircase))
+    cells0 = lift(cells0, 0)
     # the l with m <nu, l> <= bound
     ells = _under_line(pl.normal, bound // m)
     ells = ells[spec.lattice.class_labels(ells) == 0]
     ell_list = [tuple(l) for l in ells.tolist()]
-    mL = spec.lattice.scale(m)
-    on_stair = np.isin(mL.class_labels(slice0), mL.class_labels(pl.staircase))
 
     def control_cells(v):
         return lift(np.array(pl.pos[v], dtype=np.int64) + m * ells[:, None], 1)
 
     # rows (name, failure keys, probe cells (n, k, 3), expected P (n, k), word);
     # a word row reports bit tuples
-    cells0 = lift(slice0, 0)
     table = [("slice0-lattice-law", cells0, cells0[:, None], on_stair[:, None], False)]
     if cg.enc is not None:
         mod_list = [l for l in ell_list if spec.module.contains(l)]
@@ -745,14 +745,12 @@ def verify_construction(cg: CompiledGame, bound: int) -> VerificationReport:
         table.append(("in-double-prime-characterisation", ells,
                       control_cells(cg.circuit.in_dprime), ~ells.any(axis=1)[:, None], False))
 
-    # the window reaches the largest probe cell of any row
-    wx, wy, _ = np.max([row[2].reshape(-1, 3).max(axis=0, initial=0) for row in table],
-                       axis=0).tolist()
-    grid = Solver(cg.game, cg.witness).solve_window((wx, wy, 1))
-
+    # one solve reads the probe cells of every row, split back per row
+    codes = Solver(cg.game, cg.witness).outcomes(np.concatenate([row[2].reshape(-1, 3) for row in table]))
+    rows = np.split(codes == engine.CODE_P, np.cumsum([row[3].size for row in table])[:-1])
     checks = []
-    for name, keys, cells, expect, word in table:
-        got = grid.data[cells[..., 0], cells[..., 1], cells[..., 2]] == engine.CODE_P
+    for (name, keys, cells, expect, word), got in zip(table, rows):
+        got = got.reshape(expect.shape)
         bad = np.flatnonzero((got != expect).any(axis=1))
         checked = int(bad[0]) + 1 if len(bad) else len(got)
         failure = None

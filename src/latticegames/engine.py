@@ -10,7 +10,7 @@ and orders the bottom-up sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -313,19 +313,43 @@ class OutcomeGrid:
         return self.data[:, :, slice_index]
 
 
-# traced peak bytes of a top-down window solve, with margin: per window cell
-# (the memo and the grid; 89-179 measured on Gamma, Gamma' and 2-D games at
-# windows 48 to 200), and per window coordinate and move (the per-axis
-# columns and the DFS path's pending candidates, which dominate in 1-D:
-# 25-39 measured with 3 and 28 moves at windows 2,000 to 40,000)
-TOPDOWN_CELL_BYTES = 256
+def _simplex_caps(cells: np.ndarray, phi, moves: np.ndarray) -> tuple[int, tuple[int, ...]]:
+    """The level cap max phi . cell over an (n, d) array of cells, and the
+    axis caps of the phi-simplex under it: level_cap // phi_k on an axis
+    that some move grows, which phi . p <= level_cap then bounds, and the
+    largest coordinate read on any other axis."""
+    top = cells.max(axis=0, initial=0).tolist()
+    # every phi . cell is exact in int64 when phi . top is
+    level_cap = dot(phi, top) if dot(phi, top) >= 2**63 else int((cells @ np.array(phi)).max(initial=0))
+    grows = (moves < 0).any(axis=0).tolist()
+    return level_cap, tuple(level_cap // f if g else t for f, g, t in zip(phi, grows, top))
+
+
+# traced peak bytes of a top-down window solve, with margin: per position of
+# the capped simplex under the window (the memo and the grid; 18-146 measured
+# beyond the second term on Gamma, Gamma' and 1-D and 2-D games), and per axis
+# cap and move (the per-axis columns and the DFS path's candidates; 25-39 in 1-D)
+TOPDOWN_CELL_BYTES = 192
 TOPDOWN_OPTION_BYTES = 64
 
 
-def topdown_bytes(window: Vec, n_moves: int) -> int:
-    """Estimated peak bytes of a top-down solve of the window."""
-    cells = prod(w + 1 for w in window)
-    return cells * TOPDOWN_CELL_BYTES + sum(w + 1 for w in window) * n_moves * TOPDOWN_OPTION_BYTES
+def topdown_bytes(window: Vec, rs: Ruleset, phi) -> int:
+    """Estimated peak bytes of a top-down solve of the window, whose search
+    stays in the capped phi-simplex under it.  Its positions are counted axis
+    by axis, the longest last, as the kernel tables partial levels; the count
+    stops at a lower bound over the budget, the first being the window's cells."""
+    level_cap, caps = _simplex_caps(np.asarray([window]), phi, rs.array)
+    limit = kernels.MEMORY_BUDGET // TOPDOWN_CELL_BYTES
+    positions, part = prod(w + 1 for w in window), np.zeros(1, dtype=np.int64)
+    for i, k in enumerate(sorted(range(len(caps)), key=caps.__getitem__)):
+        if positions > limit:
+            break
+        # how many values axis k takes above each partial level under the cap
+        n = np.minimum(min(caps[k], limit), (level_cap - part) // phi[k]) + 1
+        positions = int(n.sum())
+        if i < len(caps) - 1:
+            part = np.repeat(part, n) + phi[k] * (np.arange(positions) - np.repeat(np.cumsum(n) - n, n))
+    return positions * TOPDOWN_CELL_BYTES + sum(c + 1 for c in caps) * len(rs) * TOPDOWN_OPTION_BYTES
 
 
 class Solver:
@@ -356,7 +380,12 @@ class Solver:
         p = as_vec(p, self.game.ruleset.dim)
         if not self._is_position(p):
             raise ValueError(f"{p} is not a position of this game")
-        return self._options(p)
+        opts = self._candidates(p)
+        if self.game.has_defeated:
+            # the memo holds only positions: only a candidate missing from it can be defeated
+            memo, contains = self.memo, self.game.defeated._contains
+            opts = [q for q in opts if q in memo or not contains(q)]
+        return opts
 
     def _candidates(self, p: Vec) -> list[Vec]:
         """The points p - m for the moves m, in move order, that lie in N^d.
@@ -378,16 +407,6 @@ class Solver:
         for k, c in enumerate(p):
             if c < top[k]:
                 opts = [q for q in opts if q[k] >= 0]
-        return opts
-
-    def _options(self, p: Vec) -> list[Vec]:
-        """options(p) without its checks: the candidates of p that are not
-        defeated.  The memo holds only positions, so only a candidate
-        missing from it is tested against the defeated set."""
-        opts = self._candidates(p)
-        if self.game.has_defeated:
-            memo, contains = self.memo, self.game.defeated._contains
-            opts = [q for q in opts if q in memo or not contains(q)]
         return opts
 
     def outcome(self, p) -> str:
@@ -460,33 +479,36 @@ class Solver:
             return self._solve_window_topdown(window)
         if mode != "bottom-up":
             raise ValueError(f"unknown solve mode {mode!r}")
-        return self._solve_window_bottomup(window)
+        region = self._solve(np.asarray([window]))
+        return OutcomeGrid(window, region[tuple(slice(0, w + 1) for w in window)])
+
+    def outcomes(self, cells) -> np.ndarray:
+        """The outcome codes of an (..., d) int array of cells, shaped
+        cells.shape[:-1], from one solve of the phi-simplex under them,
+        which holds every option of each cell, as phi falls along moves."""
+        d = self.game.ruleset.dim
+        cells = np.asarray(cells, dtype=np.int64)
+        if cells.shape[-1:] != (d,) or cells.min(initial=0) < 0:
+            raise ValueError(f"cells must be an (..., {d}) array of nonnegative ints, not {cells!r}")
+        region = self._solve(cells.reshape(-1, d))
+        return region[tuple(np.moveaxis(cells, -1, 0))]
+
+    def _solve(self, cells: np.ndarray) -> np.ndarray:
+        """The kernel's solve of the capped phi-simplex under an (n, d) array of cells."""
+        rs = self.game.ruleset
+        level_cap, caps = _simplex_caps(cells, self.phi, rs.array)
+        defeated = self.game.defeated if self.game.has_defeated else None
+        return kernels.solve_region(rs.array, np.array(self.phi), level_cap, caps, defeated)
 
     def _solve_window_topdown(self, window: Vec) -> OutcomeGrid:
-        need = topdown_bytes(window, len(self.game.ruleset))
-        if need > kernels.MEMORY_BUDGET:
-            raise ValueError(
-                f"top-down solve of window {window} needs about {need / 2**30:.1f} GiB, "
-                f"over the {kernels.MEMORY_BUDGET / 2**30:.0f} GiB budget"
-            )
+        need = topdown_bytes(window, self.game.ruleset, self.phi)
+        kernels.check_memory(need, f"top-down solve of window {window}")
         shape = tuple(w + 1 for w in window)
         codes = (
             (CODE_P if self.outcome(p) == P else CODE_N) if self._is_position(p) else CODE_DEFEATED
             for p in product(*map(range, shape))
         )
         return OutcomeGrid(window, np.fromiter(codes, np.uint8, count=prod(shape)).reshape(shape))
-
-    def _solve_window_bottomup(self, window: Vec) -> OutcomeGrid:
-        rs = self.game.ruleset
-        level_cap = dot(self.phi, window)
-        # a move with a negative component can grow that coordinate, which
-        # phi . p <= level_cap then bounds
-        grows = (rs.array < 0).any(axis=0).tolist()
-        caps = tuple(level_cap // f if g else w for f, g, w in zip(self.phi, grows, window))
-        phi = np.array(self.phi, dtype=np.int64)
-        defeated = self.game.defeated if self.game.has_defeated else None
-        region = kernels.solve_region(rs.array, phi, level_cap, caps, defeated)
-        return OutcomeGrid(window, region[tuple(slice(0, w + 1) for w in window)])
 
 
 @dataclass(frozen=True)

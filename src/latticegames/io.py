@@ -14,14 +14,8 @@ from itertools import product
 from .circuits import NorCircuit, check_variant
 from .compiler import CompiledGame, Placement
 from .engine import GameSpec, Ruleset
-from .lattice import INT64, LatticeSet, ModuleIdeal, Sublattice, parse_set_expr
-from .recurrence import (
-    CAEmbedding,
-    Encoding,
-    RecurrenceSpec,
-    ca_to_recurrence,
-    wolfram_rule_table,
-)
+from .lattice import INT64, ModuleIdeal, Sublattice, parse_set_expr
+from .recurrence import Encoding, RecurrenceSpec, ca_to_recurrence, wolfram_rule_table
 
 
 def dumps(obj) -> str:

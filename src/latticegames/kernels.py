@@ -58,6 +58,12 @@ def sieve_bytes(shape, moves, level_cap: int, mask_boxes: int = 0) -> int:
             + n_moves * 8 * (3 * len(shape) + 6))
 
 
+def check_memory(need: int, what: str):
+    """Raise ValueError naming what if need bytes exceed MEMORY_BUDGET."""
+    if need > MEMORY_BUDGET:
+        raise ValueError(f"{what} needs about {need / 2**30:.1f} GiB, over the {MEMORY_BUDGET / 2**30:.0f} GiB budget")
+
+
 def check_budget(shape, moves, phi, level_cap: int, mask_boxes: int = 0):
     """Raise ValueError, before anything box-sized exists, if the box's
     sieve_bytes exceed MEMORY_BUDGET or its level cap exceeds 2**40; else
@@ -65,13 +71,10 @@ def check_budget(shape, moves, phi, level_cap: int, mask_boxes: int = 0):
     moves = np.asarray(moves, dtype=np.int64).reshape(-1, len(shape))
     # a move longer than the box or than the level cap joins no two cells
     moves, below, above = _padding(shape, moves[moves @ phi <= level_cap])
-    need = sieve_bytes(shape, moves, level_cap, mask_boxes)
-    if need > MEMORY_BUDGET or level_cap > 2**40:
-        raise ValueError(
-            f"solve region of shape {shape} (level cap {level_cap}) needs about "
-            f"{need / 2**30:.1f} GiB, over the {MEMORY_BUDGET / 2**30:.0f} GiB "
-            "this kernel is sized for"
-        )
+    what = f"solve region of shape {shape} (level cap {level_cap})"
+    check_memory(sieve_bytes(shape, moves, level_cap, mask_boxes), what)
+    if level_cap > 2**40:
+        raise ValueError(f"{what} has more than the 2**40 levels this kernel is sized for")
     return moves, below, above
 
 

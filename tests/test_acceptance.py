@@ -12,7 +12,6 @@ import pytest
 
 from latticegames.builtin import (
     paper_gamma,
-    paper_gamma_prime,
     paper_placement,
     swapped_encoding,
     xor_circuit,
@@ -20,13 +19,12 @@ from latticegames.builtin import (
 )
 from latticegames.circuits import eval_circuit, synthesize_nor_circuit
 from latticegames.compiler import (
-    check_conditions,
     compile_recurrence,
     emit_ruleset,
     verify_construction,
 )
 from latticegames.engine import (
-    GameSpec,
+    CODE_P,
     Infeasible,
     PointednessWitness,
     Ruleset,
@@ -104,29 +102,28 @@ def test_criterion_5_pipeline_roundtrip():
     report(5, f"pipeline round trip (m={cg.placement.m}, {len(cg.game.ruleset.moves)} moves)")
 
 
-@pytest.mark.parametrize("rule,steps", [(90, 8), (110, 6)])
-def test_criterion_6_universality(rule, steps):
-    emb = ca_to_recurrence(wolfram_rule_table(rule), "0", "1")
+@pytest.mark.parametrize(
+    "rule,word,steps", [(90, "1", 8), (110, "1", 6), (110, "10011", 12)],
+    ids=["90-8", "110-6", "110-10011-12"],
+)
+def test_criterion_6_universality(rule, word, steps):
+    emb = ca_to_recurrence(wolfram_rule_table(rule), "0", word)
     enc = Encoding({"0": ("N",), "1": ("P",)})
     cg = compile_recurrence(emb.spec, enc, variant="B", seed=0)
-    rep = verify_construction(cg, bound=cg.placement.m * 2 * (steps + emb.offset))
-    assert rep.ok, rep.summary()
-    sim = simulate_ca(emb.rule_table, "0", "1", steps)
+    if word == "1":
+        # a longer word still fails the in' check off M (ROADMAP item 2), so
+        # only its outputs are checked below
+        rep = verify_construction(cg, bound=cg.placement.m * 2 * (steps + emb.offset))
+        assert rep.ok, rep.summary()
+    sim = simulate_ca(emb.rule_table, "0", word, steps)
     m = cg.placement.m
     op = cg.placement.pos[cg.circuit.outputs[0]]
-    cells = []
-    mx = my = 0
-    for t in range(steps + 1):
-        for x in range(-t - emb.offset, t + emb.offset + 1):
-            l = emb.cell_point(x, t)
-            p = (op[0] + m * l[0], op[1] + m * l[1], 1)
-            cells.append((x, t, p))
-            mx, my = max(mx, p[0]), max(my, p[1])
-    grid = Solver(cg.game, cg.witness).solve_window((mx, my, 1))
-    for x, t, p in cells:
-        o = grid.outcome_at(p)
-        assert enc.decode(("N" if o is None else o,)) == sim(x, t), (x, t)
-    report(6, f"rule {rule} embedded via initial-condition moves, {len(cells)} cells")
+    xt = [(x, t) for t in range(steps + 1) for x in range(-t - emb.offset, t + emb.offset + 1)]
+    cells = [(op[0] + m * l[0], op[1] + m * l[1], 1) for l in (emb.cell_point(x, t) for x, t in xt)]
+    codes = Solver(cg.game, cg.witness).outcomes(cells)
+    for (x, t), code in zip(xt, codes.tolist()):
+        assert enc.decode(("P" if code == CODE_P else "N",)) == sim(x, t), (x, t)
+    report(6, f"rule {rule}, word {word!r}, embedded via initial-condition moves, {len(xt)} cells")
 
 
 def test_criterion_7_axioms(gamma_game, gamma_prime_game):

@@ -1166,17 +1166,14 @@ def test_verify_guard_covers_probe_tables(monkeypatch, traced_peak):
     # with the solve stubbed out, verify's own tables peak under its
     # up-front estimate, so a budget of that peak is refused before they
     # are built
-    from types import SimpleNamespace
-
     from latticegames import compiler, kernels
 
     class Unsolved:
         def __init__(self, game, witness):
             pass
 
-        def solve_window(self, window):
-            shape = (window[0] + 1, window[1] + 1, 2)
-            return SimpleNamespace(data=np.broadcast_to(np.uint8(engine.CODE_N), shape))
+        def outcomes(self, cells):
+            return np.full(len(cells), engine.CODE_N, dtype=np.uint8)
 
     cg = compile_recurrence(_ca_spec(110), CA_ENC, "B", seed=0)
     bound = 32 * cg.placement.m

@@ -474,6 +474,40 @@ def test_kernel_matches_memo_without_unit_weights(case):
         _region_matches_memo(solver, cap, region)
 
 
+@settings(max_examples=100)
+@given(pointed_games(), st.data())
+def test_outcomes_match_the_box_solve(case, data):
+    # outcomes solves the phi-simplex under the cells it reads, at the level
+    # cap max phi . cell, and reads there what the box solve reads
+    game, window = case
+    point = st.tuples(*[st.integers(0, w) for w in window])
+    cells = np.array(data.draw(st.lists(point, min_size=1, max_size=8)), dtype=np.int64)
+    caps = []
+
+    def spy(moves, phi, level_cap, axis_caps, defeated=None, solve_region=kernels.solve_region):
+        caps.append(level_cap)
+        return solve_region(moves, phi, level_cap, axis_caps, defeated)
+
+    solver = Solver(game)
+    want = Solver(game).solve_window(window).data[tuple(cells.T)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "solve_region", spy)
+        got = solver.outcomes(cells)
+        assert np.array_equal(solver.outcomes(cells[:, None]), got[:, None])
+    assert np.array_equal(got, want)
+    assert caps == [max(dot(solver.phi, c) for c in cells.tolist())] * 2
+
+
+@pytest.mark.parametrize("cells", [[(1, 2, -1)], [(1, 2)], [[(0, 0, 0, 0)]], 5, [[(0, 0, 0)], [(0, -1, 0)]]])
+def test_outcomes_refuse_bad_cells_before_solving(gamma_prime_game, cells, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solved before refusing")
+
+    monkeypatch.setattr(kernels, "solve_region", unreachable)
+    with pytest.raises(ValueError, match=re.escape("an (..., 3) array of nonnegative ints")):
+        Solver(gamma_prime_game).outcomes(cells)
+
+
 @pytest.mark.parametrize("phi", [(1, 10**6), (10**6, 1)])
 def test_kernel_skips_empty_levels(phi, traced_peak):
     import time
@@ -936,14 +970,21 @@ def _two_dim_game():
     return GameSpec(Ruleset(2, [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2)])), (120, 120)
 
 
+def _two_dim_far_reaching():
+    # the move (-5, 1) grows x: the search reaches 138,269 positions from a
+    # window of 40,401 cells, inside a capped simplex of 161,001
+    return GameSpec(Ruleset(2, [(1, 0), (-5, 1), (0, 2)])), (200, 200)
+
+
 @pytest.mark.parametrize(
-    "case", [lambda: _oracle_holed_gamma_prime(0), _one_dim_28_moves, _two_dim_game],
-    ids=["holed-gamma-prime", "1d-28-moves", "2d"],
+    "case",
+    [lambda: _oracle_holed_gamma_prime(0), _one_dim_28_moves, _two_dim_game, _two_dim_far_reaching],
+    ids=["holed-gamma-prime", "1d-28-moves", "2d", "2d-far-reaching"],
 )
 def test_topdown_solve_stays_within_its_guard(case, monkeypatch, traced_peak):
     game, window = case()
     want = Solver(game).solve_window(window).data
-    need = topdown_bytes(window, len(game.ruleset))
+    need = topdown_bytes(window, game.ruleset, Solver(game).phi)
     monkeypatch.setattr(kernels, "MEMORY_BUDGET", need - 1)
     solver = Solver(game)
     with traced_peak() as peak, pytest.raises(ValueError, match="GiB"):
