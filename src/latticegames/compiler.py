@@ -44,6 +44,7 @@ from .recurrence import (
     prune_unused_arguments,
     validate_encoding,
 )
+from .search import SearchSpace
 
 
 class Placement:
@@ -94,8 +95,8 @@ class LabelFrame:
     Codes are those of mL.class_labels, a * |det| + b for the label (a, b).
     Labels are additive mod |det|, so plus and minus give the code of a sum
     or a difference from the codes of its terms, without labelling it again.
-    A Placement carries its frame (Placement.label_frame), so the trials of a
-    search at one m, their conditions and the emission share one.
+    A Placement carries its frame (Placement.label_frame), so the values a
+    search tries at one m, the conditions and the emission share one.
     """
 
     def __init__(self, lattice: Sublattice, m: int, staircase, normal):
@@ -176,8 +177,13 @@ class ConditionReport:
     def __getitem__(self, key: str) -> ConditionResult:
         return self.results[key]
 
+    def first_failure(self) -> str | None:
+        """The first failing condition in the order given, or None; no
+        condition after it is decided."""
+        return next((key for key in self._results if self._decide(key).status == "fail"), None)
+
     def ok(self) -> bool:
-        return all(self._decide(key).status != "fail" for key in self._results)
+        return self.first_failure() is None
 
     def failures(self) -> list[str]:
         return [k for k, r in self.results.items() if r.status == "fail"]
@@ -386,9 +392,15 @@ def check_conditions(
 
 
 class PlacementSearchError(RuntimeError):
-    def __init__(self, message: str, report: ConditionReport | None = None):
+    def __init__(self, message: str, report: ConditionReport | None = None,
+                 rejections: dict[str, int] | None = None):
         super().__init__(message)
         self.report = report
+        self.rejections = dict(rejections or {})
+
+
+# the scales the placement search visits: m0, m0 + 2, ..., m0 + 2 * (M_STEPS - 1)
+M_STEPS = 50
 
 
 def search_placement(
@@ -396,17 +408,18 @@ def search_placement(
     spec: RecurrenceSpec,
     seed: int = 0,
     hint: Placement | None = None,
-    max_tries: int = 10_000,
 ) -> Placement:
     """Find a placement passing all applicable conditions.
 
-    Deterministic for a given seed: gates go on a diagonal ladder ordered by
-    longest path to the outputs (so every edge strictly ascends the
-    halfspace), anti-diagonal jitter separates residue classes, and inputs
-    are forced one scaled shift below their output.  The scale m grows
-    slowly while seeded jitter is retried.  A trial stops at its first
-    failing condition (see check_conditions); failures are reproducible,
-    and the last trial's full condition report is attached to the error.
+    Deterministic for a given seed: a depth-first search over the values of
+    SearchSpace's slots, each slot trying its values in an order shuffled
+    from the seed, that drops a value as soon as the slots placed so far
+    fail a condition no completion repairs.  check_conditions decides every
+    complete placement the search reaches, and the first it accepts is
+    returned.  The search starts at m0 and moves to m + 2 when it has
+    rejected search.NODE_BUDGET values at m or exhausted them; after
+    M_STEPS scales it raises PlacementSearchError, naming the condition
+    that rejected the most values, with the last full report it got.
     """
     if not circuit.vertices or not circuit.outputs:
         raise ValueError("cannot place an empty circuit")
@@ -417,80 +430,28 @@ def search_placement(
                 return hint
         except ValueError:
             pass  # hint does not fit this circuit; fall through to the search
-    nu = spec.halfspace_normal
-    I = tuple(
-        (i, j) for i in range(nu[1] + 1) for j in range(nu[0] + 1)
-    )
-    u = nu
-    w = (nu[1], -nu[0])
-    s = circuit.num_bits
-    ladder = [v for v in circuit.gate_vertices() if v not in circuit.outputs]
-
-    # the longest path from each vertex to a sink, in one pass from the heads
-    order = circuit.topological_order()
-    depth = dict.fromkeys(order, 0)
-    for h in reversed(order):
-        for t in circuit.predecessors(h):
-            depth[t] = max(depth[t], depth[h] + 1)
-    max_depth = max((depth[v] for v in ladder), default=0)
-
-    step = 3
-    jitter = max(4, len(ladder) + 2)
-    out_level = step * (max_depth + 2) + s + 2
-    beta_gain = min(dot(nu, b) for b in spec.betas)
-    # jitter runs along w, which nu annihilates, so only ladder depth matters
-    # for edge ascent; the first bound keeps the outputs inside [0, m)^2 and
-    # pushes the input gates off the board
-    m0 = max(
-        (out_level + s + 3) * max(nu) + 2,
-        (step * max_depth * dot(nu, nu) + 2) // beta_gain + 2,
-    )
-
-    def along_w(base, k):
-        return (base[0] + k * w[0], base[1] + k * w[1])
-
-    def board_slot(base, spread):
-        p = along_w(base, spread)
-        return p if p[0] >= 0 and p[1] >= 0 else base
-
-    # the parts of a trial that no draw changes
-    out_base = vscale(out_level, u)
-    ladder_base = [(v, vscale(out_level - step * max(depth[v], 1), u)) for v in ladder]
-    feeds = [(name, circuit.outputs[j], spec.betas[i])
-             for i, block in enumerate(circuit.inputs) for j, name in enumerate(block)]
-
-    # the trials at one m share the staircase, the normal and their label
-    # frame, so these are checked and built once per m, and each trial
-    # copies this template
-    template = None
+    space = SearchSpace(circuit, spec)
     rng = random.Random(seed)
+    tally: dict[str, int] = {}
     report = None
-    for trial in range(max_tries):
-        m = m0 + 2 * (trial // 200)
-        if template is None or template.m != m:
-            template = Placement({}, m, I, nu)
-            template.label_frame(spec.lattice)
-            shifts = [(name, out, vscale(m, b)) for name, out, b in feeds]
-        pos: dict[str, Vec] = {}
-        shared = rng.randint(-2, 2)
-        for j, o in enumerate(circuit.outputs):
-            pos[o] = along_w(out_base, j + shared)
-        if circuit.in_prime is not None:
-            pos[circuit.in_prime] = board_slot(u, rng.randint(-1, 1))
-        if circuit.in_dprime is not None:
-            pos[circuit.in_dprime] = board_slot(vscale(2, u), rng.randint(-2, 2))
-        for v, base in ladder_base:
-            pos[v] = along_w(base, rng.randint(-jitter, jitter))
-        for name, out, (sx, sy) in shifts:
-            pos[name] = (pos[out][0] - sx, pos[out][1] - sy)
-        placement = copy.copy(template)
-        placement.pos = pos
-        report = check_conditions(placement, circuit, spec)
-        if report.ok():
-            return placement
+    ms = range(space.m0, space.m0 + 2 * M_STEPS, 2)
+    for m in ms:
+        # the values tried at one m share this template and its label frame
+        template = Placement({}, m, space.staircase, space.normal)
+        for pos in space.search(space.values(template.label_frame(spec.lattice)), rng, tally):
+            placement = copy.copy(template)
+            placement.pos = pos
+            report = check_conditions(placement, circuit, spec)
+            bad = report.first_failure()
+            if bad is None:
+                return placement
+            tally[bad] = tally.get(bad, 0) + 1
+    worst = max(sorted(tally), key=tally.get)
     raise PlacementSearchError(
-        f"no placement found in {max_tries} tries (last failures: {report.failures()})",
+        f"no placement found for m = {ms[0]}..{ms[-1]}; condition ({worst}) rejected the most "
+        f"values: {dict(sorted(tally.items()))}",
         report,
+        tally,
     )
 
 

@@ -487,9 +487,13 @@ class Solver:
         cells.shape[:-1], from one solve of the phi-simplex under them,
         which holds every option of each cell, as phi falls along moves."""
         d = self.game.ruleset.dim
-        cells = np.asarray(cells, dtype=np.int64)
+        refusal = f"cells must be an (..., {d}) array of nonnegative ints"
+        try:
+            cells = np.asarray(cells, dtype=np.int64)
+        except OverflowError:
+            raise ValueError(f"{refusal}, not {cells!r} (a coordinate leaves int64)") from None
         if cells.shape[-1:] != (d,) or cells.min(initial=0) < 0:
-            raise ValueError(f"cells must be an (..., {d}) array of nonnegative ints, not {cells!r}")
+            raise ValueError(f"{refusal}, not {cells!r}")
         region = self._solve(cells.reshape(-1, d))
         return region[tuple(np.moveaxis(cells, -1, 0))]
 

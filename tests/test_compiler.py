@@ -42,6 +42,7 @@ from latticegames.engine import (
 )
 from latticegames.lattice import Z2, LatticeSet, ModuleIdeal, Sublattice, positive_generators, vsub
 from latticegames.recurrence import Encoding, RecurrenceSpec
+from latticegames.search import SearchSpace
 
 
 @pytest.fixture(scope="module")
@@ -137,16 +138,17 @@ def test_emission_deterministic(xor_spec):
 
 # sha256 of repr(lines), repr(ruleset.moves) and repr(witness.phi) of two
 # compiled games; the repr of a numpy scalar differs from that of an int, so
-# these also pin the types of the emitted moves
+# these also pin the types of the emitted moves, and the placements the
+# search finds at seed 0
 PINNED_EMISSIONS = {
     "rule 110 B": (
-        "f83fb2df95c6676f9b914a6c8062d2cab0da6c0d388c4da1e7f11476ce847ee0",
-        "de90e20f401889b5ef90be8aadaca04eaf0bc5341df20ea1a2cbd9c031cc9eb4",
+        "c2c3c388cc2f2e6bb394eb5ba688bc2f00a69eedbaf16c70bd2c2a5a5a5b9149",
+        "d8f727eee4e35f44b264c0d41330f245e83cc2117054311bdf4e47bf03659957",
         "be7a30a9d422271020a6e73a96350cd48f04c971287be215cbff553a5d2a90de",
     ),
     "xor C": (
-        "69c23e10ddeec9697b64d4a1c110140a0b8eeb6bbb1773a61a23f987b94635d0",
-        "e3f5b3df13590abac8b771e3b66588d530550d8e72af6141a1d3b2af4b1f36e0",
+        "7f81640229b634695451d923c8d319a3025f746e82197c79cd8605fb7833b3c1",
+        "2be04aae7a2ab7c9448e7f3e6e561c82e4fbc9f399ec55da148f5e7558acf5d3",
         "9bd079317331dd9634bbf96fd0ee70f1a4380a86837ee388fa612a3d86871690",
     ),
 }
@@ -714,6 +716,41 @@ def _xor_spec(betas):
 CA_ENC = Encoding({"0": ("N",), "1": ("P",)})
 
 
+def _direct_circuit():
+    """xor's two inputs wired straight into the output.  Such a wire moves
+    by m beta, which lies in mL, so (f) refuses every value of the first
+    slot at every m."""
+    from latticegames.circuits import NorCircuit
+
+    return extend_circuit(NorCircuit(("x", "y", "o"), (("x", "o"), ("y", "o")),
+                                     (("x",), ("y",)), ("o",)), "C")
+
+
+def _dead_end_circuit():
+    """A circuit with a gate z that reaches no output: z and its tail g sit
+    on one ladder level, so the wire g -> z does not ascend the halfspace
+    and (a) refuses every complete placement."""
+    from latticegames.circuits import NorCircuit
+
+    edges = (("x", "a"), ("y", "a"), ("a", "o"), ("a", "g"), ("g", "z"))
+    return extend_circuit(NorCircuit(("x", "y", "a", "o", "g", "z"), edges,
+                                     (("x",), ("y",)), ("o",)), "C")
+
+
+def _capped(search, budget, steps):
+    """search() run with search.NODE_BUDGET and compiler.M_STEPS patched."""
+    from latticegames import compiler
+    from latticegames import search as placement_search
+
+    def run():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(placement_search, "NODE_BUDGET", budget)
+            patch.setattr(compiler, "M_STEPS", steps)
+            return search()
+
+    return run
+
+
 def _recorded_searches(searches):
     """Run each search() while recording every check_conditions call; returns
     one (trials, outcome) pair per search, where trials are the checked
@@ -741,10 +778,12 @@ def _recorded_searches(searches):
 
 @pytest.fixture(scope="module")
 def searches():
-    """Every seeded search and the placements it tries: xor under variant C,
-    rules 90 and 110 under variants C and B, each at seeds 0 and 1, and xor
-    with two output bits, whose search takes thousands of tries, so only
-    its first 20 are made; (i) compares the two outputs' order there."""
+    """Every seeded search and the complete placements it checks: xor under
+    variant C, rules 90 and 110 under variants C and B, each at seeds 0 and
+    1, and xor with two output bits, where (i) compares the two outputs'
+    order.  Then two searches that find nothing: the direct circuit, which
+    checks no complete placement, and the dead-end circuit, whose complete
+    placements all fail (a), at m0 alone and until it rejects 40 values."""
     cases = [(xor_recurrence(), swapped_encoding(), "C")]
     for rule in (90, 110):
         cases += [(_ca_spec(rule), CA_ENC, "C"), (_ca_spec(rule), CA_ENC, "B")]
@@ -755,47 +794,125 @@ def searches():
             runs.append(partial(search_placement, circuit, pruned, seed=seed))
     wide = Encoding({sym: bits * 2 for sym, bits in swapped_encoding().table.items()})
     circuit, spec = _search_circuit(xor_recurrence(), wide, "C")
-    runs.append(partial(search_placement, circuit, spec, max_tries=20))
+    runs.append(partial(search_placement, circuit, spec))
+    runs.append(partial(search_placement, _direct_circuit(), xor_recurrence()))
+    runs.append(_capped(partial(search_placement, _dead_end_circuit(), xor_recurrence()),
+                        budget=40, steps=1))
     return _recorded_searches(runs)
 
 
 def test_search_accepts_only_passing_trials(searches):
-    # the search stops each trial at its first failing condition; the
-    # reference decides all nine, and must reject every trial the search
-    # rejected and accept the placement it returned
+    # the search checks only complete placements; the reference decides all
+    # nine conditions, and must reject every placement the search rejected
+    # and accept the one it returned
     for trials, outcome in searches:
-        *rejected, last = trials
-        for case in rejected:
-            assert not _reference_check_conditions(*case).ok(), case[0]
-        if isinstance(outcome, PlacementSearchError):
-            assert len(trials) == 20
-            assert not _reference_check_conditions(*last).ok(), last[0]
-        else:
-            assert last[0] is outcome
-            assert _reference_check_conditions(*last).ok(), last[0]
-    assert isinstance(searches[-1][1], PlacementSearchError)
+        for case in trials:
+            assert _reference_check_conditions(*case).ok() == (case[0] is outcome), case[0]
+        if isinstance(outcome, Placement):
+            assert trials[-1][0] is outcome
+    assert [type(outcome) for _, outcome in searches[-3:]] == [
+        Placement, PlacementSearchError, PlacementSearchError]
+    assert not searches[-2][0] and len(searches[-1][0]) > 1
 
 
 def test_search_error_carries_full_report(searches):
-    # the error reports every failing condition of the last trial, not only
-    # the one that stopped it
+    # an exhausted search names the condition that rejected the most values,
+    # and carries the full report of the last complete placement it checked,
+    # or none when it reached none
     trials, err = searches[-1]
     want = _reference_check_conditions(*trials[-1]).results
     assert err.report.results == want
-    failing = [k for k, r in want.items() if r.status == "fail"]
-    assert len(failing) > 1
-    assert f"last failures: {failing}" in str(err)
+    assert [k for k, r in want.items() if r.status == "fail"] == ["a"]
+    # every complete placement failed (a); the prunes never name it
+    assert err.rejections["a"] == len(trials) == max(err.rejections.values())
+    assert "condition (a) rejected the most values" in str(err)
+    trials, err = searches[-2]
+    assert err.report is None and not trials
+    assert "condition (f) rejected the most values" in str(err)
+
+
+def test_exhausted_search_visits_every_scale():
+    # the direct circuit fails (f) on each of the five output jitters at each
+    # of the M_STEPS scales m0, m0 + 2, ..., m0 + 2 (M_STEPS - 1)
+    from latticegames import compiler
+
+    with pytest.raises(PlacementSearchError) as err:
+        search_placement(_direct_circuit(), xor_recurrence(), seed=3)
+    assert err.value.rejections == {"f": 5 * compiler.M_STEPS}
+    m0 = SearchSpace(_direct_circuit(), xor_recurrence()).m0
+    assert f"m = {m0}..{m0 + 2 * (compiler.M_STEPS - 1)}" in str(err.value)
 
 
 def test_search_trial_count_rule110_b():
-    # the draws and the m schedule are those of the benchmark's ca-verify
-    # compiles: placement seeds 0-3 make 194 trials between them
+    # the benchmark's ca-verify compiles: placement seeds 0-3 each find a
+    # placement at m0 = 21 and check it once, the only complete placement
+    # their search reaches (the random search checked 194 between them)
     circuit, spec = _search_circuit(_ca_spec(110), CA_ENC, "B")
     runs = _recorded_searches(
         [partial(search_placement, circuit, spec, seed=seed) for seed in range(4)]
     )
-    assert all(isinstance(outcome, Placement) for _, outcome in runs)
-    assert sum(len(trials) for trials, _ in runs) == 194
+    assert all(isinstance(outcome, Placement) and outcome.m == 21 for _, outcome in runs)
+    assert sum(len(trials) for trials, _ in runs) == 4
+    # and each verifies at 4m, every check comparing a point
+    for _, pl in runs:
+        report = verify_construction(emit_ruleset(pl, circuit, spec, enc=CA_ENC), 4 * pl.m)
+        assert report.ok and all(c.checked > 0 for c in report.checks), report.summary()
+
+
+def _slot_values(space, spec, m):
+    """The space's candidate values at m."""
+    return space.values(Placement({}, m, space.staircase, space.normal).label_frame(spec.lattice))
+
+
+def _prefix_verdicts(space, spec, placement):
+    """SearchSpace.extend's verdict on each prefix of the placement's slots,
+    in order."""
+    sv = _slot_values(space, spec, placement.m)
+    pts = [placement.pos[v] for v in space.vertices]
+    codes = sv.frame.mL.class_labels(pts).tolist()
+    verdicts, pending = [], []
+    for k, end in enumerate(space.ends, 1):
+        bad, pending = space.extend(sv, k, pts[:end], codes[:end], pending)
+        verdicts.append(bad)
+    return verdicts
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_prunes_keep_every_accepted_prefix(searches, data):
+    # a prune may drop a value only if no completion passes: every prefix,
+    # in the search's slot order, of a placement the reference accepts
+    # passes SearchSpace.extend.  Once every slot is placed, extend has
+    # decided (c), (e), (f) and (g) exactly, so every prefix passes just when
+    # the reference passes those four.  The placements are the searches'
+    # results with some slots given other candidate values, possibly at
+    # another m: few changes keep most of them accepted, many reject most
+    found = [trials[-1] for trials, outcome in searches if isinstance(outcome, Placement)]
+    pl, circuit, spec = data.draw(st.sampled_from(found))
+    space = SearchSpace(circuit, spec)
+    m = data.draw(st.sampled_from([pl.m, pl.m + 2]))
+    sv = _slot_values(space, spec, m)
+    pos = dict(pl.pos)
+    # the inputs move with m, so at another m the first slot is drawn anew
+    slots = data.draw(st.lists(st.integers(0, len(space.slots) - 1), max_size=len(space.slots)))
+    for k in slots + ([0] if m != pl.m else []):
+        value = data.draw(st.integers(0, len(sv.points[k]) - 1))
+        pos.update(zip(space.slots[k], sv.points[k][value]))
+    placement = Placement(pos, m, pl.staircase, pl.normal)
+    want = _reference_check_conditions(placement, circuit, spec).results
+    pruned = all(want[key].status != "fail" for key in "cefg")
+    assert (_prefix_verdicts(space, spec, placement) == [None] * len(space.slots)) == pruned, placement.pos
+
+
+def test_rule32_compiles_within_the_budget():
+    # rule 32 B, the outlier of the random search (m = 65 at seed 0), is
+    # placed within the node budget near m0 and verifies at 4m
+    spec = _ca_spec(32)
+    for seed in (0, 1):
+        cg = compile_recurrence(spec, CA_ENC, "B", seed=seed)
+        assert cg.placement.m <= SearchSpace(*_search_circuit(spec, CA_ENC, "B")).m0 + 4
+        report = verify_construction(cg, 4 * cg.placement.m)
+        assert report.ok and all(c.checked > 0 for c in report.checks), report.summary()
 
 
 def test_conditions_match_reference(searches):
@@ -816,8 +933,15 @@ def test_conditions_match_reference(searches):
     circuit, spec = _search_circuit(_xor_spec([(1, 0), (-1, 1)]), swapped_encoding(), "C")
     six = (search_placement(circuit, spec), circuit, spec)
     assert len(six[0].staircase) == 6
+    # in'' one step right of the output it feeds: their difference (-1, 0)
+    # is a staircase difference but no staircase point, so (g) names the
+    # clash, not an overlap
+    pl, circuit, spec = next(case for case in tried if case[1].in_dprime is not None)
+    out = pl.pos[circuit.outputs[0]]
+    clash = Placement({**pl.pos, circuit.in_dprime: (out[0] + 1, out[1])}, pl.m, pl.staircase, pl.normal)
     rng = random.Random(0)
-    drawn = list(tried) + [plain, (on_board,) + plain[1:], (narrow,) + plain[1:], six]
+    drawn = list(tried) + [plain, (on_board,) + plain[1:], (narrow,) + plain[1:], six,
+                           (clash, circuit, spec)]
     two_outputs = next(case for case in tried if len(case[1].outputs) == 2)
     for base in [None] * 300 + [plain] * 60 + [two_outputs] * 40 + [six] * 16:
         pl, circuit, spec = base or rng.choice(tried)
@@ -924,8 +1048,8 @@ def test_emission_matches_reference(searches):
 
 def test_one_frame_per_compile(monkeypatch):
     # F is built once per m the search visits, plus once at m = 1 for the
-    # in' generators: every trial at one m, its conditions and the emission
-    # share the placement's label frame
+    # in' generators: every value tried at one m, the conditions and the
+    # emission share the placement's label frame
     from latticegames import compiler, lattice
 
     built = []
@@ -943,13 +1067,11 @@ def test_one_frame_per_compile(monkeypatch):
                         lambda *case: tried.append(case[0].m) or checker(*case))
     cg = compile_recurrence(_ca_spec(110), CA_ENC, "B", seed=0)
     assert sorted(built) == sorted({1, *tried}) and cg.placement.m in tried
-    # a search that runs out of tries at the third m builds three frames
+    # an exhausted search builds one frame at each of the scales it visits
     built.clear()
-    wide = Encoding({sym: bits * 2 for sym, bits in swapped_encoding().table.items()})
-    circuit, spec = _search_circuit(xor_recurrence(), wide, "C")
     with pytest.raises(PlacementSearchError):
-        search_placement(circuit, spec, max_tries=401)
-    assert len(built) == len(set(built)) == 3
+        search_placement(_direct_circuit(), xor_recurrence())
+    assert len(built) == len(set(built)) == compiler.M_STEPS
 
 
 def test_label_frame_follows_the_placement(xor_spec):

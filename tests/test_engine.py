@@ -498,7 +498,8 @@ def test_outcomes_match_the_box_solve(case, data):
     assert caps == [max(dot(solver.phi, c) for c in cells.tolist())] * 2
 
 
-@pytest.mark.parametrize("cells", [[(1, 2, -1)], [(1, 2)], [[(0, 0, 0, 0)]], 5, [[(0, 0, 0)], [(0, -1, 0)]]])
+@pytest.mark.parametrize("cells", [[(1, 2, -1)], [(1, 2)], [[(0, 0, 0, 0)]], 5, [[(0, 0, 0)], [(0, -1, 0)]],
+                                   [[10**20, 0, 0]]])
 def test_outcomes_refuse_bad_cells_before_solving(gamma_prime_game, cells, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("solved before refusing")
