@@ -14,6 +14,9 @@ samples) and of each stage time, the
 number of pairs in which the change is better, the `failed` and `attempted`
 counts of every run, and whether the output fingerprints of the two runs of
 a pair are equal.  Quartiles are those of the inclusive (linear) method.
+
+Then it prints one line per workload and end-to-end metric with the medians
+and their change, and exits with status 1 if any run failed a check.
 """
 
 import argparse
@@ -106,6 +109,17 @@ def main():
     path = Path(f"BENCH_{args.topic}.json")
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {path}", file=sys.stderr)
+    failed = False
+    for workload, res in result.items():
+        for name, c in res["end_to_end"].items():
+            print(f"{workload} {name}: {c['parent']['median']:.4g} -> {c['change']['median']:.4g} "
+                  f"({c['median_change_pct']:+.1f}%), change better in {c['change_better_in_pairs']} pairs")
+        for side, counts in res["failed"].items():
+            if any(counts):
+                failed = True
+                print(f"{workload}: {side} runs failed checks: {counts}")
+    if failed:
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":

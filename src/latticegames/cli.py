@@ -116,7 +116,7 @@ def cmd_compile(args) -> int:
         spec, enc, variant=variant, seed=args.seed, core_only=args.core_only, hint=hint
     )
     sidecar = io.save_compiled(cg, args.output)
-    print(f"wrote {args.output} ({len(cg.game.ruleset.moves)} moves) and {sidecar}")
+    print(f"wrote {args.output} ({len(cg.game.ruleset)} moves) and {sidecar}")
     return 0
 
 

@@ -416,10 +416,11 @@ def search_placement(
     from the seed, that drops a value as soon as the slots placed so far
     fail a condition no completion repairs.  check_conditions decides every
     complete placement the search reaches, and the first it accepts is
-    returned.  The search starts at m0 and moves to m + 2 when it has
-    rejected search.NODE_BUDGET values at m or exhausted them; after
-    M_STEPS scales it raises PlacementSearchError, naming the condition
-    that rejected the most values, with the last full report it got.
+    returned, as is a hint it accepts.  The search starts at m0 and moves
+    to m + 2 when it has rejected search.NODE_BUDGET values at m or
+    exhausted them; after M_STEPS scales it raises PlacementSearchError,
+    naming the condition that rejected the most values, with the last full
+    report it got.
     """
     if not circuit.vertices or not circuit.outputs:
         raise ValueError("cannot place an empty circuit")
@@ -455,15 +456,21 @@ def search_placement(
     )
 
 
-@dataclass
+@dataclass(eq=False)  # by identity: the lines are arrays, game and placement compare so anyway
 class CompiledGame:
     game: GameSpec
     placement: Placement
     circuit: NorCircuit
     spec: RecurrenceSpec
     enc: Encoding | None
-    lines: dict[str, tuple]
+    line_arrays: dict[str, np.ndarray]
     witness: PointednessWitness | None = None
+
+    @cached_property
+    def lines(self) -> dict[str, tuple]:
+        """line_arrays, (n, 3) int64 arrays of sorted distinct moves, as
+        tuples of tuples of Python ints, built on first read."""
+        return {name: tuple(zip(*line.T.tolist())) for name, line in self.line_arrays.items()}
 
     @property
     def variant(self) -> str:
@@ -521,10 +528,15 @@ def emit_ruleset(
     The result carries its pointedness witness; a ruleset that is not pointed
     raises EmissionError with the Farkas certificate.
     """
-    pl = placement
-    report = check_conditions(pl, circuit, spec)
+    report = check_conditions(placement, circuit, spec)
     if not report.ok():
         raise EmissionError(f"placement fails conditions {report.failures()}", report)
+    return _emit(placement, circuit, spec, core_only, enc)
+
+
+def _emit(pl: Placement, circuit: NorCircuit, spec: RecurrenceSpec,
+          core_only: bool, enc: Encoding | None) -> CompiledGame:
+    """emit_ruleset after its check, for a placement check_conditions accepted."""
     fr = pl.label_frame(spec.lattice)
     pos = pl.pos
     gate_codes = fr.mL.class_labels([pos[v] for v in circuit.vertices])
@@ -580,7 +592,6 @@ def emit_ruleset(
             "the emitted ruleset is not pointed: no positive functional bounds play",
             certificate=witness,
         )
-    lines = {name: tuple(zip(*line.T.tolist())) for name, line in lines.items()}
     return CompiledGame(game, pl, circuit, spec, enc, lines, witness)
 
 
@@ -747,4 +758,4 @@ def compile_recurrence(
     circuit = synthesize_nor_circuit(encoded_table(pruned, enc))
     circuit = extend_circuit(circuit, variant)
     placement = search_placement(circuit, pruned, seed, hint=hint)
-    return emit_ruleset(placement, circuit, pruned, core_only=core_only, enc=enc)
+    return _emit(placement, circuit, pruned, core_only, enc)  # the search checked it

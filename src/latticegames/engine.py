@@ -32,7 +32,8 @@ CODE_DEFEATED = kernels.CODE_DEFEATED
 class Ruleset:
     """A finite set of nonzero move vectors, held once as ``array``: a
     read-only int64 (M, dim) array of distinct rows in lexicographic order.
-    ``moves`` is the same set as a tuple of tuples of Python ints.  A move
+    ``moves`` is the same set as a tuple of tuples of Python ints, built on
+    first read; length, equality and hashing read ``array``.  A move
     that is not a nonzero dim-vector of int64 integers raises ValueError
     naming it.  An int64 array is read as it is; any other input goes
     through Python ints, so that no value wraps."""
@@ -55,7 +56,10 @@ class Ruleset:
             raise ValueError(f"the zero vector {(0,) * self.dim} cannot be a move")
         self.array = unique_rows(arr)
         self.array.flags.writeable = False
-        self.moves = tuple(zip(*self.array.T.tolist()))
+
+    @cached_property
+    def moves(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(zip(*self.array.T.tolist()))
 
     @cached_property
     def axis_columns(self) -> tuple[list[list[int]], list[int]]:
@@ -66,16 +70,16 @@ class Ruleset:
         return cols, [max(c, default=0) for c in cols]
 
     def __eq__(self, other):
-        return isinstance(other, Ruleset) and (self.dim, self.moves) == (other.dim, other.moves)
+        return isinstance(other, Ruleset) and self.dim == other.dim and np.array_equal(self.array, other.array)
 
     def __hash__(self):
-        return hash((self.dim, self.moves))
+        return hash((self.dim, self.array.tobytes()))
 
     def __len__(self):
-        return len(self.moves)
+        return len(self.array)
 
     def __repr__(self):
-        return f"Ruleset(dim={self.dim}, {len(self.moves)} moves)"
+        return f"Ruleset(dim={self.dim}, {len(self)} moves)"
 
 
 def _bad_move(moves, dim: int) -> str:
@@ -164,12 +168,12 @@ def _constraint_row(rs: Ruleset, i: int):
     d = rs.dim
     if i < d:
         return tuple(int(k == i) for k in range(d)), 1
-    return rs.moves[i - d], 1
+    return tuple(rs.array[i - d].tolist()), 1
 
 
 def pointedness_constraints(rs: Ruleset):
     """Rows (coeffs, rhs) encoding phi_k >= 1 and move . phi >= 1."""
-    return [_constraint_row(rs, i) for i in range(rs.dim + len(rs.moves))]
+    return [_constraint_row(rs, i) for i in range(rs.dim + len(rs))]
 
 
 def pointedness_rows(rs: Ruleset) -> list[int]:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from itertools import product
 
+import numpy as np
+
 from .circuits import NorCircuit, check_variant
 from .compiler import CompiledGame, Placement
 from .engine import GameSpec, Ruleset
@@ -193,7 +195,7 @@ def placement_to_json(cg: CompiledGame) -> dict:
         "outputs": list(cg.circuit.outputs),
         "in_prime": cg.circuit.in_prime,
         "in_dprime": cg.circuit.in_dprime,
-        "lines": {name: [list(m) for m in moves] for name, moves in cg.lines.items()},
+        "lines": {name: line.tolist() for name, line in cg.line_arrays.items()},
     }
 
 
@@ -230,7 +232,7 @@ def compiled_from_files(game: GameSpec, sidecar: dict, spec: RecurrenceSpec, enc
             raise ValueError(f"placement field 'pos' gives no position for vertex {v!r}")
     shell = NorCircuit(vertices, (), (), outputs, in_prime, in_dprime)
     lines = _field(sidecar, "placement", "lines", _map_of(_list_of(_vec(3))), optional=True) or {}
-    lines = {name: tuple(tuple(m) for m in moves) for name, moves in lines.items()}
+    lines = {name: np.array(moves, dtype=np.int64).reshape(-1, 3) for name, moves in lines.items()}
     cg = CompiledGame(game, pl, shell, spec, enc, lines)
     if variant is not None and check_variant(variant) != cg.variant:
         raise ValueError("placement field 'in_dprime' must name the in'' vertex of a variant B game "

@@ -34,21 +34,15 @@ MEMORY_BUDGET = 4 * 2**30
 SCATTER_PAIRS = 2**20
 
 
-def _padding(shape, moves):
-    """The moves with |m_k| < shape_k, which alone can join two cells of the
-    box, and the padding they need below and above each axis."""
-    moves = moves[(np.abs(moves) < shape).all(axis=1)]
-    return moves, -moves.min(axis=0, initial=0), moves.max(axis=0, initial=0)
-
-
-def sieve_bytes(shape, moves, level_cap: int, mask_boxes: int = 0) -> int:
-    """Upper bound on the bytes a solve of a box of this shape allocates:
-    the padded outcome array; with mask_boxes > 0, its padded defeated copy
-    and the boolean boxes LatticeSet.mask holds at once; the table of the
-    other axes, which also bounds a coset mask's labels; the bounds of at
-    most min(cells, level_cap + 1) levels; one scatter batch; the moves."""
+def sieve_bytes(shape, padding, level_cap: int, mask_boxes: int = 0) -> int:
+    """Upper bound on the bytes a solve of a box of this shape allocates,
+    given the moves and padding check_budget returns: the padded outcome
+    array; with mask_boxes > 0, its padded defeated copy and the boolean
+    boxes LatticeSet.mask holds at once; the table of the other axes, which
+    also bounds a coset mask's labels; the bounds of at most
+    min(cells, level_cap + 1) levels; one scatter batch; the moves."""
     shape = tuple(int(s) for s in shape)
-    moves, below, above = _padding(shape, np.asarray(moves, dtype=np.int64).reshape(-1, len(shape)))
+    moves, below, above = padding
     cells = padded = 1
     for s, b, a in zip(shape, below.tolist(), above.tolist()):
         cells, padded = cells * s, padded * (s + b + a)
@@ -67,15 +61,17 @@ def check_memory(need: int, what: str):
 def check_budget(shape, moves, phi, level_cap: int, mask_boxes: int = 0):
     """Raise ValueError, before anything box-sized exists, if the box's
     sieve_bytes exceed MEMORY_BUDGET or its level cap exceeds 2**40; else
-    return the moves that join two cells under the cap, and their padding."""
+    return the moves that join two cells under the cap, and the padding
+    they need below and above each axis."""
     moves = np.asarray(moves, dtype=np.int64).reshape(-1, len(shape))
     # a move longer than the box or than the level cap joins no two cells
-    moves, below, above = _padding(shape, moves[moves @ phi <= level_cap])
+    moves = moves[(moves @ phi <= level_cap) & (np.abs(moves) < shape).all(axis=1)]
+    padding = moves, -moves.min(axis=0, initial=0), moves.max(axis=0, initial=0)
     what = f"solve region of shape {shape} (level cap {level_cap})"
-    check_memory(sieve_bytes(shape, moves, level_cap, mask_boxes), what)
+    check_memory(sieve_bytes(shape, padding, level_cap, mask_boxes), what)
     if level_cap > 2**40:
         raise ValueError(f"{what} has more than the 2**40 levels this kernel is sized for")
-    return moves, below, above
+    return padding
 
 
 def solve_region(moves, phi, level_cap, axis_caps, defeated=None):

@@ -175,8 +175,11 @@ def test_emitted_output_is_pinned(xor_compiled):
 def test_emission_refuses_failing_placement(xor_spec):
     pl = paper_placement()
     tiny = Placement(pl.pos, 1, pl.staircase, pl.normal)
-    with pytest.raises(EmissionError):
+    with pytest.raises(EmissionError) as err:
         emit_ruleset(tiny, xor_circuit(), xor_spec, core_only=True)
+    # the refusal carries the report that decided it
+    assert "f" in err.value.report.failures()
+    assert f"{err.value.report.failures()}" in str(err.value)
 
 
 def test_tangent_line_always_present(xor_compiled):
@@ -253,7 +256,7 @@ def test_verify_builtin_gamma():
         circuit=xor_circuit(),
         spec=spec,
         enc=Encoding({"P": ("P",), "N": ("N",)}),
-        lines={},
+        line_arrays={},
     )
     rep = verify_construction(cg, bound=47)
     assert rep.ok, rep.summary()
@@ -269,7 +272,7 @@ def _corrupted_gamma():
         circuit=xor_circuit(),
         spec=xor_recurrence(),
         enc=Encoding({"P": ("P",), "N": ("N",)}),
-        lines={},
+        line_arrays={},
     )
 
 
@@ -857,6 +860,26 @@ def test_search_trial_count_rule110_b():
     for _, pl in runs:
         report = verify_construction(emit_ruleset(pl, circuit, spec, enc=CA_ENC), 4 * pl.m)
         assert report.ok and all(c.checked > 0 for c in report.checks), report.summary()
+
+
+def test_each_placement_is_decided_once(monkeypatch):
+    # the search returns only placements check_conditions accepted, so a
+    # compile decides its placement once and emits it unchecked; compile and
+    # verify read the int64 arrays, so the tuple forms are never built
+    from latticegames import compiler
+
+    calls = []
+    checker = compiler.check_conditions
+    monkeypatch.setattr(compiler, "check_conditions", lambda *case: calls.append(case) or checker(*case))
+    games = [compile_recurrence(_ca_spec(110), CA_ENC, "B", seed=seed) for seed in range(4)]
+    assert len(calls) == 4
+    # an accepted hint is decided once too
+    hinted = compile_recurrence(_ca_spec(110), CA_ENC, "B", hint=games[1].placement)
+    assert len(calls) == 5 and hinted.placement is games[1].placement
+    for cg in games:
+        assert verify_construction(cg, 4 * cg.placement.m).ok
+        assert "moves" not in cg.game.ruleset.__dict__
+        assert "lines" not in cg.__dict__
 
 
 def _slot_values(space, spec, m):

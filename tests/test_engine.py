@@ -165,16 +165,35 @@ def test_pointedness_infeasible_with_certificate():
 
 
 @st.composite
-def rulesets(draw):
-    """Random 2-D or 3-D rulesets with move components in [-3, 3]; half of
-    them pair positively with a drawn functional, so they are pointed, and
-    most of the others are not."""
+def move_lists(draw):
+    """A dimension, 2 or 3, and a list of moves with components in [-3, 3];
+    half of the lists pair positively with a drawn functional, so they are
+    pointed, and most of the others are not."""
     d = draw(st.sampled_from((2, 3)))
     vec = st.tuples(*[st.integers(-3, 3)] * d).filter(any)
     if draw(st.booleans()):
         phi = draw(st.tuples(*[st.integers(1, 4)] * d))
         vec = vec.filter(lambda m: dot(phi, m) >= 1)
-    return Ruleset(d, draw(st.lists(vec, min_size=1, max_size=12)))
+    return d, draw(st.lists(vec, min_size=1, max_size=12))
+
+
+def rulesets():
+    return move_lists().map(lambda case: Ruleset(*case))
+
+
+@given(move_lists())
+def test_lazy_moves_keep_the_contract(case):
+    # length, equality and hashing read the array, and leave the tuple form
+    # unbuilt; built on first read, it is that of the tuple list
+    d, moves = case
+    from_tuples, from_array = Ruleset(d, moves), Ruleset(d, np.array(moves, dtype=np.int64))
+    want = tuple(sorted(set(moves)))
+    assert len(from_tuples) == len(from_array) == len(want)
+    assert from_tuples == from_array and hash(from_tuples) == hash(from_array)
+    assert from_array != Ruleset(d, [m for m in moves if m != moves[0]])
+    assert "moves" not in from_array.__dict__
+    assert from_tuples.moves == from_array.moves == want
+    assert all(type(c) is int for m in from_array.moves for c in m)
 
 
 @settings(max_examples=300)
@@ -583,15 +602,21 @@ def _plain_gamma_prime():
 @pytest.mark.parametrize("case", [_holed_gamma_prime, _plain_gamma_prime])
 def test_solve_window_checks_the_budget_once(case, monkeypatch):
     solver, window = case()
-    calls = []
+    calls, estimated = [], []
 
     def spy(*args, check_budget=kernels.check_budget):
-        calls.append(args)
-        return check_budget(*args)
+        calls.append(check_budget(*args))
+        return calls[-1]
+
+    def estimate_spy(shape, padding, *rest, sieve_bytes=kernels.sieve_bytes):
+        estimated.append(padding)
+        return sieve_bytes(shape, padding, *rest)
 
     monkeypatch.setattr(kernels, "check_budget", spy)
+    monkeypatch.setattr(kernels, "sieve_bytes", estimate_spy)
     solver.solve_window(window)
-    assert len(calls) == 1
+    # the moves are padded once: the estimate reads the padding the check returns
+    assert len(calls) == len(estimated) == 1 and estimated[0] is calls[0]
 
 
 def test_solving_deterministic(gamma_prime_game):
@@ -1011,14 +1036,14 @@ def test_kernel_scale_guard():
 
 def test_kernel_memory_guard_raises_before_allocating(monkeypatch, traced_peak):
     moves, phi, caps = np.array([[1, 0], [0, 1]]), np.array([1, 1]), (2999, 2999)
-    need = kernels.sieve_bytes((3000, 3000), moves, 5998)
+    need = kernels.sieve_bytes((3000, 3000), kernels.check_budget((3000, 3000), moves, phi, 5998), 5998)
     assert need >= 3001 * 3001  # at least the outcome byte of each padded cell
     monkeypatch.setattr(kernels, "MEMORY_BUDGET", need - 1)
     with traced_peak() as peak, pytest.raises(ValueError, match="GiB"):
         kernels.solve_region(moves, phi, 5998, caps)
     assert peak.bytes < 2**20
     # at exactly the budget the region is solved, within the estimate
-    need = kernels.sieve_bytes((1000, 1000), moves, 1998)
+    need = kernels.sieve_bytes((1000, 1000), kernels.check_budget((1000, 1000), moves, phi, 1998), 1998)
     monkeypatch.setattr(kernels, "MEMORY_BUDGET", need)
     with traced_peak() as peak:
         grid = kernels.solve_region(moves, phi, 1998, (999, 999))

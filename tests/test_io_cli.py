@@ -62,6 +62,9 @@ def test_compiled_roundtrip(tmp_path):
     assert back.placement.pos == cg.placement.pos
     assert back.placement.m == cg.placement.m
     assert back.lines == cg.lines
+    # the sidecar's lines come back as int64 arrays, read as Python ints
+    assert all(line.dtype == np.int64 for line in back.line_arrays.values())
+    assert all(type(c) is int for line in back.lines.values() for m in line for c in m)
     assert back.variant == "C"
 
 

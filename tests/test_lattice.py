@@ -84,6 +84,29 @@ def test_minimal_elements_regenerates_module():
                 assert regenerated == s.contains((x, y))
 
 
+@st.composite
+def int_rows(draw):
+    """Lists of 1- to 4-dimensional integer rows in any order, with
+    duplicates likely: components come from a few small values."""
+    d = draw(st.integers(1, 4))
+    return draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), max_size=24)), d
+
+
+@settings(max_examples=300)
+@given(int_rows())
+def test_pareto_minimal_matches_all_pairs(case):
+    # the contract: the first occurrence of each distinct row that no other
+    # row lies at or below, in lexicographic order of the rows
+    rows, d = case
+    want = sorted(
+        (i for i, p in enumerate(rows)
+         if p not in rows[:i] and not any(q != p and all(map(int.__le__, q, p)) for q in rows)),
+        key=rows.__getitem__,
+    )
+    got = pareto_minimal(np.array(rows, dtype=np.int64).reshape(-1, d))
+    assert got.dtype == np.intp and got.tolist() == want
+
+
 def test_enumerate_F_identity_lattice():
     pts = enumerate_F(Z2, 6)
     assert sorted(pts) == [(x, y) for x in range(6) for y in range(6)]
