@@ -415,12 +415,11 @@ def search_placement(
     SearchSpace's slots, each slot trying its values in an order shuffled
     from the seed, that drops a value as soon as the slots placed so far
     fail a condition no completion repairs.  check_conditions decides every
-    complete placement the search reaches, and the first it accepts is
-    returned, as is a hint it accepts.  The search starts at m0 and moves
-    to m + 2 when it has rejected search.NODE_BUDGET values at m or
-    exhausted them; after M_STEPS scales it raises PlacementSearchError,
-    naming the condition that rejected the most values, with the last full
-    report it got.
+    complete placement the search reaches, and the first it accepts (or a
+    hint it accepts) is returned.  The search starts at m0 and moves to
+    m + 2 when it has rejected search.NODE_BUDGET values at m or exhausted
+    them; after M_STEPS scales it raises PlacementSearchError, naming the
+    condition that rejected the most values, with the last full report it got.
     """
     if not circuit.vertices or not circuit.outputs:
         raise ValueError("cannot place an empty circuit")
@@ -463,13 +462,12 @@ class CompiledGame:
     circuit: NorCircuit
     spec: RecurrenceSpec
     enc: Encoding | None
-    line_arrays: dict[str, np.ndarray]
+    line_arrays: dict[str, np.ndarray]  # (n, 3) int64 moves, as emitted or as read
     witness: PointednessWitness | None = None
 
     @cached_property
     def lines(self) -> dict[str, tuple]:
-        """line_arrays, (n, 3) int64 arrays of sorted distinct moves, as
-        tuples of tuples of Python ints, built on first read."""
+        """line_arrays as tuples of tuples of Python ints, built on first read."""
         return {name: tuple(zip(*line.T.tolist())) for name, line in self.line_arrays.items()}
 
     @property

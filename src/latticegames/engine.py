@@ -32,11 +32,10 @@ CODE_DEFEATED = kernels.CODE_DEFEATED
 class Ruleset:
     """A finite set of nonzero move vectors, held once as ``array``: a
     read-only int64 (M, dim) array of distinct rows in lexicographic order.
-    ``moves`` is the same set as a tuple of tuples of Python ints, built on
-    first read; length, equality and hashing read ``array``.  A move
-    that is not a nonzero dim-vector of int64 integers raises ValueError
-    naming it.  An int64 array is read as it is; any other input goes
-    through Python ints, so that no value wraps."""
+    ``moves`` is the same set as tuples of Python ints, built on first read.
+    A move that is not a nonzero dim-vector of int64 integers raises
+    ValueError naming it.  An int64 array is read as it is; any other input
+    goes through Python ints, so that no value wraps."""
 
     def __init__(self, dim: int, moves):
         self.dim = int(dim)

@@ -16,12 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from math import gcd, prod
+from math import gcd
 from operator import add, sub
 
 import numpy as np
-
-from . import kernels
 
 Vec = tuple[int, ...]
 
@@ -528,32 +526,18 @@ def unique_rows(points) -> np.ndarray:
 
 def pareto_minimal(points) -> np.ndarray:
     """Indices of the distinct componentwise-minimal rows of an (n, d)
-    integer array, one per distinct row (its first occurrence), in
-    lexicographic order of the rows.  It reads a table with a cell per
-    combination of values of the columns after the first, and raises
-    ValueError if that table exceeds kernels.MEMORY_BUDGET."""
+    integer array, one per distinct row, in lexicographic order of the rows."""
     pts = np.asarray(points, dtype=np.int64)
-    if not len(pts):
-        return np.zeros(0, dtype=np.intp)
-    # in lexicographic order a row at or below another comes before it, so a
-    # row is minimal iff no earlier row is at or below it in the columns after
-    # the first.  Their value ranks index a table of the first row in each
-    # cell; prefix minima along every axis give the first row at or below it
-    order = np.lexsort(pts.T[::-1])
-    cell, shape = np.zeros(len(pts), dtype=np.int64), []
-    for col in pts[order, 1:].T:
-        v = np.sort(col)
-        v = v[np.r_[True, v[1:] != v[:-1]]]
-        shape.append(len(v))
-        kernels.check_memory(prod(shape) * 8, f"a Pareto table of {len(pts)} rows")
-        cell = cell * len(v) + np.searchsorted(v, col)
-    by_cell = np.argsort(cell, kind="stable")
-    start = by_cell[np.r_[True, np.diff(cell[by_cell]) != 0]]
-    first = np.full(shape, len(pts), dtype=np.intp)
-    first.reshape(-1)[cell[start]] = start
-    for axis in range(len(shape)):
-        np.minimum.accumulate(first, axis=axis, out=first)
-    return order[first.reshape(-1)[cell] == np.arange(len(pts))]
+    # the lexicographically least remaining row is minimal, since a row
+    # componentwise below it would sort before it; dropping every row at or
+    # above it leaves the rows above none of the minimal rows found so far
+    rest = np.lexsort(pts.T[::-1]) if len(pts) else np.arange(0)
+    minimal = []
+    while rest.size:
+        least = rest[0]
+        minimal.append(least)
+        rest = rest[(pts[rest] < pts[least]).any(axis=1)]
+    return np.array(minimal, dtype=np.intp)
 
 
 def positive_generators(mL: Sublattice) -> list[Vec]:

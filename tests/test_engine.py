@@ -225,6 +225,25 @@ def test_pruned_pointedness_matches_full_elimination(rs):
         assert pruned.phi == full
 
 
+def test_wide_coordinates_prune_in_row_memory(traced_peak):
+    # one minimal row under 800 moves whose last three columns each hold
+    # about 800 distinct values: the prune's memory follows the rows, not
+    # the product of the distinct values of the columns
+    wide = 2 + np.random.default_rng(0).integers(0, 10**6, size=(800, 3))
+    moves = np.vstack([[(-1, 1, 1, 1)], np.c_[np.full(800, -1), wide]])
+    rs = Ruleset(4, moves)
+    with traced_peak() as peak:
+        rows = pointedness_rows(rs)
+        solver = Solver(GameSpec(rs))
+    assert rows == [0, 1, 2, 3, 4] and peak.bytes < 2**20
+    # the witness is the one the full elimination finds, as without the prune
+    full = fourier_motzkin(dict(enumerate(pointedness_constraints(rs))))
+    assert solver.witness.verify(rs) and solver.witness.phi == full
+    window = (2, 3, 3, 3)
+    memo = solver.solve_window(window, mode="top-down")
+    assert np.array_equal(solver.solve_window(window).data, memo.data)
+
+
 def _reference_fourier_motzkin(constraints: dict):
     """fourier_motzkin as it was on Fraction rows, kept as the reference: the
     rows, the multipliers and the right sides are all Fractions."""
