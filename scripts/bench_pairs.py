@@ -11,12 +11,15 @@ BENCH_<TOPIC>.json in the current directory: for every workload, the runs,
 median and quartiles of each end-to-end metric (with, alongside `setup_s`,
 `setup_wall_s`: the median unscaled set-up wall time of the run's set-up
 samples) and of each stage time, the
-number of pairs in which the change is better, the `failed` and `attempted`
-counts of every run, and whether the output fingerprints of the two runs of
-a pair are equal.  Quartiles are those of the inclusive (linear) method.
+number of pairs in which the change is better, whether every change run is
+better than every parent run, the `failed` and `attempted` counts of every
+run, and whether the output fingerprints of the two runs of a pair are
+equal.  Quartiles are those of the inclusive (linear) method.
 
-Then it prints one line per workload and end-to-end metric with the medians
-and their change, and exits with status 1 if any run failed a check.
+Then it prints one line per workload and end-to-end metric with the medians,
+their change, the parent's quartiles and whether every change run is better
+than every parent run, and exits with status 1 if any run failed a check.
+A median change inside the parent's quartiles is unresolved, not unchanged.
 """
 
 import argparse
@@ -60,6 +63,7 @@ def compare(runs: dict, group: str, name: str, lower_is_better: bool) -> dict:
     better = sum((c < p) if lower_is_better else (c > p) for p, c in zip(parent, change))
     out = {"parent": spread(parent), "change": spread(change)}
     out["change_better_in_pairs"] = f"{better}/{len(parent)}"
+    out["every_change_run_better"] = max(change) < min(parent) if lower_is_better else min(change) > max(parent)
     out["median_change_pct"] = 100 * (out["change"]["median"] / out["parent"]["median"] - 1)
     out["parent_iqr"] = out["parent"]["q3"] - out["parent"]["q1"]
     return out
@@ -113,7 +117,9 @@ def main():
     for workload, res in result.items():
         for name, c in res["end_to_end"].items():
             print(f"{workload} {name}: {c['parent']['median']:.4g} -> {c['change']['median']:.4g} "
-                  f"({c['median_change_pct']:+.1f}%), change better in {c['change_better_in_pairs']} pairs")
+                  f"({c['median_change_pct']:+.1f}%), change better in {c['change_better_in_pairs']} pairs, "
+                  f"parent q1-q3 {c['parent']['q1']:.4g}-{c['parent']['q3']:.4g}, "
+                  f"every change run better: {'yes' if c['every_change_run_better'] else 'no'}")
         for side, counts in res["failed"].items():
             if any(counts):
                 failed = True

@@ -69,6 +69,18 @@ class NorCircuit:
         """The control vertices the circuit carries: in', then in''."""
         return tuple(v for v in (self.in_prime, self.in_dprime) if v is not None)
 
+    @cached_property
+    def in_dprime_heads(self) -> tuple[str, ...]:
+        """The heads whose difference from in'' condition (g) protects: the
+        heads of the edges out of in'', in edge order, then in', which the
+        initial-condition moves also target.  Empty without in''."""
+        if self.in_dprime is None:
+            return ()
+        heads = [h for t, h in self.edges if t == self.in_dprime]
+        if self.in_prime is not None and self.in_prime not in heads:
+            heads.append(self.in_prime)
+        return tuple(heads)
+
     @property
     def num_args(self) -> int:
         return len(self.inputs)

@@ -112,9 +112,7 @@ def cmd_compile(args) -> int:
     if args.hint:
         with open(args.hint) as fh:
             hint = io.placement_from_json(json.load(fh))
-    cg = compile_recurrence(
-        spec, enc, variant=variant, seed=args.seed, core_only=args.core_only, hint=hint
-    )
+    cg = compile_recurrence(spec, enc, variant=variant, seed=args.seed, hint=hint)
     sidecar = io.save_compiled(cg, args.output)
     print(f"wrote {args.output} ({len(cg.game.ruleset)} moves) and {sidecar}")
     return 0
@@ -230,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--core-only", action="store_true")
     p.add_argument("--hint", help="placement sidecar to try before searching")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(fn=cmd_compile)

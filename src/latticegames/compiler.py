@@ -88,15 +88,16 @@ class Placement:
 class LabelFrame:
     """The residue tables of one (L, m, I, nu), which no gate position
     changes: mL, F and its codes, the codes of the staircase points and of
-    their differences, and, on first use, the outward witness of (a).  F and
-    its codes name the class of a witness (rep) and give the distinct points
-    of F - I.
+    their differences (on first use also as sets of Python ints), (e)'s
+    tables, and the outward witness of (a).  F and its codes name the class
+    of a witness (rep) and give the distinct points of F - I.
 
     Codes are those of mL.class_labels, a * |det| + b for the label (a, b).
     Labels are additive mod |det|, so plus and minus give the code of a sum
-    or a difference from the codes of its terms, without labelling it again.
-    A Placement carries its frame (Placement.label_frame), so the values a
-    search tries at one m, the conditions and the emission share one.
+    or a difference from the codes of its terms, arrays or Python ints,
+    without labelling it again.  A Placement carries its frame
+    (Placement.label_frame), so the values a search tries at one m, the
+    conditions and the emission share one.
     """
 
     def __init__(self, lattice: Sublattice, m: int, staircase, normal):
@@ -118,6 +119,33 @@ class LabelFrame:
         """Codes of the differences of classes of codes x and y, broadcast."""
         d = self.det
         return (x // d - y // d) % d * d + (x - y) % d
+
+    @cached_property
+    def stair_set(self) -> frozenset[int]:
+        """The staircase codes, as Python ints."""
+        return frozenset(self.stair_codes.tolist())
+
+    @cached_property
+    def stair_diff_set(self) -> frozenset[int]:
+        """The codes of the staircase differences, as Python ints."""
+        return frozenset(self.stair_diff_codes.ravel().tolist())
+
+    @cached_property
+    def distinct(self) -> np.ndarray:
+        """(e)'s mask: [p, q] holds when q != p."""
+        return ~np.eye(len(self.staircase), dtype=bool)
+
+    @cached_property
+    def displacements(self) -> np.ndarray:
+        """(e)'s table: the codes of I[p] - I[q], q != p, in (p, q) order."""
+        return self.stair_diff_codes[self.distinct]
+
+    def landings(self, anchors: np.ndarray, classes) -> np.ndarray:
+        """(e)'s landing test: [a, p, q] holds when anchors[a] + (I[p] - I[q])
+        has one of the class codes in classes, and q != p."""
+        table = np.sort(classes)
+        shifted = self.plus(anchors[:, None, None], self.stair_diff_codes)
+        return (table.take(np.searchsorted(table, shifted), mode="clip") == shifted) & self.distinct
 
     def rep(self, code) -> Vec:
         """The point that names a class in a witness: its last point of F."""
@@ -156,8 +184,9 @@ class ConditionReport:
     A value is a ConditionResult, or a function that decides the condition:
     it returns the first witness, or None when the condition holds.  ok()
     decides conditions in the order given and stops at the first failure;
-    results, item access, failures(), summary() and repr decide every
-    condition left and read the full report in key order.
+    item access decides the one condition asked for; results, failures(),
+    summary() and repr decide every condition left and read the full report
+    in key order.
     """
 
     def __init__(self, results: dict):
@@ -175,7 +204,7 @@ class ConditionReport:
         return {key: self._decide(key) for key in sorted(self._results)}
 
     def __getitem__(self, key: str) -> ConditionResult:
-        return self.results[key]
+        return self._decide(key)
 
     def first_failure(self) -> str | None:
         """The first failing condition in the order given, or None; no
@@ -304,10 +333,8 @@ def check_conditions(
         # h(p) = q when a + label(p - q) is a gate label.  The witness is the
         # first h in product order, which is the least over the anchors of
         # their first admitted q per p, with the least anchor admitting it.
-        disp = fr.stair_diff_codes
-        anchors = fr.minus(gate_labels[:, None], disp[0, 1:]).reshape(-1)
-        admits = np.isin(fr.plus(anchors[:, None, None], disp), gate_labels)
-        admits &= ~np.eye(len(I), dtype=bool)
+        anchors = fr.minus(gate_labels[:, None], fr.stair_diff_codes[0, 1:]).reshape(-1)
+        admits = fr.landings(anchors, gate_labels)
         lands = admits.any(axis=2).all(axis=1)
         if not lands.any():
             return None
@@ -330,14 +357,7 @@ def check_conditions(
             if overlap.any():
                 return ("staircase-overlap", V[overlap.argmax()], x)
         ind = circuit.in_dprime
-        if ind is None:
-            return None
-        feed_heads = [V[k] for k in head[tail == ix[ind]].tolist()]
-        if circuit.in_prime is not None and circuit.in_prime not in feed_heads:
-            # the initial-condition moves also target in', so its
-            # difference must be protected like the edge ones
-            feed_heads.append(circuit.in_prime)
-        for h in feed_heads:
+        for h in circuit.in_dprime_heads:
             l0 = diff[ix[ind], ix[h]]
             if l0 in fr.stair_diff_codes:
                 return ("staircase-clash", h, vsub(pos[h], pos[ind]))
@@ -514,26 +534,26 @@ def emit_ruleset(
     placement: Placement,
     circuit: NorCircuit,
     spec: RecurrenceSpec,
-    core_only: bool = False,
     enc: Encoding | None = None,
 ) -> CompiledGame:
     """Emit the labelled move lines for a placement.
 
     The placement is checked first; one that fails a condition raises
-    EmissionError with the condition report.  core_only restricts to the wire
-    moves and the two slice blocks (the published subset); otherwise the
-    control lines are added, with variant B's if the circuit carries in''.
-    The result carries its pointedness witness; a ruleset that is not pointed
-    raises EmissionError with the Farkas certificate.
+    EmissionError with the condition report.  The control lines follow the
+    circuit: in' and the tangent when it carries in', in'' and the initial
+    moves when it carries in''; an unextended circuit gives the wire moves
+    and the two slice blocks alone (the published subset).  The result
+    carries its pointedness witness; a ruleset that is not pointed raises
+    EmissionError with the Farkas certificate.
     """
     report = check_conditions(placement, circuit, spec)
     if not report.ok():
         raise EmissionError(f"placement fails conditions {report.failures()}", report)
-    return _emit(placement, circuit, spec, core_only, enc)
+    return _emit(placement, circuit, spec, enc)
 
 
 def _emit(pl: Placement, circuit: NorCircuit, spec: RecurrenceSpec,
-          core_only: bool, enc: Encoding | None) -> CompiledGame:
+          enc: Encoding | None) -> CompiledGame:
     """emit_ruleset after its check, for a placement check_conditions accepted."""
     fr = pl.label_frame(spec.lattice)
     pos = pl.pos
@@ -557,31 +577,27 @@ def _emit(pl: Placement, circuit: NorCircuit, spec: RecurrenceSpec,
     shifts = pl.m * np.array(spec.betas, dtype=np.int64)
     lines[LINE_SLICE1] = _plane_line(f_minus_i[free] - shifts[:, None], 1)
 
-    if not core_only:
-        if circuit.in_prime is None:
-            raise EmissionError(
-                "full emission needs the extended circuit; run extend_circuit first"
-            )
+    if circuit.in_prime is not None:
         ip = pos[circuit.in_prime]
         b_prime = np.array(beta_intersection_generators(spec), dtype=np.int64)
         lines[LINE_IN_PRIME] = _plane_line(np.add(ip, pl.m * b_prime), 1)
         lines[LINE_TANGENT] = _plane_line([(0, 0)], 2)
-        if circuit.in_dprime is not None:
-            if enc is None:
-                raise EmissionError("variant B emission needs the symbol encoding")
-            ind = pos[circuit.in_dprime]
-            b_dprime = np.array(positive_generators(spec.lattice), dtype=np.int64)
-            lines[LINE_IN_DPRIME] = _plane_line(np.add(ind, pl.m * b_dprime), 1)
-            # at each module generator g, from in'' to every feeder of an
-            # output and to every output whose encoded initial bit is N
-            feeders = [t for o in circuit.outputs for t in circuit.predecessors(o)
-                       if t != circuit.in_dprime]
-            initial = []
-            for g in spec.module.generators:
-                bits = enc.encode(spec.f0[g])
-                n_outputs = [o for o, bit in zip(circuit.outputs, bits) if bit == "N"]
-                initial += [vadd(vsub(pos[t], ind), vscale(pl.m, g)) for t in feeders + n_outputs]
-            lines[LINE_INITIAL] = _plane_line(initial, 0)
+    if circuit.in_dprime is not None:
+        if enc is None:
+            raise EmissionError("variant B emission needs the symbol encoding")
+        ind = pos[circuit.in_dprime]
+        b_dprime = np.array(positive_generators(spec.lattice), dtype=np.int64)
+        lines[LINE_IN_DPRIME] = _plane_line(np.add(ind, pl.m * b_dprime), 1)
+        # at each module generator g, from in'' to every feeder of an
+        # output and to every output whose encoded initial bit is N
+        feeders = [t for o in circuit.outputs for t in circuit.predecessors(o)
+                   if t != circuit.in_dprime]
+        initial = []
+        for g in spec.module.generators:
+            bits = enc.encode(spec.f0[g])
+            n_outputs = [o for o, bit in zip(circuit.outputs, bits) if bit == "N"]
+            initial += [vadd(vsub(pos[t], ind), vscale(pl.m, g)) for t in feeders + n_outputs]
+        lines[LINE_INITIAL] = _plane_line(initial, 0)
 
     game = GameSpec(Ruleset(3, np.concatenate(list(lines.values()))))
     witness = engine.check_pointedness(game.ruleset)
@@ -737,7 +753,6 @@ def compile_recurrence(
     enc: Encoding,
     variant: str = "C",
     seed: int = 0,
-    core_only: bool = False,
     hint: Placement | None = None,
 ) -> CompiledGame:
     """Full pipeline: validate, prune, synthesise, extend, place, emit."""
@@ -756,4 +771,4 @@ def compile_recurrence(
     circuit = synthesize_nor_circuit(encoded_table(pruned, enc))
     circuit = extend_circuit(circuit, variant)
     placement = search_placement(circuit, pruned, seed, hint=hint)
-    return _emit(placement, circuit, pruned, core_only, enc)  # the search checked it
+    return _emit(placement, circuit, pruned, enc)  # the search checked it

@@ -33,33 +33,17 @@ NODE_BUDGET = 400
 
 @dataclass(frozen=True)
 class SlotValues:
-    """The candidate values of every slot at one m, with the tables that
-    SearchSpace.extend reads.  points[s][i] holds the points of slot s's
-    vertices under its value i, and codes[s][i] their class codes, from one
-    class_labels call.  fill maps a candidate point to the last slot that
-    can put a vertex there.  The frame is that of m, the staircase and the
-    normal."""
+    """The candidate values of every slot at one m.  points[s][i] holds the
+    points of slot s's vertices under its value i, and codes[s][i] their
+    class codes, from one class_labels call.  fill maps a candidate point to
+    the last slot that can put a vertex there.  The frame is that of m, the
+    staircase and the normal; SearchSpace.extend reads its code arithmetic
+    and staircase tables."""
 
     frame: LabelFrame
     points: list[list[tuple[Vec, ...]]]
     codes: list[list[tuple[int, ...]]]
     fill: dict[Vec, int]
-    # the codes of the staircase points and of their differences
-    stairs: frozenset[int]
-    stair_diffs: frozenset[int]
-    # (e)'s tables: the codes of the differences p - q, q != p in I, and
-    # the mask of those pairs
-    displacements: np.ndarray
-    distinct: np.ndarray
-
-
-# a code past every class code, closing the sorted table of _member
-_PAST = np.iinfo(np.int64).max
-
-
-def _member(x, table: np.ndarray) -> np.ndarray:
-    """np.isin(x, table) for a sorted table that ends in _PAST."""
-    return table[np.searchsorted(table, x)] == x
 
 
 class SearchSpace:
@@ -143,10 +127,7 @@ class SearchSpace:
         self.preds = [{sx[t] for t in circuit.predecessors(v)} for v in self.vertices]
         self.controls = [sx[x] for x in circuit.controls]
         self.in_dprime = sx.get(circuit.in_dprime)
-        heads = [h for t, h in circuit.edges if t == circuit.in_dprime]
-        if circuit.in_prime is not None and circuit.in_prime not in heads:
-            heads.append(circuit.in_prime)
-        self.feed_heads = [sx[h] for h in heads] if circuit.in_dprime is not None else []
+        self.feed_heads = [sx[h] for h in circuit.in_dprime_heads]
 
     def values(self, frame: LabelFrame) -> SlotValues:
         """The candidate values of every slot at the frame's m, labelled in
@@ -158,13 +139,8 @@ class SearchSpace:
         fill = {}
         for k, values in enumerate(points):
             fill.update((p, k) for value in values for p in value)
-        distinct = ~np.eye(len(self.staircase), dtype=bool)
-        return SlotValues(
-            frame, points,
-            [[tuple(next(codes) for _ in value) for value in values] for values in points],
-            fill, frozenset(frame.stair_codes.tolist()), frozenset(frame.stair_diff_codes.ravel().tolist()),
-            frame.stair_diff_codes[distinct], distinct,
-        )
+        return SlotValues(frame, points,
+                          [[tuple(next(codes) for _ in value) for value in values] for values in points], fill)
 
     def extend(self, sv: SlotValues, k: int, pts: list[Vec], codes: list[int],
                pending: list) -> tuple[str | None, list]:
@@ -181,14 +157,8 @@ class SearchSpace:
         placed.  A (c) difference with no exact realiser stays open while a
         later slot has a candidate at the point that would realise it.
         """
-        d = sv.frame.det
-
-        def plus(x, y):
-            return (x // d + y // d) % d * d + (x + y) % d
-
-        def minus(x, y):
-            return (x // d - y // d) % d * d + (x - y) % d
-
+        fr = sv.frame
+        plus, minus = fr.plus, fr.minus
         n = len(codes)
         new = range(self.ends[k - 1] - len(self.slots[k - 1]), n)
         by_code: dict[int, list[int]] = {}
@@ -197,7 +167,7 @@ class SearchSpace:
         edges = self.edges[:self.n_known[k]]
         fresh = self.n_known[k - 1]
         edge_codes = [minus(codes[h], codes[t]) for t, h in edges]
-        if any(c in sv.stair_diffs for c in edge_codes[fresh:]):
+        if any(c in fr.stair_diff_set for c in edge_codes[fresh:]):
             return "f", []
 
         # (c): the instances (w, e) that a new vertex or edge completes, as w,
@@ -232,7 +202,7 @@ class SearchSpace:
         # pair (v2, w2) outside the classes of in'' and the head
         for c in self.controls:
             if c < n:
-                if any(minus(codes[v], codes[c]) in sv.stairs
+                if any(minus(codes[v], codes[c]) in fr.stair_set
                        for v in (range(n) if c in new else new) if v != c):
                     return "g", []
         ind = self.in_dprime
@@ -242,7 +212,7 @@ class SearchSpace:
                     continue
                 l0 = minus(codes[h], codes[ind])
                 if ind in new or h in new:
-                    if l0 in sv.stair_diffs or any(
+                    if l0 in fr.stair_diff_set or any(
                             codes[v] != codes[ind] and plus(codes[v], l0) in by_code for v in range(n)):
                         return "g", []
                 else:
@@ -258,11 +228,8 @@ class SearchSpace:
         # classes
         added = {codes[x] for x in new}.difference(codes[:new.start])
         if added:
-            fr = sv.frame
-            anchors = fr.minus(np.array(list(added))[:, None], sv.displacements).ravel()
-            table = np.array(sorted(by_code) + [_PAST])
-            admits = _member(fr.plus(anchors[:, None, None], fr.stair_diff_codes), table) & sv.distinct
-            if admits.any(axis=2).all(axis=1).any():
+            anchors = minus(np.array(list(added))[:, None], fr.displacements).ravel()
+            if fr.landings(anchors, list(by_code)).any(axis=2).all(axis=1).any():
                 return "e", []
         return None, still
 

@@ -75,7 +75,7 @@ def test_criterion_2_slice0_law(gamma_prime_solver):
 
 
 def test_criterion_3_golden_emission():
-    cg = emit_ruleset(paper_placement(), xor_circuit(), xor_recurrence(), core_only=True)
+    cg = emit_ruleset(paper_placement(), xor_circuit(), xor_recurrence())
     golden = paper_gamma()
     assert cg.game.ruleset == golden
     assert set(cg.lines["wires"]) | set(cg.lines["slice0"]) | set(

@@ -119,6 +119,19 @@ def test_extend_variant_b():
     assert sorted(_successors(c, "in'")) == ["v6"]
 
 
+def test_in_dprime_heads_follow_the_extension():
+    # the heads (g) protects from in'': none without in'', else the heads of
+    # the edges out of in'' in edge order, then in'
+    for k, s in ((2, 1), (4, 2)):
+        table = table_from_function(lambda row: row[:s][::-1], k, s)
+        base = synthesize_nor_circuit(table)
+        assert base.in_dprime_heads == ()
+        assert extend_circuit(base, "C").in_dprime_heads == ()
+        b = extend_circuit(base, "B")
+        assert b.in_dprime_heads == (*_successors(b, "in''"), "in'")
+        assert len(set(b.in_dprime_heads)) == len(b.in_dprime_heads) > 1
+
+
 def test_extend_twice_rejected():
     c = extend_circuit(xor_circuit(), "C")
     with pytest.raises(ValueError):

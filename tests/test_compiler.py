@@ -73,6 +73,13 @@ def test_condition_b_fails_on_moved_input(xor_spec):
     assert rep["b"].witness[:2] == (1, 1)
 
 
+def test_item_access_decides_one_condition(xor_spec):
+    rep = check_conditions(paper_placement(), xor_circuit(), xor_spec)
+    assert rep["b"].status == "pass"
+    # (g) is vacuous without control vertices, so decided from the start
+    assert {key for key, r in rep._results.items() if callable(r)} == set("acdefhi")
+
+
 def test_input_on_board_witness_ignores_hash_seed():
     # with both inputs on the board, (h) must name the first input in circuit
     # order whatever the order of str hashes
@@ -108,7 +115,7 @@ def test_staircase_must_be_downward_closed():
 
 
 def test_golden_emission(xor_spec):
-    cg = emit_ruleset(paper_placement(), xor_circuit(), xor_spec, core_only=True)
+    cg = emit_ruleset(paper_placement(), xor_circuit(), xor_spec)
     assert set(cg.game.ruleset.moves) == set(paper_gamma().moves)
     assert len(cg.lines["wires"]) == 7
     assert len(cg.lines["slice0"]) == 20
@@ -119,7 +126,7 @@ def test_golden_emission(xor_spec):
 def test_emission_rederives_the_misprints(xor_spec):
     # the verbatim transcription differs from the formula output exactly by
     # both translates of the four bad base points
-    cg = emit_ruleset(paper_placement(), xor_circuit(), xor_spec, core_only=True)
+    cg = emit_ruleset(paper_placement(), xor_circuit(), xor_spec)
     extras = set(paper_gamma_verbatim().moves) - set(cg.game.ruleset.moves)
     want = set()
     for b in ((0, 5), (4, 0), (5, 0), (5, 1)):
@@ -130,8 +137,8 @@ def test_emission_rederives_the_misprints(xor_spec):
 
 
 def test_emission_deterministic(xor_spec):
-    a = emit_ruleset(paper_placement(), xor_circuit(), xor_spec, core_only=True)
-    b = emit_ruleset(paper_placement(), xor_circuit(), xor_spec, core_only=True)
+    a = emit_ruleset(paper_placement(), xor_circuit(), xor_spec)
+    b = emit_ruleset(paper_placement(), xor_circuit(), xor_spec)
     assert a.lines == b.lines
     assert a.game.ruleset == b.game.ruleset
 
@@ -176,7 +183,7 @@ def test_emission_refuses_failing_placement(xor_spec):
     pl = paper_placement()
     tiny = Placement(pl.pos, 1, pl.staircase, pl.normal)
     with pytest.raises(EmissionError) as err:
-        emit_ruleset(tiny, xor_circuit(), xor_spec, core_only=True)
+        emit_ruleset(tiny, xor_circuit(), xor_spec)
     # the refusal carries the report that decided it
     assert "f" in err.value.report.failures()
     assert f"{err.value.report.failures()}" in str(err.value)
@@ -1115,6 +1122,20 @@ def test_label_frame_follows_the_placement(xor_spec):
     frame = pl.label_frame(even)
     assert (frame.plus(code(p), code(q)) == code(p + q)).all()
     assert (frame.minus(code(p), code(q)) == code(p - q)).all()
+    # the staircase tables, against labelling the points and their
+    # differences directly
+    I = pl.staircase
+    assert frame.stair_set == set(code(I).tolist())
+    assert frame.stair_diff_set == set(code([vsub(a, b) for a in I for b in I]).tolist())
+    pairs = [(a, b) for a in I for b in I if b != a]
+    assert frame.displacements.tolist() == code([vsub(a, b) for a, b in pairs]).tolist()
+    assert frame.distinct.tolist() == [[b != a for b in I] for a in I]
+    # (e)'s landing test: anchor + (I[p] - I[q]) has a class in classes, q != p
+    anchors, gates = rng.integers(-50, 50, size=(2, 30, 2))
+    classes = set(code(gates).tolist())
+    want = [[[b != a and int(code([np.add(x, vsub(a, b))])[0]) in classes for b in I] for a in I]
+            for x in anchors]
+    assert frame.landings(code(anchors), code(gates)).tolist() == want
 
 
 def test_wide_staircase_compiles_in_time():

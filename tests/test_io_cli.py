@@ -492,22 +492,29 @@ CLI_FAILURES = [
     *((VERIFY_XOR + ["--placement", "{file}"], obj, field) for obj, field in LATER_MALFORMED_SIDECARS[1:]),
     *((["compile", "{file}", "-o", "{out}"], obj, field) for obj, field in LATER_MALFORMED_SPECS[1:]),
     (["compile", "specs/rule90.json", "--variant", "A", "-o", "{out}"], None, "invalid choice"),
+    # the control lines follow the circuit, so there is no flag to drop them
+    (["compile", "specs/rule90.json", "--core-only", "-o", "{out}"], None,
+     "unrecognized arguments: --core-only"),
 ]
 
 
 @pytest.mark.parametrize("argv, obj, says", CLI_FAILURES)
 def test_cli_refuses_malformed_invocations(tmp_path, capsys, argv, obj, says):
     # exit 1 or 2 with a one-line message, never a traceback: the CLI's own
-    # messages read "error: ...", argparse's read "<prog>: error: ..."
+    # messages read "error: ...", argparse's read "<prog>: error: ..." and
+    # exit 2
     names = {"file": str(tmp_path / "in.json"), "out": str(tmp_path / "out.json")}
     if obj is not None:
         Path(names["file"]).write_text(json.dumps(obj))
-    assert main([a.format(**names) for a in argv]) in (1, 2)
+    code = main([a.format(**names) for a in argv])
+    assert code in (1, 2)
     out, err = capsys.readouterr()
     assert "Traceback" not in out + err
     message = err.splitlines()[-1]
     argparse_message = message.startswith("latticegames") and ": error:" in message
     assert message.startswith("error:") or argparse_message
+    if argparse_message:
+        assert code == 2
     assert says in message
 
 
