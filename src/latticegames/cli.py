@@ -26,7 +26,7 @@ from .engine import (
     periodicity_probe,
 )
 from .kernels import CODE_N, CODE_P, check_memory
-from .recurrence import binom_parity_oracle, eval_recurrence, prune_unused_arguments
+from .recurrence import binom_parity_oracle, eval_recurrence
 from .render import render_grid
 
 import numpy as np
@@ -104,9 +104,6 @@ def cmd_solve(args) -> int:
 
 def cmd_compile(args) -> int:
     spec, enc, variant, _emb = io.load_spec(args.spec)
-    if enc is None:
-        print("spec file carries no encoding table", file=sys.stderr)
-        return 1
     variant = args.variant or variant or "C"
     hint = None
     if args.hint:
@@ -124,8 +121,7 @@ def cmd_verify(args) -> int:
     sidecar_path = args.placement or args.ruleset + ".placement.json"
     with open(sidecar_path) as fh:
         sidecar = json.load(fh)
-    pruned, _ = prune_unused_arguments(spec)
-    cg = io.compiled_from_files(game, sidecar, pruned, enc)
+    cg = io.compiled_from_files(game, sidecar, spec, enc)
     if variant is not None and variant != cg.variant:
         raise ValueError(f"the spec names variant {variant}, but the game is variant {cg.variant}")
     report = verify_construction(cg, args.bound)

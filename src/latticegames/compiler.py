@@ -481,7 +481,7 @@ class CompiledGame:
     placement: Placement
     circuit: NorCircuit
     spec: RecurrenceSpec
-    enc: Encoding | None
+    enc: Encoding
     line_arrays: dict[str, np.ndarray]  # (n, 3) int64 moves, as emitted or as read
     witness: PointednessWitness | None = None
 
@@ -534,7 +534,7 @@ def emit_ruleset(
     placement: Placement,
     circuit: NorCircuit,
     spec: RecurrenceSpec,
-    enc: Encoding | None = None,
+    enc: Encoding,
 ) -> CompiledGame:
     """Emit the labelled move lines for a placement.
 
@@ -552,8 +552,7 @@ def emit_ruleset(
     return _emit(placement, circuit, spec, enc)
 
 
-def _emit(pl: Placement, circuit: NorCircuit, spec: RecurrenceSpec,
-          enc: Encoding | None) -> CompiledGame:
+def _emit(pl: Placement, circuit: NorCircuit, spec: RecurrenceSpec, enc: Encoding) -> CompiledGame:
     """emit_ruleset after its check, for a placement check_conditions accepted."""
     fr = pl.label_frame(spec.lattice)
     pos = pl.pos
@@ -583,8 +582,6 @@ def _emit(pl: Placement, circuit: NorCircuit, spec: RecurrenceSpec,
         lines[LINE_IN_PRIME] = _plane_line(np.add(ip, pl.m * b_prime), 1)
         lines[LINE_TANGENT] = _plane_line([(0, 0)], 2)
     if circuit.in_dprime is not None:
-        if enc is None:
-            raise EmissionError("variant B emission needs the symbol encoding")
         ind = pos[circuit.in_dprime]
         b_dprime = np.array(positive_generators(spec.lattice), dtype=np.int64)
         lines[LINE_IN_DPRIME] = _plane_line(np.add(ind, pl.m * b_dprime), 1)
@@ -708,15 +705,13 @@ def verify_construction(cg: CompiledGame, bound: int) -> VerificationReport:
 
     # rows (name, failure keys, probe cells (n, k, 3), expected P (n, k), word);
     # a word row reports bit tuples
-    table = [("slice0-lattice-law", cells0, cells0[:, None], on_stair[:, None], False)]
-    if cg.enc is not None:
-        mod_list = [l for l in ell_list if spec.module.contains(l)]
-        mod_ells = np.array(mod_list, dtype=np.int64).reshape(-1, 2)
-        out_pos = np.array([pl.pos[o] for o in cg.circuit.outputs], dtype=np.int64)
-        words = [cg.enc.encode(eval_recurrence(spec, l)) for l in mod_list]
-        expect = np.array(words, dtype="U1").reshape(len(words), len(out_pos)) == "P"
-        table.append(("output-encoding", mod_ells, lift(out_pos + m * mod_ells[:, None], 1),
-                      expect, True))
+    mod_list = [l for l in ell_list if spec.module.contains(l)]
+    mod_ells = np.array(mod_list, dtype=np.int64).reshape(-1, 2)
+    out_pos = np.array([pl.pos[o] for o in cg.circuit.outputs], dtype=np.int64)
+    words = [cg.enc.encode(eval_recurrence(spec, l)) for l in mod_list]
+    expect = np.array(words, dtype="U1").reshape(len(words), len(out_pos)) == "P"
+    table = [("slice0-lattice-law", cells0, cells0[:, None], on_stair[:, None], False),
+             ("output-encoding", mod_ells, lift(out_pos + m * mod_ells[:, None], 1), expect, True)]
     if cg.circuit.in_prime is not None:
         expect = [
             # in variant B the initial-condition moves hand generator positions

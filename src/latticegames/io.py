@@ -17,7 +17,8 @@ from .circuits import NorCircuit, check_variant
 from .compiler import CompiledGame, Placement
 from .engine import GameSpec, Ruleset
 from .lattice import INT64, ModuleIdeal, Sublattice, parse_set_expr
-from .recurrence import Encoding, RecurrenceSpec, ca_to_recurrence, wolfram_rule_table
+from .recurrence import (Encoding, RecurrenceSpec, ca_to_recurrence, prune_unused_arguments,
+                         wolfram_rule_table)
 
 
 def dumps(obj) -> str:
@@ -103,7 +104,7 @@ def load_game(path: str) -> GameSpec:
         return game_from_json(json.load(fh))
 
 
-def spec_to_json(spec: RecurrenceSpec, enc: Encoding | None = None, variant: str | None = None) -> dict:
+def spec_to_json(spec: RecurrenceSpec, enc: Encoding, variant: str | None = None) -> dict:
     r = spec.num_args
     rows = list(product(spec.alphabet, repeat=r))
     out = {
@@ -114,16 +115,15 @@ def spec_to_json(spec: RecurrenceSpec, enc: Encoding | None = None, variant: str
         "g": [spec.table[row] for row in rows],
         "sigma0": spec.sigma0,
         "f0": [[list(p), s] for p, s in sorted(spec.f0.items())],
+        "encoding": {sym: list(bits) for sym, bits in enc.table.items()},
     }
-    if enc is not None:
-        out["encoding"] = {sym: list(bits) for sym, bits in enc.table.items()}
     if variant is not None:
         out["variant"] = variant
     return out
 
 
 def spec_from_json(obj: dict):
-    """Returns (spec, encoding | None, variant | None, ca_embedding | None).
+    """Returns (spec, encoding, variant | None, ca_embedding | None).
 
     A {"ca": {rule, word}} block is shorthand for the cellular
     automaton embedding with the standard 0/1 encoding.  A missing or
@@ -163,11 +163,8 @@ def spec_from_json(obj: dict):
         sigma0=_field(obj, "spec", "sigma0", _STR),
         f0=_initial_values(_field(obj, "spec", "f0", _list_of(_F0_ENTRY))),
     )
-    encoding = _field(obj, "spec", "encoding", _map_of(_STRS), optional=True)
-    enc = None
-    if encoding is not None:
-        enc = Encoding({sym: tuple(bits) for sym, bits in encoding.items()})
-    return spec, enc, variant, None
+    encoding = _field(obj, "spec", "encoding", _map_of(_STRS))
+    return spec, Encoding({sym: tuple(bits) for sym, bits in encoding.items()}), variant, None
 
 
 def _initial_values(entries) -> dict:
@@ -211,19 +208,20 @@ def placement_from_json(sidecar: dict) -> Placement:
     )
 
 
-def compiled_from_files(game: GameSpec, sidecar: dict, spec: RecurrenceSpec, enc: Encoding | None) -> CompiledGame:
+def compiled_from_files(game: GameSpec, sidecar: dict, spec: RecurrenceSpec, enc: Encoding) -> CompiledGame:
     """Rebuild the compiled-game record needed for verification.
 
     Only the output/control vertex positions matter, so the circuit shell
-    carries names without gates or wires.  A sidecar's variant must agree
-    with its in'' vertex, and its outputs must number the encoding's bits.
+    carries names without gates or wires, and the spec is pruned as
+    compile_recurrence prunes it.  A sidecar's variant must agree with its
+    in'' vertex, and its outputs must number the encoding's bits.
     """
     pl = placement_from_json(sidecar)
     outputs = tuple(_field(sidecar, "placement", "outputs", _STRS))
     in_prime = _field(sidecar, "placement", "in_prime", _STR, optional=True)
     in_dprime = _field(sidecar, "placement", "in_dprime", _STR, optional=True)
     variant = _field(sidecar, "placement", "variant", _STR, optional=True)
-    if enc is not None and len(outputs) != enc.s:
+    if len(outputs) != enc.s:
         raise ValueError(f"placement field 'outputs' must name one vertex per encoded bit, "
                          f"{enc.s}, got {len(outputs)}")
     vertices = outputs + tuple(v for v in (in_prime, in_dprime) if v is not None)
@@ -233,7 +231,7 @@ def compiled_from_files(game: GameSpec, sidecar: dict, spec: RecurrenceSpec, enc
     shell = NorCircuit(vertices, (), (), outputs, in_prime, in_dprime)
     lines = _field(sidecar, "placement", "lines", _map_of(_list_of(_vec(3))), optional=True) or {}
     lines = {name: np.array(moves, dtype=np.int64).reshape(-1, 3) for name, moves in lines.items()}
-    cg = CompiledGame(game, pl, shell, spec, enc, lines)
+    cg = CompiledGame(game, pl, shell, prune_unused_arguments(spec)[0], enc, lines)
     if variant is not None and check_variant(variant) != cg.variant:
         raise ValueError("placement field 'in_dprime' must name the in'' vertex of a variant B game "
                          f"and of no other, got {in_dprime!r} for 'variant' {variant}")

@@ -494,17 +494,14 @@ class ModuleIdeal:
                 raise ValueError(f"generator {g} is not in L+")
         for g in gens:
             for h in gens:
-                if g != h and self._leq(h, g):
+                if g != h and dominates(g, h):
                     raise ValueError(f"generators {h} and {g} are comparable in the L+ order")
         self.generators = tuple(gens)
 
-    def _leq(self, a: Vec, b: Vec) -> bool:
-        d = vsub(b, a)
-        return min(d) >= 0 and self.ambient.contains(d)
-
     def contains(self, p) -> bool:
+        """p - g lies in L+ for a generator g; each g lies in L, so p lies in L."""
         p = as_vec(p, 2)
-        return any(self._leq(g, p) for g in self.generators)
+        return self.ambient.contains(p) and any(dominates(p, g) for g in self.generators)
 
     def is_generator(self, p) -> bool:
         return as_vec(p, 2) in self.generators

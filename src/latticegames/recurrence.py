@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .lattice import EVEN_SUM, ModuleIdeal, Sublattice, Vec, as_vec, dot, vsub
+from .lattice import EVEN_SUM, ModuleIdeal, Sublattice, Vec, as_vec, vsub
 
 
 class RecurrenceSpec:
@@ -74,14 +74,27 @@ def _positive_normal(betas) -> Vec:
 
     Strict positivity both certifies the common-halfspace requirement and
     bounds the recurrence: each shift drops nu . l by at least 1 and
-    nu . l >= 0 on N^2, so evaluation terminates.
+    nu . l >= 0 on N^2, so evaluation terminates.  A shift (x, y) bounds
+    nu0 / nu1 below by -y / x if x > 0 > y and above by y / -x if y > 0 > x;
+    nu is the simplest fraction between, whose terms are both least.
     """
-    for total in range(2, 130):
-        for a in range(1, total):
-            b = total - a
-            if all(dot((a, b), beta) >= 1 for beta in betas):
-                return (a, b)
-    raise ValueError("shift vectors do not lie in a common positive-normal halfspace")
+    from fractions import Fraction
+    lo = max((Fraction(-y, x) for x, y in betas if x > 0 > y), default=Fraction(0))
+    hi = min((Fraction(y, -x) for x, y in betas if y > 0 > x), default=None)
+    if any(x <= 0 and y <= 0 for x, y in betas) or (hi is not None and lo >= hi):
+        raise ValueError("shift vectors do not lie in a common positive-normal halfspace")
+    return _simplest_between(lo, hi)
+
+
+def _simplest_between(lo, hi) -> Vec:
+    """(a, b) for the simplest a / b with 0 <= lo < a / b < hi, hi None for no
+    bound: n + 1 for n = floor(lo) if that lies below hi, else n + 1 / z for
+    z the simplest between 1 / (hi - n) and 1 / (lo - n)."""
+    n = int(lo)
+    if hi is None or n + 1 < hi:
+        return (n + 1, 1)
+    a, b = _simplest_between(1 / (hi - n), 1 / (lo - n) if lo > n else None)
+    return (n * a + b, a)
 
 
 def eval_recurrence(spec: RecurrenceSpec, point) -> str:

@@ -75,7 +75,9 @@ def test_criterion_2_slice0_law(gamma_prime_solver):
 
 
 def test_criterion_3_golden_emission():
-    cg = emit_ruleset(paper_placement(), xor_circuit(), xor_recurrence())
+    # the identity encoding: the published game's output reads the xor value
+    cg = emit_ruleset(paper_placement(), xor_circuit(), xor_recurrence(),
+                      Encoding({"P": ("P",), "N": ("N",)}))
     golden = paper_gamma()
     assert cg.game.ruleset == golden
     assert set(cg.lines["wires"]) | set(cg.lines["slice0"]) | set(

@@ -45,6 +45,10 @@ from latticegames.recurrence import Encoding, RecurrenceSpec
 from latticegames.search import SearchSpace
 
 
+# the published game's output gate reads the xor value itself
+IDENTITY_ENC = Encoding({"P": ("P",), "N": ("N",)})
+
+
 @pytest.fixture(scope="module")
 def xor_spec():
     return xor_recurrence()
@@ -115,7 +119,7 @@ def test_staircase_must_be_downward_closed():
 
 
 def test_golden_emission(xor_spec):
-    cg = emit_ruleset(paper_placement(), xor_circuit(), xor_spec)
+    cg = emit_ruleset(paper_placement(), xor_circuit(), xor_spec, IDENTITY_ENC)
     assert set(cg.game.ruleset.moves) == set(paper_gamma().moves)
     assert len(cg.lines["wires"]) == 7
     assert len(cg.lines["slice0"]) == 20
@@ -126,7 +130,7 @@ def test_golden_emission(xor_spec):
 def test_emission_rederives_the_misprints(xor_spec):
     # the verbatim transcription differs from the formula output exactly by
     # both translates of the four bad base points
-    cg = emit_ruleset(paper_placement(), xor_circuit(), xor_spec)
+    cg = emit_ruleset(paper_placement(), xor_circuit(), xor_spec, IDENTITY_ENC)
     extras = set(paper_gamma_verbatim().moves) - set(cg.game.ruleset.moves)
     want = set()
     for b in ((0, 5), (4, 0), (5, 0), (5, 1)):
@@ -137,8 +141,8 @@ def test_emission_rederives_the_misprints(xor_spec):
 
 
 def test_emission_deterministic(xor_spec):
-    a = emit_ruleset(paper_placement(), xor_circuit(), xor_spec)
-    b = emit_ruleset(paper_placement(), xor_circuit(), xor_spec)
+    a = emit_ruleset(paper_placement(), xor_circuit(), xor_spec, IDENTITY_ENC)
+    b = emit_ruleset(paper_placement(), xor_circuit(), xor_spec, IDENTITY_ENC)
     assert a.lines == b.lines
     assert a.game.ruleset == b.game.ruleset
 
@@ -183,7 +187,7 @@ def test_emission_refuses_failing_placement(xor_spec):
     pl = paper_placement()
     tiny = Placement(pl.pos, 1, pl.staircase, pl.normal)
     with pytest.raises(EmissionError) as err:
-        emit_ruleset(tiny, xor_circuit(), xor_spec)
+        emit_ruleset(tiny, xor_circuit(), xor_spec, IDENTITY_ENC)
     # the refusal carries the report that decided it
     assert "f" in err.value.report.failures()
     assert f"{err.value.report.failures()}" in str(err.value)
@@ -262,7 +266,7 @@ def test_verify_builtin_gamma():
         placement=paper_placement(),
         circuit=xor_circuit(),
         spec=spec,
-        enc=Encoding({"P": ("P",), "N": ("N",)}),
+        enc=IDENTITY_ENC,
         line_arrays={},
     )
     rep = verify_construction(cg, bound=47)
@@ -278,7 +282,7 @@ def _corrupted_gamma():
         placement=paper_placement(),
         circuit=xor_circuit(),
         spec=xor_recurrence(),
-        enc=Encoding({"P": ("P",), "N": ("N",)}),
+        enc=IDENTITY_ENC,
         line_arrays={},
     )
 
@@ -934,6 +938,28 @@ def test_prunes_keep_every_accepted_prefix(searches, data):
     assert (_prefix_verdicts(space, spec, placement) == [None] * len(space.slots)) == pruned, placement.pos
 
 
+@pytest.mark.parametrize("shift, at", [((2, 0), "in''"), ((-7, -5), "not_1")])
+def test_in_dprime_feed_prunes(shift, at):
+    # the rule 110 B placement at seed 0 with in' moved: the difference from
+    # in'' to in' then clashes with that of another pair, so (g) prunes the
+    # prefix that completes the clash.  With in' moved by (2, 0) that is the
+    # prefix placing in'' itself; by (-7, -5) it is the one placing not_1, a
+    # ladder gate that no edge from in'' reaches.  The reference names a
+    # difference clash, so no control overlaps a staircase neighbourhood and
+    # the prune is the feed-difference one
+    circuit, spec = _search_circuit(_ca_spec(110), CA_ENC, "B")
+    pl = search_placement(circuit, spec, seed=0)
+    space = SearchSpace(circuit, spec)
+    ip = pl.pos["in'"]
+    moved = Placement({**pl.pos, "in'": (ip[0] + shift[0], ip[1] + shift[1])}, pl.m, pl.staircase, pl.normal)
+    verdicts = _prefix_verdicts(space, spec, moved)
+    k = space.slots.index((at,))
+    assert verdicts[:k + 1] == [None] * k + ["g"]
+    assert at == circuit.in_dprime or at not in circuit.in_dprime_heads
+    want = _reference_check_conditions(moved, circuit, spec).results["g"]
+    assert want.status == "fail" and want.witness[0] == "difference-clash"
+
+
 def test_rule32_compiles_within_the_budget():
     # rule 32 B, the outlier of the random search (m = 65 at seed 0), is
     # placed within the node budget near m0 and verifies at 4m
@@ -1216,17 +1242,16 @@ def _reference_verify_construction(cg, bound):
             break
     checks.append(CheckOutcome("slice0-lattice-law", failure is None, count, failure))
 
-    if cg.enc is not None:
-        count = 0
-        failure = None
-        for l in mod_ells:
-            want = cg.enc.encode(eval_recurrence(spec, l))
-            got = [grid.outcome_at((op[0] + m * l[0], op[1] + m * l[1], 1)) for op in out_pos]
-            count += 1
-            if tuple(got) != want:
-                failure = (l, want, tuple(got))
-                break
-        checks.append(CheckOutcome("output-encoding", failure is None, count, failure))
+    count = 0
+    failure = None
+    for l in mod_ells:
+        want = cg.enc.encode(eval_recurrence(spec, l))
+        got = [grid.outcome_at((op[0] + m * l[0], op[1] + m * l[1], 1)) for op in out_pos]
+        count += 1
+        if tuple(got) != want:
+            failure = (l, want, tuple(got))
+            break
+    checks.append(CheckOutcome("output-encoding", failure is None, count, failure))
 
     if "in-prime" in specials:
         count = 0

@@ -10,7 +10,7 @@ import pytest
 from latticegames import io
 from latticegames.builtin import paper_gamma, paper_gamma_prime, swapped_encoding, xor_recurrence
 from latticegames.cli import main
-from latticegames.compiler import compile_recurrence
+from latticegames.compiler import compile_recurrence, verify_construction
 from latticegames.engine import GameSpec
 from latticegames.lattice import LatticeSet
 
@@ -232,6 +232,51 @@ def test_cli_verify_refuses_a_spec_of_another_variant(tmp_path, capsys):
     assert main(["verify", str(out), "--spec", "specs/rule110.json", "--bound", str(4 * m)]) == 0
 
 
+def test_cli_refuses_a_spec_without_encoding(tmp_path, capsys, monkeypatch):
+    # the output check reads the encoding, so verify, like compile, refuses
+    # a spec without one before anything is solved or searched
+    from latticegames import compiler
+    from latticegames.engine import Solver
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(Solver, "outcomes", unreachable)
+    monkeypatch.setattr(compiler, "search_placement", unreachable)
+    spec = tmp_path / "noenc.json"
+    spec.write_text(json.dumps(_without(XOR_SPEC, "encoding")))
+    side = tmp_path / "side.json"
+    side.write_text(json.dumps(PAPER_SIDECAR))
+    argvs = [["verify", "paper-gamma", "--spec", str(spec), "--placement", str(side), "--bound", "48"],
+             ["compile", str(spec), "-o", str(tmp_path / "g.json")]]
+    for argv in argvs:
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: spec field 'encoding' must be"), err
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_reader_prunes_the_spec(tmp_path, capsys):
+    # xor with a third shift (-1, 2) that its table ignores: the game is
+    # compiled from the pruned spec, and read back against the spec as
+    # written it verifies as well, through the reader and the CLI
+    spec = tmp_path / "xor3.json"
+    spec.write_text(json.dumps({**XOR_SPEC, "betas": [[1, 0], [0, 1], [-1, 2]],
+                                "g": [g for g in XOR_SPEC["g"] for _ in "PN"]}))
+    out = tmp_path / "xor3.game.json"
+    assert main(["compile", str(spec), "-o", str(out)]) == 0
+    side = json.loads(Path(str(out) + ".placement.json").read_text())
+    written, enc, _variant, _emb = io.load_spec(str(spec))
+    assert len(written.betas) == 3
+    cg = io.compiled_from_files(io.load_game(str(out)), side, written, enc)
+    assert cg.spec.betas == ((1, 0), (0, 1))
+    report = verify_construction(cg, 4 * side["m"])
+    assert report.ok and all(c.checked for c in report.checks), report.summary()
+    capsys.readouterr()
+    assert main(["verify", str(out), "--spec", str(spec), "--bound", str(4 * side["m"])]) == 0
+    assert capsys.readouterr().out == report.summary() + "\n"
+
+
 def test_cli_probe_refuses_before_solving(tmp_path, capsys, monkeypatch):
     # a 4-D grid has no plane to probe, so nothing is solved
     from latticegames.engine import Solver
@@ -247,7 +292,9 @@ def test_cli_probe_refuses_before_solving(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_compile_hint(tmp_path, capsys):
-    # a hint that already passes is used as-is: paper placement, core only
+    # the paper placement as a hint: it names the paper's gates, not those
+    # of the synthesized circuit, so it cannot fit, and the search still
+    # places the circuit
     hint = tmp_path / "hint.json"
     hint.write_text(
         json.dumps(
@@ -272,8 +319,6 @@ def test_cli_compile_hint(tmp_path, capsys):
         ["compile", "specs/xor.json", "--seed", "0", "--hint", str(hint), "-o", str(out)]
     )
     capsys.readouterr()
-    # the synthesized circuit uses its own gate names, so this hint cannot
-    # fit; the search still succeeds
     assert rc == 0
     assert out.exists()
 

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import numpy as np
 import pytest
@@ -461,3 +462,12 @@ def test_module_ideal():
     assert not ME.contains((1, 1))
     assert not ME.contains((0, 2))
     assert ME.contains((0, 6))
+    with pytest.raises(ValueError):
+        ModuleIdeal(EVEN_SUM, [(0, 2), (1, 3)])  # (1, 3) - (0, 2) lies in L+
+    # the direct definition, p - g in L+ for a generator g, on points on and
+    # off L, including points that dominate a generator off L
+    for module in (M, ME, ModuleIdeal(Sublattice((2, 1), (0, 3)), [(0, 3), (2, 1)])):
+        L = module.ambient
+        for x, y in product(range(-2, 9), repeat=2):
+            want = any(min(x - a, y - b) >= 0 and L.contains((x - a, y - b)) for a, b in module.generators)
+            assert module.contains((x, y)) == want, (module, (x, y))

@@ -1,3 +1,6 @@
+from functools import cache
+from itertools import combinations, product
+
 import pytest
 
 from latticegames.builtin import swapped_encoding, xor_recurrence
@@ -5,6 +8,7 @@ from latticegames.lattice import EVEN_SUM, Z2, ModuleIdeal
 from latticegames.recurrence import (
     Encoding,
     RecurrenceSpec,
+    _positive_normal,
     binom_parity_oracle,
     ca_to_recurrence,
     encoded_table,
@@ -29,6 +33,27 @@ def test_eval_outside_domain():
     spec = xor_recurrence()
     with pytest.raises(ValueError):
         eval_recurrence(spec, (-1, 0))
+
+
+def test_eval_matches_direct_recursion():
+    # the shift (1, 1) is the sum of the two after it, so the stack meets
+    # points that a later sibling has already evaluated; the far corner
+    # first, so that one evaluation runs the whole stack
+    betas = [(1, 1), (1, 0), (0, 1)]
+    table = {row: "P" if row.count("N") in (0, 3) else "N" for row in product("PN", repeat=3)}
+    spec = RecurrenceSpec(Z2, ModuleIdeal(Z2, [(0, 0)]), betas, ("P", "N"), table, "P", {(0, 0): "N"})
+
+    @cache
+    def direct(p):
+        if p == (0, 0):
+            return "N"
+        shifted = [(p[0] - x, p[1] - y) for x, y in betas]
+        if min(min(q) for q in shifted) < 0:
+            return "P"
+        return table[tuple(direct(q) for q in shifted)]
+
+    for p in sorted(product(range(25), repeat=2), reverse=True):
+        assert eval_recurrence(spec, p) == direct(p), p
 
 
 def test_binom_parity():
@@ -57,6 +82,43 @@ def test_halfspace_normal_required():
             sigma0="P",
             f0={(0, 0): "P"},
         )
+
+
+def _normal_by_search(betas):
+    """The halfspace normal by a search over the least total, then the least
+    first coordinate.  When one exists its total is at most 2 max |beta|_1 + 1,
+    that of the mediant of the two shifts that bound nu0 / nu1 the tightest."""
+    for total in range(2, 2 * max(abs(x) + abs(y) for x, y in betas) + 2):
+        for a in range(1, total):
+            if all(a * x + (total - a) * y >= 1 for x, y in betas):
+                return (a, total - a)
+    return None
+
+
+def test_halfspace_normal_from_the_shifts():
+    # the bound comes from the shifts: (1, -200) needs nu0 >= 201 nu1 + 1
+    spec = RecurrenceSpec(
+        lattice=Z2,
+        module=ModuleIdeal(Z2, [(0, 0)]),
+        betas=[(1, -200), (0, 1)],
+        alphabet=("P", "N"),
+        table={(a, b): "P" if a == b else "N" for a in "PN" for b in "PN"},
+        sigma0="P",
+        f0={(0, 0): "P"},
+    )
+    assert spec.halfspace_normal == (201, 1)
+    # and agrees with the search on every one or two shifts in [-3, 3]^2 and
+    # every three in [-2, 2]^2
+    def shifts(r):
+        return [(x, y) for x in range(-r, r + 1) for y in range(-r, r + 1) if (x, y) != (0, 0)]
+
+    for betas in [*combinations(shifts(3), 1), *combinations(shifts(3), 2), *combinations(shifts(2), 3)]:
+        want = _normal_by_search(betas)
+        if want is None:
+            with pytest.raises(ValueError, match="common positive-normal halfspace"):
+                _positive_normal(betas)
+        else:
+            assert _positive_normal(betas) == want, betas
 
 
 def test_axis_anchor_required():
