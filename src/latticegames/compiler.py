@@ -14,7 +14,7 @@ import copy
 import random
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
 import numpy as np
 
@@ -85,6 +85,12 @@ class Placement:
         )
 
 
+# traced peak bytes of a label frame per point of F (40-49), and of the
+# emission that reads it per pair of a point of F and one of I (86-103):
+# xor C and rule 110 B at 1, 3 and 6 times the m they compile at
+FRAME_POINT_BYTES, EMISSION_POINT_BYTES = 50, 104
+
+
 class LabelFrame:
     """The residue tables of one (L, m, I, nu), which no gate position
     changes: mL, F and its codes, the codes of the staircase points and of
@@ -104,6 +110,10 @@ class LabelFrame:
         self.lattice, self.m, self.staircase, self.normal = lattice, m, staircase, normal
         self.mL = lattice.scale(m)
         self.det = self.mL.index()
+        # F is the points under the running minimum of the column heights
+        n = sum(accumulate(self.mL.column_heights()[:-1], min))
+        kernels.check_memory(n * (FRAME_POINT_BYTES + EMISSION_POINT_BYTES * len(staircase)),
+                             f"m = {m} (a label frame of {n} points and its emission)")
         self.F = F_array(lattice, m)
         self.F_codes = self.mL.class_labels(self.F)
         self.stair_codes = self.mL.class_labels(staircase)
@@ -178,41 +188,17 @@ class ConditionResult:
     note: str = ""
 
 
+@dataclass(frozen=True)
 class ConditionReport:
-    """The placement conditions by key, each decided on first request.
+    """The decided placement conditions, by key in key order."""
 
-    A value is a ConditionResult, or a function that decides the condition:
-    it returns the first witness, or None when the condition holds.  ok()
-    decides conditions in the order given and stops at the first failure;
-    item access decides the one condition asked for; results, failures(),
-    summary() and repr decide every condition left and read the full report
-    in key order.
-    """
-
-    def __init__(self, results: dict):
-        self._results = dict(results)
-
-    def _decide(self, key: str) -> ConditionResult:
-        r = self._results[key]
-        if callable(r):
-            witness = r()
-            r = self._results[key] = ConditionResult("pass" if witness is None else "fail", witness)
-        return r
-
-    @property
-    def results(self) -> dict[str, ConditionResult]:
-        return {key: self._decide(key) for key in sorted(self._results)}
+    results: dict[str, ConditionResult]
 
     def __getitem__(self, key: str) -> ConditionResult:
-        return self._decide(key)
-
-    def first_failure(self) -> str | None:
-        """The first failing condition in the order given, or None; no
-        condition after it is decided."""
-        return next((key for key in self._results if self._decide(key).status == "fail"), None)
+        return self.results[key]
 
     def ok(self) -> bool:
-        return self.first_failure() is None
+        return not self.failures()
 
     def failures(self) -> list[str]:
         return [k for k, r in self.results.items() if r.status == "fail"]
@@ -238,7 +224,7 @@ def check_conditions(
     circuit: NorCircuit,
     spec: RecurrenceSpec,
 ) -> ConditionReport:
-    """Decide the nine placement conditions exactly, on demand.
+    """Decide the nine placement conditions exactly.
 
     Lattice-translation-invariant clauses are reduced to residue classes of
     m*lattice, read from class_labels codes: one per gate position, and the
@@ -248,11 +234,7 @@ def check_conditions(
     placements that share it.  The staircase clauses are finite
     enumerations.  Clauses about the control vertices are vacuous when the
     circuit does not carry them.  Each condition is a function that returns
-    its first witness, or None when the condition holds; the report runs
-    them only when asked.  ok() stops at the first failing condition, trying
-    (c) first, then the checks on positions alone, then those that read the
-    staircase tables.  Reading the results decides every condition, so other
-    callers see the full report.
+    its first witness, or None when the condition holds.
     """
     pl = placement
     for v in circuit.vertices:
@@ -295,16 +277,12 @@ def check_conditions(
         # difference from v to a non-input w matches an edge difference mod mL,
         # some vertex realises that difference exactly, and every vertex that
         # does is an in-neighbour of w.  reach[j, e]: the label of edge e is
-        # that of a difference to V[j]; read in (w, e) order.  An edge (t, h)
-        # read at h is realised by t alone when no other vertex shares t's
-        # position, so it passes unread
+        # that of a difference to V[j]; read in (w, e) order
         at: dict[Vec, list[str]] = {}
         for v in V:
             at.setdefault(pos[v], []).append(v)
         reach = (diff[:, :, None] == edge_labels).any(axis=0)
         reach[[ix[x] for x in circuit.flat_inputs]] = False
-        alone = np.array([len(at[pos[v]]) == 1 for v in V], dtype=bool)
-        reach[head, np.arange(len(E))] &= ~alone[tail]
         for j, k in np.argwhere(reach).tolist():
             w, e, d = V[j], E[k], edge_delta[k]
             exact = at.get(vsub(pos[w], d), [])
@@ -394,20 +372,20 @@ def check_conditions(
                 return ("feeder-dominates", t, o)
         return None
 
-    vacuous = ConditionResult("vacuous", note="no control vertices")
-    # the order ok() decides them in: (c) rejects most drawn placements,
-    # then come the checks on positions alone, then those that read the
-    # staircase tables, the likeliest to fail first
+    def decided(witness) -> ConditionResult:
+        return ConditionResult("pass" if witness is None else "fail", witness)
+
     return ConditionReport({
-        "c": wire_realisations,
-        "b": input_shifts,
-        "h": board_sides,
-        "i": output_order,
-        "e": displacement_sets,
-        "g": control_neighbourhoods if circuit.controls else vacuous,
-        "f": wire_stair_clashes,
-        "d": staircase_translates,
-        "a": halfspace,
+        "a": decided(halfspace()),
+        "b": decided(input_shifts()),
+        "c": decided(wire_realisations()),
+        "d": decided(staircase_translates()),
+        "e": decided(displacement_sets()),
+        "f": decided(wire_stair_clashes()),
+        "g": decided(control_neighbourhoods()) if circuit.controls
+        else ConditionResult("vacuous", note="no control vertices"),
+        "h": decided(board_sides()),
+        "i": decided(output_order()),
     })
 
 
@@ -436,10 +414,13 @@ def search_placement(
     from the seed, that drops a value as soon as the slots placed so far
     fail a condition no completion repairs.  check_conditions decides every
     complete placement the search reaches, and the first it accepts (or a
-    hint it accepts) is returned.  The search starts at m0 and moves to
-    m + 2 when it has rejected search.NODE_BUDGET values at m or exhausted
-    them; after M_STEPS scales it raises PlacementSearchError, naming the
-    condition that rejected the most values, with the last full report it got.
+    hint it accepts) is returned.  Each rejection is tallied under one
+    condition: a value the search drops under the condition that dropped
+    it, a complete placement under its first failing condition in key
+    order.  The search starts at m0 and moves to m + 2 when it has rejected
+    search.NODE_BUDGET values at m or exhausted them; after M_STEPS scales
+    it raises PlacementSearchError, naming the condition with the largest
+    tally, with the last full report it got.
     """
     if not circuit.vertices or not circuit.outputs:
         raise ValueError("cannot place an empty circuit")
@@ -462,9 +443,9 @@ def search_placement(
             placement = copy.copy(template)
             placement.pos = pos
             report = check_conditions(placement, circuit, spec)
-            bad = report.first_failure()
-            if bad is None:
+            if report.ok():
                 return placement
+            bad = report.failures()[0]
             tally[bad] = tally.get(bad, 0) + 1
     worst = max(sorted(tally), key=tally.get)
     raise PlacementSearchError(

@@ -171,9 +171,7 @@ class SearchSpace:
             return "f", []
 
         # (c): the instances (w, e) that a new vertex or edge completes, as w,
-        # as the vertex whose difference to w shares e's class, or as e.  An
-        # edge read at its own head points at its tail, an in-neighbour, so
-        # check_conditions' skip of such reads changes no verdict here
+        # as the vertex whose difference to w shares e's class, or as e
         cases = [(w, e) for e in range(fresh, len(edges)) for w in range(n)
                  if minus(codes[w], edge_codes[e]) in by_code]
         for x in new:

@@ -65,6 +65,9 @@ def test_paper_placement_passes_conditions(xor_spec):
         assert rep[key].status == "pass", (key, rep[key])
     assert rep["g"].status == "vacuous"
     assert rep.ok()
+    assert list(rep.results) == list("abcdefghi")
+    assert "(g) vacuous  [no control vertices]" in rep.summary().splitlines()
+    assert repr(rep) == "ConditionReport(ok=True)"
 
 
 def test_condition_b_fails_on_moved_input(xor_spec):
@@ -75,13 +78,9 @@ def test_condition_b_fails_on_moved_input(xor_spec):
     rep = check_conditions(moved, xor_circuit(), xor_spec)
     assert rep["b"].status == "fail"
     assert rep["b"].witness[:2] == (1, 1)
-
-
-def test_item_access_decides_one_condition(xor_spec):
-    rep = check_conditions(paper_placement(), xor_circuit(), xor_spec)
-    assert rep["b"].status == "pass"
-    # (g) is vacuous without control vertices, so decided from the start
-    assert {key for key, r in rep._results.items() if callable(r)} == set("acdefhi")
+    assert f"(b) fail  witness: {rep['b'].witness}" in rep.summary().splitlines()
+    # an input moved off its shift also breaks the wires and classes it fed
+    assert repr(rep) == "ConditionReport(ok=False, failing=['b', 'c', 'd', 'e', 'f'])"
 
 
 def test_input_on_board_witness_ignores_hash_seed():
@@ -291,6 +290,10 @@ def test_verify_detects_corruption():
     rep = verify_construction(_corrupted_gamma(), bound=60)
     assert not rep.ok
     assert not rep["output-encoding"].ok
+    assert rep["output-encoding"].status == "FAIL"
+    line = next(line for line in rep.summary().splitlines() if line.startswith("output-encoding:"))
+    assert line.startswith("output-encoding: FAIL (")
+    assert f"  first failure: {rep['output-encoding'].failure}" in line
 
 
 def simple_spec():

@@ -151,6 +151,9 @@ def test_cli_probe_single(capsys):
         == 0
     )
     assert capsys.readouterr().out.startswith("violation (0, 6)")
+    # --max-period 1 probes the eight l with entries in -1..1
+    assert main(["probe", "paper-gamma-prime", "--slice", "0", "--window", "24,24", "--max-period", "1"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 8
 
 
 def test_cli_probe_reports_candidates_with_no_pairs(capsys):
@@ -540,6 +543,10 @@ CLI_FAILURES = [
     # the control lines follow the circuit, so there is no flag to drop them
     (["compile", "specs/rule90.json", "--core-only", "-o", "{out}"], None,
      "unrecognized arguments: --core-only"),
+    # normal (201, 1): the search starts near m = 242,000, whose F holds
+    # about 5.9e10 points, refused by their count before F is built
+    (["compile", "{file}", "-o", "{out}"], {**XOR_SPEC, "betas": [[1, -200], [0, 1]]},
+     "over the 4 GiB budget"),
 ]
 
 
@@ -582,6 +589,24 @@ def test_cli_verify_refuses_off_board_output(tmp_path, capsys):
     assert main(argv + ["--placement", str(side)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "vertex 'out_1' at (-100, -100)" in err
+
+
+def test_cli_verify_prints_the_first_failure(tmp_path, capsys):
+    # the published game, and the same game without its move (1, 1, 0),
+    # read against the paper placement with the identity encoding
+    spec = tmp_path / "xor-identity.json"
+    spec.write_text(json.dumps({**XOR_SPEC, "encoding": {"P": ["P"], "N": ["N"]}}))
+    side = tmp_path / "side.json"
+    side.write_text(json.dumps(PAPER_SIDECAR))
+    argv = ["--spec", str(spec), "--placement", str(side), "--bound", "60"]
+    assert main(["verify", "paper-gamma", *argv]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    weak = tmp_path / "weak.json"
+    weak.write_text(json.dumps({"dim": 3, "moves": [list(m) for m in paper_gamma().moves if m != (1, 1, 0)]}))
+    assert main(["verify", str(weak), *argv]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    line = next(line for line in lines if line.startswith("output-encoding:"))
+    assert line.startswith("output-encoding: FAIL (") and "  first failure: " in line
 
 
 def test_python_m_runs_the_cli():
