@@ -22,6 +22,13 @@ VARIANTS = ("B", "C")
 SYNTH_TABLE_BOUND = 4096
 
 
+def check_synthesis_size(k: int) -> None:
+    """Refuse a table on k input bits that synthesis would not take; callers
+    ask before building the table's 2^k rows."""
+    if k * 2**k > SYNTH_TABLE_BOUND:
+        raise ValueError(f"table size {k}*2^{k} exceeds the synthesis bound")
+
+
 def check_variant(variant: str) -> str:
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -213,8 +220,7 @@ def synthesize_nor_circuit(table: dict) -> NorCircuit:
         raise ValueError("ragged truth table")
     if len(rows) != 2**k:
         raise ValueError("truth table must be total")
-    if k * 2**k > SYNTH_TABLE_BOUND:
-        raise ValueError(f"table size {k}*2^{k} exceeds the synthesis bound")
+    check_synthesis_size(k)
     if k % s != 0:
         raise ValueError("input bit count must split into blocks of the output width")
     r = k // s

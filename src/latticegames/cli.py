@@ -105,11 +105,7 @@ def cmd_solve(args) -> int:
 def cmd_compile(args) -> int:
     spec, enc, variant, _emb = io.load_spec(args.spec)
     variant = args.variant or variant or "C"
-    hint = None
-    if args.hint:
-        with open(args.hint) as fh:
-            hint = io.placement_from_json(json.load(fh))
-    cg = compile_recurrence(spec, enc, variant=variant, seed=args.seed, hint=hint)
+    cg = compile_recurrence(spec, enc, variant=variant, seed=args.seed)
     sidecar = io.save_compiled(cg, args.output)
     print(f"wrote {args.output} ({len(cg.game.ruleset)} moves) and {sidecar}")
     return 0
@@ -224,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--hint", help="placement sidecar to try before searching")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(fn=cmd_compile)
 

@@ -19,7 +19,8 @@ from itertools import accumulate, combinations, product
 import numpy as np
 
 from . import engine, kernels
-from .circuits import NorCircuit, check_variant, extend_circuit, synthesize_nor_circuit
+from .circuits import (NorCircuit, check_synthesis_size, check_variant, extend_circuit,
+                       synthesize_nor_circuit)
 from .engine import GameSpec, Infeasible, PointednessWitness, Ruleset, Solver
 from .lattice import (
     F_array,
@@ -401,36 +402,25 @@ class PlacementSearchError(RuntimeError):
 M_STEPS = 50
 
 
-def search_placement(
-    circuit: NorCircuit,
-    spec: RecurrenceSpec,
-    seed: int = 0,
-    hint: Placement | None = None,
-) -> Placement:
+def search_placement(circuit: NorCircuit, spec: RecurrenceSpec, seed: int = 0) -> Placement:
     """Find a placement passing all applicable conditions.
 
     Deterministic for a given seed: a depth-first search over the values of
     SearchSpace's slots, each slot trying its values in an order shuffled
     from the seed, that drops a value as soon as the slots placed so far
     fail a condition no completion repairs.  check_conditions decides every
-    complete placement the search reaches, and the first it accepts (or a
-    hint it accepts) is returned.  Each rejection is tallied under one
-    condition: a value the search drops under the condition that dropped
-    it, a complete placement under its first failing condition in key
-    order.  The search starts at m0 and moves to m + 2 when it has rejected
-    search.NODE_BUDGET values at m or exhausted them; after M_STEPS scales
-    it raises PlacementSearchError, naming the condition with the largest
-    tally, with the last full report it got.
+    complete placement the search reaches, and the first it accepts is
+    returned.  Each rejection is tallied under one condition: a value the
+    search drops under the condition that dropped it, a complete placement
+    under its first failing condition in key order.  The search starts at
+    m0 and moves to m + 2 when it has rejected search.NODE_BUDGET values at
+    m or exhausted them; after M_STEPS scales it raises
+    PlacementSearchError, naming the condition with the largest tally, with
+    the last full report it got.
     """
     if not circuit.vertices or not circuit.outputs:
         raise ValueError("cannot place an empty circuit")
     circuit.check_reachability()
-    if hint is not None:
-        try:
-            if check_conditions(hint, circuit, spec).ok():
-                return hint
-        except ValueError:
-            pass  # hint does not fit this circuit; fall through to the search
     space = SearchSpace(circuit, spec)
     rng = random.Random(seed)
     tally: dict[str, int] = {}
@@ -729,7 +719,6 @@ def compile_recurrence(
     enc: Encoding,
     variant: str = "C",
     seed: int = 0,
-    hint: Placement | None = None,
 ) -> CompiledGame:
     """Full pipeline: validate, prune, synthesise, extend, place, emit."""
     check_variant(variant)
@@ -744,7 +733,8 @@ def compile_recurrence(
                 f"all be the background symbol; offending generators: {bad}"
             )
     pruned, _kept = prune_unused_arguments(spec)
+    check_synthesis_size(pruned.num_args * enc.s)  # before the table's rows are built
     circuit = synthesize_nor_circuit(encoded_table(pruned, enc))
     circuit = extend_circuit(circuit, variant)
-    placement = search_placement(circuit, pruned, seed, hint=hint)
+    placement = search_placement(circuit, pruned, seed)
     return _emit(placement, circuit, pruned, enc)  # the search checked it

@@ -146,14 +146,14 @@ def spec_from_json(obj: dict):
     module = ModuleIdeal(lattice, [tuple(g) for g in gens])
     alphabet = tuple(_field(obj, "spec", "alphabet", _STRS))
     betas = [tuple(b) for b in _field(obj, "spec", "betas", _VECS)]
-    rows = list(product(alphabet, repeat=len(betas)))
     g_values = _field(obj, "spec", "g", _STRS)
-    if len(g_values) != len(rows):
+    expected = len(alphabet) ** len(betas)  # counted before the rows are built
+    if len(g_values) != expected:
         raise ValueError(
-            f"table has {len(g_values)} entries, expected {len(rows)} (row-major "
+            f"table has {len(g_values)} entries, expected {expected} (row-major "
             "over alphabet^r)"
         )
-    table = dict(zip(rows, g_values))
+    table = dict(zip(product(alphabet, repeat=len(betas)), g_values))
     spec = RecurrenceSpec(
         lattice=lattice,
         module=module,

@@ -455,8 +455,6 @@ class _ExprParser:
                 else:
                     m = self.parse_int()
             self.expect(")")
-            if not basis:
-                raise ExprError("coset needs basis vectors")
             return LatticeSet.coset(v, basis, m)
         if name == "finite" or (name.startswith("finite") and name[6:].isdigit()):
             dim = int(name[6:]) if len(name) > 6 else None

@@ -192,6 +192,15 @@ def test_emission_refuses_failing_placement(xor_spec):
     assert f"{err.value.report.failures()}" in str(err.value)
 
 
+def test_emission_refuses_a_placement_without_a_vertex(xor_spec):
+    # a hand-made placement reaches emission only through emit_ruleset, whose
+    # check names a vertex the placement leaves out
+    pl = paper_placement()
+    partial = Placement({v: p for v, p in pl.pos.items() if v != "v4"}, pl.m, pl.staircase, pl.normal)
+    with pytest.raises(ValueError, match="placement gives no position for vertex v4"):
+        emit_ruleset(partial, xor_circuit(), xor_spec, IDENTITY_ENC)
+
+
 def test_tangent_line_always_present(xor_compiled):
     assert xor_compiled.lines["tangent"] == ((0, 0, 2),)
 
@@ -208,14 +217,6 @@ def test_search_placement_xor(xor_spec):
     # deterministic in the seed
     pl2 = search_placement(circuit, xor_spec, seed=0)
     assert pl.pos == pl2.pos and pl.m == pl2.m
-
-
-def test_search_hint_mode(xor_spec):
-    # a passing placement given as hint comes back unchanged
-    pl = search_placement(xor_circuit(), xor_spec, seed=3, hint=paper_placement())
-    assert pl is not None
-    assert pl.pos == paper_placement().pos
-    assert pl.m == 6
 
 
 def test_search_empty_circuit(xor_spec):
@@ -887,9 +888,6 @@ def test_each_placement_is_decided_once(monkeypatch):
     monkeypatch.setattr(compiler, "check_conditions", lambda *case: calls.append(case) or checker(*case))
     games = [compile_recurrence(_ca_spec(110), CA_ENC, "B", seed=seed) for seed in range(4)]
     assert len(calls) == 4
-    # an accepted hint is decided once too
-    hinted = compile_recurrence(_ca_spec(110), CA_ENC, "B", hint=games[1].placement)
-    assert len(calls) == 5 and hinted.placement is games[1].placement
     for cg in games:
         assert verify_construction(cg, 4 * cg.placement.m).ok
         assert "moves" not in cg.game.ruleset.__dict__
@@ -939,6 +937,57 @@ def test_prunes_keep_every_accepted_prefix(searches, data):
     want = _reference_check_conditions(placement, circuit, spec).results
     pruned = all(want[key].status != "fail" for key in "cefg")
     assert (_prefix_verdicts(space, spec, placement) == [None] * len(space.slots)) == pruned, placement.pos
+
+
+def _twin_circuit():
+    """Two output bits fed by the source gates u, s1, d and p0..p5 (pi feeds
+    out_1 for even i, out_2 for odd i), and a gate a reading every input.
+    The six p gates widen the ladder's jitter to 12, so two gates on one
+    level can differ by m (1, -1), a vector of mL, at m = 20."""
+    from latticegames.circuits import NorCircuit
+
+    inputs = (("in_1_1", "in_1_2"), ("in_2_1", "in_2_2"))
+    sources = ["u", "s1", "d"] + [f"p{i}" for i in range(6)]
+    edges = [("u", "out_1"), ("s1", "out_2"), ("d", "out_1")]
+    edges += [(p, f"out_{1 + i % 2}") for i, p in enumerate(sources[3:])]
+    edges += [(x, "a") for block in inputs for x in block] + [("a", "out_1"), ("a", "out_2")]
+    vertices = (*inputs[0], *inputs[1], *sources, "a", "out_1", "out_2")
+    return extend_circuit(NorCircuit(vertices, tuple(edges), inputs, ("out_1", "out_2")), "C")
+
+
+def test_open_realiser_waits_for_a_later_slot(xor_spec):
+    # a placement of the search's candidates at its m0 = 20 that passes all
+    # nine conditions, where (c) instances stay open: u and d share a class
+    # of mL (d - u = 20 (-1, 1)) and the wire s1 -> out_2 is parallel to
+    # d -> out_1, so once u and s1 are placed the instance (out_1,
+    # s1 -> out_2) reads the empty point out_1 - (out_2 - s1), where only d's
+    # slot can put a vertex.  The pair s1, p1 and the wires u -> out_1,
+    # p1 -> out_2 open a second instance, for out_2, that p1 closes.  A (c)
+    # prune that decided "no exact realiser" on the placed gates alone would
+    # drop this placement at s1's slot
+    circuit = _twin_circuit()
+    space = SearchSpace(circuit, xor_spec)
+    pos = {"out_1": (12, 14), "out_2": (13, 13), "in'": (0, 2), "u": (21, -1), "s1": (2, 18),
+           "d": (1, 19), "p0": (4, 16), "p1": (22, -2), "p2": (7, 13), "p3": (13, 7), "p4": (10, 10),
+           "p5": (17, 3), "a": (19, 1)}
+    # each input one scaled shift below its output bit
+    pos.update((x, vsub(pos[f"out_{j + 1}"], (20 * b[0], 20 * b[1])))
+               for block, b in zip(circuit.inputs, xor_spec.betas) for j, x in enumerate(block))
+    pl = Placement(pos, 20, space.staircase, space.normal)
+    assert space.m0 == 20 and check_conditions(pl, circuit, xor_spec).ok()
+    sv = _slot_values(space, xor_spec, pl.m)
+    assert all(tuple(pos[v] for v in vs) in sv.points[k] for k, vs in enumerate(space.slots))
+    pts = [pos[v] for v in space.vertices]
+    codes = sv.frame.mL.class_labels(pts).tolist()
+    out_1, out_2 = (space.vertices.index(o) for o in circuit.outputs)
+    pending, open_after = [], {}
+    for k, end in enumerate(space.ends, 1):
+        bad, pending = space.extend(sv, k, pts[:end], codes[:end], pending)
+        assert bad is None, space.slots[k - 1]
+        open_after[space.slots[k - 1][0]] = pending
+    assert open_after["s1"] == [(out_1, pos["d"]), (out_2, pos["p1"])]
+    assert open_after["d"] == open_after["p0"] == [(out_2, pos["p1"])]
+    assert all(not open_after[v] for v in ("out_1", "in'", "u", "p1", "p2", "p3", "p4", "p5", "a"))
 
 
 @pytest.mark.parametrize("shift, at", [((2, 0), "in''"), ((-7, -5), "not_1")])

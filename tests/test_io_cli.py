@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -294,42 +295,12 @@ def test_cli_probe_refuses_before_solving(tmp_path, capsys, monkeypatch):
     assert "a 4-D grid has no plane" in capsys.readouterr().err
 
 
-def test_cli_compile_hint(tmp_path, capsys):
-    # the paper placement as a hint: it names the paper's gates, not those
-    # of the synthesized circuit, so it cannot fit, and the search still
-    # places the circuit
-    hint = tmp_path / "hint.json"
-    hint.write_text(
-        json.dumps(
-            {
-                "pos": {
-                    "in_1_1": [-6, 0],
-                    "in_2_1": [0, -6],
-                    "v2": [-5, 1],
-                    "v3": [1, -5],
-                    "v4": [-1, -2],
-                    "v5": [-2, -1],
-                    "out_1": [0, 0],
-                },
-                "m": 6,
-                "staircase": [[0, 0], [1, 0], [2, 0], [0, 1]],
-                "normal": [3, 4],
-            }
-        )
-    )
-    out = tmp_path / "g.json"
-    rc = main(
-        ["compile", "specs/xor.json", "--seed", "0", "--hint", str(hint), "-o", str(out)]
-    )
-    capsys.readouterr()
-    assert rc == 0
-    assert out.exists()
-
-
 def test_cli_usage_errors(capsys):
     assert main(["fly-to-the-moon"]) == 2
     assert main(["solve", "paper-gamma-prime", "--bogus-flag"]) == 2
     assert main([]) == 2
+    # compile places by search alone; it takes no placement hint
+    assert main(["compile", "specs/xor.json", "--hint", "x", "-o", "g.json"]) == 2
     capsys.readouterr()
     assert main(["probe", "paper-gamma-prime", "--window", "8,8", "--max-period", "0"]) == 2
     assert "--max-period" in capsys.readouterr().err
@@ -441,15 +412,83 @@ LATER_MALFORMED_SPECS = [
 ]
 
 
-@pytest.mark.parametrize("obj, field", MALFORMED_SPECS + LATER_MALFORMED_SPECS)
-def test_cli_malformed_spec_file(tmp_path, capsys, obj, field):
+# 64 shifts over two symbols ask for a table of 2^64 rows: the reader
+# refuses the 4-entry table from that count, before it builds any row
+SHORT_TABLE = ({**XOR_SPEC, "betas": [[1, k] for k in range(64)]},
+               "table has 4 entries, expected 18446744073709551616")
+
+
+@pytest.mark.parametrize("obj, field", MALFORMED_SPECS + LATER_MALFORMED_SPECS + [SHORT_TABLE])
+def test_cli_malformed_spec_file(tmp_path, capsys, traced_peak, obj, field):
     bad = tmp_path / "spec.json"
     bad.write_text(json.dumps(obj))
-    assert main(["compile", str(bad), "-o", str(tmp_path / "g.json")]) == 1
+    with traced_peak() as peak:
+        assert main(["compile", str(bad), "-o", str(tmp_path / "g.json")]) == 1
+        with pytest.raises(ValueError, match=field):
+            io.spec_from_json(obj)
+    assert peak.bytes < 5 * 2**20
     err = capsys.readouterr().err
     assert err.startswith("error:") and field in err
-    with pytest.raises(ValueError, match=field):
-        io.spec_from_json(obj)
+
+
+# xor with 40-bit symbols: synthesis would read a table of 2^80 rows, refused
+# from its input bit count before any row is built
+WIDE_ENCODING = {**XOR_SPEC, "encoding": {"P": ["N"] * 40, "N": ["P"] * 40}}
+SYNTHESIS_BOUND = r"table size 80\*2\^80 exceeds the synthesis bound"
+
+
+def test_compile_refuses_an_oversized_table_before_building_it(tmp_path, capsys, traced_peak):
+    spec, enc, variant, _emb = io.spec_from_json(WIDE_ENCODING)
+    with traced_peak() as peak, pytest.raises(ValueError, match=SYNTHESIS_BOUND):
+        compile_recurrence(spec, enc, variant)
+    assert peak.bytes < 5 * 2**20
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(WIDE_ENCODING))
+    with traced_peak() as peak:
+        assert main(["compile", str(path), "-o", str(tmp_path / "g.json")]) == 1
+    assert peak.bytes < 5 * 2**20
+    assert re.fullmatch(f"error: {SYNTHESIS_BOUND}\n", capsys.readouterr().err)
+
+
+# the refusals of the defeated-set grammar and of the LatticeSet constructors
+# it calls, each read from the defeated field of a 3-D game file
+DEFEATED_REFUSALS = [
+    ("orthant((0,0,0)", "expected ')' at offset 15"),
+    ("(0,0,0)", "expected a name at offset 0"),
+    ("union()", "expected a name at offset 6"),
+    ("orthant((0,x,0))", "expected an integer at offset 11"),
+    ("square((0,0,0))", "unknown set constructor 'square'"),
+    ("coset((0,0,0))", "coset needs at least one basis vector"),
+    ("coset((0,0,0);(1,0,0);0)", "coset scale must be >= 1"),
+    ("finite{(0,0,0),(1,1)}", "finite set mixes dimensions"),
+    ("finite{}", "empty finite set needs an explicit dimension"),
+    ("diff(orthant((0,0,0)))", "diff takes exactly two operands"),
+    ("diff(orthant((0,0,0)),finite2{})", "dimension mismatch in diff"),
+    ("union(orthant((0,0,0)),finite2{})", "dimension mismatch in union"),
+    ("inter(finite2{},orthant((0,0,0)))", "dimension mismatch in inter"),
+    ("union(finite2{})", "defeated set dimension differs from the ruleset"),
+]
+
+
+@pytest.mark.parametrize("expr, says", DEFEATED_REFUSALS)
+def test_defeated_expression_refusals(tmp_path, capsys, expr, says):
+    obj = {"dim": 3, "moves": [[1, 0, 0]], "defeated": expr}
+    with pytest.raises(ValueError, match=re.escape(says)):
+        io.game_from_json(obj)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(obj))
+    assert main(["solve", str(path), "--window", "2,2,1"]) == 1
+    assert capsys.readouterr().err == f"error: {says}\n"
+
+
+def test_set_operations_take_one_operand_or_more():
+    # the grammar reads at least one operand, so only a direct call reaches
+    # the refusal of none; one operand is that set itself
+    for op in (LatticeSet.union, LatticeSet.inter):
+        with pytest.raises(ValueError, match="needs at least one operand"):
+            op()
+    game = io.game_from_json({"dim": 3, "moves": [[1, 0, 0]], "defeated": "union(finite3{})"})
+    assert game.defeated.to_expr() == "finite3{}"
 
 
 PAPER_SIDECAR = {
@@ -547,6 +586,8 @@ CLI_FAILURES = [
     # about 5.9e10 points, refused by their count before F is built
     (["compile", "{file}", "-o", "{out}"], {**XOR_SPEC, "betas": [[1, -200], [0, 1]]},
      "over the 4 GiB budget"),
+    (["compile", "{file}", "-o", "{out}"], *SHORT_TABLE),
+    (["compile", "{file}", "-o", "{out}"], WIDE_ENCODING, "exceeds the synthesis bound"),
 ]
 
 
