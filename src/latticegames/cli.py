@@ -129,13 +129,16 @@ def cmd_probe(args) -> int:
     game = _load_game(args.ruleset)
     if game.ruleset.dim not in (2, 3):  # refused before the solve, which grows with the window
         raise ValueError(f"a {game.ruleset.dim}-D grid has no plane; only 2-D and 3-D grids do")
+    r = args.max_period
+    # a longer candidate has no pairs in the window; the solve refuses a negative bound
+    if args.ell is None and 0 <= max(args.window) < r:
+        raise ValueError(f"--max-period {r} exceeds the window's largest bound {max(args.window)}")
     window = args.window + (game.ruleset.dim - 2) * (args.slice,)
     grid = Solver(game).solve_window(window)
     cone = args.cone
-    r = args.max_period
-    candidates = [args.ell] if args.ell is not None else [
+    candidates = [args.ell] if args.ell is not None else (
         ell for ell in product(range(-r, r + 1), repeat=2) if ell != (0, 0)
-    ]
+    )
     for ell in candidates:
         res = periodicity_probe(grid, args.slice, cone, ell)
         if res.pairs_checked == 0:

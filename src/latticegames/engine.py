@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 from math import lcm, prod
 
@@ -554,6 +554,17 @@ def _cross(a: Vec, b: Vec) -> int:
     return a[0] * b[1] - a[1] * b[0]
 
 
+@lru_cache(maxsize=1)
+def _cone_mask(shape: tuple[int, int], r: Vec, s: Vec) -> np.ndarray:
+    """Read-only mask of the cells (x, y) of a plane of this shape in the
+    cone spanned by r and s, with r before s counterclockwise.  It does not
+    depend on the plane's outcomes, so every candidate period reuses it."""
+    x, y = np.arange(shape[0])[:, None], np.arange(shape[1])
+    mask = (r[0] * y >= r[1] * x) & (s[1] * x >= s[0] * y)
+    mask.flags.writeable = False
+    return mask
+
+
 def periodicity_probe(grid: OutcomeGrid, slice_index, cone, ell) -> ProbeResult:
     """Check whether outcomes on a slice repeat under translation by ell.
 
@@ -573,24 +584,28 @@ def periodicity_probe(grid: OutcomeGrid, slice_index, cone, ell) -> ProbeResult:
     if _cross(r, s) < 0:
         r, s = s, r
 
-    # a 3-D grid's plane is a strided view; every op below runs faster on a copy
-    plane = np.ascontiguousarray(grid.plane(slice_index))
+    plane = grid.plane(slice_index)
     # p = (x, y) runs over the cells whose q = p - ell is in the window too
     (x0, x1), (y0, y1) = ((max(0, c), min(n, n + c)) for n, c in zip(plane.shape, ell))
     if x0 >= x1 or y0 >= y1:
         return ProbeResult(True, ell)
-    # one mask of the cells inside the cone that are positions, read at p and q
-    x, y = np.arange(plane.shape[0])[:, None], np.arange(plane.shape[1])
-    ok = (plane != CODE_DEFEATED) & (r[0] * y >= r[1] * x) & (s[1] * x >= s[0] * y)
-    at_p = slice(x0, x1), slice(y0, y1)
-    at_q = slice(x0 - ell[0], x1 - ell[0]), slice(y0 - ell[1], y1 - ell[1])
-    cp, cq = plane[at_p], plane[at_q]
-    valid = ok[at_p] & ok[at_q]
-    # C order is the x-then-y order of the lexicographically first witness
-    bad = np.flatnonzero(valid & (cp != cq))
-    if bad.size == 0:
-        return ProbeResult(True, ell, pairs_checked=int(np.count_nonzero(valid)))
-    wx, wy = np.unravel_index(bad[0], valid.shape)
-    outcomes = tuple({CODE_P: P, CODE_N: N}[int(c[wx, wy])] for c in (cp, cq))
-    checked = int(np.count_nonzero(valid.flat[: bad[0] + 1]))
-    return ProbeResult(False, ell, (x0 + int(wx), y0 + int(wy)), outcomes, checked)
+    in_cone = _cone_mask(plane.shape, r, s)
+    # witnesses lie near the overlap's first row, so scan it in growing row
+    # blocks; C order within a block, and blocks in x order, keep the first
+    # mismatch lexicographically first
+    checked, lo, rows = 0, x0, 16
+    while lo < x1:
+        hi = min(x1, lo + rows)
+        at_p = slice(lo, hi), slice(y0, y1)
+        at_q = slice(lo - ell[0], hi - ell[0]), slice(y0 - ell[1], y1 - ell[1])
+        cp, cq = plane[at_p], plane[at_q]
+        valid = in_cone[at_p] & in_cone[at_q] & (cp != CODE_DEFEATED) & (cq != CODE_DEFEATED)
+        bad = np.flatnonzero(valid & (cp != cq))
+        if bad.size:
+            wx, wy = np.unravel_index(bad[0], valid.shape)
+            outcomes = tuple({CODE_P: P, CODE_N: N}[int(c[wx, wy])] for c in (cp, cq))
+            checked += int(np.count_nonzero(valid.flat[: bad[0] + 1]))
+            return ProbeResult(False, ell, (lo + int(wx), y0 + int(wy)), outcomes, checked)
+        checked += int(np.count_nonzero(valid))
+        lo, rows = hi, 4 * rows
+    return ProbeResult(True, ell, pairs_checked=checked)

@@ -763,37 +763,107 @@ def _probe_reference(grid, slice_index, cone, ell):
     return ProbeResult(True, ell, pairs_checked=checked)
 
 
+PROBE_CODE = st.sampled_from((kernels.CODE_P, kernels.CODE_N) * 2 + (kernels.CODE_DEFEATED,))
+
+
+def _tiled_plane(draw, shape):
+    """Codes of the given shape tiled by a drawn pattern of periods (px, py)
+    in the first two axes; returns the codes and (px, py)."""
+    tile = np.array(draw(st.lists(PROBE_CODE, min_size=6, max_size=6)), dtype=np.uint8)
+    px, py = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    ix = np.indices(shape)
+    return tile[(ix[0] % px) * py + ix[1] % py], (px, py)
+
+
+def _redrawn_probe_case(draw, data, rows, ell, redrawn=(0, 4)):
+    """Redraw some cells of data, as many as the bounds redrawn allow, with
+    a row drawn from rows; then draw a slice and a cone of either
+    orientation.  Returns the probe's arguments."""
+    cell = st.tuples(rows, *[st.integers(0, n - 1) for n in data.shape[1:]])
+    for p in draw(st.lists(cell, min_size=redrawn[0], max_size=redrawn[1])):
+        data[p] = draw(PROBE_CODE)
+    slice_index = draw(st.integers(0, data.shape[2] - 1)) if data.ndim == 3 else None
+    # one ray in the first quadrant keeps most cones on the plane
+    first = draw(st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any))
+    other = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+    assume(first[0] * other[1] != first[1] * other[0])
+    cone = draw(st.permutations((first, other)))
+    grid = OutcomeGrid(tuple(n - 1 for n in data.shape), data)
+    return grid, slice_index, cone, ell
+
+
 @st.composite
 def probe_cases(draw):
     """A 2-D grid or a 3-D grid with a slice, a cone of either orientation
     and a nonzero candidate that may be longer than the plane.  Planes are a
     tiled pattern with some cells redrawn, so both periodic and violating
     candidates are common; codes are P, N and defeated."""
-    code = st.sampled_from((kernels.CODE_P, kernels.CODE_N) * 2 + (kernels.CODE_DEFEATED,))
     d = draw(st.sampled_from((2, 3)))
     shape = draw(st.tuples(*[st.integers(1, 12)] * 2 + [st.integers(1, 3)] * (d - 2)))
-    tile = np.array(draw(st.lists(code, min_size=6, max_size=6)), dtype=np.uint8)
-    px, py = draw(st.integers(1, 3)), draw(st.integers(1, 2))
-    ix = np.indices(shape)
-    data = tile[(ix[0] % px) * py + ix[1] % py]
-    for p in draw(st.lists(st.tuples(*[st.integers(0, n - 1) for n in shape]), max_size=4)):
-        data[p] = draw(code)
-    slice_index = draw(st.integers(0, shape[2] - 1)) if d == 3 else None
-    # one ray in the first quadrant keeps most cones on the plane
-    first = draw(st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any))
-    other = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
-    assume(first[0] * other[1] != first[1] * other[0])
-    cone = draw(st.permutations((first, other)))
+    data, _ = _tiled_plane(draw, shape)
     step = st.one_of(st.integers(-3, 3), st.integers(-13, 13))
     ell = draw(st.tuples(step, step).filter(any))
-    grid = OutcomeGrid(tuple(n - 1 for n in shape), data)
-    return grid, slice_index, cone, ell
+    return _redrawn_probe_case(draw, data, st.integers(0, shape[0] - 1), ell)
+
+
+@st.composite
+def tall_probe_cases(draw):
+    """Planes of 24 to 100 rows under a candidate that is a multiple of
+    their tile's periods, with cells redrawn only past the rows that the
+    first block, or the first two, of the probe's row scan read, so every
+    mismatch and every redrawn defeated cell lies in a later block."""
+    d = draw(st.sampled_from((2, 3)))
+    shape = (draw(st.integers(24, 100)), draw(st.integers(1, 30)), *[draw(st.integers(1, 3))] * (d - 2))
+    data, (px, py) = _tiled_plane(draw, shape)
+    k = st.integers(-2, 2)
+    ell = draw(st.tuples(k, k).filter(any).map(lambda m: (m[0] * px, m[1] * py)))
+    # blocks start at rows 16 and 80 of the overlap; the blocks before
+    # such a start read rows up to start - 1 + |ell[0]| at p and at q = p - ell
+    start = draw(st.sampled_from([b for b in (16, 80) if b + abs(ell[0]) < shape[0]]))
+    rows = st.integers(start + abs(ell[0]), shape[0] - 1)
+    return _redrawn_probe_case(draw, data, rows, ell, redrawn=(2, 12))
 
 
 @settings(max_examples=400)
 @given(probe_cases())
 def test_probe_matches_reference_loop(case):
     assert periodicity_probe(*case) == _probe_reference(*case)
+
+
+@settings(max_examples=80)
+@given(tall_probe_cases())
+def test_probe_matches_reference_loop_across_row_blocks(case):
+    assert periodicity_probe(*case) == _probe_reference(*case)
+
+
+def test_cached_cone_mask_follows_each_probe():
+    # shapes, slices, cone orientations and defeated cells change from one
+    # probe to the next; the cached mask must follow every change
+    x, y = np.indices((30, 20))
+    tiled = (kernels.CODE_P + (x + y) % 2).astype(np.uint8)  # P and N; periods (1, 1), (2, 0), (0, 2)
+    holed = tiled.copy()
+    holed[3::5, 2::3] = kernels.CODE_DEFEATED
+    tall = np.stack([np.full((20, 30), kernels.CODE_P, np.uint8), tiled.T], axis=2)
+    # the first and the last grid share a shape, so the cone changes on it
+    grids = [
+        (OutcomeGrid((29, 19), tiled), None),
+        (OutcomeGrid((19, 29, 1), tall), 1),
+        (OutcomeGrid((19, 29, 1), tall), 0),
+        (OutcomeGrid((29, 19), tiled.copy()), None),
+        (OutcomeGrid((29, 19), holed), None),
+    ]
+    cones = [((1, 0), (1, 1)), ((1, 1), (1, 0)), ((0, 1), (2, 1)), ((1, 0), (0, 1))]
+    for cone in cones:
+        for grid, slice_index in grids:
+            for ell in [(1, 1), (2, 0), (0, 2), (1, 0), (3, -1)]:
+                case = grid, slice_index, cone, ell
+                assert periodicity_probe(*case) == _probe_reference(*case), case
+    from latticegames.engine import _cone_mask
+
+    assert _cone_mask.cache_info().maxsize == 1
+    mask = _cone_mask((30, 20), (1, 0), (1, 1))
+    with pytest.raises(ValueError, match="read-only"):
+        mask[0, 0] = not mask[0, 0]
 
 
 def test_topdown_memo_lies_between_the_window_and_its_reachable_set():

@@ -295,6 +295,30 @@ def test_cli_probe_refuses_before_solving(tmp_path, capsys, monkeypatch):
     assert "a 4-D grid has no plane" in capsys.readouterr().err
 
 
+def test_cli_probe_refuses_a_max_period_beyond_the_window(capsys, monkeypatch):
+    # a candidate longer than every bound of the window has no pairs in it
+    from latticegames.engine import Solver
+
+    solve, solved = Solver.solve_window, []
+
+    def counted(self, window, *args, **kwargs):
+        solved.append(window)
+        return solve(self, window, *args, **kwargs)
+
+    monkeypatch.setattr(Solver, "solve_window", counted)
+    assert main(["probe", "paper-gamma-prime", "--window", "8,8", "--max-period", "9"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --max-period 9 exceeds the window's largest bound 8\n"
+    assert solved == []
+    # the window's largest bound itself is accepted: (2*8 + 1)**2 - 1 candidates
+    assert main(["probe", "paper-gamma-prime", "--window", "8,8", "--max-period", "8"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 288
+    assert len(solved) == 1
+    # a negative bound is the solve's to refuse, whatever the period
+    assert main(["probe", "paper-gamma-prime", "--window=-1,-1", "--max-period", "9"]) == 1
+    assert capsys.readouterr().err == "error: window bounds must be nonnegative\n"
+
+
 def test_cli_usage_errors(capsys):
     assert main(["fly-to-the-moon"]) == 2
     assert main(["solve", "paper-gamma-prime", "--bogus-flag"]) == 2
