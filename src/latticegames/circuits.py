@@ -64,7 +64,7 @@ class NorCircuit:
         for v in self.controls:
             if v in heads:
                 raise ValueError(f"control vertex {v} has an in-edge")
-        self.topological_order()  # raises on cycles
+        self.order  # sorted here, so that a cycle raises
 
     @cached_property
     def flat_inputs(self) -> tuple[str, ...]:
@@ -97,16 +97,18 @@ class NorCircuit:
         return len(self.outputs)
 
     @cached_property
-    def _preds(self) -> dict[str, tuple[str, ...]]:
+    def preds(self) -> dict[str, tuple[str, ...]]:
+        """The tails of the edges into each vertex, in edge order."""
         preds = {v: [] for v in self.vertices}
         for t, h in self.edges:
             preds[h].append(t)
         return {v: tuple(ts) for v, ts in preds.items()}
 
     @cached_property
-    def _order(self) -> tuple[str, ...]:
+    def order(self) -> tuple[str, ...]:
+        """Every vertex, each edge's tail first."""
         try:
-            return tuple(TopologicalSorter(self._preds).static_order())
+            return tuple(TopologicalSorter(self.preds).static_order())
         except CycleError:
             raise ValueError("circuit graph contains a cycle") from None
 
@@ -123,14 +125,6 @@ class NorCircuit:
         pairs.flags.writeable = False
         return tuple(pairs.T)
 
-    def predecessors(self, v: str) -> tuple[str, ...]:
-        """The tails of the edges into v, in edge order (a cached table)."""
-        return self._preds[v]
-
-    def topological_order(self) -> tuple[str, ...]:
-        """Every vertex, each edge's tail first (a cached table, sorted once)."""
-        return self._order
-
     def gate_vertices(self) -> list[str]:
         """Vertices that evaluate as nor gates: everything but the inputs and
         the control vertices."""
@@ -143,7 +137,7 @@ class NorCircuit:
         reach = set(self.outputs)
         stack = list(self.outputs)
         while stack:
-            for t in self._preds[stack.pop()]:
+            for t in self.preds[stack.pop()]:
                 if t not in reach:
                     reach.add(t)
                     stack.append(t)
@@ -187,8 +181,8 @@ def eval_circuit(
             values[name] = _as_bool(given)
         elif given is not None:
             raise ValueError("control value supplied but the circuit has no such vertex")
-    preds = circuit._preds
-    for v in circuit._order:
+    preds = circuit.preds
+    for v in circuit.order:
         if v not in values:
             values[v] = not any(values[t] for t in preds[v])
     return tuple("P" if values[o] else "N" for o in circuit.outputs)
@@ -294,7 +288,7 @@ def extend_circuit(circuit: NorCircuit, variant: str) -> NorCircuit:
     if variant == "B":
         in_dprime = "in''"
         vertices.append(in_dprime)
-        feeders = (t for o in circuit.outputs for t in circuit.predecessors(o))
+        feeders = (t for o in circuit.outputs for t in circuit.preds[o])
         targets = dict.fromkeys([*circuit.outputs, *feeders])
         edges.extend((in_dprime, t) for t in targets)
     return NorCircuit(

@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate, combinations, product
+from numbers import Integral
 
 import numpy as np
 
@@ -53,9 +54,9 @@ class Placement:
 
     def __init__(self, pos: dict, m: int, staircase, normal):
         self.pos = {v: as_vec(p, 2) for v, p in pos.items()}
-        self.m = int(m)
-        if self.m < 1:
+        if not isinstance(m, Integral) or m < 1:
             raise ValueError("m must be a positive integer")
+        self.m = int(m)
         self.staircase = tuple(sorted(as_vec(p, 2) for p in staircase))
         if not self.staircase:
             raise ValueError("the staircase set I must be nonempty")
@@ -95,9 +96,9 @@ FRAME_POINT_BYTES, EMISSION_POINT_BYTES = 50, 104
 class LabelFrame:
     """The residue tables of one (L, m, I, nu), which no gate position
     changes: mL, F and its codes, the codes of the staircase points and of
-    their differences (on first use also as sets of Python ints), (e)'s
-    tables, and the outward witness of (a).  F and its codes name the class
-    of a witness (rep) and give the distinct points of F - I.
+    their differences (also as sets of Python ints), and (e)'s tables.  F
+    and its codes name the class of a witness (rep) and give the distinct
+    points of F - I.
 
     Codes are those of mL.class_labels, a * |det| + b for the label (a, b).
     Labels are additive mod |det|, so plus and minus give the code of a sum
@@ -120,6 +121,12 @@ class LabelFrame:
         self.stair_codes = self.mL.class_labels(staircase)
         # [p, q] holds the code of I[p] - I[q]
         self.stair_diff_codes = self.minus(self.stair_codes[:, None], self.stair_codes)
+        self.stair_set = frozenset(self.stair_codes.tolist())
+        self.stair_diff_set = frozenset(self.stair_diff_codes.ravel().tolist())
+        # (e)'s tables: distinct[p, q] holds when q != p, and displacements
+        # are the codes of I[p] - I[q], q != p, in (p, q) order
+        self.distinct = ~np.eye(len(staircase), dtype=bool)
+        self.displacements = self.stair_diff_codes[self.distinct]
 
     def plus(self, x, y) -> np.ndarray:
         """Codes of the sums of classes of codes x and y, broadcast."""
@@ -131,26 +138,6 @@ class LabelFrame:
         d = self.det
         return (x // d - y // d) % d * d + (x - y) % d
 
-    @cached_property
-    def stair_set(self) -> frozenset[int]:
-        """The staircase codes, as Python ints."""
-        return frozenset(self.stair_codes.tolist())
-
-    @cached_property
-    def stair_diff_set(self) -> frozenset[int]:
-        """The codes of the staircase differences, as Python ints."""
-        return frozenset(self.stair_diff_codes.ravel().tolist())
-
-    @cached_property
-    def distinct(self) -> np.ndarray:
-        """(e)'s mask: [p, q] holds when q != p."""
-        return ~np.eye(len(self.staircase), dtype=bool)
-
-    @cached_property
-    def displacements(self) -> np.ndarray:
-        """(e)'s table: the codes of I[p] - I[q], q != p, in (p, q) order."""
-        return self.stair_diff_codes[self.distinct]
-
     def landings(self, anchors: np.ndarray, classes) -> np.ndarray:
         """(e)'s landing test: [a, p, q] holds when anchors[a] + (I[p] - I[q])
         has one of the class codes in classes, and q != p."""
@@ -161,18 +148,6 @@ class LabelFrame:
     def rep(self, code) -> Vec:
         """The point that names a class in a witness: its last point of F."""
         return tuple(self.F[np.flatnonzero(self.F_codes == code)[-1]].tolist())
-
-    @cached_property
-    def outward(self):
-        """(a)'s witness on the staircase: the first point of its outward set,
-        the points q - i with <nu, q> <= <nu, i>, that is no staircase
-        difference, or None."""
-        I, nu = self.staircase, self.normal
-        stair_diffs = {vsub(p, q) for p in I for q in I}
-        q = _under_line(nu, max(dot(nu, i) for i in I))
-        return next((("outward-point", p) for i in I
-                     for p in map(tuple, (q[q @ nu <= dot(nu, i)] - i).tolist())
-                     if p not in stair_diffs), None)
 
     def f_minus_i(self) -> tuple[np.ndarray, np.ndarray]:
         """The distinct points f - i, f in F and i in I, in lexicographic
@@ -258,11 +233,16 @@ def check_conditions(
 
     def halfspace():
         # (a) edge differences and the staircase's outward set share the open
-        # halfspace with normal nu
+        # halfspace with normal nu; the outward set is the points q - i with
+        # <nu, q> <= <nu, i>, and those that are staircase differences pass
         for e, d in zip(E, edge_delta):
             if dot(nu, d) <= 0:
                 return ("edge", e, d)
-        return fr.outward
+        stair_diffs = {vsub(p, q) for p in I for q in I}
+        q = _under_line(nu, max(dot(nu, i) for i in I))
+        return next((("outward-point", p) for i in I
+                     for p in map(tuple, (q[q @ nu <= dot(nu, i)] - i).tolist())
+                     if p not in stair_diffs), None)
 
     def input_shifts():
         # (b) inputs sit one scaled shift before their output
@@ -289,7 +269,7 @@ def check_conditions(
             exact = at.get(vsub(pos[w], d), [])
             if not exact:
                 return ("no-exact-realisation", w, e, d)
-            bad = [v for v in exact if v not in circuit.predecessors(w)]
+            bad = [v for v in exact if v not in circuit.preds[w]]
             if bad:
                 return ("non-edge-realisation", w, e, d, bad[0])
         return None
@@ -558,7 +538,7 @@ def _emit(pl: Placement, circuit: NorCircuit, spec: RecurrenceSpec, enc: Encodin
         lines[LINE_IN_DPRIME] = _plane_line(np.add(ind, pl.m * b_dprime), 1)
         # at each module generator g, from in'' to every feeder of an
         # output and to every output whose encoded initial bit is N
-        feeders = [t for o in circuit.outputs for t in circuit.predecessors(o)
+        feeders = [t for o in circuit.outputs for t in circuit.preds[o]
                    if t != circuit.in_dprime]
         initial = []
         for g in spec.module.generators:

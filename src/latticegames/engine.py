@@ -19,7 +19,7 @@ from math import lcm, prod
 import numpy as np
 
 from . import kernels
-from .lattice import LatticeSet, Vec, as_vec, dot, pareto_minimal, unique_rows
+from .lattice import LatticeSet, Vec, as_vec, dot, int64_array, pareto_minimal, unique_rows
 
 P = "P"
 N = "N"
@@ -34,19 +34,16 @@ class Ruleset:
     read-only int64 (M, dim) array of distinct rows in lexicographic order.
     ``moves`` is the same set as tuples of Python ints, built on first read.
     A move that is not a nonzero dim-vector of int64 integers raises
-    ValueError naming it.  An int64 array is read as it is; any other input
-    goes through Python ints, so that no value wraps."""
+    ValueError naming it: no entry is truncated or wraps."""
 
     def __init__(self, dim: int, moves):
         self.dim = int(dim)
-        if isinstance(moves, np.ndarray) and moves.dtype == np.int64:
-            arr = moves
-        else:
-            moves = moves.tolist() if isinstance(moves, np.ndarray) else list(moves)
-            try:
-                arr = np.array(moves, dtype=np.int64)
-            except (OverflowError, TypeError, ValueError):
-                raise ValueError(_bad_move(moves, self.dim)) from None
+        if not isinstance(moves, np.ndarray):
+            moves = list(moves)
+        try:
+            arr = int64_array(moves)
+        except (OverflowError, TypeError, ValueError):
+            raise ValueError(_bad_move(moves, self.dim)) from None
         if arr.shape == (0,):
             arr = arr.reshape(0, self.dim)
         if arr.ndim != 2 or arr.shape[1] != self.dim:
@@ -83,9 +80,9 @@ class Ruleset:
 
 def _bad_move(moves, dim: int) -> str:
     """Names the first move that is not a dim-vector of int64 integers."""
-    for m in moves.tolist() if isinstance(moves, np.ndarray) else moves:
+    for m in np.atleast_1d(moves).tolist() if isinstance(moves, np.ndarray) else moves:
         try:
-            if np.array(m, dtype=np.int64).shape != (dim,):
+            if int64_array(m).shape != (dim,):
                 return f"move {m!r} is not a {dim}-dimensional vector"
         except (OverflowError, TypeError, ValueError):
             return f"move {m!r} is not a vector of int64 integers"
@@ -492,9 +489,11 @@ class Solver:
         d = self.game.ruleset.dim
         refusal = f"cells must be an (..., {d}) array of nonnegative ints"
         try:
-            cells = np.asarray(cells, dtype=np.int64)
+            cells = int64_array(cells)
         except OverflowError:
             raise ValueError(f"{refusal}, not {cells!r} (a coordinate leaves int64)") from None
+        except TypeError:
+            raise ValueError(f"{refusal}, not {cells!r}") from None
         if cells.shape[-1:] != (d,) or cells.min(initial=0) < 0:
             raise ValueError(f"{refusal}, not {cells!r}")
         region = self._solve(cells.reshape(-1, d))

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from math import gcd
-from operator import add, sub
+from numbers import Integral
+from operator import add, index, sub
 
 import numpy as np
 
@@ -55,10 +56,31 @@ def dominates(a: Vec, b: Vec) -> bool:
 
 
 def as_vec(x, dim=None) -> Vec:
-    v = tuple(map(int, x))
+    """x as a tuple of Python ints.  An entry that is not an integer, such as
+    a float or a string, raises ValueError instead of being truncated or
+    parsed."""
+    try:
+        v = tuple(map(index, x))
+    except TypeError:
+        raise ValueError(f"expected a vector of integers, got {x!r}") from None
     if dim is not None and len(v) != dim:
         raise ValueError(f"expected {dim}-dimensional vector, got {v}")
     return v
+
+
+def int64_array(x) -> np.ndarray:
+    """x as an int64 array, refusing what a cast would truncate or wrap: an
+    entry that is not an integer raises TypeError, and one outside int64
+    OverflowError."""
+    a = np.asarray(x)
+    if a.dtype.kind in "ib" or a.size == 0:
+        return a.astype(np.int64, copy=False)
+    # floats, strings, objects, and uint64 or mixed inputs that may hold
+    # integers beyond int64: entry by entry
+    a = np.asarray(x, dtype=object)
+    for c in a.flat:
+        index(c)
+    return a.astype(np.int64)
 
 
 def echelon(rows: list[Vec], dim: int) -> list[tuple[int, Vec]]:
@@ -123,8 +145,8 @@ class Sublattice:
         label pairs.  Where a point or a code would leave int64 the call
         raises ValueError instead of wrapping."""
         try:
-            v = np.asarray(points, dtype=np.int64).reshape(-1, 2)
-        except OverflowError:
+            v = int64_array(points).reshape(-1, 2)
+        except (OverflowError, TypeError):
             raise ValueError("class_labels takes points with int64 coordinates") from None
         d = abs(self.det)
         # each adj(B) . v term stays within 2 * reach * entry, and a code
@@ -300,6 +322,8 @@ class LatticeSet:
         basis = tuple(as_vec(b, len(v)) for b in basis)
         if not basis:
             raise ValueError("coset needs at least one basis vector")
+        if not isinstance(m, Integral):
+            raise ValueError(f"coset scale must be an integer, got {m!r}")
         if m < 1:
             raise ValueError("coset scale must be >= 1")
         return LatticeSet("coset", len(v), (v, basis, int(m)))

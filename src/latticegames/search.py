@@ -67,10 +67,10 @@ class SearchSpace:
         ladder = set(circuit.gate_vertices()) - set(circuit.outputs)
 
         # the longest path from each vertex to a sink, in one pass from the heads
-        order = circuit.topological_order()
+        order = circuit.order
         depth = dict.fromkeys(order, 0)
         for h in reversed(order):
-            for t in circuit.predecessors(h):
+            for t in circuit.preds[h]:
                 depth[t] = max(depth[t], depth[h] + 1)
         max_depth = max((depth[v] for v in ladder), default=0)
 
@@ -124,7 +124,7 @@ class SearchSpace:
         self.n_known = [sum(d <= k for d in done) for k in range(len(self.slots) + 1)]
         self.edges = [(sx[t], sx[h]) for t, h in edges]
         self.is_input = [v in circuit.flat_inputs for v in self.vertices]
-        self.preds = [{sx[t] for t in circuit.predecessors(v)} for v in self.vertices]
+        self.preds = [{sx[t] for t in circuit.preds[v]} for v in self.vertices]
         self.controls = [sx[x] for x in circuit.controls]
         self.in_dprime = sx.get(circuit.in_dprime)
         self.feed_heads = [sx[h] for h in circuit.in_dprime_heads]
@@ -240,28 +240,25 @@ class SearchSpace:
         The search ends when it has rejected NODE_BUDGET values, yielded
         placements included, or tried every value."""
         orders = [rng.sample(range(len(values)), len(values)) for values in sv.points]
-        pts: list = [None] * len(self.vertices)
-        codes = [0] * len(self.vertices)
-        # pending[k]: the (c) instances left open by the first k slots
-        pending = [[] for _ in range(len(self.slots) + 1)]
-        tried = [0] * len(self.slots)
-        k, rejected = 0, 0
-        while rejected < NODE_BUDGET:
-            while tried[k] == len(orders[k]):
-                tried[k] = 0
-                k -= 1
-                if k < 0:
+        rejected = 0
+
+        def place(k, pts, codes, pending):
+            # the values of slot k after the first k slots at pts and codes,
+            # which left the (c) instances pending open
+            nonlocal rejected
+            for value in orders[k]:
+                if rejected >= NODE_BUDGET:
                     return
-            value = orders[k][tried[k]]
-            tried[k] += 1
-            a, b = self.ends[k] - len(self.slots[k]), self.ends[k]
-            pts[a:b], codes[a:b] = sv.points[k][value], sv.codes[k][value]
-            bad, pending[k + 1] = self.extend(sv, k + 1, pts[:b], codes[:b], pending[k])
-            if bad is None and k + 1 < len(self.slots):
-                k += 1
-                continue
-            if bad is None:
-                yield dict(zip(self.vertices, pts))
-            else:
-                tally[bad] = tally.get(bad, 0) + 1
-            rejected += 1
+                here, at = [*pts, *sv.points[k][value]], [*codes, *sv.codes[k][value]]
+                bad, still = self.extend(sv, k + 1, here, at, pending)
+                if bad is None and k + 1 < len(self.slots):
+                    yield from place(k + 1, here, at, still)
+                    continue
+                if bad is None:
+                    yield dict(zip(self.vertices, here))
+                else:
+                    tally[bad] = tally.get(bad, 0) + 1
+                rejected += 1
+
+        # one frame per slot, so the depth is the slot count
+        yield from place(0, [], [], [])

@@ -1,4 +1,5 @@
 import random
+import re
 from graphlib import TopologicalSorter
 from itertools import product
 
@@ -65,8 +66,8 @@ def test_synthesize_constant_n():
     table = {row: ("N",) for row in product("PN", repeat=2)}
     c = synthesize_nor_circuit(table)
     # the output hangs off a single always-P feeder
-    assert c.predecessors("out_1") == ("const_p",)
-    assert c.predecessors("const_p") == ()
+    assert c.preds["out_1"] == ("const_p",)
+    assert c.preds["const_p"] == ()
     for row in table:
         assert eval_circuit(c, (row[:1], row[1:])) == ("N",)
 
@@ -200,6 +201,28 @@ def test_malformed_circuit_refused(vertices, edges, inputs, outputs, in_prime, s
         NorCircuit(vertices, edges, inputs, outputs, in_prime)
 
 
+# (a call, what its refusal says): evaluation, synthesis and tabulation
+REFUSED_CALLS = [
+    (lambda: eval_circuit(xor_circuit(), (("P",),)), "expected 2 input blocks"),
+    (lambda: eval_circuit(xor_circuit(), (("P", "N"), ("N",))), "input block width mismatch"),
+    (lambda: eval_circuit(xor_circuit(), (("P",), ("N",)), in_prime="P"),
+     "control value supplied but the circuit has no such vertex"),
+    (lambda: eval_circuit(xor_circuit(), (("P",), ("X",))), "outcome bit must be 'P' or 'N', got 'X'"),
+    (lambda: synthesize_nor_circuit({}), "empty truth table"),
+    (lambda: synthesize_nor_circuit({("P",): ("N",), ("N", "N"): ("N",)}), "ragged truth table"),
+    (lambda: synthesize_nor_circuit({("P",): ("N",)}), "truth table must be total"),
+    (lambda: synthesize_nor_circuit(table_from_function(lambda row: ("P", "N"), 3, 2)),
+     "input bit count must split into blocks of the output width"),
+    (lambda: table_from_function(lambda row: ("P",), 2, 2), "function output width mismatch"),
+]
+
+
+@pytest.mark.parametrize("call, says", REFUSED_CALLS)
+def test_malformed_calls_refused(call, says):
+    with pytest.raises(ValueError, match=re.escape(says)):
+        call()
+
+
 def _rule_circuit(rule):
     spec = ca_to_recurrence(wolfram_rule_table(rule), "0", "1").spec
     spec, _ = prune_unused_arguments(spec)
@@ -210,7 +233,7 @@ def _rule_circuit(rule):
 @pytest.mark.parametrize("rule", [None, 30, 90, 110], ids=["xor", "rule30-B", "rule90-B", "rule110-B"])
 def test_topological_order_puts_tails_first(rule):
     c = xor_circuit() if rule is None else _rule_circuit(rule)
-    order = c.topological_order()
+    order = c.order
     assert sorted(order) == sorted(c.vertices)
     at = {v: k for k, v in enumerate(order)}
     assert all(at[t] < at[h] for t, h in c.edges)

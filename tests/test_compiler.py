@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -115,6 +116,26 @@ def test_conditions_fail_at_m_one(xor_spec):
 def test_staircase_must_be_downward_closed():
     with pytest.raises(ValueError):
         Placement({"v": (0, 0)}, 6, [(1, 0)], (1, 1))
+
+
+# (m, staircase, normal, what the refusal says)
+MALFORMED_PLACEMENTS = [
+    (0, [(0, 0)], (1, 1), "m must be a positive integer"),
+    (6, [], (1, 1), "the staircase set I must be nonempty"),
+    (6, [(-1, 0)], (1, 1), "I must lie in the first quadrant"),
+    (6, [(0, 0)], (0, 1), "the halfspace normal must pair positively with both axes"),
+]
+
+
+@pytest.mark.parametrize("m, staircase, normal, says", MALFORMED_PLACEMENTS)
+def test_malformed_placement_refused(m, staircase, normal, says):
+    with pytest.raises(ValueError, match=says):
+        Placement({"v": (0, 0)}, m, staircase, normal)
+
+
+def test_placement_repr():
+    pl = Placement({"v": (0, 0), "w": (1, 2)}, 6, [(1, 0), (0, 0)], (1, 1))
+    assert repr(pl) == "Placement(m=6, I=[(0, 0), (1, 0)], normal=(1, 1), 2 gates)"
 
 
 def test_golden_emission(xor_spec):
@@ -562,7 +583,7 @@ def _reference_check_conditions(placement, circuit, spec):
 
     flat_inputs = {x for block in circuit.inputs for x in block}
     witness = None
-    preds = {w: set(circuit.predecessors(w)) for w in V}
+    preds = {w: set(circuit.preds[w]) for w in V}
     for w in V:
         if w in flat_inputs:
             continue
@@ -733,6 +754,10 @@ def _xor_spec(betas):
 
 CA_ENC = Encoding({"0": ("N",), "1": ("P",)})
 
+# sha256 of the repr of test_search_sequence_is_pinned's placements and tallies
+PINNED_PLACEMENTS = "0895f2bf1033846ac8da061a0263b30425922bf3be5d4cfab8c719d6278fb0e9"
+PINNED_PRUNES = "93bbf729aa0eeca512f8944e8c1b1726e158de9ce91800c56da716e86a0bd736"
+
 
 def _direct_circuit():
     """xor's two inputs wired straight into the output.  Such a wire moves
@@ -875,6 +900,42 @@ def test_search_trial_count_rule110_b():
     for _, pl in runs:
         report = verify_construction(emit_ruleset(pl, circuit, spec, enc=CA_ENC), 4 * pl.m)
         assert report.ok and all(c.checked > 0 for c in report.checks), report.summary()
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def test_search_sequence_is_pinned(monkeypatch):
+    # the placement each seeded search returns, and per search the values
+    # SearchSpace.extend rejected by condition, recorded before the search
+    # was made recursive, which kept them: rules 110, 90 and 30 under B and
+    # xor under C, seeds 0-3.  Then the tallies of a search that exhausts
+    # every scale
+    rejected = []
+    extend = SearchSpace.extend
+
+    def counted(self, *args):
+        bad, still = extend(self, *args)
+        if bad is not None:
+            rejected[-1][bad] = rejected[-1].get(bad, 0) + 1
+        return bad, still
+
+    monkeypatch.setattr(SearchSpace, "extend", counted)
+    found = []
+    cases = [(_ca_spec(rule), CA_ENC, "B") for rule in (110, 90, 30)]
+    for spec, enc, variant in cases + [(xor_recurrence(), swapped_encoding(), "C")]:
+        circuit, pruned = _search_circuit(spec, enc, variant)
+        for seed in range(4):
+            rejected.append({})
+            pl = search_placement(circuit, pruned, seed=seed)
+            found.append((pl.m, sorted(pl.pos.items())))
+    tallies = [sorted(t.items()) for t in rejected]
+    assert (_digest(found), _digest(tallies)) == (PINNED_PLACEMENTS, PINNED_PRUNES)
+    rejected.append({})
+    with pytest.raises(PlacementSearchError) as err:
+        search_placement(_direct_circuit(), xor_recurrence())
+    assert err.value.rejections == rejected[-1] == {"f": 250}
 
 
 def test_each_placement_is_decided_once(monkeypatch):

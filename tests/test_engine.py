@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from latticegames.builtin import paper_gamma, paper_gamma_prime
 from latticegames.circuits import extend_circuit, synthesize_nor_circuit
-from latticegames.compiler import compile_recurrence, emit_ruleset, search_placement
+from latticegames.compiler import Placement, compile_recurrence, emit_ruleset, search_placement
 from latticegames.engine import (
     EquivalenceReport,
     GameSpec,
@@ -30,7 +30,7 @@ from latticegames.engine import (
     topdown_bytes,
 )
 from latticegames import kernels
-from latticegames.lattice import LatticeSet, dominates, dot, parse_set_expr
+from latticegames.lattice import EVEN_SUM, Z2, LatticeSet, ModuleIdeal, as_vec, dominates, dot, parse_set_expr
 from latticegames.recurrence import (
     Encoding,
     binom_parity_oracle,
@@ -93,6 +93,8 @@ def test_ruleset_from_an_int64_array():
         (3, [(1, 2), (3, 4)], "move [1, 2] is not a 3-dimensional vector"),
         (3, [1, 2, 3], "move 1 is not a 3-dimensional vector"),
         (2, [[(1, 2), (3, 4)]], "move [[1, 2], [3, 4]] is not a 2-dimensional vector"),
+        (2, np.zeros((0, 3)), "moves must be 2-dimensional integer vectors"),
+        (2, 5, "move 5 is not a 2-dimensional vector"),
     ):
         with pytest.raises(ValueError, match=re.escape(message)):
             Ruleset(dim, np.array(bad, dtype=np.int64))
@@ -104,6 +106,88 @@ def test_ruleset_from_an_int64_array():
                  np.array([(0, 1), (-(2**63) - 1, 1)], dtype=object)):
         with pytest.raises(ValueError, match="not a vector of int64 integers"):
             Ruleset(2, huge)
+
+
+# (a call on the gamma' solver, what its refusal says)
+ENGINE_REFUSALS = [
+    pytest.param(lambda s: s.solve_window((2, 2, 1)).plane(), "slice index required for a 3-D grid",
+                 id="plane-without-slice"),
+    pytest.param(lambda s: s.solve_window((2, 2, 1), mode="sideways"), "unknown solve mode 'sideways'",
+                 id="solve-mode"),
+    pytest.param(lambda s: equivalence_in_window(GameSpec(Ruleset(2, [(1, 0)])), s.game, (2, 2)),
+                 "games have different dimensions", id="equivalence-dimensions"),
+    pytest.param(lambda s: kernels.solve_region(np.array([[1]]), np.array([1]), 2**41, (1,)),
+                 "has more than the 2**40 levels this kernel is sized for", id="kernel-levels"),
+]
+
+
+@pytest.mark.parametrize("call, says", ENGINE_REFUSALS)
+def test_engine_refusals(gamma_prime_solver, call, says):
+    with pytest.raises(ValueError, match=re.escape(says)):
+        call(gamma_prime_solver)
+
+
+def test_reprs_and_a_vacuous_row():
+    rs = Ruleset(2, [(1, 0)])
+    assert repr(rs) == "Ruleset(dim=2, 1 moves)"
+    assert repr(GameSpec(rs)) == "GameSpec(Ruleset(dim=2, 1 moves), defeated=finite2{})"
+    # the all-zero row 0 >= 0 is dropped, and nothing bounds phi_1
+    assert fourier_motzkin({0: ((0, 0), 0), 1: ((1, 0), 1)}) == (1, 1)
+
+
+def _probe_ell(solver, ell):
+    return periodicity_probe(solver.solve_window((8, 8, 1)), 0, ((1, 0), (0, 1)), ell)
+
+
+# (a call on the gamma' solver with a coordinate that is no integer, what
+# its refusal says): none is truncated or parsed.  Entries are judged by
+# type, as operator.index does, so a float array has no integer entry
+NON_INTEGER_CALLS = [
+    pytest.param(lambda s: Ruleset(2, [(1, 2), (1.5, 2)]),
+                 "move (1.5, 2) is not a vector of int64 integers", id="ruleset-list"),
+    pytest.param(lambda s: Ruleset(2, np.array([[1.5, 2], [1, 2]])),
+                 "move [1.5, 2.0] is not a vector of int64 integers", id="ruleset-float-array"),
+    pytest.param(lambda s: Ruleset(2, np.array([["1", "2"]])),
+                 "move ['1', '2'] is not a vector of int64 integers", id="ruleset-str-array"),
+    pytest.param(lambda s: Ruleset(2, np.array([[1, 2], [Fraction(1, 2), 2]], dtype=object)),
+                 "move [Fraction(1, 2), 2] is not a vector of int64 integers", id="ruleset-object-array"),
+    pytest.param(lambda s: s.outcome((1.9, 0, 0)), "expected a vector of integers, got (1.9, 0, 0)",
+                 id="outcome"),
+    pytest.param(lambda s: s.outcomes(np.array([[0, 0, 0], [1.5, 0, 0]])),
+                 "cells must be an (..., 3) array of nonnegative ints", id="outcomes"),
+    pytest.param(lambda s: s.solve_window((2.7, 2.2, 1)), "expected a vector of integers", id="solve-window"),
+    pytest.param(lambda s: s.solve_window((2, 2, 1)).code_at((1, 0.5, 0)), "expected a vector of integers",
+                 id="code-at"),
+    pytest.param(lambda s: EVEN_SUM.contains((0.5, 0.5)), "expected a vector of integers",
+                 id="sublattice-contains"),
+    pytest.param(lambda s: EVEN_SUM.class_labels(np.array([[0, 0], [0.5, 0.5]])),
+                 "class_labels takes points with int64 coordinates", id="class-labels-array"),
+    pytest.param(lambda s: EVEN_SUM.class_labels([(0, 0), ("1", 1)]),
+                 "class_labels takes points with int64 coordinates", id="class-labels-list"),
+    pytest.param(lambda s: LatticeSet.orthant((0.5, 0)), "expected a vector of integers", id="orthant"),
+    pytest.param(lambda s: LatticeSet.coset((0, 0), [(1, 0), (0.5, 1)]), "expected a vector of integers",
+                 id="coset-basis"),
+    pytest.param(lambda s: LatticeSet.coset((0, 0), [(1, 0)], 1.5), "coset scale must be an integer, got 1.5",
+                 id="coset-scale"),
+    pytest.param(lambda s: LatticeSet.finite([(1, 2), (1, "2")]), "expected a vector of integers", id="finite"),
+    pytest.param(lambda s: ModuleIdeal(Z2, [(0, 2.0)]), "expected a vector of integers", id="module-ideal"),
+    pytest.param(lambda s: Placement({"v": (0.5, 1)}, 6, [(0, 0)], (1, 1)), "expected a vector of integers",
+                 id="placement-position"),
+    pytest.param(lambda s: Placement({"v": (0, 1)}, 6.5, [(0, 0)], (1, 1)), "m must be a positive integer",
+                 id="placement-m"),
+    pytest.param(lambda s: Placement({"v": (0, 1)}, 6, [(0.0, 0)], (1, 1)), "expected a vector of integers",
+                 id="placement-staircase"),
+    pytest.param(lambda s: Placement({"v": (0, 1)}, 6, [(0, 0)], (1.5, 1)), "expected a vector of integers",
+                 id="placement-normal"),
+    pytest.param(lambda s: _probe_ell(s, (2.5, 0)), "expected a vector of integers", id="probe-ell"),
+    pytest.param(lambda s: as_vec("12"), "expected a vector of integers, got '12'", id="as-vec-str"),
+]
+
+
+@pytest.mark.parametrize("call, says", NON_INTEGER_CALLS)
+def test_non_integer_coordinates_are_refused(gamma_prime_solver, call, says):
+    with pytest.raises(ValueError, match=re.escape(says)):
+        call(gamma_prime_solver)
 
 
 def test_builtin_sizes():

@@ -612,6 +612,10 @@ CLI_FAILURES = [
      "over the 4 GiB budget"),
     (["compile", "{file}", "-o", "{out}"], *SHORT_TABLE),
     (["compile", "{file}", "-o", "{out}"], WIDE_ENCODING, "exceeds the synthesis bound"),
+    (["solve", "paper-gamma-prime", "--window", "3,x,1"], None,
+     "expected comma-separated integers, got '3,x,1'"),
+    (["probe", "paper-gamma-prime", "--window", "8,8", "--cone", "1,0:0,1,1"], None,
+     "expected 2 comma-separated integers, got '0,1,1'"),
 ]
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import product
 
 import numpy as np
@@ -14,11 +15,14 @@ from latticegames.lattice import (
     LatticeSet,
     ModuleIdeal,
     Sublattice,
+    dot,
     enumerate_F,
     parse_set_expr,
     pareto_minimal,
     positive_generators,
+    vadd,
     vscale,
+    vsub,
 )
 
 
@@ -471,3 +475,25 @@ def test_module_ideal():
         for x, y in product(range(-2, 9), repeat=2):
             want = any(min(x - a, y - b) >= 0 and L.contains((x - a, y - b)) for a, b in module.generators)
             assert module.contains((x, y)) == want, (module, (x, y))
+
+
+# (a call, what its refusal says)
+LATTICE_REFUSALS = [
+    (lambda: vadd((1, 2), (1,)), "dimension mismatch: 2 vs 1"),
+    (lambda: vsub((1,), (1, 2)), "dimension mismatch: 1 vs 2"),
+    (lambda: dot((1, 2, 3), (1, 2)), "dimension mismatch: 3 vs 2"),
+    (lambda: LatticeSet("bogus", 2).contains((0, 0)), "unknown node kind 'bogus'"),
+    (lambda: LatticeSet("bogus", 2).mask((1, 1)), "unknown node kind 'bogus'"),
+    (lambda: ModuleIdeal(Z2, [(-1, 0)]), "generator (-1, 0) is not in L+"),
+    (lambda: ModuleIdeal(EVEN_SUM, [(0, 1)]), "generator (0, 1) is not in L+"),
+]
+
+
+@pytest.mark.parametrize("call, says", LATTICE_REFUSALS)
+def test_lattice_refusals(call, says):
+    with pytest.raises(ValueError, match=re.escape(says)):
+        call()
+
+
+def test_module_ideal_repr():
+    assert repr(ModuleIdeal(EVEN_SUM, [(2, 0), (0, 2)])) == "ModuleIdeal(Sublattice((1, 1), (1, -1)), [(0, 2), (2, 0)])"

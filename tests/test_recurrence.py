@@ -1,3 +1,4 @@
+import re
 from functools import cache
 from itertools import combinations, product
 
@@ -265,3 +266,29 @@ def test_ca_requires_quiescent_background():
         ca_to_recurrence(table, "0", "1")
     with pytest.raises(ValueError):
         simulate_ca(table, "0", "1", 3)
+
+
+def _xor_over(lattice, table):
+    xor = xor_recurrence()
+    return RecurrenceSpec(lattice, xor.module, xor.betas, xor.alphabet, table, xor.sigma0, xor.f0)
+
+
+# (a call, what its refusal says)
+RECURRENCE_REFUSALS = [
+    (lambda: _xor_over(EVEN_SUM, xor_recurrence().table), "module and recurrence use different lattices"),
+    (lambda: _xor_over(Z2, {("P", "P"): "N"}), "table must be total over alphabet^r"),
+    (lambda: wolfram_rule_table(256), "rule number must be in 0..255"),
+    (lambda: simulate_ca(wolfram_rule_table(90), "0", "1", 3)(0, 4), "time 4 outside the simulated range"),
+    (lambda: ca_to_recurrence({("0", "0", "0"): "0", ("0", "0", "1"): "1"}, "0", "1"),
+     "rule table must be total over symbol triples"),
+    (lambda: ca_to_recurrence(wolfram_rule_table(110), "0", ""),
+     "the initial word must be a nonempty string over the alphabet"),
+    (lambda: ca_to_recurrence(wolfram_rule_table(110), "0", "12"),
+     "the initial word must be a nonempty string over the alphabet"),
+]
+
+
+@pytest.mark.parametrize("call, says", RECURRENCE_REFUSALS)
+def test_recurrence_refusals(call, says):
+    with pytest.raises(ValueError, match=re.escape(says)):
+        call()
