@@ -189,10 +189,13 @@ def eval_circuit(
 
 
 def _as_bool(bit) -> bool:
-    if bit in ("P", True):
-        return True
-    if bit in ("N", False):
-        return False
+    """'P' or True reads True, 'N' or False reads False.  Any other bit is
+    refused, also one that only equals True or False, such as 1, 0.0 or a
+    numpy bool."""
+    if isinstance(bit, bool):
+        return bit
+    if isinstance(bit, str) and bit in ("P", "N"):
+        return bit == "P"
     raise ValueError(f"outcome bit must be 'P' or 'N', got {bit!r}")
 
 

@@ -298,7 +298,7 @@ def check_conditions(
         if not lands.any():
             return None
         first = admits[lands].argmax(axis=2)
-        h = first[np.lexsort(first.T[::-1])[0]]
+        h = unique_rows(first)[0]
         admitting = admits[:, np.arange(len(I)), h].all(axis=1)
         return (fr.rep(anchors[admitting].min()), {vsub(p, I[q]) for p, q in zip(I, h.tolist())})
 

@@ -92,9 +92,10 @@ def solve_region(moves, phi, level_cap, axis_caps, defeated=None):
     boxes = defeated.mask_boxes() if defeated is not None else 0
     moves, below, above = check_budget(shape, moves, phi, level_cap, boxes)
 
-    # moves by increasing phi-step: those that stay under the cap form a prefix
+    # moves by increasing phi-step: those that stay under the cap form a
+    # prefix, and moves of equal step mark the same cells in any order
     steps = moves @ phi
-    by_step = np.argsort(steps, kind="stable")
+    by_step = np.argsort(steps)
     moves, steps = moves[by_step], steps[by_step]
     padded = np.array(shape) + below + above
     strides = np.ones(d, dtype=np.int64)

@@ -532,30 +532,63 @@ class ModuleIdeal:
         return f"ModuleIdeal({self.ambient!r}, {list(self.generators)})"
 
 
+def _row_keys(n: int, columns) -> np.ndarray:
+    """One int64 key per row of n rows given as int64 columns, ordered like
+    the rows in lexicographic order.  Each column is shifted to start at 0
+    and packed below the columns before it.  Where packing a column would
+    take a key out of int64, as it would for a column of more than 2**63
+    values, whose shift would wrap, the key so far and the column are first
+    replaced by their dense ranks, each below n."""
+    key, span = np.zeros(n, dtype=np.int64), 1  # every key lies in [0, span)
+    for col in columns if n else ():
+        lo = int(col.min())
+        width = int(col.max()) - lo + 1
+        if span * width > 2**63:
+            (key, span), (col, width), lo = _dense_rank(key), _dense_rank(col), 0
+        key = key * width + (col - lo)
+        span *= width
+    return key
+
+
+def _dense_rank(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """The rank of each entry of x among its distinct entries, as int64, and
+    the number of distinct entries."""
+    values, rank = np.unique(x, return_inverse=True)
+    return rank.astype(np.int64, copy=False), len(values)
+
+
 def unique_rows(points) -> np.ndarray:
-    """np.unique(points, axis=0) for an (n, d) integer array, by one lexsort
-    and one compare of adjacent rows: the distinct rows in lexicographic
-    order, as a new int64 array."""
+    """np.unique(points, axis=0) for an (n, d) integer array, by one argsort
+    of the row keys and one compare of adjacent keys: the distinct rows in
+    lexicographic order, as a new int64 array."""
     a = np.asarray(points, dtype=np.int64)
-    a = a[np.lexsort(a.T[::-1])]
+    key = _row_keys(len(a), a.T)
+    order = np.argsort(key)
+    key = key[order]
     distinct = np.ones(len(a), dtype=bool)
-    distinct[1:] = (a[1:] != a[:-1]).any(axis=1)
-    return a[distinct]
+    distinct[1:] = key[1:] != key[:-1]
+    return a[order[distinct]]
 
 
 def pareto_minimal(points) -> np.ndarray:
     """Indices of the distinct componentwise-minimal rows of an (n, d)
     integer array, one per distinct row, in lexicographic order of the rows."""
     pts = np.asarray(points, dtype=np.int64)
-    # the lexicographically least remaining row is minimal, since a row
-    # componentwise below it would sort before it; dropping every row at or
-    # above it leaves the rows above none of the minimal rows found so far
-    rest = np.lexsort(pts.T[::-1]) if len(pts) else np.arange(0)
+    n = len(pts)
+    # rows in lexicographic order, the first of equal rows first: the least
+    # remaining row is minimal, since a row componentwise below it would sort
+    # before it; dropping every row at or above it leaves the rows above none
+    # of the minimal rows found so far
+    rest = np.argsort(_row_keys(n, [*pts.T, np.arange(n)]))
+    # the rows stay in this order, so none lies below the least on column 0
+    cols = [c[rest] for c in pts.T[1:]]
     minimal = []
     while rest.size:
-        least = rest[0]
-        minimal.append(least)
-        rest = rest[(pts[rest] < pts[least]).any(axis=1)]
+        minimal.append(rest[0])
+        keep = np.zeros(rest.size, dtype=bool)
+        for c in cols:
+            keep |= c < c[0]
+        rest, cols = rest[keep], [c[keep] for c in cols]
     return np.array(minimal, dtype=np.intp)
 
 

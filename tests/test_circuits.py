@@ -3,6 +3,7 @@ import re
 from graphlib import TopologicalSorter
 from itertools import product
 
+import numpy as np
 import pytest
 
 from latticegames import circuits
@@ -30,6 +31,9 @@ def test_xor_circuit_truth_table():
     assert eval_circuit(c, (("N",), ("N",))) == ("N",)
     assert eval_circuit(c, (("N",), ("P",))) == ("P",)
     assert eval_circuit(c, (("P",), ("P",))) == ("N",)
+    # True and False read as 'P' and 'N'
+    assert eval_circuit(c, ((True,), (False,))) == ("P",)
+    assert eval_circuit(c, ((True,), ("P",))) == ("N",)
 
 
 def test_cycle_rejected():
@@ -214,6 +218,13 @@ REFUSED_CALLS = [
     (lambda: synthesize_nor_circuit(table_from_function(lambda row: ("P", "N"), 3, 2)),
      "input bit count must split into blocks of the output width"),
     (lambda: table_from_function(lambda row: ("P",), 2, 2), "function output width mismatch"),
+    # bits equal to True or False, but neither a bool nor 'P' or 'N'
+    (lambda: eval_circuit(xor_circuit(), ((1,), ("N",))), "outcome bit must be 'P' or 'N', got 1"),
+    (lambda: eval_circuit(xor_circuit(), (("P",), (0,))), "outcome bit must be 'P' or 'N', got 0"),
+    (lambda: eval_circuit(xor_circuit(), ((1.0,), (0,))), "outcome bit must be 'P' or 'N', got 1.0"),
+    (lambda: eval_circuit(xor_circuit(), (("N",), (0.0,))), "outcome bit must be 'P' or 'N', got 0.0"),
+    (lambda: eval_circuit(extend_circuit(xor_circuit(), "B"), (("P",), ("N",)), in_prime=np.True_, in_dprime="N"),
+     "outcome bit must be 'P' or 'N', got np.True_"),
 ]
 
 

@@ -20,6 +20,7 @@ from latticegames.lattice import (
     parse_set_expr,
     pareto_minimal,
     positive_generators,
+    unique_rows,
     vadd,
     vscale,
     vsub,
@@ -97,19 +98,71 @@ def int_rows(draw):
     return draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), max_size=24)), d
 
 
-@settings(max_examples=300)
-@given(int_rows())
-def test_pareto_minimal_matches_all_pairs(case):
-    # the contract: the first occurrence of each distinct row that no other
-    # row lies at or below, in lexicographic order of the rows
-    rows, d = case
-    want = sorted(
+def all_pairs_minimal(rows):
+    """The contract of pareto_minimal, by all pairs: the first occurrence of
+    each distinct row that no other row lies at or below, in lexicographic
+    order of the rows."""
+    return sorted(
         (i for i, p in enumerate(rows)
          if p not in rows[:i] and not any(q != p and all(map(int.__le__, q, p)) for q in rows)),
         key=rows.__getitem__,
     )
+
+
+@settings(max_examples=300)
+@given(int_rows())
+def test_pareto_minimal_matches_all_pairs(case):
+    rows, d = case
     got = pareto_minimal(np.array(rows, dtype=np.int64).reshape(-1, d))
-    assert got.dtype == np.intp and got.tolist() == want
+    assert got.dtype == np.intp and got.tolist() == all_pairs_minimal(rows)
+
+
+LOW, HIGH = -(2**63), 2**63 - 1
+
+
+@st.composite
+def int64_rows(draw):
+    """(n, d) int64 arrays, d = 1..4 and n = 0..24, over the whole int64
+    range: entries come from a few values that include both ends of int64,
+    so duplicate rows and columns wider than 2**62 are likely."""
+    d = draw(st.integers(1, 4))
+    values = draw(st.lists(st.integers(LOW, HIGH), min_size=1, max_size=4)) + [LOW, HIGH]
+    rows = draw(st.lists(st.tuples(*[st.sampled_from(values)] * d), max_size=24))
+    return np.array(rows, dtype=np.int64).reshape(-1, d)
+
+
+# the examples: one column holding both ends of int64, with a duplicate row;
+# two columns of 2**32 values each, whose packed key would just leave int64;
+# three columns whose key would leave it far; no rows
+ROW_EXAMPLES = (
+    np.array([(HIGH, 0), (LOW, 0), (HIGH, 0), (0, -1)], dtype=np.int64),
+    np.array([(2**32 - 1, 2**32 - 1), (0, 0), (2**31, 1), (2**32 - 1, 2**32 - 1)], dtype=np.int64),
+    np.array([(0, 2**40, 1), (2**40, 0, 0), (5, 5, 5), (0, 2**40, 1)], dtype=np.int64),
+    np.zeros((0, 3), dtype=np.int64),
+)
+
+
+def with_examples(test):
+    for rows in ROW_EXAMPLES:
+        test = example(rows)(test)
+    return test
+
+
+@settings(max_examples=300)
+@with_examples
+@given(int64_rows())
+def test_unique_rows_matches_numpy_over_int64(rows):
+    got = unique_rows(rows)
+    assert got.dtype == np.int64 and not np.shares_memory(got, rows)
+    assert np.array_equal(got, np.unique(rows, axis=0)) and got.shape[1] == rows.shape[1]
+
+
+@settings(max_examples=300)
+@with_examples
+@given(int64_rows())
+def test_pareto_minimal_matches_all_pairs_over_int64(rows):
+    got = pareto_minimal(rows)
+    assert got.dtype == np.intp and got.tolist() == all_pairs_minimal(list(map(tuple, rows.tolist())))
 
 
 def test_enumerate_F_identity_lattice():
