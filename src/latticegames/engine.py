@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from itertools import product
 from math import lcm, prod
 
@@ -48,7 +48,7 @@ class Ruleset:
             arr = arr.reshape(0, self.dim)
         if arr.ndim != 2 or arr.shape[1] != self.dim:
             raise ValueError(_bad_move(moves, self.dim))
-        if not _some_entry(arr, lambda c: c != 0).all():
+        if not arr.any(axis=1).all():
             raise ValueError(f"the zero vector {(0,) * self.dim} cannot be a move")
         self.array = unique_rows(arr)
         self.array.flags.writeable = False
@@ -159,13 +159,6 @@ class PointednessError(ValueError):
         super().__init__("ruleset admits no positive play-bounding functional")
 
 
-def _some_entry(a: np.ndarray, test) -> np.ndarray:
-    """The mask of the rows of a 2-d array with an entry that passes test,
-    built column by column: on a few columns, faster than a reduction along
-    each row."""
-    return reduce(np.logical_or, map(test, a.T), np.zeros(len(a), dtype=bool))
-
-
 def _constraint_row(rs: Ruleset, i: int):
     """Row i of pointedness_constraints(rs)."""
     d = rs.dim
@@ -189,7 +182,7 @@ def pointedness_rows(rs: Ruleset) -> list[int]:
     redundancy; Schrijver, Theory of Linear and Integer Programming, 12.2).
     """
     a = rs.array
-    negative = np.flatnonzero(_some_entry(a, lambda c: c < 0))
+    negative = np.flatnonzero((a < 0).any(axis=1))
     # a is sorted, so the minimal rows come back in row order
     minimal = negative[pareto_minimal(a[negative])]
     return list(range(rs.dim)) + (rs.dim + minimal).tolist()

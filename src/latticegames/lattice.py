@@ -536,14 +536,15 @@ def _row_keys(n: int, columns) -> np.ndarray:
     """One int64 key per row of n rows given as int64 columns, ordered like
     the rows in lexicographic order.  Each column is shifted to start at 0
     and packed below the columns before it.  Where packing a column would
-    take a key out of int64, as it would for a column of more than 2**63
-    values, whose shift would wrap, the key so far and the column are first
-    replaced by their dense ranks, each below n."""
+    make the keys span 2**63 values or more, as a column of 2**63 values or
+    more would alone, the key so far and the column are first replaced by
+    their dense ranks, each below n.  So the span, each width and each key
+    stay below 2**63, and no shift or product leaves int64."""
     key, span = np.zeros(n, dtype=np.int64), 1  # every key lies in [0, span)
     for col in columns if n else ():
         lo = int(col.min())
         width = int(col.max()) - lo + 1
-        if span * width > 2**63:
+        if span * width >= 2**63:
             (key, span), (col, width), lo = _dense_rank(key), _dense_rank(col), 0
         key = key * width + (col - lo)
         span *= width
@@ -579,7 +580,7 @@ def pareto_minimal(points) -> np.ndarray:
     # remaining row is minimal, since a row componentwise below it would sort
     # before it; dropping every row at or above it leaves the rows above none
     # of the minimal rows found so far
-    rest = np.argsort(_row_keys(n, [*pts.T, np.arange(n)]))
+    rest = np.argsort(_row_keys(n, pts.T), kind="stable")
     # the rows stay in this order, so none lies below the least on column 0
     cols = [c[rest] for c in pts.T[1:]]
     minimal = []

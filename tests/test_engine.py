@@ -68,6 +68,7 @@ def test_ruleset_canonicalisation():
         with pytest.raises(ValueError, match=re.escape(named)):
             Ruleset(dim, moves)
     assert Ruleset(2, [(2**63 - 1, -(2**63))]).moves == ((2**63 - 1, -(2**63)),)
+    assert Ruleset(2, [(2**63 - 1, 1), (0, 1)]).moves == ((0, 1), (2**63 - 1, 1))
     # no moves: every position is P
     empty = Ruleset(3, [])
     assert empty.array.shape == (0, 3) and empty.moves == ()

@@ -124,18 +124,21 @@ LOW, HIGH = -(2**63), 2**63 - 1
 def int64_rows(draw):
     """(n, d) int64 arrays, d = 1..4 and n = 0..24, over the whole int64
     range: entries come from a few values that include both ends of int64,
-    so duplicate rows and columns wider than 2**62 are likely."""
+    -1 and 0, so duplicate rows, columns wider than 2**62 and columns of
+    exactly 2**63 values are likely."""
     d = draw(st.integers(1, 4))
-    values = draw(st.lists(st.integers(LOW, HIGH), min_size=1, max_size=4)) + [LOW, HIGH]
+    values = draw(st.lists(st.integers(LOW, HIGH), min_size=1, max_size=4)) + [LOW, -1, 0, HIGH]
     rows = draw(st.lists(st.tuples(*[st.sampled_from(values)] * d), max_size=24))
     return np.array(rows, dtype=np.int64).reshape(-1, d)
 
 
 # the examples: one column holding both ends of int64, with a duplicate row;
+# a first column of exactly 2**63 values, whose width is not an int64;
 # two columns of 2**32 values each, whose packed key would just leave int64;
 # three columns whose key would leave it far; no rows
 ROW_EXAMPLES = (
     np.array([(HIGH, 0), (LOW, 0), (HIGH, 0), (0, -1)], dtype=np.int64),
+    np.array([(0, 1), (HIGH, 0), (0, 1)], dtype=np.int64),
     np.array([(2**32 - 1, 2**32 - 1), (0, 0), (2**31, 1), (2**32 - 1, 2**32 - 1)], dtype=np.int64),
     np.array([(0, 2**40, 1), (2**40, 0, 0), (5, 5, 5), (0, 2**40, 1)], dtype=np.int64),
     np.zeros((0, 3), dtype=np.int64),
