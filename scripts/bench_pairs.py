@@ -13,12 +13,16 @@ median and quartiles of each end-to-end metric (with, alongside `setup_s`,
 samples) and of each stage time, the
 number of pairs in which the change is better, whether every change run is
 better than every parent run, the `failed` and `attempted` counts of every
-run, and whether the output fingerprints of the two runs of a pair are
-equal.  Quartiles are those of the inclusive (linear) method.
+run, its operation count (how many times the workload operation ran), and
+whether the output fingerprints of the two runs of a pair are equal.
+Quartiles are those of the inclusive (linear) method.
 
 Then it prints one line per workload and end-to-end metric with the medians,
 their change, the parent's quartiles and whether every change run is better
-than every parent run, and exits with status 1 if any run failed a check.
+than every parent run; the `peak_rss_mb` line also gives each side's median
+operation count, since a faster operation runs more times in the same
+seconds and can read a higher peak.  It exits with status 1 if any run
+failed a check.
 A median change inside the parent's quartiles is unresolved, not unchanged.
 """
 
@@ -48,6 +52,7 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
         "stages": record["stages"],
         "failed": record["failed"],
         "attempted": record["attempted"],
+        "ops": len(record["ops"]),
         "fingerprint": record["ops"][0]["fingerprint"],
         "env": record["env"],
     }
@@ -95,6 +100,7 @@ def main():
             "stages": {s: compare(runs, "stages", s, True) for s in stages},
             "failed": {side: [r["failed"] for r in runs[side]] for side in SIDES},
             "attempted": {side: [r["attempted"] for r in runs[side]] for side in SIDES},
+            "ops": {side: [r["ops"] for r in runs[side]] for side in SIDES},
             "equal_fingerprints_in_pairs": "{}/{}".format(
                 sum(a["fingerprint"] == b["fingerprint"] for a, b in zip(runs["parent"], runs["change"])),
                 PAIRS,
@@ -115,11 +121,13 @@ def main():
     print(f"wrote {path}", file=sys.stderr)
     failed = False
     for workload, res in result.items():
+        ops = " -> ".join(f"{statistics.median(res['ops'][side]):g}" for side in SIDES)
         for name, c in res["end_to_end"].items():
             print(f"{workload} {name}: {c['parent']['median']:.4g} -> {c['change']['median']:.4g} "
                   f"({c['median_change_pct']:+.1f}%), change better in {c['change_better_in_pairs']} pairs, "
                   f"parent q1-q3 {c['parent']['q1']:.4g}-{c['parent']['q3']:.4g}, "
-                  f"every change run better: {'yes' if c['every_change_run_better'] else 'no'}")
+                  f"every change run better: {'yes' if c['every_change_run_better'] else 'no'}"
+                  + (f", median operations {ops}" if name == "peak_rss_mb" else ""))
         for side, counts in res["failed"].items():
             if any(counts):
                 failed = True

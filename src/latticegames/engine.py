@@ -319,8 +319,12 @@ def _simplex_caps(cells: np.ndarray, phi, moves: np.ndarray) -> tuple[int, tuple
     that some move grows, which phi . p <= level_cap then bounds, and the
     largest coordinate read on any other axis."""
     top = cells.max(axis=0, initial=0).tolist()
-    # every phi . cell is exact in int64 when phi . top is
-    level_cap = dot(phi, top) if dot(phi, top) >= 2**63 else int((cells @ np.array(phi)).max(initial=0))
+    level_cap = dot(phi, top)
+    if level_cap < 2**63:
+        # every phi . cell is exact in int64 when phi . top is, and so is
+        # every weight on an axis where top is not 0
+        weights = np.array([f if t else 0 for f, t in zip(phi, top)], dtype=np.int64)
+        level_cap = int((cells @ weights).max(initial=0))
     grows = (moves < 0).any(axis=0).tolist()
     return level_cap, tuple(level_cap // f if g else t for f, g, t in zip(phi, grows, top))
 
@@ -337,8 +341,10 @@ def topdown_bytes(window: Vec, rs: Ruleset, phi) -> int:
     """Estimated peak bytes of a top-down solve of the window, whose search
     stays in the capped phi-simplex under it.  Its positions are counted axis
     by axis, the longest last, as the kernel tables partial levels; the count
-    stops at a lower bound over the budget, the first being the window's cells."""
+    stops at a lower bound over the budget, the first being the window's cells.
+    The window's level cap phi . window must have passed kernels.check_levels."""
     level_cap, caps = _simplex_caps(np.asarray([window]), phi, rs.array)
+    phi = kernels.int64_weights(phi, level_cap).tolist()
     limit = kernels.MEMORY_BUDGET // TOPDOWN_CELL_BYTES
     positions, part = prod(w + 1 for w in window), np.zeros(1, dtype=np.int64)
     for i, k in enumerate(sorted(range(len(caps)), key=caps.__getitem__)):
@@ -504,11 +510,13 @@ class Solver:
         rs = self.game.ruleset
         level_cap, caps = _simplex_caps(cells, self.phi, rs.array)
         defeated = self.game.defeated if self.game.has_defeated else None
-        return kernels.solve_region(rs.array, np.array(self.phi), level_cap, caps, defeated)
+        return kernels.solve_region(rs.array, self.phi, level_cap, caps, defeated)
 
     def _solve_window_topdown(self, window: Vec) -> OutcomeGrid:
-        need = topdown_bytes(window, self.game.ruleset, self.phi)
-        kernels.check_memory(need, f"top-down solve of window {window}")
+        # refused at the level cap the kernel refuses, before any weight is cast
+        what = f"top-down solve of window {window}"
+        kernels.check_levels(dot(self.phi, window), what)
+        kernels.check_memory(topdown_bytes(window, self.game.ruleset, self.phi), what)
         shape = tuple(w + 1 for w in window)
         codes = (
             (CODE_P if self.outcome(p) == P else CODE_N) if self._is_position(p) else CODE_DEFEATED

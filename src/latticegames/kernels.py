@@ -6,10 +6,18 @@ decreases that pairing, so all options of a cell are finished before the cell
 itself is reached.  Outcome codes: 0 unvisited, 1 P, 2 N, 3 defeated.
 
 Cells of one level are independent of each other, so the sieve resolves a
-whole level at once: a cell not yet marked as having a P option is P (or
-defeated), every other cell is N.  The new P cells then mark every cell that
-can move to them, p + move for each move, in one vectorised scatter, so the
-work is about P cells x moves rather than cells x moves.
+whole level at once.  A cell's code before its level is 0, or 2 once a P cell
+of a lower level has marked it as having a P option.  At its own level a cell
+is written only if it is P or defeated: a defeated cell gets 3 whether marked
+or not, then every cell still at 0 gets 1, and a marked cell keeps the 2 its
+marker wrote.  The new P cells then mark every cell that can move to them,
+p + move for each move, in one vectorised scatter, so the work is about
+P cells x moves rather than cells x moves.
+
+Levels are int64 sums of weights times coordinates.  A solve spans at most
+2**40 levels, which keeps them far inside int64, and a weight above the level
+cap is lowered to the cap + 1 before it is cast: a cell under the cap is 0 on
+that axis either way.
 
 Nothing box-sized is sorted.  Along the longest axis a, a cell's level is
 R + phi_a i_a, with R the partial level of the other axes; in a table of the
@@ -58,19 +66,36 @@ def check_memory(need: int, what: str):
         raise ValueError(f"{what} needs about {need / 2**30:.1f} GiB, over the {MEMORY_BUDGET / 2**30:.0f} GiB budget")
 
 
-def check_budget(shape, moves, phi, level_cap: int, mask_boxes: int = 0):
-    """Raise ValueError, before anything box-sized exists, if the box's
-    sieve_bytes exceed MEMORY_BUDGET or its level cap exceeds 2**40; else
-    return the moves that join two cells under the cap, and the padding
-    they need below and above each axis."""
-    moves = np.asarray(moves, dtype=np.int64).reshape(-1, len(shape))
-    # a move longer than the box or than the level cap joins no two cells
-    moves = moves[(moves @ phi <= level_cap) & (np.abs(moves) < shape).all(axis=1)]
-    padding = moves, -moves.min(axis=0, initial=0), moves.max(axis=0, initial=0)
-    what = f"solve region of shape {shape} (level cap {level_cap})"
-    check_memory(sieve_bytes(shape, padding, level_cap, mask_boxes), what)
+def check_levels(level_cap: int, what: str):
+    """Raise ValueError naming what if level_cap exceeds the 2**40 levels
+    that keep every partial level, weight and phi-step far inside int64."""
     if level_cap > 2**40:
         raise ValueError(f"{what} has more than the 2**40 levels this kernel is sized for")
+
+
+def int64_weights(phi, level_cap: int) -> np.ndarray:
+    """phi as int64, each weight above level_cap lowered to level_cap + 1,
+    so no weight leaves int64: a cell under the cap is 0 on such an axis
+    under either weight.  level_cap must have passed check_levels."""
+    return np.array([min(int(f), level_cap + 1) for f in phi], dtype=np.int64)
+
+
+def check_budget(shape, moves, phi, level_cap: int, mask_boxes: int = 0):
+    """Raise ValueError, before anything is cast or box-sized exists, if the
+    level cap exceeds 2**40 or the box's sieve_bytes exceed MEMORY_BUDGET;
+    else return the moves that join two cells under the cap, and the
+    padding they need below and above each axis."""
+    what = f"solve region of shape {shape} (level cap {level_cap})"
+    check_levels(level_cap, what)
+    phi = int64_weights(phi, level_cap)
+    # a move longer than the box, or than any axis reaches under the level
+    # cap, joins no two cells; the rest have |phi_k m_k| <= level_cap
+    reach = np.minimum(np.array(shape) - 1, level_cap // phi)
+    moves = np.asarray(moves, dtype=np.int64).reshape(-1, len(shape))
+    moves = moves[((-reach <= moves) & (moves <= reach)).all(axis=1)]
+    moves = moves[moves @ phi <= level_cap]
+    padding = moves, -moves.min(axis=0, initial=0), moves.max(axis=0, initial=0)
+    check_memory(sieve_bytes(shape, padding, level_cap, mask_boxes), what)
     return padding
 
 
@@ -78,19 +103,20 @@ def solve_region(moves, phi, level_cap, axis_caps, defeated=None):
     """Solve every cell p with 0 <= p <= axis_caps and phi . p <= level_cap.
 
     moves: (n, d) int64 array in any row order, such as the read-only
-    Ruleset.array (it is only read); phi: length-d positive int array with
-    phi . move >= 1 for every move; defeated: a LatticeSet or None.  The box
-    is checked against the memory budget once, counting the defeated set's
-    mask boxes, before anything box-sized is built.  Returns the uint8
-    outcome array of shape axis_caps + 1, a view into a padded array; cells
-    outside the level cap stay CODE_UNSEEN.
+    Ruleset.array (it is only read); phi: length-d sequence of positive ints,
+    of any size, with phi . move >= 1 for every move; defeated: a LatticeSet
+    or None.  The level cap and then the box are checked against the 2**40
+    levels and the memory budget once, counting the defeated set's mask
+    boxes, before anything box-sized is built.  Returns the uint8 outcome
+    array of shape axis_caps + 1, a view into a padded array; cells outside
+    the level cap stay CODE_UNSEEN.
     """
     level_cap = int(level_cap)
     shape = tuple(int(c) + 1 for c in axis_caps)
     d = len(shape)
-    phi = np.asarray(phi, dtype=np.int64)
     boxes = defeated.mask_boxes() if defeated is not None else 0
     moves, below, above = check_budget(shape, moves, phi, level_cap, boxes)
+    phi = int64_weights(phi, level_cap)
 
     # moves by increasing phi-step: those that stay under the cap form a
     # prefix, and moves of equal step mark the same cells in any order
@@ -141,13 +167,13 @@ def solve_region(moves, phi, level_cap, axis_caps, defeated=None):
 
     for b0, b1, shift, nl in zip(lo.tolist(), hi.tolist(), (big_q * strides[a]).tolist(), n_live.tolist()):
         f = start[b0:b1] + shift
-        res = np.maximum(flat[f], CODE_P)  # unmarked cells are P, marked ones N
+        # only P and defeated cells are written: a marked cell is already N
         if is_defeated is not None:
-            res[is_defeated[f]] = CODE_DEFEATED
-        flat[f] = res
+            flat[f[is_defeated[f]]] = CODE_DEFEATED
+        p = f[flat[f] == CODE_UNSEEN]
+        flat[p] = CODE_P
         if nl == 0:
             continue
-        p = f[res == CODE_P]
         rows = max(1, SCATTER_PAIRS // nl)
         for i in range(0, p.size, rows):
             flat[(p[i : i + rows, None] + offsets[:nl]).ravel()] = CODE_N

@@ -1,5 +1,6 @@
 import random
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -647,6 +648,45 @@ def test_kernel_skips_empty_levels(phi, traced_peak):
     memo = solver.solve_window((3, 3), mode="top-down")
     assert np.array_equal(region, memo.data)
     assert np.array_equal(solver.solve_window((3, 3)).data, memo.data)
+
+
+U, P, N, D = kernels.CODE_UNSEEN, kernels.CODE_P, kernels.CODE_N, kernels.CODE_DEFEATED
+
+
+# the 1-D game with the one move (1), solved on axis cap 4:
+# (defeated points, level cap, the region by hand)
+@pytest.mark.parametrize("defeated, cap, want", [
+    pytest.param([], 4, [P, N, P, N, P], id="alternating"),
+    # 0's scatter marks 1 N before 1's level, and 1 still reads defeated
+    pytest.param([1], 4, [P, D, P, N, P], id="marked-defeated-cell"),
+    # 1's only option is defeated, so 1 is P and marks 2
+    pytest.param([0], 4, [D, P, N, P, N], id="only-option-defeated"),
+    # 3 and 4 lie above the level cap: no level writes them
+    pytest.param([3], 2, [P, N, P, U, U], id="defeated-above-cap"),
+])
+def test_kernel_writes_only_p_and_defeated_cells(defeated, cap, want):
+    game = GameSpec(Ruleset(1, [(1,)]), LatticeSet.finite([(x,) for x in defeated], dim=1))
+    region = kernels.solve_region(game.ruleset.array, (1,), cap, (4,), game.defeated)
+    assert region.tolist() == want
+
+
+def test_weights_beyond_int64_are_never_cast():
+    # the pointedness witness scales to integer weights that leave int64
+    solver = Solver(GameSpec(Ruleset(2, [(1, 0), (0, 1), (-(2**63), 2**63 - 1)])))
+    assert solver.phi == (2**63 - 1, 2**63 + 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mode in ("bottom-up", "top-down"):
+            assert solver.solve_window((0, 0), mode=mode).data.tolist() == [[P]]
+            with pytest.raises(ValueError, match=re.escape("has more than the 2**40 levels")):
+                solver.solve_window((1, 1), mode=mode)
+        # the level cap phi . (1, 0) = 2**63 - 1 is exact, not rounded through float64
+        with pytest.raises(ValueError, match=re.escape(f"(level cap {2**63 - 1})")):
+            solver.solve_window((1, 0))
+        # the move (-2**63, 1) reaches past every cell under the cap on both
+        # axes, so it is dropped before its int64 |-2**63| could wrap
+        region = kernels.solve_region(np.array([[1, 0], [-(2**63), 1]]), (1, 2**63 + 1), 2, (2, 2))
+        assert region.tolist() == [[P, U, U], [N, U, U], [P, U, U]]
 
 
 def _holed_gamma_prime():
