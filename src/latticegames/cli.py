@@ -20,12 +20,14 @@ from .engine import (
     Infeasible,
     OutcomeGrid,
     Solver,
+    check_plane,
     check_pointedness,
     check_tangent_cone,
     equivalence_in_window,
     periodicity_probe,
 )
 from .kernels import CODE_N, CODE_P, check_memory
+from .lattice import as_vec
 from .recurrence import binom_parity_oracle, eval_recurrence
 from .render import render_grid
 
@@ -96,6 +98,7 @@ def cmd_axioms(args) -> int:
 
 def cmd_solve(args) -> int:
     game = _load_game(args.ruleset)
+    check_plane(as_vec(args.window, game.ruleset.dim), args.slice)  # before the solve, which grows with the window
     grid = Solver(game).solve_window(args.window)
     data = render_grid(grid, args.slice, args.format, args.highlight)
     _emit(data, args.output)
@@ -127,13 +130,12 @@ def cmd_verify(args) -> int:
 
 def cmd_probe(args) -> int:
     game = _load_game(args.ruleset)
-    if game.ruleset.dim not in (2, 3):  # refused before the solve, which grows with the window
-        raise ValueError(f"a {game.ruleset.dim}-D grid has no plane; only 2-D and 3-D grids do")
+    window = args.window[: game.ruleset.dim] + (game.ruleset.dim - 2) * (args.slice,)
+    check_plane(window, args.slice)  # refused before the solve, which grows with the window
     r = args.max_period
     # a longer candidate has no pairs in the window; the solve refuses a negative bound
     if args.ell is None and 0 <= max(args.window) < r:
         raise ValueError(f"--max-period {r} exceeds the window's largest bound {max(args.window)}")
-    window = args.window + (game.ruleset.dim - 2) * (args.slice,)
     grid = Solver(game).solve_window(window)
     cone = args.cone
     candidates = [args.ell] if args.ell is not None else (

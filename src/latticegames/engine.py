@@ -15,11 +15,12 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
 from math import lcm, prod
+from operator import index
 
 import numpy as np
 
 from . import kernels
-from .lattice import LatticeSet, Vec, as_vec, dot, int64_array, pareto_minimal, unique_rows
+from .lattice import LatticeSet, Vec, as_vec, int64_array, pareto_minimal, unique_rows
 
 P = "P"
 N = "N"
@@ -33,11 +34,17 @@ class Ruleset:
     """A finite set of nonzero move vectors, held once as ``array``: a
     read-only int64 (M, dim) array of distinct rows in lexicographic order.
     ``moves`` is the same set as tuples of Python ints, built on first read.
-    A move that is not a nonzero dim-vector of int64 integers raises
-    ValueError naming it: no entry is truncated or wraps."""
+    A dimension that is not an integer >= 1, or a move that is not a nonzero
+    dim-vector of int64 integers, raises ValueError naming it: no entry is
+    truncated or wraps."""
 
     def __init__(self, dim: int, moves):
-        self.dim = int(dim)
+        try:
+            self.dim = index(dim)
+        except TypeError:
+            raise ValueError(f"dimension {dim!r} is not an integer") from None
+        if self.dim < 1:
+            raise ValueError(f"dimension {dim} is below 1")
         if not isinstance(moves, np.ndarray):
             moves = list(moves)
         try:
@@ -297,36 +304,24 @@ class OutcomeGrid:
         return {CODE_P: P, CODE_N: N}.get(self.code_at(p))
 
     def plane(self, slice_index: int | None = None) -> np.ndarray:
-        """2-D slice at a fixed last coordinate (the grid itself in 2-D);
-        a grid of any other dimension than 2 or 3 has no plane."""
-        d = len(self.window)
-        if d not in (2, 3):
-            raise ValueError(f"a {d}-D grid has no plane; only 2-D and 3-D grids do")
-        if d == 2:
-            if slice_index not in (None, 0):
-                raise ValueError(f"a 2-D grid has no slices; got slice {slice_index}")
-            return self.data
-        if slice_index is None:
-            raise ValueError("slice index required for a 3-D grid")
-        if not 0 <= slice_index <= self.window[-1]:
-            raise ValueError(f"slice {slice_index} lies outside [0, {self.window[-1]}]")
-        return self.data[:, :, slice_index]
+        """The plane check_plane accepts: the grid itself in 2-D, a slice in 3-D."""
+        check_plane(self.window, slice_index)
+        return self.data if len(self.window) == 2 else self.data[:, :, slice_index]
 
 
-def _simplex_caps(cells: np.ndarray, phi, moves: np.ndarray) -> tuple[int, tuple[int, ...]]:
-    """The level cap max phi . cell over an (n, d) array of cells, and the
-    axis caps of the phi-simplex under it: level_cap // phi_k on an axis
-    that some move grows, which phi . p <= level_cap then bounds, and the
-    largest coordinate read on any other axis."""
-    top = cells.max(axis=0, initial=0).tolist()
-    level_cap = dot(phi, top)
-    if level_cap < 2**63:
-        # every phi . cell is exact in int64 when phi . top is, and so is
-        # every weight on an axis where top is not 0
-        weights = np.array([f if t else 0 for f, t in zip(phi, top)], dtype=np.int64)
-        level_cap = int((cells @ weights).max(initial=0))
-    grows = (moves < 0).any(axis=0).tolist()
-    return level_cap, tuple(level_cap // f if g else t for f, g, t in zip(phi, grows, top))
+def check_plane(window: Vec, slice_index: int | None = None):
+    """Raise ValueError unless a grid on the window has the plane slice_index
+    names: slice 0 or None in 2-D, 0 to the last bound in 3-D (the solve
+    refuses a negative bound); a grid of any other dimension has none."""
+    d = len(window)
+    if d not in (2, 3):
+        raise ValueError(f"a {d}-D grid has no plane; only 2-D and 3-D grids do")
+    if d == 2 and slice_index not in (None, 0):
+        raise ValueError(f"a 2-D grid has no slices; got slice {slice_index}")
+    if d == 3 and slice_index is None:
+        raise ValueError("slice index required for a 3-D grid")
+    if d == 3 and not 0 <= slice_index <= max(window[-1], 0):
+        raise ValueError(f"slice {slice_index} lies outside [0, {window[-1]}]")
 
 
 # traced peak bytes of a top-down window solve, with margin: per position of
@@ -339,22 +334,9 @@ TOPDOWN_OPTION_BYTES = 64
 
 def topdown_bytes(window: Vec, rs: Ruleset, phi) -> int:
     """Estimated peak bytes of a top-down solve of the window, whose search
-    stays in the capped phi-simplex under it.  Its positions are counted axis
-    by axis, the longest last, as the kernel tables partial levels; the count
-    stops at a lower bound over the budget, the first being the window's cells.
-    The window's level cap phi . window must have passed kernels.check_levels."""
-    level_cap, caps = _simplex_caps(np.asarray([window]), phi, rs.array)
-    phi = kernels.int64_weights(phi, level_cap).tolist()
-    limit = kernels.MEMORY_BUDGET // TOPDOWN_CELL_BYTES
-    positions, part = prod(w + 1 for w in window), np.zeros(1, dtype=np.int64)
-    for i, k in enumerate(sorted(range(len(caps)), key=caps.__getitem__)):
-        if positions > limit:
-            break
-        # how many values axis k takes above each partial level under the cap
-        n = np.minimum(min(caps[k], limit), (level_cap - part) // phi[k]) + 1
-        positions = int(n.sum())
-        if i < len(caps) - 1:
-            part = np.repeat(part, n) + phi[k] * (np.arange(positions) - np.repeat(np.cumsum(n) - n, n))
+    stays in the phi-simplex under it; a level cap over 2**40 is refused."""
+    positions, caps = kernels.simplex_size(rs.array, phi, [window], f"top-down solve of window {window}",
+                                           kernels.MEMORY_BUDGET // TOPDOWN_CELL_BYTES)
     return positions * TOPDOWN_CELL_BYTES + sum(c + 1 for c in caps) * len(rs) * TOPDOWN_OPTION_BYTES
 
 
@@ -485,7 +467,7 @@ class Solver:
             return self._solve_window_topdown(window)
         if mode != "bottom-up":
             raise ValueError(f"unknown solve mode {mode!r}")
-        region = self._solve(np.asarray([window]))
+        region = self._solve([window])
         return OutcomeGrid(window, region[tuple(slice(0, w + 1) for w in window)])
 
     def outcomes(self, cells) -> np.ndarray:
@@ -505,18 +487,15 @@ class Solver:
         region = self._solve(cells.reshape(-1, d))
         return region[tuple(np.moveaxis(cells, -1, 0))]
 
-    def _solve(self, cells: np.ndarray) -> np.ndarray:
-        """The kernel's solve of the capped phi-simplex under an (n, d) array of cells."""
-        rs = self.game.ruleset
-        level_cap, caps = _simplex_caps(cells, self.phi, rs.array)
+    def _solve(self, cells) -> np.ndarray:
+        """The kernel's solve of the phi-simplex under an (n, d) array of cells."""
         defeated = self.game.defeated if self.game.has_defeated else None
-        return kernels.solve_region(rs.array, self.phi, level_cap, caps, defeated)
+        return kernels.solve_region(self.game.ruleset.array, self.phi, cells, defeated)
 
     def _solve_window_topdown(self, window: Vec) -> OutcomeGrid:
-        # refused at the level cap the kernel refuses, before any weight is cast
-        what = f"top-down solve of window {window}"
-        kernels.check_levels(dot(self.phi, window), what)
-        kernels.check_memory(topdown_bytes(window, self.game.ruleset, self.phi), what)
+        # refused before any weight is cast or any position is searched
+        need = topdown_bytes(window, self.game.ruleset, self.phi)
+        kernels.check_memory(need, f"top-down solve of window {window}")
         shape = tuple(w + 1 for w in window)
         codes = (
             (CODE_P if self.outcome(p) == P else CODE_N) if self._is_position(p) else CODE_DEFEATED

@@ -1,9 +1,8 @@
 """Dense bottom-up outcome kernel: a push-based P-sieve.
 
-Positions inside a bounded region are processed in increasing order of their
-pairing with the pointedness functional phi; every legal move strictly
-decreases that pairing, so all options of a cell are finished before the cell
-itself is reached.  Outcome codes: 0 unvisited, 1 P, 2 N, 3 defeated.
+A solve answers a set of cells by solving, level by level in increasing
+phi . p, the phi-simplex under them, which holds every option of each cell
+as every move lowers phi.  Outcome codes: 0 unvisited, 1 P, 2 N, 3 defeated.
 
 Cells of one level are independent of each other, so the sieve resolves a
 whole level at once.  A cell's code before its level is 0, or 2 once a P cell
@@ -19,15 +18,19 @@ Levels are int64 sums of weights times coordinates.  A solve spans at most
 cap is lowered to the cap + 1 before it is cast: a cell under the cap is 0 on
 that axis either way.
 
-Nothing box-sized is sorted.  Along the longest axis a, a cell's level is
-R + phi_a i_a, with R the partial level of the other axes; in a table of the
-other axes' cells sorted by (R mod phi_a, R), level L is the slice of L's
-residue class with L - phi_a (shape_a - 1) <= R <= L.  The outcome array is
-padded by the move components that point out of the box, so a scatter needs
-no bounds test.
+Nothing box-sized is sorted.  One walk counts the simplex's cells axis by
+axis, the longest last, and tables them over the other axes by partial
+level R, counting each axis's entries before it builds them, and only those
+under the cap.  Along the longest axis a, a cell's level is R + phi_a i_a;
+in the table sorted by (R mod phi_a, R), level L is the slice of L's residue
+class with L - phi_a (shape_a - 1) <= R <= L.  The outcome array is padded
+by the move components that point out of the box, so a scatter needs no
+bounds test.
 """
 
 from __future__ import annotations
+
+from math import prod
 
 import numpy as np
 
@@ -49,7 +52,6 @@ def sieve_bytes(shape, padding, level_cap: int, mask_boxes: int = 0) -> int:
     boxes LatticeSet.mask holds at once; the table of the other axes, which
     also bounds a coset mask's labels; the bounds of at most
     min(cells, level_cap + 1) levels; one scatter batch; the moves."""
-    shape = tuple(int(s) for s in shape)
     moves, below, above = padding
     cells = padded = 1
     for s, b, a in zip(shape, below.tolist(), above.tolist()):
@@ -66,28 +68,11 @@ def check_memory(need: int, what: str):
         raise ValueError(f"{what} needs about {need / 2**30:.1f} GiB, over the {MEMORY_BUDGET / 2**30:.0f} GiB budget")
 
 
-def check_levels(level_cap: int, what: str):
-    """Raise ValueError naming what if level_cap exceeds the 2**40 levels
-    that keep every partial level, weight and phi-step far inside int64."""
-    if level_cap > 2**40:
-        raise ValueError(f"{what} has more than the 2**40 levels this kernel is sized for")
-
-
-def int64_weights(phi, level_cap: int) -> np.ndarray:
-    """phi as int64, each weight above level_cap lowered to level_cap + 1,
-    so no weight leaves int64: a cell under the cap is 0 on such an axis
-    under either weight.  level_cap must have passed check_levels."""
-    return np.array([min(int(f), level_cap + 1) for f in phi], dtype=np.int64)
-
-
 def check_budget(shape, moves, phi, level_cap: int, mask_boxes: int = 0):
-    """Raise ValueError, before anything is cast or box-sized exists, if the
-    level cap exceeds 2**40 or the box's sieve_bytes exceed MEMORY_BUDGET;
-    else return the moves that join two cells under the cap, and the
-    padding they need below and above each axis."""
-    what = f"solve region of shape {shape} (level cap {level_cap})"
-    check_levels(level_cap, what)
-    phi = int64_weights(phi, level_cap)
+    """Raise ValueError, before anything box-sized exists, if the box's
+    sieve_bytes exceed MEMORY_BUDGET; else return the moves that join two
+    cells under the level cap, and the padding they need below and above
+    each axis.  level_cap and phi are as _simplex gives them."""
     # a move longer than the box, or than any axis reaches under the level
     # cap, joins no two cells; the rest have |phi_k m_k| <= level_cap
     reach = np.minimum(np.array(shape) - 1, level_cap // phi)
@@ -95,28 +80,74 @@ def check_budget(shape, moves, phi, level_cap: int, mask_boxes: int = 0):
     moves = moves[((-reach <= moves) & (moves <= reach)).all(axis=1)]
     moves = moves[moves @ phi <= level_cap]
     padding = moves, -moves.min(axis=0, initial=0), moves.max(axis=0, initial=0)
-    check_memory(sieve_bytes(shape, padding, level_cap, mask_boxes), what)
+    check_memory(sieve_bytes(shape, padding, level_cap, mask_boxes), f"solve region of shape {shape}")
     return padding
 
 
-def solve_region(moves, phi, level_cap, axis_caps, defeated=None):
-    """Solve every cell p with 0 <= p <= axis_caps and phi . p <= level_cap.
+def _simplex(moves, phi, cells, what: str) -> tuple[int, list[int], np.ndarray]:
+    """The phi-simplex under an (n, d) array of cells: its level cap
+    max phi . cell; its axis caps, level_cap // phi_k on an axis that some
+    move grows and the largest coordinate read on any other; and phi as
+    int64 weights, each above the cap lowered to the cap + 1.  A level cap
+    over 2**40 raises ValueError naming what, before any weight is cast."""
+    phi, cells = [int(f) for f in phi], np.asarray(cells)
+    top = cells.max(axis=0, initial=0).tolist()
+    level_cap = sum(f * t for f, t in zip(phi, top))
+    if level_cap < 2**63:
+        # every phi . cell is exact in int64 when phi . top is, and so is
+        # every weight on an axis where top is not 0
+        weights = np.array([f if t else 0 for f, t in zip(phi, top)], dtype=np.int64)
+        level_cap = int((cells @ weights).max(initial=0))
+    if level_cap > 2**40:
+        raise ValueError(f"{what} (level cap {level_cap}) has more than the 2**40 levels this kernel is sized for")
+    grows = (np.asarray(moves).reshape(-1, len(phi)) < 0).any(axis=0).tolist()
+    caps = [level_cap // f if g else t for f, g, t in zip(phi, grows, top)]
+    return level_cap, caps, np.array([min(f, level_cap + 1) for f in phi], dtype=np.int64)
 
-    moves: (n, d) int64 array in any row order, such as the read-only
+
+def _walk(phi, level_cap: int, caps, strides, limit: int = 2**62):
+    """The number of cells i of a simplex, 0 <= i <= caps with
+    phi . i <= level_cap, and the table of its cells over every axis but the
+    last, walked axis by axis: their partial levels phi . i and flat indices
+    strides . i.  A count over limit ends the walk: a lower bound."""
+    part, index = np.zeros((2, 1), dtype=np.int64)
+    for k, (f, c) in enumerate(zip(phi.tolist(), caps)):
+        n = np.minimum(min(c, limit), (level_cap - part) // f) + 1
+        count = int(n.sum())
+        if count > limit or k == len(caps) - 1:
+            return count, part, index
+        # entry e takes the values 0 .. n_e - 1 on this axis
+        value = np.arange(count) - np.repeat(np.cumsum(n) - n, n)
+        part, index = np.repeat(part, n) + f * value, np.repeat(index, n) + strides[k] * value
+
+
+def simplex_size(moves, phi, cells, what: str, limit: int) -> tuple[int, list[int]]:
+    """The number of cells of the phi-simplex under an (n, d) array of
+    cells, or a lower bound over limit, and its axis caps.  A cell's box lies
+    in the simplex, so the largest is counted before the walk."""
+    level_cap, caps, phi = _simplex(moves, phi, cells, what)
+    count = max(prod(c + 1 for c in cell) for cell in np.asarray(cells).tolist())
+    if count <= limit:
+        axes = sorted(range(len(caps)), key=caps.__getitem__)
+        count = _walk(phi[axes], level_cap, [caps[k] for k in axes], [0] * len(caps), limit)[0]
+    return count, caps
+
+
+def solve_region(moves, phi, cells, defeated=None):
+    """Solve the phi-simplex under an (n, d) array of nonnegative cells.
+
+    moves: (m, d) int64 array in any row order, such as the read-only
     Ruleset.array (it is only read); phi: length-d sequence of positive ints,
     of any size, with phi . move >= 1 for every move; defeated: a LatticeSet
-    or None.  The level cap and then the box are checked against the 2**40
-    levels and the memory budget once, counting the defeated set's mask
-    boxes, before anything box-sized is built.  Returns the uint8 outcome
-    array of shape axis_caps + 1, a view into a padded array; cells outside
-    the level cap stay CODE_UNSEEN.
-    """
-    level_cap = int(level_cap)
-    shape = tuple(int(c) + 1 for c in axis_caps)
+    or None.  The level cap and the box are checked against the 2**40 levels
+    and the memory budget, counting the defeated set's mask boxes, before
+    anything box-sized is built.  Returns the uint8 outcomes of the box, a
+    view into a padded array; cells above the level cap stay CODE_UNSEEN."""
+    level_cap, caps, phi = _simplex(moves, phi, cells, "solve region")
+    shape = tuple(c + 1 for c in caps)
     d = len(shape)
     boxes = defeated.mask_boxes() if defeated is not None else 0
     moves, below, above = check_budget(shape, moves, phi, level_cap, boxes)
-    phi = int64_weights(phi, level_cap)
 
     # moves by increasing phi-step: those that stay under the cap form a
     # prefix, and moves of equal step mark the same cells in any order
@@ -134,24 +165,20 @@ def solve_region(moves, phi, level_cap, axis_caps, defeated=None):
     if defeated is not None:
         is_defeated = np.zeros(padded, dtype=bool)
         # the unpadded mask lives only until it is copied in
-        is_defeated[inner] = defeated.mask(axis_caps)
+        is_defeated[inner] = defeated.mask(caps)
         is_defeated = is_defeated.reshape(-1)
 
-    # the other axes' cells: partial level R, and the flat index at i_a = 0
+    # the other axes' cells: partial level R, and unpadded flat index at i_a = 0
     a = int(np.argmax(shape))
     fa, sa = int(phi[a]), shape[a]
-    part, base = np.zeros(1, dtype=np.int64), np.array([below @ strides])
-    for k in set(range(d)) - {a}:
-        i = np.arange(shape[k], dtype=np.int64)
-        part, base = (part[:, None] + phi[k] * i).ravel(), (base[:, None] + strides[k] * i).ravel()
-        keep = part <= level_cap
-        part, base = part[keep], base[keep]
+    axes = [k for k in range(d) if k != a] + [a]
+    _, part, base = _walk(phi[axes], level_cap, [caps[k] for k in axes], strides[axes].tolist())
     # with R = r + phi_a q, level r + phi_a Q holds the cells with
     # Q - sa < q <= Q, at flat index base + (Q - q) stride_a
     q, r = np.divmod(part, fa)
     span = level_cap // fa + 1
     by_key = np.argsort(r * span + q)
-    key, start = (r * span + q)[by_key], base[by_key] - q[by_key] * strides[a]
+    key, start = (r * span + q)[by_key], base[by_key] + below @ strides - q[by_key] * strides[a]
 
     # a class's occupied levels are the union of its runs q .. q + sa - 1
     ur, uq = np.divmod(key[np.flatnonzero(np.diff(key, prepend=-1))], span)

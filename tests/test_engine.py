@@ -118,8 +118,12 @@ ENGINE_REFUSALS = [
                  id="solve-mode"),
     pytest.param(lambda s: equivalence_in_window(GameSpec(Ruleset(2, [(1, 0)])), s.game, (2, 2)),
                  "games have different dimensions", id="equivalence-dimensions"),
-    pytest.param(lambda s: kernels.solve_region(np.array([[1]]), np.array([1]), 2**41, (1,)),
+    pytest.param(lambda s: kernels.solve_region(np.array([[1]]), np.array([1]), [(2**41,)]),
                  "has more than the 2**40 levels this kernel is sized for", id="kernel-levels"),
+    pytest.param(lambda s: Ruleset(0, []), "dimension 0 is below 1", id="ruleset-dimension-0"),
+    pytest.param(lambda s: Ruleset(-1, []), "dimension -1 is below 1", id="ruleset-dimension-negative"),
+    pytest.param(lambda s: Ruleset(2.5, [(1, 0)]), "dimension 2.5 is not an integer", id="ruleset-dimension-float"),
+    pytest.param(lambda s: Ruleset("2", [(1, 0)]), "dimension '2' is not an integer", id="ruleset-dimension-str"),
 ]
 
 
@@ -572,13 +576,13 @@ def test_sieve_matches_topdown_memo(case):
     sieve = Solver(game).solve_window(window)
     memo = Solver(game).solve_window(window, mode="top-down")
     assert np.array_equal(sieve.data, memo.data)
-    # the whole region of the kernel, on a box that every axis cap bounds
+    # the whole region of the kernel: with the corners (cap // phi_k) e_k
+    # among its cells, every axis is capped at cap // phi_k
     solver = Solver(game)
     cap = dot(solver.phi, window)
-    caps = tuple(cap // f for f in solver.phi)
-    region = kernels.solve_region(
-        np.array(game.ruleset.moves), np.array(solver.phi), cap, caps, game.defeated
-    )
+    cells = np.vstack([window, np.diag([cap // f for f in solver.phi])])
+    region = kernels.solve_region(np.array(game.ruleset.moves), np.array(solver.phi), cells, game.defeated)
+    assert region.shape == tuple(cap // f + 1 for f in solver.phi)
     _region_matches_memo(solver, cap, region)
 
 
@@ -590,11 +594,10 @@ def test_kernel_matches_memo_without_unit_weights(case):
     game, window = case
     solver = Solver(game)
     cap = dot(solver.phi, window)
-    caps = tuple(cap // f for f in solver.phi)
+    cells = np.vstack([window, np.diag([cap // f for f in solver.phi])])
     for k in (2, 3):
-        region = kernels.solve_region(
-            game.ruleset.array, k * np.array(solver.phi), k * cap, caps, game.defeated
-        )
+        region = kernels.solve_region(game.ruleset.array, k * np.array(solver.phi), cells, game.defeated)
+        assert region.shape == tuple(cap // f + 1 for f in solver.phi)
         _region_matches_memo(solver, cap, region)
 
 
@@ -608,9 +611,11 @@ def test_outcomes_match_the_box_solve(case, data):
     cells = np.array(data.draw(st.lists(point, min_size=1, max_size=8)), dtype=np.int64)
     caps = []
 
-    def spy(moves, phi, level_cap, axis_caps, defeated=None, solve_region=kernels.solve_region):
-        caps.append(level_cap)
-        return solve_region(moves, phi, level_cap, axis_caps, defeated)
+    def spy(moves, phi, cells, defeated=None, solve_region=kernels.solve_region):
+        region = solve_region(moves, phi, cells, defeated)
+        # the highest level solved is the level cap
+        caps.append(int((np.argwhere(region != kernels.CODE_UNSEEN) @ np.array(phi)).max()))
+        return region
 
     solver = Solver(game)
     want = Solver(game).solve_window(window).data[tuple(cells.T)]
@@ -639,10 +644,10 @@ def test_kernel_skips_empty_levels(phi, traced_peak):
 
     game = GameSpec(Ruleset(2, [(1, 0), (0, 1), (1, 1), (2, 1)]))
     solver = Solver(game, PointednessWitness(tuple(Fraction(f) for f in phi)))
-    cap = dot(phi, (3, 3))  # about 3 * 10**6 levels, 16 of them occupied
+    # the level cap phi . (3, 3) spans about 3 * 10**6 levels, 16 of them occupied
     with traced_peak() as peak:
         t0 = time.perf_counter()
-        region = kernels.solve_region(game.ruleset.array, np.array(phi), cap, (3, 3))
+        region = kernels.solve_region(game.ruleset.array, np.array(phi), [(3, 3)])
         elapsed = time.perf_counter() - t0
     assert elapsed < 0.5 and peak.bytes < 2**20
     memo = solver.solve_window((3, 3), mode="top-down")
@@ -653,20 +658,19 @@ def test_kernel_skips_empty_levels(phi, traced_peak):
 U, P, N, D = kernels.CODE_UNSEEN, kernels.CODE_P, kernels.CODE_N, kernels.CODE_DEFEATED
 
 
-# the 1-D game with the one move (1), solved on axis cap 4:
-# (defeated points, level cap, the region by hand)
-@pytest.mark.parametrize("defeated, cap, want", [
-    pytest.param([], 4, [P, N, P, N, P], id="alternating"),
+# (moves, defeated points, the cells solved for, the region by hand), with phi = 1
+@pytest.mark.parametrize("moves, defeated, cells, want", [
+    pytest.param([(1,)], [], [(4,)], [P, N, P, N, P], id="alternating"),
     # 0's scatter marks 1 N before 1's level, and 1 still reads defeated
-    pytest.param([1], 4, [P, D, P, N, P], id="marked-defeated-cell"),
+    pytest.param([(1,)], [(1,)], [(4,)], [P, D, P, N, P], id="marked-defeated-cell"),
     # 1's only option is defeated, so 1 is P and marks 2
-    pytest.param([0], 4, [D, P, N, P, N], id="only-option-defeated"),
-    # 3 and 4 lie above the level cap: no level writes them
-    pytest.param([3], 2, [P, N, P, U, U], id="defeated-above-cap"),
+    pytest.param([(1,)], [(0,)], [(4,)], [D, P, N, P, N], id="only-option-defeated"),
+    # the box corner (1, 1) lies above the level cap 1: no level writes it
+    pytest.param([(1, 0), (0, 1)], [(1, 1)], [(1, 0), (0, 1)], [[P, N], [N, U]], id="defeated-above-cap"),
 ])
-def test_kernel_writes_only_p_and_defeated_cells(defeated, cap, want):
-    game = GameSpec(Ruleset(1, [(1,)]), LatticeSet.finite([(x,) for x in defeated], dim=1))
-    region = kernels.solve_region(game.ruleset.array, (1,), cap, (4,), game.defeated)
+def test_kernel_writes_only_p_and_defeated_cells(moves, defeated, cells, want):
+    game = GameSpec(Ruleset(len(moves[0]), moves), LatticeSet.finite(defeated, dim=len(moves[0])))
+    region = kernels.solve_region(game.ruleset.array, (1,) * game.ruleset.dim, cells, game.defeated)
     assert region.tolist() == want
 
 
@@ -683,10 +687,10 @@ def test_weights_beyond_int64_are_never_cast():
         # the level cap phi . (1, 0) = 2**63 - 1 is exact, not rounded through float64
         with pytest.raises(ValueError, match=re.escape(f"(level cap {2**63 - 1})")):
             solver.solve_window((1, 0))
-        # the move (-2**63, 1) reaches past every cell under the cap on both
-        # axes, so it is dropped before its int64 |-2**63| could wrap
-        region = kernels.solve_region(np.array([[1, 0], [-(2**63), 1]]), (1, 2**63 + 1), 2, (2, 2))
-        assert region.tolist() == [[P, U, U], [N, U, U], [P, U, U]]
+        # the move (-2**63, 1) reaches past every cell under the cap 2 on
+        # both axes, so it is dropped before its int64 |-2**63| could wrap
+        region = kernels.solve_region(np.array([[1, 0], [-(2**63), 1]]), (1, 2**63 + 1), [(2, 0)])
+        assert region.tolist() == [[P], [N], [P]]
 
 
 def _holed_gamma_prime():
@@ -1201,6 +1205,43 @@ def test_topdown_memory_guard_raises_before_allocating(gamma_prime_game, traced_
     assert peak.bytes < 2**20 and not solver.memo
 
 
+# phi = (1, 1, 2): the moves grow the first two axes, so the simplex under
+# the window (0, 0, w) holds about w**2 positions on them
+GROWING_GAME = GameSpec(Ruleset(3, [(-1, 0, 1), (0, -1, 1), (1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+
+
+@pytest.mark.parametrize("budget, w, bound", [(2**24, 1000, 2**20), (kernels.MEMORY_BUDGET, 10**5, 16 * 2**20)])
+def test_topdown_guard_counts_before_it_builds(budget, w, bound, monkeypatch, traced_peak):
+    # the walk counts an axis's entries before it builds them, so the
+    # refusal costs about one entry per value of the last coordinate
+    solver = Solver(GROWING_GAME)
+    assert solver.phi == (1, 1, 2)
+    monkeypatch.setattr(kernels, "MEMORY_BUDGET", budget)
+    with traced_peak() as peak, pytest.raises(ValueError, match="top-down .* needs about .* GiB"):
+        solver.solve_window((0, 0, w), mode="top-down")
+    assert peak.bytes < bound and not solver.memo
+
+
+@settings(max_examples=100)
+@given(pointed_games())
+def test_topdown_guard_counts_the_cells_the_sweep_solves(case):
+    # topdown_bytes counts the positions of the simplex that the sweep solves
+    game, window = case
+    solver, counted = Solver(game), []
+
+    def spy(*args, simplex_size=kernels.simplex_size):
+        counted.append(simplex_size(*args))
+        return counted[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "simplex_size", spy)
+        topdown_bytes(window, game.ruleset, solver.phi)
+    [(positions, caps)] = counted
+    region = kernels.solve_region(game.ruleset.array, solver.phi, [window], game.defeated)
+    assert region.shape == tuple(c + 1 for c in caps)
+    assert positions == np.count_nonzero(region != kernels.CODE_UNSEEN)
+
+
 def _one_dim_28_moves():
     # in 1-D the per-axis columns and the DFS path grow with the window
     return GameSpec(Ruleset(1, [(m,) for m in range(1, 29)])), (3000,)
@@ -1242,24 +1283,21 @@ def test_kernel_scale_guard():
     from latticegames.kernels import solve_region
 
     with pytest.raises(ValueError):
-        solve_region(
-            np.array([[1, 1, 1]]), np.array([1, 1, 1]), 10**13,
-            (10**5, 10**5, 10**3),
-        )
+        solve_region(np.array([[1, 1, 1]]), np.array([1, 1, 1]), [(10**5, 10**5, 10**3)])
 
 
 def test_kernel_memory_guard_raises_before_allocating(monkeypatch, traced_peak):
-    moves, phi, caps = np.array([[1, 0], [0, 1]]), np.array([1, 1]), (2999, 2999)
+    moves, phi = np.array([[1, 0], [0, 1]]), np.array([1, 1])
     need = kernels.sieve_bytes((3000, 3000), kernels.check_budget((3000, 3000), moves, phi, 5998), 5998)
     assert need >= 3001 * 3001  # at least the outcome byte of each padded cell
     monkeypatch.setattr(kernels, "MEMORY_BUDGET", need - 1)
     with traced_peak() as peak, pytest.raises(ValueError, match="GiB"):
-        kernels.solve_region(moves, phi, 5998, caps)
+        kernels.solve_region(moves, phi, [(2999, 2999)])
     assert peak.bytes < 2**20
     # at exactly the budget the region is solved, within the estimate
     need = kernels.sieve_bytes((1000, 1000), kernels.check_budget((1000, 1000), moves, phi, 1998), 1998)
     monkeypatch.setattr(kernels, "MEMORY_BUDGET", need)
     with traced_peak() as peak:
-        grid = kernels.solve_region(moves, phi, 1998, (999, 999))
+        grid = kernels.solve_region(moves, phi, [(999, 999)])
     assert peak.bytes <= need
     assert grid[0, 0] == kernels.CODE_P and grid[1, 0] == kernels.CODE_N

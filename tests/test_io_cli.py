@@ -281,6 +281,46 @@ def test_reader_prunes_the_spec(tmp_path, capsys):
     assert capsys.readouterr().out == report.summary() + "\n"
 
 
+FOUR_D = {"dim": 4, "moves": [[1, 0, 0, 0], [0, 1, 0, 0]]}
+ONE_D = {"dim": 1, "moves": [[1], [2]]}
+TWO_D = {"dim": 2, "moves": [[1, 0], [0, 1]]}
+
+
+# (argv, contents of the file that "{file}" names, the whole message): each
+# is refused before anything is solved
+REFUSED_BEFORE_SOLVING = [
+    (["render", "{file}", "--window", "60,60,60,60"], FOUR_D,
+     "a 4-D grid has no plane; only 2-D and 3-D grids do"),
+    (["solve", "{file}", "--window", "2,2,1,1", "--format", "text"], FOUR_D,
+     "a 4-D grid has no plane; only 2-D and 3-D grids do"),
+    (["solve", "paper-gamma-prime", "--window", "768,768,1", "--slice", "5"], None, "slice 5 lies outside [0, 1]"),
+    (["render", "paper-gamma-prime", "--window", "768,768,1", "--slice", "-1"], None,
+     "slice -1 lies outside [0, 1]"),
+    (["solve", "{file}", "--window", "20000000"], ONE_D, "a 1-D grid has no plane; only 2-D and 3-D grids do"),
+    (["solve", "{file}", "--window", "2,2", "--slice", "3"], TWO_D, "a 2-D grid has no slices; got slice 3"),
+    (["probe", "{file}", "--window", "4,4", "--slice", "3"], TWO_D, "a 2-D grid has no slices; got slice 3"),
+    (["probe", "{file}", "--window", "4,4"], ONE_D, "a 1-D grid has no plane; only 2-D and 3-D grids do"),
+    (["probe", "{file}", "--window", "4,4"], FOUR_D, "a 4-D grid has no plane; only 2-D and 3-D grids do"),
+    # a negative bound passes the plane check, and the solve refuses it by name
+    (["solve", "paper-gamma-prime", "--window", "3,3,-1"], None, "window bounds must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize("argv, obj, says", REFUSED_BEFORE_SOLVING)
+def test_cli_refuses_a_missing_plane_before_solving(tmp_path, capsys, monkeypatch, argv, obj, says):
+    from latticegames import kernels
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solved before refusing")
+
+    monkeypatch.setattr(kernels, "solve_region", unreachable)
+    path = tmp_path / "in.json"
+    if obj is not None:
+        path.write_text(json.dumps(obj))
+    assert main([a.format(file=path) for a in argv]) == 1
+    assert capsys.readouterr().err == f"error: {says}\n"
+
+
 def test_cli_probe_refuses_before_solving(tmp_path, capsys, monkeypatch):
     # a 4-D grid has no plane to probe, so nothing is solved
     from latticegames.engine import Solver
