@@ -29,7 +29,7 @@ from .engine import (
 from .kernels import CODE_N, CODE_P, check_memory
 from .lattice import as_vec
 from .recurrence import binom_parity_oracle, eval_recurrence
-from .render import render_grid
+from .render import FORMATS, render_grid
 
 import numpy as np
 
@@ -163,9 +163,9 @@ def cmd_equiv(args) -> int:
     return 1
 
 
-# traced peak bytes per window cell of `oracle`, with margin: 118-167 for
-# xor, which memoises every point, and 4.1-6.6 for binom-parity at windows
-# of 300^2 to 2000^2 (the grid, its text rendering and the memo)
+# traced peak bytes per window cell of `oracle`, with margin: 107-194 for
+# xor, which memoises every point, at windows of 41^2 to 300^2, and 3.0-6.3
+# for binom-parity at 300^2 to 2000^2 (the grid, its text rendering and the memo)
 ORACLE_CELL_BYTES = {"binom-parity": 8, "xor": 200}
 
 
@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("ruleset")
         p.add_argument("--window", type=_parse_vec, required=True, metavar="X,Y[,Z]")
         p.add_argument("--slice", type=int, default=0, help="fixed last coordinate for 3-D grids")
-        p.add_argument("--format", choices=("text", "pbm", "svg"), default=fmt)
+        p.add_argument("--format", choices=FORMATS, default=fmt)
         p.add_argument("--highlight", type=int, metavar="M",
                        help="restrict to positions with both coordinates multiples of M")
         p.add_argument("-o", "--output")

@@ -15,7 +15,6 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate, combinations, product
-from numbers import Integral
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .lattice import (
     F_array,
     Sublattice,
     Vec,
+    as_int,
     as_vec,
     dominates,
     dot,
@@ -54,9 +54,9 @@ class Placement:
 
     def __init__(self, pos: dict, m: int, staircase, normal):
         self.pos = {v: as_vec(p, 2) for v, p in pos.items()}
-        if not isinstance(m, Integral) or m < 1:
+        self.m = as_int(m, "scale m")
+        if self.m < 1:
             raise ValueError("m must be a positive integer")
-        self.m = int(m)
         self.staircase = tuple(sorted(as_vec(p, 2) for p in staircase))
         if not self.staircase:
             raise ValueError("the staircase set I must be nonempty")
@@ -620,6 +620,7 @@ def verify_construction(cg: CompiledGame, bound: int) -> VerificationReport:
     kernels.MEMORY_BUDGET, or an output or control vertex off the board
     raises ValueError before anything is built.
     """
+    bound = as_int(bound, "bound")
     if bound < 0:
         raise ValueError(f"bound must be nonnegative, got {bound}")
     if cg.game.has_defeated:
@@ -712,7 +713,7 @@ def compile_recurrence(
                 f"variant C provides no input channel, so the initial values must "
                 f"all be the background symbol; offending generators: {bad}"
             )
-    pruned, _kept = prune_unused_arguments(spec)
+    pruned = prune_unused_arguments(spec)
     check_synthesis_size(pruned.num_args * enc.s)  # before the table's rows are built
     circuit = synthesize_nor_circuit(encoded_table(pruned, enc))
     circuit = extend_circuit(circuit, variant)

@@ -15,12 +15,11 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
 from math import lcm, prod
-from operator import index
 
 import numpy as np
 
 from . import kernels
-from .lattice import LatticeSet, Vec, as_vec, int64_array, pareto_minimal, unique_rows
+from .lattice import LatticeSet, Vec, as_int, as_vec, int64_array, pareto_minimal, unique_rows
 
 P = "P"
 N = "N"
@@ -39,10 +38,7 @@ class Ruleset:
     truncated or wraps."""
 
     def __init__(self, dim: int, moves):
-        try:
-            self.dim = index(dim)
-        except TypeError:
-            raise ValueError(f"dimension {dim!r} is not an integer") from None
+        self.dim = as_int(dim, "dimension")
         if self.dim < 1:
             raise ValueError(f"dimension {dim} is below 1")
         if not isinstance(moves, np.ndarray):
@@ -305,23 +301,27 @@ class OutcomeGrid:
 
     def plane(self, slice_index: int | None = None) -> np.ndarray:
         """The plane check_plane accepts: the grid itself in 2-D, a slice in 3-D."""
-        check_plane(self.window, slice_index)
+        slice_index = check_plane(self.window, slice_index)
         return self.data if len(self.window) == 2 else self.data[:, :, slice_index]
 
 
-def check_plane(window: Vec, slice_index: int | None = None):
-    """Raise ValueError unless a grid on the window has the plane slice_index
-    names: slice 0 or None in 2-D, 0 to the last bound in 3-D (the solve
-    refuses a negative bound); a grid of any other dimension has none."""
+def check_plane(window: Vec, slice_index: int | None = None) -> int | None:
+    """slice_index as an int, or None; raise ValueError unless it is an
+    integer and a grid on the window has the plane it names: slice 0 or None
+    in 2-D, 0 to the last bound in 3-D (the solve refuses a negative bound);
+    a grid of any other dimension has none."""
     d = len(window)
     if d not in (2, 3):
         raise ValueError(f"a {d}-D grid has no plane; only 2-D and 3-D grids do")
+    if slice_index is not None:
+        slice_index = as_int(slice_index, "slice")
     if d == 2 and slice_index not in (None, 0):
         raise ValueError(f"a 2-D grid has no slices; got slice {slice_index}")
     if d == 3 and slice_index is None:
         raise ValueError("slice index required for a 3-D grid")
     if d == 3 and not 0 <= slice_index <= max(window[-1], 0):
         raise ValueError(f"slice {slice_index} lies outside [0, {window[-1]}]")
+    return slice_index
 
 
 # traced peak bytes of a top-down window solve, with margin: per position of

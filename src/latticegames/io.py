@@ -231,7 +231,7 @@ def compiled_from_files(game: GameSpec, sidecar: dict, spec: RecurrenceSpec, enc
     shell = NorCircuit(vertices, (), (), outputs, in_prime, in_dprime)
     lines = _field(sidecar, "placement", "lines", _map_of(_list_of(_vec(3))), optional=True) or {}
     lines = {name: np.array(moves, dtype=np.int64).reshape(-1, 3) for name, moves in lines.items()}
-    cg = CompiledGame(game, pl, shell, prune_unused_arguments(spec)[0], enc, lines)
+    cg = CompiledGame(game, pl, shell, prune_unused_arguments(spec), enc, lines)
     if variant is not None and check_variant(variant) != cg.variant:
         raise ValueError("placement field 'in_dprime' must name the in'' vertex of a variant B game "
                          f"and of no other, got {in_dprime!r} for 'variant' {variant}")

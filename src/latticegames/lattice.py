@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from math import gcd
-from numbers import Integral
 from operator import add, index, sub
 
 import numpy as np
@@ -53,6 +52,15 @@ def dot(a, b) -> int:
 def dominates(a: Vec, b: Vec) -> bool:
     """Componentwise a >= b."""
     return all(x >= y for x, y in zip(a, b))
+
+
+def as_int(x, name: str) -> int:
+    """x as a Python int, judged as operator.index judges it; anything else,
+    such as a float, a string or None, raises ValueError naming it."""
+    try:
+        return index(x)
+    except TypeError:
+        raise ValueError(f"{name} {x!r} is not an integer") from None
 
 
 def as_vec(x, dim=None) -> Vec:
@@ -322,11 +330,10 @@ class LatticeSet:
         basis = tuple(as_vec(b, len(v)) for b in basis)
         if not basis:
             raise ValueError("coset needs at least one basis vector")
-        if not isinstance(m, Integral):
-            raise ValueError(f"coset scale must be an integer, got {m!r}")
+        m = as_int(m, "coset scale")
         if m < 1:
             raise ValueError("coset scale must be >= 1")
-        return LatticeSet("coset", len(v), (v, basis, int(m)))
+        return LatticeSet("coset", len(v), (v, basis, m))
 
     @staticmethod
     def finite(points, dim=None) -> "LatticeSet":

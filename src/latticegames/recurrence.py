@@ -150,16 +150,15 @@ def _depends_on(spec: RecurrenceSpec, value, arg: int) -> bool:
     return False
 
 
-def prune_unused_arguments(spec: RecurrenceSpec) -> tuple[RecurrenceSpec, list[int]]:
-    """Drop shift vectors the table ignores.
-
-    Returns the reduced spec and the kept argument indices.  The reduced spec
+def prune_unused_arguments(spec: RecurrenceSpec) -> RecurrenceSpec:
+    """Drop shift vectors the table ignores, keeping those used_arguments
+    names, in order; spec itself if it uses them all.  The reduced spec
     must still anchor both axes, otherwise the construction cannot satisfy
     its boundary requirements and a ValueError propagates.
     """
     used = sorted(used_arguments(spec))
     if len(used) == spec.num_args:
-        return spec, used
+        return spec
     if not used:
         raise ValueError("the table is constant; there is nothing to compute")
     fixed = spec.alphabet[0]
@@ -169,7 +168,7 @@ def prune_unused_arguments(spec: RecurrenceSpec) -> tuple[RecurrenceSpec, list[i
         for idx, sym in zip(used, row):
             full[idx] = sym
         table[row] = spec.table[tuple(full)]
-    reduced = RecurrenceSpec(
+    return RecurrenceSpec(
         spec.lattice,
         spec.module,
         [spec.betas[i] for i in used],
@@ -178,7 +177,6 @@ def prune_unused_arguments(spec: RecurrenceSpec) -> tuple[RecurrenceSpec, list[i
         spec.sigma0,
         spec.f0,
     )
-    return reduced, used
 
 
 class Encoding:

@@ -3,18 +3,25 @@
 Text uses '#' for P, '.' for N and 'x' for defeated cells, with y increasing
 upward.  PBM (P1) and SVG carry the same raster, P cells black.  An optional
 highlight stride m restricts the picture to the sublattice of positions whose
-coordinates are both multiples of m.
+coordinates are both multiples of m.  Each format reads its cells from one
+table indexed by outcome code, whose entry 0 (CODE_UNSEEN, which no solve
+writes) renders as '?' in text, 0 in PBM and silver in SVG.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .engine import CODE_DEFEATED, CODE_N, CODE_P, OutcomeGrid
-
-TEXT_SYMBOLS = {CODE_P: "#", CODE_N: ".", CODE_DEFEATED: "x"}
+from .engine import CODE_N, OutcomeGrid
+from .lattice import as_int
 
 FORMATS = ("text", "pbm", "svg")
+
+# indexed by outcome code: unseen, P, N, defeated
+TEXT_BYTES = np.frombuffer(b"?#.x", dtype=np.uint8)
+PBM_BYTES = np.frombuffer(b"0100", dtype=np.uint8)
+SVG_FILLS = ("silver", "black", None, "silver")
+SVG_CELL = 8  # pixels per cell
 
 
 def render_grid(
@@ -27,53 +34,27 @@ def render_grid(
         raise ValueError(f"unsupported format {fmt!r}; choose from {FORMATS}")
     plane = grid.plane(slice_index)
     if highlight_stride is not None:
-        if highlight_stride < 1:
+        m = as_int(highlight_stride, "highlight stride")
+        if m < 1:
             raise ValueError("highlight stride must be >= 1")
-        plane = plane[::highlight_stride, ::highlight_stride]
+        plane = plane[::m, ::m]
+    rows = plane.T[::-1]  # rows top down: y grows upward
+    ny, nx = rows.shape
+    if fmt == "svg":
+        w, h = nx * SVG_CELL, ny * SVG_CELL
+        r, x = np.nonzero(rows != CODE_N)
+        rects = "".join(f'<rect x="{px}" y="{py}" width="{SVG_CELL}" height="{SVG_CELL}" fill="{SVG_FILLS[code]}"/>\n'
+                        for px, py, code in zip((x * SVG_CELL).tolist(), (r * SVG_CELL).tolist(), rows[r, x].tolist()))
+        return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" viewBox="0 0 {w} {h}">\n'
+                f'<rect width="{w}" height="{h}" fill="white"/>\n{rects}</svg>\n').encode("ascii")
     if fmt == "text":
-        return _render_text(plane)
-    if fmt == "pbm":
-        return _render_pbm(plane)
-    return _render_svg(plane)
-
-
-def _rows_top_down(plane: np.ndarray):
-    nx, ny = plane.shape
-    for y in range(ny - 1, -1, -1):
-        yield [int(plane[x, y]) for x in range(nx)]
-
-
-def _render_text(plane: np.ndarray) -> bytes:
-    lines = ["".join(TEXT_SYMBOLS[c] for c in row) for row in _rows_top_down(plane)]
-    return ("\n".join(lines) + "\n").encode("ascii")
-
-
-def _render_pbm(plane: np.ndarray) -> bytes:
-    nx, ny = plane.shape
-    lines = [f"P1", f"{nx} {ny}"]
-    for row in _rows_top_down(plane):
-        lines.append(" ".join("1" if c == CODE_P else "0" for c in row))
-    return ("\n".join(lines) + "\n").encode("ascii")
-
-
-def _render_svg(plane: np.ndarray, cell: int = 8) -> bytes:
-    nx, ny = plane.shape
-    w, h = nx * cell, ny * cell
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-        f'viewBox="0 0 {w} {h}">',
-        f'<rect width="{w}" height="{h}" fill="white"/>',
-    ]
-    for y in range(ny - 1, -1, -1):
-        for x in range(nx):
-            code = int(plane[x, y])
-            if code == CODE_N:
-                continue
-            fill = "black" if code == CODE_P else "silver"
-            px = x * cell
-            py = (ny - 1 - y) * cell
-            parts.append(
-                f'<rect x="{px}" y="{py}" width="{cell}" height="{cell}" fill="{fill}"/>'
-            )
-    parts.append("</svg>")
-    return ("\n".join(parts) + "\n").encode("ascii")
+        out = np.empty((ny, nx + 1), dtype=np.uint8)
+        out[:, :nx] = TEXT_BYTES[rows]
+        head = b""
+    else:
+        out = np.full((ny, nx, 2), ord(" "), dtype=np.uint8)
+        out[:, :, 0] = PBM_BYTES[rows]
+        out = out.reshape(ny, 2 * nx)
+        head = f"P1\n{nx} {ny}\n".encode("ascii")
+    out[:, -1] = ord("\n")  # text's last column, PBM's last separator
+    return b"".join((head, out))  # one copy of the raster

@@ -236,7 +236,7 @@ def test_malformed_calls_refused(call, says):
 
 def _rule_circuit(rule):
     spec = ca_to_recurrence(wolfram_rule_table(rule), "0", "1").spec
-    spec, _ = prune_unused_arguments(spec)
+    spec = prune_unused_arguments(spec)
     table = encoded_table(spec, Encoding({"0": ("N",), "1": ("P",)}))
     return extend_circuit(synthesize_nor_circuit(table), "B")
 

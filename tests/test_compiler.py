@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from functools import partial
@@ -734,7 +735,7 @@ def _search_circuit(spec, enc, variant):
     from latticegames.circuits import synthesize_nor_circuit
     from latticegames.recurrence import encoded_table, prune_unused_arguments
 
-    spec, _ = prune_unused_arguments(spec)
+    spec = prune_unused_arguments(spec)
     return extend_circuit(synthesize_nor_circuit(encoded_table(spec, enc)), variant), spec
 
 
@@ -1502,6 +1503,13 @@ def test_verify_refuses_a_defeated_set(xor_compiled):
 def test_verify_rejects_negative_bound(xor_compiled):
     with pytest.raises(ValueError, match="bound"):
         verify_construction(xor_compiled, -5)
+
+
+@pytest.mark.parametrize("bound", [0.5, 84.7, None, "84"])
+def test_verify_refuses_a_bound_that_is_not_an_integer(xor_compiled, bound):
+    # none is truncated: 0.5 and 84.7 would otherwise verify as 0 and 84
+    with pytest.raises(ValueError, match=re.escape(f"bound {bound!r} is not an integer")):
+        verify_construction(xor_compiled, bound)
 
 
 @pytest.mark.parametrize("vertex", ["in'", "out_1"])

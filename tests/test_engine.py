@@ -40,6 +40,7 @@ from latticegames.recurrence import (
     prune_unused_arguments,
     wolfram_rule_table,
 )
+from latticegames.render import render_grid
 
 
 def test_ruleset_canonicalisation():
@@ -173,13 +174,13 @@ NON_INTEGER_CALLS = [
     pytest.param(lambda s: LatticeSet.orthant((0.5, 0)), "expected a vector of integers", id="orthant"),
     pytest.param(lambda s: LatticeSet.coset((0, 0), [(1, 0), (0.5, 1)]), "expected a vector of integers",
                  id="coset-basis"),
-    pytest.param(lambda s: LatticeSet.coset((0, 0), [(1, 0)], 1.5), "coset scale must be an integer, got 1.5",
+    pytest.param(lambda s: LatticeSet.coset((0, 0), [(1, 0)], 1.5), "coset scale 1.5 is not an integer",
                  id="coset-scale"),
     pytest.param(lambda s: LatticeSet.finite([(1, 2), (1, "2")]), "expected a vector of integers", id="finite"),
     pytest.param(lambda s: ModuleIdeal(Z2, [(0, 2.0)]), "expected a vector of integers", id="module-ideal"),
     pytest.param(lambda s: Placement({"v": (0.5, 1)}, 6, [(0, 0)], (1, 1)), "expected a vector of integers",
                  id="placement-position"),
-    pytest.param(lambda s: Placement({"v": (0, 1)}, 6.5, [(0, 0)], (1, 1)), "m must be a positive integer",
+    pytest.param(lambda s: Placement({"v": (0, 1)}, 6.5, [(0, 0)], (1, 1)), "scale m 6.5 is not an integer",
                  id="placement-m"),
     pytest.param(lambda s: Placement({"v": (0, 1)}, 6, [(0.0, 0)], (1, 1)), "expected a vector of integers",
                  id="placement-staircase"),
@@ -187,6 +188,14 @@ NON_INTEGER_CALLS = [
                  id="placement-normal"),
     pytest.param(lambda s: _probe_ell(s, (2.5, 0)), "expected a vector of integers", id="probe-ell"),
     pytest.param(lambda s: as_vec("12"), "expected a vector of integers, got '12'", id="as-vec-str"),
+    pytest.param(lambda s: s.solve_window((2, 2, 1)).plane(1.0), "slice 1.0 is not an integer", id="plane-float"),
+    pytest.param(lambda s: s.solve_window((2, 2, 1)).plane("1"), "slice '1' is not an integer", id="plane-str"),
+    pytest.param(lambda s: periodicity_probe(s.solve_window((8, 8, 1)), 1.0, ((1, 0), (0, 1)), (0, 1)),
+                 "slice 1.0 is not an integer", id="probe-slice"),
+    pytest.param(lambda s: render_grid(s.solve_window((2, 2, 1)), 1, "text", 2.0),
+                 "highlight stride 2.0 is not an integer", id="render-highlight-float"),
+    pytest.param(lambda s: render_grid(s.solve_window((2, 2, 1)), 1, "text", "2"),
+                 "highlight stride '2' is not an integer", id="render-highlight-str"),
 ]
 
 
@@ -194,6 +203,12 @@ NON_INTEGER_CALLS = [
 def test_non_integer_coordinates_are_refused(gamma_prime_solver, call, says):
     with pytest.raises(ValueError, match=re.escape(says)):
         call(gamma_prime_solver)
+
+
+def test_bools_are_integer_slices_and_strides(gamma_prime_grid_48):
+    grid = gamma_prime_grid_48
+    assert np.array_equal(grid.plane(True), grid.plane(1))
+    assert render_grid(grid, True, "text", True) == render_grid(grid, 1, "text", 1)
 
 
 def test_builtin_sizes():
@@ -716,7 +731,7 @@ def _rule90_variant_a():
     # the rule 90 seed-0 game in variant C, whose ruleset that former game
     # shared, with its six-box defeated set
     enc = Encoding({"0": ("N",), "1": ("P",)})
-    spec, _ = prune_unused_arguments(ca_to_recurrence(wolfram_rule_table(90), "0", "1").spec)
+    spec = prune_unused_arguments(ca_to_recurrence(wolfram_rule_table(90), "0", "1").spec)
     circuit = extend_circuit(synthesize_nor_circuit(encoded_table(spec, enc)), "C")
     cg = emit_ruleset(search_placement(circuit, spec, seed=0), circuit, spec, enc=enc)
     return Solver(GameSpec(cg.game.ruleset, parse_set_expr(RULE90_DEFEATED)), cg.witness), (256, 256, 1)

@@ -10,7 +10,7 @@ import pytest
 
 from latticegames import io
 from latticegames.builtin import paper_gamma, paper_gamma_prime, swapped_encoding, xor_recurrence
-from latticegames.cli import main
+from latticegames.cli import ORACLE_CELL_BYTES, main
 from latticegames.compiler import compile_recurrence, verify_construction
 from latticegames.engine import GameSpec
 from latticegames.lattice import LatticeSet
@@ -177,6 +177,16 @@ def test_cli_oracle_consistency(capsys):
     b = capsys.readouterr().out
     assert a == b
     assert a.splitlines()[-1] == "#" * 17  # f(i,0) = P along the axis
+
+
+@pytest.mark.parametrize("which, cells", [("binom-parity", 300), ("xor", 81)])
+def test_oracle_guard_covers_its_traced_peak(tmp_path, traced_peak, which, cells):
+    # ORACLE_CELL_BYTES claims the traced peak per window cell, with margin
+    out = tmp_path / "grid.txt"
+    with traced_peak() as peak:
+        assert main(["oracle", which, "--window", f"{cells - 1},{cells - 1}", "-o", str(out)]) == 0
+    assert out.stat().st_size == cells * (cells + 1)
+    assert peak.bytes <= ORACLE_CELL_BYTES[which] * cells**2
 
 
 def test_cli_compile_verify(tmp_path, capsys):

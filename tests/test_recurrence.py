@@ -173,7 +173,7 @@ def test_pruning_keeps_the_encoding_report():
     compared = 0
     for spec, enc in cases:
         try:
-            pruned, _ = prune_unused_arguments(spec)
+            pruned = prune_unused_arguments(spec)
         except ValueError:
             continue
         assert validate_encoding(pruned, enc) == validate_encoding(spec, enc)
@@ -201,12 +201,11 @@ def test_encoded_table_is_xnor():
 def test_used_arguments_and_pruning():
     emb = ca_to_recurrence(wolfram_rule_table(90), "0", "1")
     assert used_arguments(emb.spec) == {0, 2}  # rule 90 ignores the middle cell
-    pruned, kept = prune_unused_arguments(emb.spec)
-    assert kept == [0, 2]
+    pruned = prune_unused_arguments(emb.spec)
     assert pruned.betas == ((2, 0), (0, 2))
     emb110 = ca_to_recurrence(wolfram_rule_table(110), "0", "1")
-    pruned110, kept110 = prune_unused_arguments(emb110.spec)
-    assert pruned110 is emb110.spec and kept110 == [0, 1, 2]
+    assert used_arguments(emb110.spec) == {0, 1, 2}
+    assert prune_unused_arguments(emb110.spec) is emb110.spec
 
 
 def test_prune_constant_rejected():
