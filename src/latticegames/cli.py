@@ -64,9 +64,14 @@ def _load_game(name_or_path: str) -> GameSpec:
 
 
 def _emit(data: bytes, out_path: str | None):
+    """Write data to out_path, or else to stdout as bytes: only a stdout
+    with no byte buffer beneath it (such as io.StringIO) gets a decoded copy."""
     if out_path:
         with open(out_path, "wb") as fh:
             fh.write(data)
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()  # text printed before goes first
+        sys.stdout.buffer.write(data)
     else:
         sys.stdout.write(data.decode("ascii"))
 

@@ -10,11 +10,12 @@ and orders the bottom-up sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from itertools import product
+from functools import cached_property
+from itertools import compress, product
 from math import lcm, prod
+from operator import and_
 
 import numpy as np
 
@@ -27,6 +28,7 @@ N = "N"
 CODE_P = kernels.CODE_P
 CODE_N = kernels.CODE_N
 CODE_DEFEATED = kernels.CODE_DEFEATED
+_SYMBOLS = {CODE_P: P, CODE_N: N}
 
 
 class Ruleset:
@@ -281,13 +283,23 @@ def check_tangent_cone(rs: Ruleset) -> list[TangentAxisReport]:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class OutcomeGrid:
-    """Dense outcomes over the box [0, window[0]] x ... x [0, window[-1]];
-    data may be a view into a larger solved region."""
+    """Dense outcomes over the box [0, window[0]] x ... x [0, window[-1]].
+
+    data is a read-only view, possibly into a larger solved region.  The
+    grid keeps the probe tables of the last (slice, cone) it was probed
+    with, which its outcomes determine: as data cannot be written or
+    replaced through the grid, the tables cannot go stale through it."""
 
     window: Vec
     data: np.ndarray
+    _probe: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        data = self.data.view()
+        data.flags.writeable = False
+        object.__setattr__(self, "data", data)
 
     def code_at(self, p) -> int:
         p = as_vec(p, len(self.window))
@@ -297,12 +309,28 @@ class OutcomeGrid:
 
     def outcome_at(self, p) -> str | None:
         """P or N, or None at a defeated point."""
-        return {CODE_P: P, CODE_N: N}.get(self.code_at(p))
+        return _SYMBOLS.get(self.code_at(p))
 
     def plane(self, slice_index: int | None = None) -> np.ndarray:
         """The plane check_plane accepts: the grid itself in 2-D, a slice in 3-D."""
         slice_index = check_plane(self.window, slice_index)
         return self.data if len(self.window) == 2 else self.data[:, :, slice_index]
+
+    def _probe_tables(self, slice_index, r: Vec, s: Vec) -> tuple[np.ndarray, np.ndarray]:
+        """The plane of slice_index and its comparable mask: the cells (x, y)
+        in the cone spanned by r and s, r before s counterclockwise, that are
+        not defeated.  Built for the first probe of a (slice, cone) and kept
+        until a probe of another replaces them."""
+        key = check_plane(self.window, slice_index), r, s
+        tables = self._probe.get(key)
+        if tables is None:
+            plane = self.plane(key[0])
+            x, y = np.arange(plane.shape[0])[:, None], np.arange(plane.shape[1])
+            comparable = (r[0] * y >= r[1] * x) & (s[1] * x >= s[0] * y) & (plane != CODE_DEFEATED)
+            comparable.flags.writeable = False
+            self._probe.clear()
+            tables = self._probe[key] = plane, comparable
+        return tables
 
 
 def check_plane(window: Vec, slice_index: int | None = None) -> int | None:
@@ -355,6 +383,7 @@ class Solver:
         self.phi = witness.as_integer()
         self.memo: dict[Vec, str] = {}
         self._columns: tuple[dict[int, list[int]], ...] = tuple({} for _ in range(game.ruleset.dim))
+        self._signs: tuple[dict[int, list[bool]], ...] = tuple({} for _ in range(game.ruleset.dim))
 
     def _is_position(self, p: Vec) -> bool:
         """p must already be a tuple of ints of the game's dimension."""
@@ -372,30 +401,37 @@ class Solver:
         if self.game.has_defeated:
             # the memo holds only positions: only a candidate missing from it can be defeated
             memo, contains = self.memo, self.game.defeated._contains
-            opts = [q for q in opts if q in memo or not contains(q)]
-        return opts
+            return [q for q in opts if q in memo or not contains(q)]
+        return list(opts)
 
-    def _candidates(self, p: Vec) -> list[Vec]:
-        """The points p - m for the moves m, in move order, that lie in N^d.
+    def _candidates(self, p: Vec):
+        """The points p - m for the moves m, in move order, that lie in N^d:
+        an iterable to be read once.
 
-        They are read by zipping per-axis columns: column k at coordinate c
-        is [c - m[k] for each move m], built on first use and cached in
-        self._columns[k] under c, so the cache holds d x (distinct
-        coordinates expanded) x moves ints, small beside the memo.  An axis
-        on which p is at least the largest move component cannot go
-        negative and skips the sign test."""
+        They are read lazily, by zipping per-axis columns: column k at
+        coordinate c is [c - m[k] for each move m], built on first use and
+        cached in self._columns[k] under c, so the cache holds
+        d x (distinct coordinates expanded) x moves ints, small beside the
+        memo.  An axis on which p is at least the largest move component
+        cannot go negative and skips the sign test.  When no axis needs one
+        the zip itself is returned; else it is filtered by itertools.compress
+        with the column's signs, [v >= 0 for v in column], cached in
+        self._signs[k] only for the coordinates below that largest
+        component, so no list of the candidates is built either way."""
         cols, top = self.game.ruleset.axis_columns
-        parts = []
-        for c, col, cache in zip(p, cols, self._columns):
+        parts, keep = [], None
+        for c, col, cache, t, signs in zip(p, cols, self._columns, top, self._signs):
             part = cache.get(c)
             if part is None:
                 part = cache[c] = [c - m for m in col]
             parts.append(part)
-        opts = list(zip(*parts))
-        for k, c in enumerate(p):
-            if c < top[k]:
-                opts = [q for q in opts if q[k] >= 0]
-        return opts
+            if c < t:
+                sign = signs.get(c)
+                if sign is None:
+                    sign = signs[c] = [v >= 0 for v in part]
+                keep = sign if keep is None else map(and_, keep, sign)
+        opts = zip(*parts)
+        return opts if keep is None else compress(opts, keep)
 
     def outcome(self, p) -> str:
         """Memoized top-down evaluation that stops at the first P option.
@@ -497,8 +533,11 @@ class Solver:
         need = topdown_bytes(window, self.game.ruleset, self.phi)
         kernels.check_memory(need, f"top-down solve of window {window}")
         shape = tuple(w + 1 for w in window)
+        # window cells are nonnegative, and a memoised one is a position, so
+        # only a cell missing from the memo is tested against the defeated set
+        memo, outcome, contains = self.memo, self.outcome, self.game.defeated._contains
         codes = (
-            (CODE_P if self.outcome(p) == P else CODE_N) if self._is_position(p) else CODE_DEFEATED
+            (CODE_P if outcome(p) == P else CODE_N) if p in memo or not contains(p) else CODE_DEFEATED
             for p in product(*map(range, shape))
         )
         return OutcomeGrid(window, np.fromiter(codes, np.uint8, count=prod(shape)).reshape(shape))
@@ -540,17 +579,6 @@ def _cross(a: Vec, b: Vec) -> int:
     return a[0] * b[1] - a[1] * b[0]
 
 
-@lru_cache(maxsize=1)
-def _cone_mask(shape: tuple[int, int], r: Vec, s: Vec) -> np.ndarray:
-    """Read-only mask of the cells (x, y) of a plane of this shape in the
-    cone spanned by r and s, with r before s counterclockwise.  It does not
-    depend on the plane's outcomes, so every candidate period reuses it."""
-    x, y = np.arange(shape[0])[:, None], np.arange(shape[1])
-    mask = (r[0] * y >= r[1] * x) & (s[1] * x >= s[0] * y)
-    mask.flags.writeable = False
-    return mask
-
-
 def periodicity_probe(grid: OutcomeGrid, slice_index, cone, ell) -> ProbeResult:
     """Check whether outcomes on a slice repeat under translation by ell.
 
@@ -558,6 +586,11 @@ def periodicity_probe(grid: OutcomeGrid, slice_index, cone, ell) -> ProbeResult:
     with both points inside the cone, the window and the position set are
     compared.  Returns the lexicographically first violating p if any, with
     pairs_checked counting the compared pairs up to and including it.
+
+    The plane and its comparable mask (in the cone and not defeated) are
+    the grid's probe tables, built by the first probe of a (slice, cone),
+    so each further candidate costs two slices of the mask and one
+    mismatch test per row block.
     """
     ell = as_vec(ell, 2)
     if ell == (0, 0):
@@ -570,12 +603,11 @@ def periodicity_probe(grid: OutcomeGrid, slice_index, cone, ell) -> ProbeResult:
     if _cross(r, s) < 0:
         r, s = s, r
 
-    plane = grid.plane(slice_index)
+    plane, comparable = grid._probe_tables(slice_index, r, s)
     # p = (x, y) runs over the cells whose q = p - ell is in the window too
     (x0, x1), (y0, y1) = ((max(0, c), min(n, n + c)) for n, c in zip(plane.shape, ell))
     if x0 >= x1 or y0 >= y1:
         return ProbeResult(True, ell)
-    in_cone = _cone_mask(plane.shape, r, s)
     # witnesses lie near the overlap's first row, so scan it in growing row
     # blocks; C order within a block, and blocks in x order, keep the first
     # mismatch lexicographically first
@@ -584,14 +616,15 @@ def periodicity_probe(grid: OutcomeGrid, slice_index, cone, ell) -> ProbeResult:
         hi = min(x1, lo + rows)
         at_p = slice(lo, hi), slice(y0, y1)
         at_q = slice(lo - ell[0], hi - ell[0]), slice(y0 - ell[1], y1 - ell[1])
-        cp, cq = plane[at_p], plane[at_q]
-        valid = in_cone[at_p] & in_cone[at_q] & (cp != CODE_DEFEATED) & (cq != CODE_DEFEATED)
-        bad = np.flatnonzero(valid & (cp != cq))
+        valid = comparable[at_p] & comparable[at_q]
+        bad = np.flatnonzero(valid & (plane[at_p] != plane[at_q]))
         if bad.size:
-            wx, wy = np.unravel_index(bad[0], valid.shape)
-            outcomes = tuple({CODE_P: P, CODE_N: N}[int(c[wx, wy])] for c in (cp, cq))
-            checked += int(np.count_nonzero(valid.flat[: bad[0] + 1]))
-            return ProbeResult(False, ell, (lo + int(wx), y0 + int(wy)), outcomes, checked)
+            first = int(bad[0])
+            wx, wy = divmod(first, y1 - y0)
+            x, y = lo + wx, y0 + wy
+            outcomes = _SYMBOLS[int(plane[x, y])], _SYMBOLS[int(plane[x - ell[0], y - ell[1]])]
+            checked += int(np.count_nonzero(valid.ravel()[: first + 1]))
+            return ProbeResult(False, ell, (x, y), outcomes, checked)
         checked += int(np.count_nonzero(valid))
         lo, rows = hi, 4 * rows
     return ProbeResult(True, ell, pairs_checked=checked)

@@ -105,20 +105,34 @@ def _simplex(moves, phi, cells, what: str) -> tuple[int, list[int], np.ndarray]:
     return level_cap, caps, np.array([min(f, level_cap + 1) for f in phi], dtype=np.int64)
 
 
-def _walk(phi, level_cap: int, caps, strides, limit: int = 2**62):
+def _walk(phi, level_cap: int, caps, strides=None, limit: int = 2**62):
     """The number of cells i of a simplex, 0 <= i <= caps with
     phi . i <= level_cap, and the table of its cells over every axis but the
-    last, walked axis by axis: their partial levels phi . i and flat indices
-    strides . i.  A count over limit ends the walk: a lower bound."""
-    part, index = np.zeros((2, 1), dtype=np.int64)
+    last, walked axis by axis: their partial levels phi . i and, unless
+    strides is None, their flat indices strides . i (else None).  A count
+    over limit ends the walk: a lower bound."""
+    part = np.zeros(1, dtype=np.int64)
+    index = None if strides is None else part
     for k, (f, c) in enumerate(zip(phi.tolist(), caps)):
-        n = np.minimum(min(c, limit), (level_cap - part) // f) + 1
+        # in place, so that a step holds at most two arrays of the next
+        # table's size beside that table (part, and index when asked for)
+        n = level_cap - part
+        n //= f
+        np.minimum(n, min(c, limit), out=n)
+        n += 1
         count = int(n.sum())
         if count > limit or k == len(caps) - 1:
             return count, part, index
         # entry e takes the values 0 .. n_e - 1 on this axis
-        value = np.arange(count) - np.repeat(np.cumsum(n) - n, n)
-        part, index = np.repeat(part, n) + f * value, np.repeat(index, n) + strides[k] * value
+        value = np.repeat(np.cumsum(n) - n, n)
+        np.subtract(np.arange(count), value, out=value)
+        if index is not None:
+            index = np.repeat(index, n)
+            index += strides[k] * value
+        part = np.repeat(part, n)
+        value *= f
+        part += value
+        del value
 
 
 def simplex_size(moves, phi, cells, what: str, limit: int) -> tuple[int, list[int]]:
@@ -129,7 +143,7 @@ def simplex_size(moves, phi, cells, what: str, limit: int) -> tuple[int, list[in
     count = max(prod(c + 1 for c in cell) for cell in np.asarray(cells).tolist())
     if count <= limit:
         axes = sorted(range(len(caps)), key=caps.__getitem__)
-        count = _walk(phi[axes], level_cap, [caps[k] for k in axes], [0] * len(caps), limit)[0]
+        count = _walk(phi[axes], level_cap, [caps[k] for k in axes], limit=limit)[0]
     return count, caps
 
 

@@ -1002,12 +1002,42 @@ def test_cached_cone_mask_follows_each_probe():
             for ell in [(1, 1), (2, 0), (0, 2), (1, 0), (3, -1)]:
                 case = grid, slice_index, cone, ell
                 assert periodicity_probe(*case) == _probe_reference(*case), case
-    from latticegames.engine import _cone_mask
-
-    assert _cone_mask.cache_info().maxsize == 1
-    mask = _cone_mask((30, 20), (1, 0), (1, 1))
+    # tiled and holed share a shape but not their defeated cells: each grid
+    # keeps its own tables, read-only, for the last (slice, cone) it probed
+    [(_, (tiled_plane, tiled_mask))] = grids[0][0]._probe.items()
+    [(key, (holed_plane, holed_mask))] = grids[4][0]._probe.items()
+    assert key == (None, (1, 0), (0, 1))  # the last cone probed
+    assert tiled_mask is not holed_mask and tiled_plane is not holed_plane
+    assert np.array_equal(holed_mask & ~tiled_mask, np.zeros_like(holed_mask))
+    assert np.array_equal(tiled_mask & (holed != kernels.CODE_DEFEATED), holed_mask)
     with pytest.raises(ValueError, match="read-only"):
-        mask[0, 0] = not mask[0, 0]
+        holed_mask[0, 0] = not holed_mask[0, 0]
+
+
+def test_probe_tables_give_the_results_of_a_fresh_grid(gamma_prime_grid_48):
+    # one grid probed in sequence, over both slices, both cone orientations
+    # and repeated candidates, answers as a fresh grid does each time
+    grid = OutcomeGrid(gamma_prime_grid_48.window, gamma_prime_grid_48.data)
+    cones = [((1, 0), (1, 1)), ((1, 1), (1, 0)), ((1, 0), (0, 1))]
+    calls = [
+        (slice_index, cone, ell)
+        for slice_index in (1, 0, 1)
+        for cone in cones
+        for ell in [(0, 6), (6, 0), (0, 6), (-5, 3), (6, 6), (-60, 2)]
+    ]
+    results = [periodicity_probe(grid, *call) for call in calls]
+    assert results == [periodicity_probe(OutcomeGrid(grid.window, grid.data), *call) for call in calls]
+    assert {r.periodic for r in results} == {True, False}
+
+
+def test_outcome_grid_data_is_read_only(gamma_prime_game):
+    grid = Solver(gamma_prime_game).solve_window((6, 6, 1))
+    built = OutcomeGrid((2, 2), np.full((3, 3), kernels.CODE_P, np.uint8))
+    for g in (grid, built):
+        with pytest.raises(ValueError, match="read-only"):
+            g.data[0, 0] = kernels.CODE_N
+        with pytest.raises(AttributeError):
+            g.data = np.zeros_like(g.data)
 
 
 def test_topdown_memo_lies_between_the_window_and_its_reachable_set():
@@ -1225,7 +1255,13 @@ def test_topdown_memory_guard_raises_before_allocating(gamma_prime_game, traced_
 GROWING_GAME = GameSpec(Ruleset(3, [(-1, 0, 1), (0, -1, 1), (1, 0, 0), (0, 1, 0), (0, 0, 1)]))
 
 
-@pytest.mark.parametrize("budget, w, bound", [(2**24, 1000, 2**20), (kernels.MEMORY_BUDGET, 10**5, 16 * 2**20)])
+@pytest.mark.parametrize(
+    "budget, w, bound",
+    # at the full budget and W = 2000 the table of the first two axes, about
+    # W**2 entries, is built before the third axis's count passes the limit:
+    # 61.1 MiB traced (152.8 MiB while the walk built an unread index column)
+    [(2**24, 1000, 2**20), (kernels.MEMORY_BUDGET, 10**5, 16 * 2**20), (kernels.MEMORY_BUDGET, 2000, 64 * 2**20)],
+)
 def test_topdown_guard_counts_before_it_builds(budget, w, bound, monkeypatch, traced_peak):
     # the walk counts an axis's entries before it builds them, so the
     # refusal costs about one entry per value of the last coordinate

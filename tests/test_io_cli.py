@@ -1,3 +1,5 @@
+import contextlib
+import io as io_module
 import json
 import os
 import re
@@ -187,6 +189,33 @@ def test_oracle_guard_covers_its_traced_peak(tmp_path, traced_peak, which, cells
         assert main(["oracle", which, "--window", f"{cells - 1},{cells - 1}", "-o", str(out)]) == 0
     assert out.stat().st_size == cells * (cells + 1)
     assert peak.bytes <= ORACLE_CELL_BYTES[which] * cells**2
+
+
+def test_cli_writes_bytes_to_stdout(tmp_path, traced_peak, monkeypatch):
+    # stdout gets the bytes -o writes, with no decoded copy of them: the
+    # traced peak stays within 1/4 byte per cell of the -o path's (the
+    # decoded copy of the output added about 1/2 at this window)
+    cells = 400
+    args = ["oracle", "binom-parity", "--window", f"{cells - 1},{cells - 1}"]
+    assert main(args[:2] + ["--window", "3,3", "-o", str(tmp_path / "warm.txt")]) == 0  # first-call allocations
+    with traced_peak() as to_file:
+        assert main(args + ["-o", str(tmp_path / "file.txt")]) == 0
+    with open(tmp_path / "stdout.txt", "wb") as raw:
+        stream = io_module.TextIOWrapper(raw, encoding="ascii")
+        monkeypatch.setattr(sys, "stdout", stream)
+        print("first")  # text printed before the bytes stays before them
+        with traced_peak() as to_stdout:
+            assert main(args) == 0
+        stream.flush()
+        monkeypatch.undo()
+        stream.detach()
+    want = (tmp_path / "file.txt").read_bytes()
+    assert (tmp_path / "stdout.txt").read_bytes() == b"first\n" + want
+    assert to_stdout.bytes <= to_file.bytes + cells**2 // 4
+    # a stdout with no byte buffer gets the same output as text
+    with contextlib.redirect_stdout(io_module.StringIO()) as text:
+        assert main(args) == 0
+    assert text.getvalue() == want.decode("ascii")
 
 
 def test_cli_compile_verify(tmp_path, capsys):
