@@ -670,6 +670,19 @@ def test_kernel_skips_empty_levels(phi, traced_peak):
     assert np.array_equal(solver.solve_window((3, 3)).data, memo.data)
 
 
+@pytest.mark.parametrize("k", [1, 3, 28])
+def test_subtraction_game_matches_its_closed_form(k):
+    import time
+
+    # {1..k} on 0..10**5: one-bit rows over a long sweep; n is P iff k + 1 divides it
+    t0 = time.perf_counter()
+    region = kernels.solve_region(np.arange(1, k + 1).reshape(-1, 1), (1,), [(10**5,)])
+    elapsed = time.perf_counter() - t0
+    n = np.arange(10**5 + 1)
+    assert np.array_equal(region, np.where(n % (k + 1) == 0, kernels.CODE_P, kernels.CODE_N))
+    assert elapsed < 2
+
+
 U, P, N, D = kernels.CODE_UNSEEN, kernels.CODE_P, kernels.CODE_N, kernels.CODE_DEFEATED
 
 
@@ -1257,10 +1270,10 @@ GROWING_GAME = GameSpec(Ruleset(3, [(-1, 0, 1), (0, -1, 1), (1, 0, 0), (0, 1, 0)
 
 @pytest.mark.parametrize(
     "budget, w, bound",
-    # at the full budget and W = 2000 the table of the first two axes, about
-    # W**2 entries, is built before the third axis's count passes the limit:
-    # 61.1 MiB traced (152.8 MiB while the walk built an unread index column)
-    [(2**24, 1000, 2**20), (kernels.MEMORY_BUDGET, 10**5, 16 * 2**20), (kernels.MEMORY_BUDGET, 2000, 64 * 2**20)],
+    # at the full budget and W = 2000 the walk tables only the shortest axis,
+    # W entries, and counts the two longest in closed form: 0.23 MiB traced
+    # (61.1 MiB while it tabled the first two axes, about W**2 entries)
+    [(2**24, 1000, 2**20), (kernels.MEMORY_BUDGET, 10**5, 16 * 2**20), (kernels.MEMORY_BUDGET, 2000, 2 * 2**20)],
 )
 def test_topdown_guard_counts_before_it_builds(budget, w, bound, monkeypatch, traced_peak):
     # the walk counts an axis's entries before it builds them, so the
@@ -1271,6 +1284,18 @@ def test_topdown_guard_counts_before_it_builds(budget, w, bound, monkeypatch, tr
     with traced_peak() as peak, pytest.raises(ValueError, match="top-down .* needs about .* GiB"):
         solver.solve_window((0, 0, w), mode="top-down")
     assert peak.bytes < bound and not solver.memo
+
+
+def test_simplex_size_tables_all_but_two_axes():
+    # in 4-D the two shortest axes are tabled, and the table's own count can
+    # pass the limit before the two longest are counted
+    from itertools import product
+
+    moves = np.array([(1, -1, 0, 0), (1, 0, -1, 0), (1, 0, 0, -1), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+    want = sum(4 * x + y + z + t <= 20 for x, y, z, t in product(range(6), *[range(21)] * 3))
+    assert kernels.simplex_size(moves, (4, 1, 1, 1), [(5, 0, 0, 0)], "w", 10**6) == (want, [5, 20, 20, 20])
+    # the window's own 6 cells pass; the table of the first two axes, 66, does not
+    assert kernels.simplex_size(moves, (4, 1, 1, 1), [(5, 0, 0, 0)], "w", 10)[0] == 66
 
 
 @settings(max_examples=100)
@@ -1340,7 +1365,7 @@ def test_kernel_scale_guard():
 def test_kernel_memory_guard_raises_before_allocating(monkeypatch, traced_peak):
     moves, phi = np.array([[1, 0], [0, 1]]), np.array([1, 1])
     need = kernels.sieve_bytes((3000, 3000), kernels.check_budget((3000, 3000), moves, phi, 5998), 5998)
-    assert need >= 3001 * 3001  # at least the outcome byte of each padded cell
+    assert need >= 3000 * 3000  # at least the outcome byte of each cell
     monkeypatch.setattr(kernels, "MEMORY_BUDGET", need - 1)
     with traced_peak() as peak, pytest.raises(ValueError, match="GiB"):
         kernels.solve_region(moves, phi, [(2999, 2999)])
